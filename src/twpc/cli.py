@@ -54,6 +54,7 @@ class Runner:
         self.seed = seed
         self.started = datetime.datetime.now(datetime.timezone.utc)
         self.files = []
+        self.failures = None    # grid points a subcommand could not solve
 
     def path(self, name: str) -> Path:
         p = self.out / name
@@ -93,6 +94,8 @@ class Runner:
                 for p in self.files
             },
         }
+        if self.failures is not None:
+            manifest["failures"] = self.failures
         p = self.out / "manifest.json"
         with open(p, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -141,8 +144,9 @@ def _pump_epsilon(args, cell, omega_p: float) -> float:
 
 
 def _grid(lo_ghz, hi_ghz, n) -> np.ndarray:
-    if n < 1 or hi_ghz < lo_ghz:
-        raise ConfigError([("grid", "empty or inverted frequency grid")])
+    if n < 1 or not 0 < lo_ghz <= hi_ghz < math.inf:   # also rejects NaN
+        raise ConfigError([("grid", "need 1 or more finite positive "
+                                    "frequencies in ascending order")])
     return np.linspace(lo_ghz, hi_ghz, n) * GHZ
 
 
@@ -263,6 +267,8 @@ def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
     """Forward/backward attenuation (dB) of the circulation process vs
     pump amplitude, with optional defect and pump scattering."""
     cell = spec.cell
+    if defect_cell is not None:
+        sm = _local_defect_smatrix(spec)
     rows = []
     for eps in amplitudes:
         pt = matching.solve_corrected(ProcessKind.Circulation, omega_p,
@@ -272,7 +278,6 @@ def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
             sol = coupled_mode.solve_uniform(cfg, 1.0)
             fw, bw = sol.total_attenuation, 1.0
         else:
-            sm = _local_defect_smatrix(spec)
             s_p = sm(omega_p)
             # pump launched from the right Delta port; the defect splits it
             t_p, r_p = abs(s_p[1, 3]), abs(s_p[3, 3])
@@ -303,7 +308,7 @@ def cmd_scatter(args, runner):
     spec = _load_spec(args)
     ports = args.ports
     if ports not in ("bloch", "lowfreq"):
-        ports = tuple(float(z) for z in ports.split(","))
+        ports = ports.split(",")
     net = network.build_chain(spec, ports)
     freqs = _grid(args.f_min, args.f_max, args.points)
     s = np.array([network.linear_scattering(net, w) for w in freqs])
@@ -371,10 +376,15 @@ def cmd_nld_map(args, runner):
         results = [one_row(wp) for wp in pump]
 
     rows = []
+    runner.failures = []
     for i, wp in enumerate(pump):
-        fw, bw, _ = results[i]
+        fw, bw, failures = results[i]
         for j, wpr in enumerate(probe):
             rows.append((wp / GHZ, wpr / GHZ, fw[0, j], bw[0, j]))
+        runner.failures += [
+            {"f_pump_GHz": wp / GHZ,
+             "f_probe_GHz": None if j is None else probe[j] / GHZ,
+             "reason": reason} for _, j, reason in failures]
     runner.write_csv("transmission_map.csv",
                      ["f_pump_GHz", "f_probe_GHz", "S_fw_dB", "S_bw_dB"],
                      rows)
@@ -483,12 +493,12 @@ def _fig_tdr(args, runner):
     net = network.build_chain(spec)
     freqs = np.linspace(4e9, 8e9, 801)
     v = device.derive_constants(spec.cell).v_sigma0 / 1e9  # cell/ns
+    s = np.array([network.linear_scattering(net, 2 * math.pi * f)
+                  for f in freqs])
     report = {}
     curves = {}
     for port, label in ((0, "left"), (2, "right")):
-        s11 = np.array([network.linear_scattering(net, 2 * math.pi * f)[
-            port, port] for f in freqs])
-        sweep = tdr.FrequencySweep((port, port), freqs, s11)
+        sweep = tdr.FrequencySweep((port, port), freqs, s[:, port, port])
         imp = tdr.impulse_response(sweep)
         est = tdr.locate_defect(imp, v)
         curves[label] = imp

@@ -22,8 +22,8 @@ import scipy.sparse.linalg as spla
 
 from .device import PHI0_BAR
 from .errors import NonConvergence, SingularNetwork, TruncationWarning
-from .network import (ChainNetwork, capacitance_matrix, junction_incidence,
-                      load_conductance, port_basis, port_impedances)
+from .network import (ChainNetwork, admittance_matrix, band_to_sparse,
+                      port_impedances)
 
 K_SAMPLES = 128  # FFT oversampling of the junction orbit
 
@@ -146,11 +146,9 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
 
     orders = basis.orders
     n = net.n_nodes
-    cap = capacitance_matrix(net)
-    dmat, g, branches = junction_incidence(net)
-    e = port_basis(net)
+    ops = net.ops
+    dmat, g, e = ops.d, ops.g, ops.e
     z = port_impedances(net, omega_p)
-    loads = load_conductance(net, omega_p)
 
     i_src = np.zeros(n, complex)
     for d in drives:
@@ -158,9 +156,11 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
                   * d.amplitude * np.exp(1j * d.phase))
     scale = np.linalg.norm(i_src)
 
-    # linear complex operator per harmonic acting on reduced flux
-    lin = [(1j * m * omega_p * cap + loads) * (1j * m * omega_p * PHI0_BAR)
-           for m in orders]
+    # linear complex operator per harmonic acting on reduced flux; the
+    # loads keep their pump-frequency reference impedances
+    lin = [band_to_sparse(
+        admittance_matrix(net, m * omega_p, z, inductive=False)
+        * (1j * m * omega_p * PHI0_BAR)) for m in orders]
 
     def residual(phi):
         d_br = np.array([dmat @ phi[h] for h in range(len(orders))])
@@ -251,7 +251,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
         i_src = full_src
     phi, d_br, rnorm, it, history = out
 
-    sol = PumpSolution(net, basis, omega_p, phi, d_br, g, branches,
+    sol = PumpSolution(net, basis, omega_p, phi, d_br, g, ops.branches,
                        drives, rnorm, it, tuple(history))
     peak = sol.peak_junction_flux() / (2.0 * math.pi * PHI0_BAR)
     if peak > flux_ceiling:
@@ -275,7 +275,7 @@ def pump_harmonics_at_ports(pump: PumpSolution) -> np.ndarray:
     entries are outgoing waves only.
     """
     net = pump.net
-    e = port_basis(net)
+    e = net.ops.e
     out = np.zeros((4, len(pump.basis.orders)))
     for h, m in enumerate(pump.basis.orders):
         omega_m = m * pump.omega_p

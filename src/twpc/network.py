@@ -7,8 +7,10 @@ side.  End columns therefore hold half-weight shunts, which makes the
 image (Bloch) impedance termination exactly reflectionless at every
 frequency below cutoff.
 
-Nodes are the 2(N+1) electrode columns; ports are defined in the
-Sigma/Delta mode basis at both ends, ordered
+Nodes are the 2(N+1) electrode columns, interleaved (a_0, b_0, a_1, b_1,
+...) so that every nodal matrix of the chain, defects and disorder
+included, has bandwidth 2 and is solved by banded LU.  Ports are defined
+in the Sigma/Delta mode basis at both ends, ordered
 
     0: (Sigma, L)   1: (Delta, L)   2: (Sigma, R)   3: (Delta, R).
 
@@ -23,15 +25,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solve_banded
 
 from .device import CellParams, DerivedConstants, LineSpec, derive_constants, \
     sample_disorder, validate
 from .dispersion import Mode, wavevector
-from .errors import DecompositionIllConditioned, SingularNetwork
+from .errors import ConfigError, DecompositionIllConditioned, SingularNetwork
 
 #: port order (mode, side)
 PORTS = ((Mode.Sigma, "L"), (Mode.Delta, "L"),
@@ -41,6 +44,35 @@ PORTS = ((Mode.Sigma, "L"), (Mode.Delta, "L"),
 # mode order (Sigma, Delta); currents map as I_e = A_MODE.T I_m
 _S2 = 1.0 / math.sqrt(2.0)
 A_MODE = np.array([[_S2, _S2], [-_S2, _S2]])
+
+# diagonal offset of each row of LAPACK band storage with kl = ku = 2,
+# ab[2 + i - j, j] = A[i, j]
+_BAND_OFFSETS = (2, 1, 0, -1, -2)
+
+# band positions of the entries (0,0), (0,1), (1,0), (1,1) of a 2x2 block
+# whose first row and column are 0
+_BLOCK_ROWS = np.array([2, 1, 3, 2])
+_BLOCK_COLS = np.array([0, 1, 0, 1])
+
+
+@dataclass(frozen=True)
+class ChainOperators:
+    """Frequency-independent nodal operators of a chain.
+
+    Y(omega) = i omega C + Gamma/(i omega) + loads, with C and
+    Gamma = D^T diag(g) D in band storage and the loads assembled from
+    stamps[p], the 2x2 conductance of a 1 S termination of port p on its
+    end column.
+    """
+
+    c_band: np.ndarray      # (5, n_nodes)
+    gamma_band: np.ndarray  # (5, n_nodes)
+    d: sp.csr_matrix        # (n_branches, n_nodes): phi(right) - phi(left)
+    g: np.ndarray           # (n_branches,) 1/L per junction branch
+    branches: list          # (electrode, cell) per branch, electrode-major
+    e: np.ndarray           # (n_nodes, 4) nodal injection of unit mode
+                            # current at each port; E.T extracts voltages
+    stamps: np.ndarray      # (4, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -57,6 +89,11 @@ class ChainNetwork:
     def n_nodes(self) -> int:
         return 2 * (self.n_cells + 1)
 
+    @cached_property
+    def ops(self) -> ChainOperators:
+        """Nodal operators, built on first use and kept."""
+        return _chain_operators(self)
+
 
 def build_chain(spec: LineSpec, port_z="bloch") -> ChainNetwork:
     """Assemble the chain; deterministic for a given spec seed.
@@ -67,13 +104,63 @@ def build_chain(spec: LineSpec, port_z="bloch") -> ChainNetwork:
     explicit sequence of 4 ohm values in port order.
     """
     validate(spec)
+    if not isinstance(port_z, str):
+        try:
+            port_z = tuple(float(z) for z in port_z)
+        except (TypeError, ValueError):
+            port_z = ()
+        if len(port_z) != 4 or not all(0 < z < math.inf for z in port_z):
+            raise ConfigError(
+                [("ports", "need 4 finite positive impedances (ohm)")])
     table = sample_disorder(spec)
     table.setflags(write=False)
     consts = derive_constants(spec.cell)
-    if not isinstance(port_z, str):
-        port_z = tuple(float(z) for z in port_z)
-        assert len(port_z) == 4
     return ChainNetwork(spec.cell, spec.n_cells, table, port_z, consts)
+
+
+def _stamp_branches(ab, left, right, val):
+    """Add two-terminal elements val between nodes left and
+    right = left + 2 (one electrode, adjacent columns) to band storage ab."""
+    n = ab.shape[1]
+    ab[2] += np.bincount(left, val, n) + np.bincount(right, val, n)
+    ab[0, right] -= val
+    ab[4, left] -= val
+
+
+def _chain_operators(net: ChainNetwork) -> ChainOperators:
+    n_cells, n, cell = net.n_cells, net.n_nodes, net.cell
+    # junction branches, electrode-major; open (defect) branches removed
+    elec, cells = np.divmod(np.arange(2 * n_cells), n_cells)
+    l = net.l_table.T.ravel()
+    keep = np.isfinite(l)
+    elec, cells, g = elec[keep], cells[keep], 1.0 / l[keep]
+    left = 2 * cells + elec
+    right = left + 2
+
+    # shunts C_g (each electrode) and C_i (between electrodes), half
+    # weight on the end columns
+    w = np.ones(n_cells + 1)
+    w[[0, -1]] = 0.5
+    c_band = np.zeros((5, n))
+    c_band[2] = np.repeat(w * (cell.c_g + cell.c_i), 2)
+    c_band[1, 1::2] = -w * cell.c_i     # entries (a_c, b_c)
+    c_band[3, 0::2] = -w * cell.c_i     # entries (b_c, a_c)
+    _stamp_branches(c_band, left, right, np.full(len(g), cell.c_j))
+    gamma_band = np.zeros((5, n))
+    _stamp_branches(gamma_band, left, right, g)
+
+    eye = sp.identity(n, format="csr")
+    d = eye[right] - eye[left]
+
+    # I_e = A_MODE.T I_m on the two nodes of the port's end column
+    a = A_MODE.T[:, [0 if mode is Mode.Sigma else 1 for mode, _ in PORTS]]
+    col = np.array([0 if side == "L" else n - 2 for _, side in PORTS])
+    e = np.zeros((n, 4))
+    e[col, np.arange(4)] = a[0]
+    e[col + 1, np.arange(4)] = a[1]
+    stamps = np.einsum("ip,jp->pij", a, a)
+    return ChainOperators(c_band, gamma_band, d, g,
+                          list(zip(elec.tolist(), cells.tolist())), e, stamps)
 
 
 def bloch_impedance(mode: Mode, omega: float, cell: CellParams) -> complex:
@@ -100,131 +187,35 @@ def port_impedances(net: ChainNetwork, omega: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# matrix building blocks: Y(omega) = i omega C + Gamma/(i omega) + G_loads
+# Y(omega) = i omega C + Gamma/(i omega) + G_loads, in band storage
 
-def _node(net, electrode: int, column: int) -> int:
-    return electrode * (net.n_cells + 1) + column
-
-
-def capacitance_matrix(net: ChainNetwork, include_c_j: bool = True):
-    """Real sparse nodal capacitance matrix (defect branches removed)."""
-    n_col = net.n_cells + 1
-    rows, cols, vals = [], [], []
-
-    w = np.ones(n_col)
-    w[0] = w[-1] = 0.5
-    # shunt C_g on both electrodes
-    for e in (0, 1):
-        idx = [_node(net, e, c) for c in range(n_col)]
-        rows += idx; cols += idx
-        vals += list(w * net.cell.c_g)
-    # floating C_i between electrodes
-    ia = [_node(net, 0, c) for c in range(n_col)]
-    ib = [_node(net, 1, c) for c in range(n_col)]
-    ci = w * net.cell.c_i
-    rows += ia + ib + ia + ib
-    cols += ia + ib + ib + ia
-    vals += list(ci) + list(ci) + list(-ci) + list(-ci)
-    # junction shunt capacitances
-    if include_c_j:
-        for e in (0, 1):
-            for n in range(net.n_cells):
-                if not np.isfinite(net.l_table[n, e]):
-                    continue
-                i, j = _node(net, e, n), _node(net, e, n + 1)
-                rows += [i, j, i, j]
-                cols += [i, j, j, i]
-                vals += [net.cell.c_j, net.cell.c_j,
-                         -net.cell.c_j, -net.cell.c_j]
-    m = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(net.n_nodes, net.n_nodes))
-    return m.tocsc()
+def admittance_matrix(net: ChainNetwork, omega: float, z,
+                      inductive: bool = True) -> np.ndarray:
+    """Band storage (kl = ku = 2) of the nodal admittance at omega with
+    port reference impedances z.  inductive=False leaves out the junction
+    inductances, which the pumped solvers carry as junction currents."""
+    ops = net.ops
+    ab = 1j * omega * ops.c_band
+    if inductive:
+        ab += ops.gamma_band / (1j * omega)
+    y = ops.stamps / z[:, None, None]
+    ab[_BLOCK_ROWS, _BLOCK_COLS] += (y[0] + y[1]).ravel()
+    ab[_BLOCK_ROWS, _BLOCK_COLS + net.n_nodes - 2] += (y[2] + y[3]).ravel()
+    return ab
 
 
-def inverse_inductance_matrix(net: ChainNetwork):
-    """Real sparse 1/L stamp of the junction branches."""
-    rows, cols, vals = [], [], []
-    for e in (0, 1):
-        for n in range(net.n_cells):
-            l = net.l_table[n, e]
-            if not np.isfinite(l):
-                continue
-            g = 1.0 / l
-            i, j = _node(net, e, n), _node(net, e, n + 1)
-            rows += [i, j, i, j]
-            cols += [i, j, j, i]
-            vals += [g, g, -g, -g]
-    m = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(net.n_nodes, net.n_nodes))
-    return m.tocsc()
+def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
+    """The matrix held in band storage ab, as a sparse matrix."""
+    n = ab.shape[1]
+    return sp.dia_matrix((ab, _BAND_OFFSETS), shape=(n, n)).tocsr()
 
 
-def junction_incidence(net: ChainNetwork):
-    """Sparse D with (D phi)_j = phi(right) - phi(left) for each junction
-    branch (defect branches excluded), and the 1/L value per branch."""
-    rows, cols, vals, g = [], [], [], []
-    j = 0
-    branches = []
-    for e in (0, 1):
-        for n in range(net.n_cells):
-            l = net.l_table[n, e]
-            if not np.isfinite(l):
-                continue
-            rows += [j, j]
-            cols += [_node(net, e, n), _node(net, e, n + 1)]
-            vals += [-1.0, 1.0]
-            g.append(1.0 / l)
-            branches.append((e, n))
-            j += 1
-    d = sp.coo_matrix((vals, (rows, cols)), shape=(j, net.n_nodes)).tocsr()
-    return d, np.array(g), branches
-
-
-def port_basis(net: ChainNetwork):
-    """(E, V) with E (n_nodes, 4): nodal injection pattern of unit mode
-    current at each port, and V = E.T extracting mode voltages."""
-    e = np.zeros((net.n_nodes, 4))
-    for p, (mode, side) in enumerate(PORTS):
-        col = 0 if side == "L" else net.n_cells
-        m = 0 if mode is Mode.Sigma else 1
-        # I_e = A_MODE.T I_m
-        e[_node(net, 0, col), p] = A_MODE.T[0, m]
-        e[_node(net, 1, col), p] = A_MODE.T[1, m]
-    return e
-
-
-def load_conductance(net: ChainNetwork, omega: float):
-    """Real sparse stamp of the four port termination resistors."""
-    z = port_impedances(net, omega)
-    e = port_basis(net)
-    # Y_load = sum_p (1/Z_p) e_p e_p^T; each e_p touches two nodes only
-    rows, cols, vals = [], [], []
-    for p in range(4):
-        nz = np.flatnonzero(e[:, p])
-        for i in nz:
-            for j in nz:
-                rows.append(i); cols.append(j)
-                vals.append(e[i, p] * e[j, p] / z[p])
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(net.n_nodes, net.n_nodes)).tocsc()
-
-
-def admittance_matrix(net: ChainNetwork, omega: float, loads: bool = True):
-    y = (1j * omega * capacitance_matrix(net)
-         + inverse_inductance_matrix(net) / (1j * omega))
-    if loads:
-        y = y + load_conductance(net, omega)
-    return y.tocsc()
-
-
-# ---------------------------------------------------------------------------
-
-def _solve(y, b):
+def _solve(ab, b):
+    """Banded LU with partial pivoting; ab is overwritten."""
     try:
-        lu = spla.splu(y)
-    except RuntimeError as exc:
+        x = solve_banded((2, 2), ab, b, overwrite_ab=True)
+    except (LinAlgError, ValueError) as exc:   # singular or non-finite
         raise SingularNetwork(str(exc))
-    x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularNetwork("non-finite nodal solution")
     return x
@@ -236,26 +227,21 @@ def linear_scattering(net: ChainNetwork, omega: float) -> np.ndarray:
     Unitary to machine tolerance for a lossless chain; S[2, 0] is the
     Sigma transmission L -> R.
     """
-    y = admittance_matrix(net, omega)
-    e = port_basis(net)
     z = port_impedances(net, omega)
+    e = net.ops.e
     # Norton drive of unit incident wave on port p: I_N = 2 / sqrt(Z_p)
-    b = e * (2.0 / np.sqrt(z))[None, :]
-    v_nodes = _solve(y, b.astype(complex))
+    v_nodes = _solve(admittance_matrix(net, omega, z), e * (2.0 / np.sqrt(z)))
     v_ports = e.T @ v_nodes          # mode voltage at port q for drive p
-    s = v_ports / np.sqrt(z)[:, None] - np.eye(4)
-    return s
+    return v_ports / np.sqrt(z)[:, None] - np.eye(4)
 
 
 def drive_solution(net: ChainNetwork, port: int, omega: float,
                    amplitude: complex = 1.0) -> np.ndarray:
     """Node voltages for an incident wave of power-wave amplitude
     ``amplitude`` on the given port."""
-    y = admittance_matrix(net, omega)
-    e = port_basis(net)
     z = port_impedances(net, omega)
-    b = e[:, port].astype(complex) * (2.0 * amplitude / math.sqrt(z[port]))
-    return _solve(y, b)
+    b = net.ops.e[:, port] * (2.0 * amplitude / math.sqrt(z[port]))
+    return _solve(admittance_matrix(net, omega, z), b)
 
 
 def wave_amplitude_profile(net: ChainNetwork, port: int, omega: float):
@@ -266,8 +252,7 @@ def wave_amplitude_profile(net: ChainNetwork, port: int, omega: float):
     Returns {mode: (forward, backward)} complex arrays of length n_cells.
     """
     v = drive_solution(net, port, omega)
-    n_col = net.n_cells + 1
-    va, vb = v[:n_col], v[n_col:]
+    va, vb = v[0::2], v[1::2]
     out = {}
     for mode in Mode:
         vm = _S2 * (va + vb) if mode is Mode.Sigma else _S2 * (vb - va)

@@ -25,9 +25,8 @@ from .dispersion import Mode, cutoff
 from .errors import NonConvergence, SingularNetwork, TruncationWarning
 from .harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES, PumpSolution,
                                incident_amplitude, pump_harmonic_balance)
-from .network import (ChainNetwork, PORTS, capacitance_matrix,
-                      junction_incidence, load_conductance, port_basis,
-                      port_impedances)
+from .network import (ChainNetwork, PORTS, admittance_matrix,
+                      band_to_sparse, port_impedances)
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,7 @@ class _PumpedLinearizer:
         self.net = net
         self.pump = pump
         self.n_sb = n_sidebands
-        self.cap = capacitance_matrix(net)
-        dmat, g, _ = junction_incidence(net)
+        dmat, g = net.ops.d, net.ops.g
         if pump is not None:
             gamma = pump.junction_gamma()
         else:
@@ -85,13 +83,14 @@ class _PumpedLinearizer:
         if np.any(np.abs(freqs) < 1e3):
             raise SingularNetwork("a sideband falls at zero frequency")
         nb = len(ns)
-        e = port_basis(net)
+        e = net.ops.e
         z = np.array([port_impedances(net, abs(w)) for w in freqs])
 
         blocks = [[None] * nb for _ in range(nb)]
         for i, wn in enumerate(freqs):
-            lin = ((1j * wn * self.cap + load_conductance(net, abs(wn)))
-                   * (1j * wn * PHI0_BAR))
+            lin = band_to_sparse(
+                admittance_matrix(net, wn, z[i], inductive=False)
+                * (1j * wn * PHI0_BAR))
             for j in range(nb):
                 q = 2 * (ns[i] - ns[j])
                 blk = self.w[q]

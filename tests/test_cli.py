@@ -3,8 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from twpc import device
+from twpc import device, network
 from twpc.cli import main
 from twpc.touchstone import read_touchstone
 
@@ -104,6 +105,12 @@ def test_nld_map_blank_cells_at_pump_harmonics(tmp_path):
     # the 6 GHz probe coincides with twice the pump: cells left blank
     blank = [ln for ln in lines[1:] if ln.endswith(",,")]
     assert len(blank) == 1 and blank[0].split(",")[1].startswith("6.0")
+    # ... and the manifest says why
+    manifest = json.loads((out / "manifest.json").read_text())
+    (failure,) = manifest["failures"]
+    assert failure["f_pump_GHz"] == pytest.approx(3.0)
+    assert failure["f_probe_GHz"] == pytest.approx(6.0)
+    assert "zero frequency" in failure["reason"]
 
 
 def test_tdr_pipeline_roundtrip(tmp_path):
@@ -147,3 +154,33 @@ def test_missing_input_exit_code(tmp_path):
     rc = main(["tdr", "--input", str(tmp_path / "nope.s4p"),
                "--out-dir", str(tmp_path / "o")])
     assert rc == 4
+
+
+def _error_report(capsys, argv, tmp_path):
+    rc = main(argv + ["--out-dir", str(tmp_path / "o")])
+    return rc, json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("ports", ["1,2,3", "50,0,50,50", "50,nan,50,50",
+                                   "50,inf,50,50", "a,b,c,d"])
+def test_bad_port_impedances_exit_code(tmp_path, capsys, ports):
+    rc, err = _error_report(capsys, ["scatter", "--points", "3",
+                                     "--ports", ports], tmp_path)
+    assert rc == 2 and err["violations"][0][0] == "ports"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--f-min", "nan"], ["scatter", "--f-min", "nan"],
+    ["scatter", "--f-max", "inf"], ["scatter", "--f-min", "0"],
+    ["nld-map", "--probe-max", "nan", "--pump-flux", "0.04"]])
+def test_bad_grid_exit_code(tmp_path, capsys, argv):
+    rc, err = _error_report(capsys, argv, tmp_path)
+    assert rc == 2 and err["violations"][0][0] == "grid"
+
+
+def test_singular_network_exit_code(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise LinAlgError("singular matrix")
+    monkeypatch.setattr(network, "solve_banded", singular)
+    rc, err = _error_report(capsys, ["scatter", "--points", "3"], tmp_path)
+    assert rc == 3 and err["error"] == "SingularNetwork"

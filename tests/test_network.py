@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from twpc import device, dispersion, network
 from twpc.dispersion import Mode, cutoff, wavevector
@@ -146,3 +148,81 @@ def test_disorder_changes_scattering_deterministically():
     s2 = linear_scattering(build_chain(d2), 5 * GHZ)
     np.testing.assert_array_equal(s1, s1b)
     assert np.max(np.abs(s1 - s2)) > 1e-6
+
+
+def _splu_scattering(net, omega):
+    """Reference S-matrix: nodal admittance stamped branch by branch in
+    electrode-major node order (a_0..a_N, b_0..b_N), solved by sparse LU."""
+    n_col = net.n_cells + 1
+    cell = net.cell
+    rows, cols, vals = [], [], []
+
+    def stamp(i, j, y):
+        rows.extend([i, j, i, j])
+        cols.extend([i, j, j, i])
+        vals.extend([y, y, -y, -y])
+
+    for c in range(n_col):
+        wt = 0.5 if c in (0, n_col - 1) else 1.0
+        for i in (c, n_col + c):        # C_g to ground
+            rows.append(i); cols.append(i)
+            vals.append(1j * omega * wt * cell.c_g)
+        stamp(c, n_col + c, 1j * omega * wt * cell.c_i)
+    for el in (0, 1):
+        for n in range(net.n_cells):
+            l = net.l_table[n, el]
+            if np.isfinite(l):
+                stamp(el * n_col + n, el * n_col + n + 1,
+                      1j * omega * cell.c_j + 1.0 / (1j * omega * l))
+    z = port_impedances(net, omega)
+    e = np.zeros((net.n_nodes, 4))
+    for p, (mode, side) in enumerate(network.PORTS):
+        col = 0 if side == "L" else net.n_cells
+        m = 0 if mode is Mode.Sigma else 1
+        e[col, p], e[n_col + col, p] = network.A_MODE.T[:, m]
+    for p in range(4):
+        i, j = np.flatnonzero(e[:, p])
+        for a in (i, j):
+            for b in (i, j):
+                rows.append(a); cols.append(b)
+                vals.append(e[a, p] * e[b, p] / z[p])
+    y = sp.coo_matrix((vals, (rows, cols)),
+                      shape=(net.n_nodes, net.n_nodes)).tocsc()
+    v = spla.splu(y).solve((e * (2.0 / np.sqrt(z))).astype(complex))
+    return (e.T @ v) / np.sqrt(z)[:, None] - np.eye(4)
+
+
+def _oracle_case(name):
+    cell = device.fitted_cell()
+    spec = device.fitted_line()
+    port_z = "bloch"
+    w_sigma, w_delta = cutoff(Mode.Sigma, cell), cutoff(Mode.Delta, cell)
+    if name == "below_sigma_cutoff":
+        w = w_sigma * (1 - 1e-6)
+    elif name == "below_delta_cutoff":
+        w = w_delta * (1 - 1e-6)
+    elif name == "above_both_cutoffs":
+        w = 1.2 * max(w_sigma, w_delta)
+    elif name == "open_junction":
+        spec = dataclasses.replace(spec, defects=((165, "open_junction"),))
+        w = 5 * GHZ
+    elif name == "disorder":
+        spec = dataclasses.replace(spec, defects=((165, "open_junction"),),
+                                   disorder_halfwidth=0.05, seed=7)
+        w = 7.3 * GHZ
+    elif name == "lowfreq_ports":
+        port_z, w = "lowfreq", 8 * GHZ
+    else:  # explicit port impedances
+        port_z, w = (89.0, 28.0, 60.0, 40.0), 6 * GHZ
+    return build_chain(spec, port_z), w
+
+
+@pytest.mark.parametrize("case", [
+    "below_sigma_cutoff", "below_delta_cutoff", "above_both_cutoffs",
+    "open_junction", "disorder", "lowfreq_ports", "explicit_ports"])
+def test_banded_solve_matches_sparse_oracle(case):
+    net, w = _oracle_case(case)
+    s = linear_scattering(net, w)
+    np.testing.assert_allclose(s, _splu_scattering(net, w), rtol=0,
+                               atol=1e-10)
+    np.testing.assert_allclose(s, s.T, rtol=0, atol=1e-10)
