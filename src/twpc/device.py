@@ -160,6 +160,8 @@ def validate(spec: LineSpec) -> LineSpec:
             errs.append((f"defects[{i}].kind", f"unknown kind {kind!r}"))
     if not 0.0 <= spec.disorder_halfwidth < 0.5:
         errs.append(("disorder_halfwidth", "must lie in [0, 0.5)"))
+    if spec.seed < 0:
+        errs.append(("seed", "must be >= 0"))
     if errs:
         raise ConfigError(errs)
     return spec
@@ -202,29 +204,48 @@ def spec_to_json(spec: LineSpec) -> dict:
     }
 
 
+#: keys of the JSON schema: the three required ones first, "defects"
+#: last, every other one a number
+_SPEC_KEYS = ("l_j_nH", "c_g_pF", "c_i_pF", "plasma_ghz", "c_j_fF",
+              "n_cells", "disorder_halfwidth", "seed", "defects")
+
+
 def spec_from_json(doc: dict) -> LineSpec:
-    try:
-        kwargs = dict(
-            l_j=doc["l_j_nH"] * 1e-9,
-            c_g=doc["c_g_pF"] * 1e-12,
-            c_i=doc["c_i_pF"] * 1e-12,
-        )
-    except KeyError as e:
-        raise ConfigError([(str(e.args[0]), "missing required key")])
-    if ("plasma_ghz" in doc) == ("c_j_fF" in doc):
-        raise ConfigError(
-            [("plasma_ghz", "give exactly one of plasma_ghz and c_j_fF")])
+    """LineSpec from the schema of spec_to_json.  Unknown keys, missing
+    required keys, values that are not finite numbers, fractional counts
+    and malformed defect entries raise ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError([("spec", "must be a JSON object")])
+    errs = [(k, "unknown key") for k in doc if k not in _SPEC_KEYS]
+    errs += [(k, "missing required key")
+             for k in _SPEC_KEYS[:3] if k not in doc]
+    errs += [(k, "must be a finite number") for k in _SPEC_KEYS[:-1]
+             if k in doc and not (type(doc[k]) in (int, float)
+                                  and math.isfinite(doc[k]))]
+    errs += [(k, "must be an integer") for k in ("n_cells", "seed")
+             if type(doc.get(k)) is float and not doc[k].is_integer()]
+    if errs:
+        raise ConfigError(errs)
+    kwargs = dict(
+        l_j=doc["l_j_nH"] * 1e-9,
+        c_g=doc["c_g_pF"] * 1e-12,
+        c_i=doc["c_i_pF"] * 1e-12,
+    )
     if "plasma_ghz" in doc:
         kwargs["plasma_omega"] = doc["plasma_ghz"] * 2e9 * math.pi
-    else:
+    if "c_j_fF" in doc:
         kwargs["c_j"] = doc["c_j_fF"] * 1e-15
-    spec = LineSpec(
-        cell=CellParams(**kwargs),
-        n_cells=int(doc.get("n_cells", 400)),
-        defects=tuple(doc.get("defects", ())),
-        disorder_halfwidth=float(doc.get("disorder_halfwidth", 0.0)),
-        seed=int(doc.get("seed", 0)),
-    )
+    try:
+        spec = LineSpec(
+            cell=CellParams(**kwargs),
+            n_cells=int(doc.get("n_cells", 400)),
+            defects=tuple(doc.get("defects", ())),
+            disorder_halfwidth=float(doc.get("disorder_halfwidth", 0.0)),
+            seed=int(doc.get("seed", 0)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError([("defects", "need a list of {\"cell\": index, "
+                            f"\"kind\": kind}} ({exc!r})")])
     return validate(spec)
 
 

@@ -6,8 +6,10 @@ even harmonics cannot be generated by the quartic junction nonlinearity on
 a symmetric line.  Each junction carries the full current phi0 sin(delta)/L,
 whose harmonic content is evaluated by oversampled FFT of the sampled
 orbit — numerically identical to the Jacobi-Anger expansion but exact for
-multi-harmonic flux drops.  The Newton Jacobian uses the FFT of
-cos(delta(t)) as the conversion operator between harmonics.
+multi-harmonic flux drops.  The Newton Jacobian is the conversion matrix
+built from the FFT of cos(delta(t)), the same banded system the sideband
+solver uses: the real Newton step is solved in its conjugate-doubled
+complex form, on channels at +m and -m pump harmonics, by one banded LU.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .device import PHI0_BAR
-from .errors import NonConvergence, SingularNetwork, TruncationWarning
-from .network import (ChainNetwork, admittance_matrix, band_to_sparse,
-                      port_impedances)
+from .errors import NonConvergence, TruncationWarning
+from .network import (ChainNetwork, _solve, admittance_matrix,
+                      band_to_sparse, conversion_band, port_impedances)
 
 K_SAMPLES = 128  # FFT oversampling of the junction orbit
 
@@ -82,7 +82,6 @@ class PumpSolution:
     omega_p: float
     phi: np.ndarray        # (M, n_nodes) reduced node-flux phasors
     d: np.ndarray          # (M, n_branches) junction flux drops
-    g: np.ndarray          # (n_branches,) 1/L per junction
     branches: list         # (electrode, cell) per branch
     drives: tuple
     residual: float
@@ -93,10 +92,7 @@ class PumpSolution:
         """(n_branches, K) FFT coefficients of cos(delta(t)) along the
         converged pump orbit — the conversion matrix entries used to
         linearize the chain around the pump."""
-        if not len(self.d):
-            return np.ones((0, K_SAMPLES))
-        delta = _orbit(self.d, self.basis.orders)
-        return np.fft.fft(np.cos(delta), axis=1) / K_SAMPLES
+        return _gamma(_orbit(self.d, self.basis.orders))
 
     def peak_junction_flux(self) -> float:
         """max_t max_j |delta_j(t)| * phi0, in Wb."""
@@ -116,12 +112,23 @@ def _orbit(d: np.ndarray, orders) -> np.ndarray:
     return K_SAMPLES * np.fft.ifft(x, axis=1).real
 
 
-def _real_block(p, q=None):
-    """Real 2x2-block form of z -> P z + Q conj(z)."""
-    if q is None:
-        return sp.bmat([[p.real, -p.imag], [p.imag, p.real]])
-    return sp.bmat([[(p + q).real, -(p - q).imag],
-                    [(p + q).imag, (p - q).real]])
+def _gamma(delta: np.ndarray) -> np.ndarray:
+    """FFT coefficients of cos(delta(t)) from the sampled orbit."""
+    return np.fft.fft(np.cos(delta), axis=1) / K_SAMPLES
+
+
+def _newton_step(net: ChainNetwork, omega_p: float, orders, z,
+                 delta: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Newton step dx (M, n_nodes) at the sampled orbit delta: the
+    solution of P dx + Q conj(dx) = res, where P couples harmonic m' to m
+    through gamma[m - m'] and Q through gamma[m + m'].  It is solved as the
+    complex conversion-matrix system on channels (+m, -m) with unknowns
+    (dx, conj(dx)); every channel keeps the pump-frequency loads z."""
+    h = np.concatenate([orders, np.negative(orders)])
+    ab = conversion_band(net, h * omega_p, h, np.broadcast_to(z, (len(h), 4)),
+                         _gamma(delta))
+    rhs = np.concatenate([res, res.conj()]).T.ravel()
+    return _solve(ab, rhs).reshape(net.n_nodes, -1)[:, :len(orders)].T
 
 
 def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
@@ -147,7 +154,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
     orders = basis.orders
     n = net.n_nodes
     ops = net.ops
-    dmat, g, e = ops.d, ops.g, ops.e
+    left, g, e = ops.left, ops.g, ops.e
     z = port_impedances(net, omega_p)
 
     i_src = np.zeros(n, complex)
@@ -157,35 +164,22 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
     scale = np.linalg.norm(i_src)
 
     # linear complex operator per harmonic acting on reduced flux; the
-    # loads keep their pump-frequency reference impedances
+    # loads keep their pump-frequency reference impedances at every
+    # harmonic, as in the Newton step
     lin = [band_to_sparse(
         admittance_matrix(net, m * omega_p, z, inductive=False)
         * (1j * m * omega_p * PHI0_BAR)) for m in orders]
 
     def residual(phi):
-        d_br = np.array([dmat @ phi[h] for h in range(len(orders))])
+        d_br = phi[:, left + 2] - phi[:, left]
         delta = _orbit(d_br, orders)
         s = np.fft.fft(np.sin(delta), axis=1) / K_SAMPLES
-        res = np.empty_like(phi)
-        for h, m in enumerate(orders):
-            i_nl = PHI0_BAR * g * s[:, m]
-            res[h] = lin[h] @ phi[h] + dmat.T @ i_nl
+        i_nl = PHI0_BAR * g * s[:, orders].T        # junction currents
+        res = np.array([a @ p for a, p in zip(lin, phi)])
+        res[:, left + 2] += i_nl
+        res[:, left] -= i_nl
         res[0] -= i_src
         return res, d_br, delta
-
-    def jacobian(delta):
-        gamma = np.fft.fft(np.cos(delta), axis=1) / K_SAMPLES
-        blocks = [[None] * len(orders) for _ in orders]
-        for h, m in enumerate(orders):
-            for h2, m2 in enumerate(orders):
-                wm = PHI0_BAR * g * gamma[:, (m - m2) % K_SAMPLES]
-                wp = PHI0_BAR * g * gamma[:, (m + m2) % K_SAMPLES]
-                p = dmat.T @ sp.diags(wm) @ dmat
-                q = dmat.T @ sp.diags(wp) @ dmat
-                if h == h2:
-                    p = p + lin[h]
-                blocks[h][h2] = _real_block(p.tocsr(), q.tocsr())
-        return sp.bmat(blocks).tocsc()
 
     def rnorm_of(res):
         return math.sqrt(sum(np.linalg.norm(r) ** 2 for r in res)) / scale
@@ -198,17 +192,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
             history.append(rnorm)
             if rnorm < tol:
                 return phi, d_br, rnorm, it, history
-            j = jacobian(delta)
-            rhs = np.concatenate([np.concatenate([r.real, r.imag])
-                                  for r in res])
-            try:
-                dx = spla.splu(j).solve(rhs)
-            except RuntimeError as exc:
-                raise SingularNetwork(str(exc))
-            step = np.empty_like(phi)
-            for h in range(len(orders)):
-                seg = dx[2 * h * n:2 * (h + 1) * n]
-                step[h] = seg[:n] + 1j * seg[n:]
+            step = _newton_step(net, omega_p, orders, z, delta, res)
             # backtracking line search on the residual norm
             lam = 1.0
             for _ in range(12):
@@ -251,7 +235,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
         i_src = full_src
     phi, d_br, rnorm, it, history = out
 
-    sol = PumpSolution(net, basis, omega_p, phi, d_br, g, ops.branches,
+    sol = PumpSolution(net, basis, omega_p, phi, d_br, ops.branches,
                        drives, rnorm, it, tuple(history))
     peak = sol.peak_junction_flux() / (2.0 * math.pi * PHI0_BAR)
     if peak > flux_ceiling:
@@ -272,18 +256,13 @@ def pump_harmonics_at_ports(pump: PumpSolution) -> np.ndarray:
     """Outgoing power |b|^2 (W) at each (port, harmonic).
 
     Shape (4, M); the incident drive is subtracted at the driven port so
-    entries are outgoing waves only.
+    entries are outgoing waves only.  Every harmonic is referenced to the
+    pump-frequency impedances that terminate it in the solve.
     """
-    net = pump.net
-    e = net.ops.e
-    out = np.zeros((4, len(pump.basis.orders)))
-    for h, m in enumerate(pump.basis.orders):
-        omega_m = m * pump.omega_p
-        z = port_impedances(net, omega_m)
-        v_ports = e.T @ (1j * omega_m * PHI0_BAR * pump.phi[h])
-        b = v_ports / np.sqrt(z)
-        if m == 1:
-            for d in pump.drives:
-                b[d.port] -= d.amplitude * np.exp(1j * d.phase)
-        out[:, h] = np.abs(b) ** 2
-    return out
+    z = port_impedances(pump.net, pump.omega_p)
+    omegas = pump.omega_p * np.array(pump.basis.orders)
+    v_ports = pump.net.ops.e.T @ (1j * PHI0_BAR * omegas[:, None] * pump.phi).T
+    b = v_ports / np.sqrt(z)[:, None]
+    for d in pump.drives:       # the fundamental comes first
+        b[d.port, 0] -= d.amplitude * np.exp(1j * d.phase)
+    return np.abs(b) ** 2

@@ -31,8 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, solve_banded
 
-from .device import CellParams, DerivedConstants, LineSpec, derive_constants, \
-    sample_disorder, validate
+from .device import PHI0_BAR, CellParams, DerivedConstants, LineSpec, \
+    derive_constants, sample_disorder, validate
 from .dispersion import Mode, wavevector
 from .errors import ConfigError, DecompositionIllConditioned, SingularNetwork
 
@@ -60,14 +60,15 @@ class ChainOperators:
     """Frequency-independent nodal operators of a chain.
 
     Y(omega) = i omega C + Gamma/(i omega) + loads, with C and
-    Gamma = D^T diag(g) D in band storage and the loads assembled from
+    Gamma = D^T diag(g) D in band storage (D: the branch incidence,
+    (D phi)_k = phi[left_k + 2] - phi[left_k]) and the loads assembled from
     stamps[p], the 2x2 conductance of a 1 S termination of port p on its
     end column.
     """
 
     c_band: np.ndarray      # (5, n_nodes)
     gamma_band: np.ndarray  # (5, n_nodes)
-    d: sp.csr_matrix        # (n_branches, n_nodes): phi(right) - phi(left)
+    left: np.ndarray        # (n_branches,) left node; right is left + 2
     g: np.ndarray           # (n_branches,) 1/L per junction branch
     branches: list          # (electrode, cell) per branch, electrode-major
     e: np.ndarray           # (n_nodes, 4) nodal injection of unit mode
@@ -118,11 +119,15 @@ def build_chain(spec: LineSpec, port_z="bloch") -> ChainNetwork:
     return ChainNetwork(spec.cell, spec.n_cells, table, port_z, consts)
 
 
-def _stamp_branches(ab, left, right, val):
+def _stamp_branches(ab, left, val):
     """Add two-terminal elements val between nodes left and
-    right = left + 2 (one electrode, adjacent columns) to band storage ab."""
-    n = ab.shape[1]
-    ab[2] += np.bincount(left, val, n) + np.bincount(right, val, n)
+    right = left + 2 (one electrode, adjacent columns) to band storage ab.
+    The left nodes are distinct: one branch per electrode and cell."""
+    right = left + 2
+    diag = np.zeros(ab.shape[1], np.result_type(val))
+    diag[left] = val
+    diag[right] += val
+    ab[2] += diag
     ab[0, right] -= val
     ab[4, left] -= val
 
@@ -135,7 +140,6 @@ def _chain_operators(net: ChainNetwork) -> ChainOperators:
     keep = np.isfinite(l)
     elec, cells, g = elec[keep], cells[keep], 1.0 / l[keep]
     left = 2 * cells + elec
-    right = left + 2
 
     # shunts C_g (each electrode) and C_i (between electrodes), half
     # weight on the end columns
@@ -145,12 +149,9 @@ def _chain_operators(net: ChainNetwork) -> ChainOperators:
     c_band[2] = np.repeat(w * (cell.c_g + cell.c_i), 2)
     c_band[1, 1::2] = -w * cell.c_i     # entries (a_c, b_c)
     c_band[3, 0::2] = -w * cell.c_i     # entries (b_c, a_c)
-    _stamp_branches(c_band, left, right, np.full(len(g), cell.c_j))
+    _stamp_branches(c_band, left, np.full(len(g), cell.c_j))
     gamma_band = np.zeros((5, n))
-    _stamp_branches(gamma_band, left, right, g)
-
-    eye = sp.identity(n, format="csr")
-    d = eye[right] - eye[left]
+    _stamp_branches(gamma_band, left, g)
 
     # I_e = A_MODE.T I_m on the two nodes of the port's end column
     a = A_MODE.T[:, [0 if mode is Mode.Sigma else 1 for mode, _ in PORTS]]
@@ -159,7 +160,7 @@ def _chain_operators(net: ChainNetwork) -> ChainOperators:
     e[col, np.arange(4)] = a[0]
     e[col + 1, np.arange(4)] = a[1]
     stamps = np.einsum("ip,jp->pij", a, a)
-    return ChainOperators(c_band, gamma_band, d, g,
+    return ChainOperators(c_band, gamma_band, left, g,
                           list(zip(elec.tolist(), cells.tolist())), e, stamps)
 
 
@@ -204,6 +205,39 @@ def admittance_matrix(net: ChainNetwork, omega: float, z,
     return ab
 
 
+def conversion_band(net: ChainNetwork, omegas, harmonics, z,
+                    gamma: np.ndarray) -> np.ndarray:
+    """Band storage (kl = ku = 3 nb - 1) of the chain linearized about a
+    periodic pump orbit, on the reduced node fluxes of nb channels.
+
+    Channel c sits at the signed frequency omegas[c], harmonics[c] pump
+    harmonics away, with port reference impedances z[c].  Channel c' drives
+    c through the conversion matrix phi0 D^T diag(g gamma[h_c - h_c']) D,
+    gamma[:, q] being the Fourier coefficients of cos(delta(t)) per junction
+    (q modulo gamma.shape[1]); channel c adds i omega_c phi0 Y_c without
+    the junction inductances.  Index = node * nb + c.
+    """
+    ops, n = net.ops, net.n_nodes
+    harmonics = np.asarray(harmonics)
+    nb = len(harmonics)
+    offsets, which = np.unique(harmonics[:, None] - harmonics,
+                               return_inverse=True)
+    bands = np.zeros((len(offsets), 5, n), complex)
+    for band, q in zip(bands, offsets):
+        _stamp_branches(band, ops.left,
+                        PHI0_BAR * ops.g * gamma[:, q % gamma.shape[1]])
+    blocks = bands[which.reshape(nb, nb)]            # (c, c', 5, n)
+    for c, w in enumerate(omegas):
+        blocks[c, c] += (1j * w * PHI0_BAR) * admittance_matrix(
+            net, w, z[c], inductive=False)
+    # node band row r holds node offset r - 2, i.e. offset (r - 2) nb + c - c'
+    ku = 3 * nb - 1
+    c, c2, r = np.ogrid[:nb, :nb, :5]
+    ab = np.zeros((2 * ku + 1, n, nb), complex)
+    ab[ku + (r - 2) * nb + c - c2, :, c2] = blocks
+    return ab.reshape(2 * ku + 1, n * nb)
+
+
 def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
     """The matrix held in band storage ab, as a sparse matrix."""
     n = ab.shape[1]
@@ -211,9 +245,10 @@ def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
 
 
 def _solve(ab, b):
-    """Banded LU with partial pivoting; ab is overwritten."""
+    """Banded LU with partial pivoting; ab (kl = ku) is overwritten."""
+    kl = (ab.shape[0] - 1) // 2
     try:
-        x = solve_banded((2, 2), ab, b, overwrite_ab=True)
+        x = solve_banded((kl, kl), ab, b, overwrite_ab=True)
     except (LinAlgError, ValueError) as exc:   # singular or non-finite
         raise SingularNetwork(str(exc))
     if not np.all(np.isfinite(x)):

@@ -5,9 +5,10 @@ a probe perturbation delta(t) carries current phi0 g cos(delta_P(t)) delta,
 which couples probe sidebands at omega_n = omega_probe + 2 n omega_P
 through the even-harmonic Fourier coefficients of cos(delta_P(t)).
 Negative omega_n label the conjugate channel of a down-converted sideband.
-One block-sparse linear solve yields the scattering coefficients between
-all (port, sideband) pairs; at zero pump the off-diagonal blocks vanish
-and the n = 0 block reduces to the linear S-matrix.
+The sidebands are the channels of the same conversion-matrix band that
+the harmonic-balance Newton step solves; one banded LU yields the
+scattering coefficients between all (port, sideband) pairs.  At zero pump
+the channels decouple and the n = 0 block reduces to the linear S-matrix.
 """
 
 from __future__ import annotations
@@ -17,16 +18,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .device import PHI0_BAR
 from .dispersion import Mode, cutoff
 from .errors import NonConvergence, SingularNetwork, TruncationWarning
 from .harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES, PumpSolution,
                                incident_amplitude, pump_harmonic_balance)
-from .network import (ChainNetwork, PORTS, admittance_matrix,
-                      band_to_sparse, port_impedances)
+from .network import (ChainNetwork, PORTS, _solve, conversion_band,
+                      port_impedances)
 
 
 @dataclass(frozen=True)
@@ -53,76 +52,41 @@ class SignalScattering:
 
 
 class _PumpedLinearizer:
-    """Caches the pump-dependent coupling matrices for repeated probes."""
+    """Caches the pump orbit's conversion coefficients for repeated probes."""
 
     def __init__(self, net: ChainNetwork, pump: PumpSolution | None,
                  n_sidebands: int = 2):
         self.net = net
         self.pump = pump
         self.n_sb = n_sidebands
-        dmat, g = net.ops.d, net.ops.g
         if pump is not None:
-            gamma = pump.junction_gamma()
-        else:
-            gamma = np.zeros((len(g), K_SAMPLES))
-            gamma[:, 0] = 1.0
-        # coupling operator for each even harmonic offset q >= 0
-        self.w = {}
-        for q in range(0, 4 * n_sidebands + 1, 2):
-            wq = PHI0_BAR * (dmat.T @ sp.diags(g * gamma[:, q % K_SAMPLES])
-                             @ dmat)
-            self.w[q] = wq.tocsr()
-            self.w[-q] = wq.conj().tocsr()
+            self.gamma = pump.junction_gamma()
+        else:   # unpumped junctions: cos(delta) = 1
+            self.gamma = np.zeros((len(net.ops.g), K_SAMPLES))
+            self.gamma[:, 0] = 1.0
 
     def solve(self, omega_probe: float) -> SignalScattering:
         net, nsb = self.net, self.n_sb
-        n = net.n_nodes
         omega_p = self.pump.omega_p if self.pump is not None else 0.0
-        ns = np.arange(-nsb, nsb + 1)
-        freqs = omega_probe + 2.0 * ns * omega_p
+        harmonics = 2 * np.arange(-nsb, nsb + 1)
+        freqs = omega_probe + harmonics * omega_p
         if np.any(np.abs(freqs) < 1e3):
             raise SingularNetwork("a sideband falls at zero frequency")
-        nb = len(ns)
+        nb = len(harmonics)
         e = net.ops.e
         z = np.array([port_impedances(net, abs(w)) for w in freqs])
+        ab = conversion_band(net, freqs, harmonics, z, self.gamma)
 
-        blocks = [[None] * nb for _ in range(nb)]
-        for i, wn in enumerate(freqs):
-            lin = band_to_sparse(
-                admittance_matrix(net, wn, z[i], inductive=False)
-                * (1j * wn * PHI0_BAR))
-            for j in range(nb):
-                q = 2 * (ns[i] - ns[j])
-                blk = self.w[q]
-                if i == j:
-                    blk = blk + lin
-                blocks[i][j] = blk
-        a = sp.bmat(blocks).tocsc()
+        # Norton drive of a unit incident wave on each (sideband, port)
+        drive = np.eye(nb)[:, :, None] * (2.0 / np.sqrt(z))[:, None, :]
+        rhs = np.einsum("kp,ijp->kijp", e, drive).reshape(-1, nb * 4)
+        sol = _solve(ab, rhs).reshape(-1, nb, nb * 4)
+        v_ports = np.einsum("kq,kij->iqj", e, sol, optimize=True) \
+            * (1j * PHI0_BAR * freqs)[:, None, None]
+        s = (v_ports / np.sqrt(z)[:, :, None]).reshape(nb, 4, nb, 4)
+        s -= np.eye(nb * 4).reshape(nb, 4, nb, 4)
 
-        rhs = np.zeros((nb * n, nb * 4), complex)
-        for i in range(nb):
-            for p in range(4):
-                rhs[i * n:(i + 1) * n, 4 * i + p] = \
-                    e[:, p] * 2.0 / math.sqrt(z[i, p])
-        try:
-            sol = spla.splu(a).solve(rhs)
-        except RuntimeError as exc:
-            raise SingularNetwork(str(exc))
-        if not np.all(np.isfinite(sol)):
-            raise SingularNetwork("non-finite sideband solution")
-
-        s = np.zeros((nb, 4, nb, 4), complex)
-        for i, wn in enumerate(freqs):
-            v_ports = e.T @ (1j * wn * PHI0_BAR * sol[i * n:(i + 1) * n, :])
-            b = v_ports / np.sqrt(z[i])[:, None]
-            s[i] = b.reshape(4, nb, 4)
-        for i in range(nb):
-            for p in range(4):
-                s[i, p, i, p] -= 1.0
-
-        prop = np.zeros((nb, 4), bool)
-        for q, (mode, _) in enumerate(PORTS):
-            prop[:, q] = np.abs(freqs) < cutoff(mode, net.cell)
+        prop = np.abs(freqs)[:, None] < [cutoff(m, net.cell) for m, _ in PORTS]
 
         # truncation check on the probe-driven column
         c = nsb

@@ -140,14 +140,23 @@ def test_outputs_byte_identical_between_runs(tmp_path):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"l_j_nH": -1, "c_g_pF": 0.1, "c_i_pF": 0.5,
-                               "plasma_ghz": 30, "n_cells": 10}))
-    rc = main(["dispersion", "--spec", str(bad),
-               "--out-dir", str(tmp_path / "o")])
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
+    good = {"l_j_nH": 1, "c_g_pF": 0.1, "c_i_pF": 0.5, "plasma_ghz": 30,
+            "n_cells": 10}
+    for field, doc in [
+            ("cell.l_j", dict(good, l_j_nH=-1)),
+            ("l_j_nH", dict(good, l_j_nH="x")),
+            ("defects", dict(good, defects=[{"kind": "open_junction"}])),
+            ("n_cels", dict(good, n_cels=10)),
+            ("n_cells", dict(good, n_cells=10.5)),
+            ("seed", dict(good, seed=-1, disorder_halfwidth=0.05))]:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["dispersion", "--spec", str(bad),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["violations"][0][0] == field
 
 
 def test_missing_input_exit_code(tmp_path):

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from twpc import device, network
 from twpc.device import PHI0_BAR
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.errors import NonConvergence, TruncationWarning
-from twpc.harmonic_balance import (Drive, HarmonicBasis, incident_amplitude,
+from twpc.harmonic_balance import (K_SAMPLES, Drive, HarmonicBasis,
+                                   _newton_step, _orbit, incident_amplitude,
                                    pump_harmonic_balance,
                                    pump_harmonics_at_ports)
-from twpc.network import drive_solution
+from twpc.network import (admittance_matrix, band_to_sparse, drive_solution,
+                          port_impedances)
 
 GHZ = 2e9 * math.pi
 FLUX_Q = 2 * math.pi * PHI0_BAR
@@ -132,3 +136,63 @@ def test_defect_pump_transmission_about_five_percent(defect_net):
     # fundamental leaks to the Sigma mode at roughly the -7 dB level
     leak = (p[0, 0] + p[2, 0]) / a ** 2
     assert 10 * math.log10(leak) == pytest.approx(-7.0, abs=3.0)
+
+
+@pytest.mark.parametrize("f_ghz", [3.0, 2.0])
+def test_lossless_line_conserves_pump_power(fitted_net, f_ghz):
+    """Outgoing power over all ports and harmonics equals the incident
+    power: every harmonic leaves through the loads that terminate it."""
+    w = f_ghz * GHZ
+    a = incident_amplitude(fitted_net, w, 3, 0.25)
+    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
+                                HarmonicBasis(3))
+    p = pump_harmonics_at_ports(sol)
+    assert abs(p.sum() - a ** 2) <= 1e-10 * a ** 2
+
+
+def _reference_newton_step(net, omega_p, orders, z, delta, res):
+    """Newton step from the real 2x2-block Jacobian assembled block by
+    block as sparse matrices and solved by splu: the reference for the
+    conjugate-doubled banded step."""
+    ops, n = net.ops, net.n_nodes
+    eye = sp.identity(n, format="csr")
+    dmat = eye[ops.left + 2] - eye[ops.left]
+    gamma = np.fft.fft(np.cos(delta), axis=1) / K_SAMPLES
+
+    def conversion(q):
+        return PHI0_BAR * (dmat.T @ sp.diags(ops.g * gamma[:, q % K_SAMPLES])
+                           @ dmat)
+
+    blocks = []
+    for m in orders:
+        row = []
+        for m2 in orders:
+            p, q = conversion(m - m2), conversion(m + m2)
+            if m == m2:
+                p = p + band_to_sparse(
+                    admittance_matrix(net, m * omega_p, z, inductive=False)
+                    * (1j * m * omega_p * PHI0_BAR))
+            row.append(sp.bmat([[(p + q).real, -(p - q).imag],
+                                [(p + q).imag, (p - q).real]]))
+        blocks.append(row)
+    rhs = np.concatenate([np.concatenate([r.real, r.imag]) for r in res])
+    dx = spla.splu(sp.bmat(blocks).tocsc()).solve(rhs)
+    dx = dx.reshape(len(orders), 2, n)
+    return dx[:, 0] + 1j * dx[:, 1]
+
+
+@pytest.mark.parametrize("basis", [HarmonicBasis(3),
+                                   HarmonicBasis(4, include_even=True)])
+def test_newton_step_matches_real_block_oracle(fitted_net, basis):
+    """One Newton step about a strongly pumped orbit, solved as the
+    conjugate-doubled banded system, against the real-block Jacobian."""
+    w = 3 * GHZ
+    a = incident_amplitude(fitted_net, w, 3, 0.25)
+    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)], basis)
+    delta = _orbit(sol.d, basis.orders)
+    z = port_impedances(fitted_net, w)
+    rng = np.random.default_rng(0)
+    res = rng.normal(size=sol.phi.shape) + 1j * rng.normal(size=sol.phi.shape)
+    step = _newton_step(fitted_net, w, basis.orders, z, delta, res)
+    ref = _reference_newton_step(fitted_net, w, basis.orders, z, delta, res)
+    assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))

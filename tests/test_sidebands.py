@@ -1,17 +1,21 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from twpc import device, matching, network
 from twpc.device import PHI0_BAR
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.errors import SingularNetwork, TruncationWarning
-from twpc.harmonic_balance import (Drive, HarmonicBasis, incident_amplitude,
-                                   pump_harmonic_balance)
+from twpc.harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES,
+                                   incident_amplitude, pump_harmonic_balance)
 from twpc.matching import ProcessKind, solve_corrected
-from twpc.network import linear_scattering
+from twpc.network import (admittance_matrix, band_to_sparse,
+                          linear_scattering, port_impedances)
 from twpc.sidebands import signal_sidebands, transmission_map
 
 GHZ = 2e9 * math.pi
@@ -146,3 +150,86 @@ def test_amplification_ridge_with_bidirectional_pumps(fitted_net):
     near = signal_sidebands(fitted_net, pump, w + 0.03 * GHZ).s0()
     gain = 20 * math.log10(abs(near[2, 0]))
     assert gain > 1.0
+
+
+def _reference_sidebands(net, pump, omega_probe, n_sb):
+    """Signal S assembled block by block as sparse matrices and solved by
+    splu: the reference for the banded conversion-matrix solve."""
+    ops, n = net.ops, net.n_nodes
+    eye = sp.identity(n, format="csr")
+    dmat = eye[ops.left + 2] - eye[ops.left]
+    omega_p = pump.omega_p if pump is not None else 0.0
+    if pump is not None:
+        gamma = pump.junction_gamma()
+    else:
+        gamma = np.zeros((len(ops.g), K_SAMPLES))
+        gamma[:, 0] = 1.0
+    w = {}
+    for q in range(0, 4 * n_sb + 1, 2):
+        wq = PHI0_BAR * (dmat.T @ sp.diags(ops.g * gamma[:, q]) @ dmat)
+        w[q], w[-q] = wq.tocsr(), wq.conj().tocsr()
+    ns = np.arange(-n_sb, n_sb + 1)
+    nb = len(ns)
+    freqs = omega_probe + 2.0 * ns * omega_p
+    z = np.array([port_impedances(net, abs(f)) for f in freqs])
+    blocks = [[w[2 * (ns[i] - ns[j])] for j in range(nb)] for i in range(nb)]
+    rhs = np.zeros((nb * n, nb * 4), complex)
+    for i, f in enumerate(freqs):
+        blocks[i][i] = blocks[i][i] + band_to_sparse(
+            admittance_matrix(net, f, z[i], inductive=False)
+            * (1j * f * PHI0_BAR))
+        rhs[i * n:(i + 1) * n, 4 * i:4 * i + 4] = ops.e * 2.0 / np.sqrt(z[i])
+    sol = spla.splu(sp.bmat(blocks).tocsc()).solve(rhs)
+    s = np.zeros((nb, 4, nb, 4), complex)
+    for i, f in enumerate(freqs):
+        v_ports = ops.e.T @ (1j * f * PHI0_BAR * sol[i * n:(i + 1) * n])
+        s[i] = (v_ports / np.sqrt(z[i])[:, None]).reshape(4, nb, 4)
+    return s - np.eye(4 * nb).reshape(nb, 4, nb, 4)
+
+
+@pytest.fixture(scope="module")
+def oracle_pumps(fitted_spec, fitted_net, defect_net):
+    """3 GHz pump at 0.05 flux quanta from the right Delta port on the
+    fitted line, the line with an open junction, and a line with 5 %
+    junction disorder: (pump, epsilon) per line."""
+    disorder_net = network.build_chain(dataclasses.replace(
+        fitted_spec, disorder_halfwidth=0.05, seed=7))
+    w = 3 * GHZ
+    eps = amplitude_from_flux(0.05 * FLUX_Q,
+                              pump_wavevector(fitted_net.cell, w, 0.0))
+    out = {}
+    for name, net in (("fitted", fitted_net), ("defect", defect_net),
+                      ("disorder", disorder_net)):
+        drive = Drive(3, w, incident_amplitude(net, w, 3, eps))
+        out[name] = pump_harmonic_balance(net, [drive], HarmonicBasis(3)), eps
+    return out
+
+
+@pytest.mark.parametrize("line, probe_ghz, n_sb, pumped", [
+    ("fitted", 5.7, 2, False),      # zero pump
+    ("fitted", "gap", 2, True),     # Ci gap probe
+    ("fitted", 5.3, 2, True),       # +1 sideband above the Delta cutoff
+    ("fitted", 7.1, 1, True),
+    ("fitted", 7.1, 2, True),
+    ("fitted", 7.1, 3, True),
+    ("defect", 7.1, 2, True),
+    ("disorder", 7.1, 2, True),
+])
+def test_banded_sidebands_match_sparse_oracle(oracle_pumps, line, probe_ghz,
+                                              n_sb, pumped):
+    pump, eps = oracle_pumps[line]
+    net = pump.net
+    if probe_ghz == "gap":
+        w = solve_corrected(ProcessKind.Circulation, pump.omega_p, eps,
+                            net.cell)[0].omega_s
+    else:
+        w = probe_ghz * GHZ
+    if not pumped:
+        pump = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        sc = signal_sidebands(net, pump, w, n_sidebands=n_sb)
+    if probe_ghz == 5.3:
+        assert not sc.propagating[n_sb + 1, 1]
+    ref = _reference_sidebands(net, pump, w, n_sb)
+    assert np.max(np.abs(sc.s - ref)) <= 1e-10
