@@ -26,7 +26,7 @@ from .dispersion import Mode
 from .errors import ConfigError, NonConvergence, TwpcError
 from .harmonic_balance import Drive, HarmonicBasis, incident_amplitude, \
     pump_harmonic_balance, pump_harmonics_at_ports
-from .matching import Direction, ProcessKind
+from .matching import ProcessKind
 
 GHZ = 2e9 * math.pi
 FLUX_Q = 2 * math.pi * PHI0_BAR
@@ -190,28 +190,16 @@ def cmd_gaps_map(args, runner):
     spec = _load_spec(args)
     kinds = [_KIND[k] for k in args.processes.split(",")]
     pump = _grid(args.pump_min, args.pump_max, args.pump_points)
+    eps = args.pump_eps if args.pump_eps is not None else 0.0
     if getattr(args, "pump_flux", None) is not None:
         # fixed junction flux: amplitude varies along the pump axis
-        curves = {}
-        for kind in kinds:
-            for direction in Direction:
-                rows = []
-                for wp in pump:
-                    try:
-                        eps = _pump_epsilon(args, spec.cell, wp)
-                        pts = matching.solve_corrected(kind, wp, eps,
-                                                       spec.cell)
-                    except TwpcError:
-                        continue
-                    for p in pts:
-                        probe = (p.omega_s if direction is Direction.forward
-                                 else p.omega_i)
-                        rows.append((wp, probe))
-                rows.sort()
-                curves[(kind, direction)] = np.array(rows).reshape(-1, 2)
-    else:
-        eps = args.pump_eps if args.pump_eps is not None else 0.0
-        curves = matching.gap_map(kinds, pump, spec.cell, eps)
+        eps = lambda wp: _pump_epsilon(args, spec.cell, wp)
+    failures = []
+    curves = matching.gap_map(kinds, pump, spec.cell, eps, failures)
+    runner.failures = [{"process": kind.value, "f_pump_GHz": wp / GHZ,
+                        "reason": str(exc)} for kind, wp, exc in failures]
+    if failures and not any(len(arr) for arr in curves.values()):
+        raise failures[0][2]
     for (kind, direction), arr in sorted(
             curves.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)):
         runner.write_csv(

@@ -211,9 +211,10 @@ _SPEC_KEYS = ("l_j_nH", "c_g_pF", "c_i_pF", "plasma_ghz", "c_j_fF",
 
 
 def spec_from_json(doc: dict) -> LineSpec:
-    """LineSpec from the schema of spec_to_json.  Unknown keys, missing
-    required keys, values that are not finite numbers, fractional counts
-    and malformed defect entries raise ConfigError."""
+    """LineSpec from the schema of spec_to_json.  Unknown keys (also
+    inside a defect entry), missing required keys, values that are not
+    finite numbers, fractional counts and malformed defect entries raise
+    ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError([("spec", "must be a JSON object")])
     errs = [(k, "unknown key") for k in doc if k not in _SPEC_KEYS]
@@ -224,6 +225,10 @@ def spec_from_json(doc: dict) -> LineSpec:
                                   and math.isfinite(doc[k]))]
     errs += [(k, "must be an integer") for k in ("n_cells", "seed")
              if type(doc.get(k)) is float and not doc[k].is_integer()]
+    if isinstance(doc.get("defects"), list):
+        errs += [(f"defects[{i}].{k}", "unknown key")
+                 for i, d in enumerate(doc["defects"]) if isinstance(d, dict)
+                 for k in d if k not in ("cell", "kind")]
     if errs:
         raise ConfigError(errs)
     kwargs = dict(

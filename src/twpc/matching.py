@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 
 from .device import A_CELL, CellParams
 from .dispersion import Mode, PumpContext, cutoff, pump_wavevector, wavevector
-from .errors import NoSolutionInBand, PumpAboveCutoff
+from .errors import NoSolutionInBand, TwpcError
 
 
 class ProcessKind(enum.Enum):
@@ -112,10 +112,10 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
                     tol: float = 1e-10) -> list[MatchPoint]:
     """All matched signal frequencies of the full transcendental system.
 
-    Brackets sign changes of the momentum residual on a coarse grid
-    (default 10 MHz) over the open signal band, then bisects each bracket.
-    Roots are returned sorted ascending in omega_s; raises NoSolutionInBand
-    when there is none.
+    Evaluates the momentum residual over the open signal band on a coarse
+    grid (default 10 MHz) in one array call, then refines each sign change
+    with brentq, keeping roots whose residual is within tol.  Roots are
+    sorted ascending in omega_s; raises NoSolutionInBand when none.
     """
     k_p = pump_wavevector(cell, omega_p, epsilon_p)
     ctx = PumpContext(epsilon_p, k_p) if epsilon_p > 0 else None
@@ -133,7 +133,7 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
     grid = np.arange(lo, hi, scan_step)
     if grid[-1] < hi:
         grid = np.append(grid, hi)
-    vals = np.array([res(w) for w in grid])
+    vals = res(grid)
 
     points = []
     for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0):
@@ -160,28 +160,35 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
     return points
 
 
-def gap_map(kinds, pump_grid, cell: CellParams, epsilon_p: float) -> dict:
+def gap_map(kinds, pump_grid, cell: CellParams, epsilon_p,
+            failures: list | None = None) -> dict:
     """Probe-frequency loci of the transmission gaps.
 
     Returns {(kind, direction): array of (omega_p, omega_probe) rows}.
     Forward curves are at the signal frequency; backward curves at the
     idler frequency (the same process probed from the other port), which
-    coincide for the reciprocal coupling process.  Pump points with no
-    solution are simply absent from the curve.
+    coincide for the reciprocal coupling process.  Each (kind, omega_p) is
+    solved once, at epsilon_p or, if callable, epsilon_p(omega_p).  Points
+    with no root (NoSolutionInBand) are absent; a point raising another
+    TwpcError is absent too and appended to failures as (kind, omega_p,
+    error), or the error propagates if failures is None.
     """
+    amplitude = epsilon_p if callable(epsilon_p) else lambda wp: epsilon_p
     curves = {}
     for kind in kinds:
-        for direction in Direction:
-            rows = []
-            for omega_p in pump_grid:
-                try:
-                    pts = solve_corrected(kind, omega_p, epsilon_p, cell)
-                except (NoSolutionInBand, PumpAboveCutoff):
-                    continue
-                for pt in pts:
-                    probe = (pt.omega_s if direction is Direction.forward
-                             else pt.omega_i)
-                    rows.append((omega_p, probe))
-            rows.sort()
-            curves[(kind, direction)] = np.array(rows).reshape(-1, 2)
+        fw, bw = [], []
+        for omega_p in pump_grid:
+            try:
+                pts = solve_corrected(kind, omega_p, amplitude(omega_p), cell)
+            except NoSolutionInBand:
+                continue
+            except TwpcError as exc:
+                if failures is None:
+                    raise
+                failures.append((kind, omega_p, exc))
+                continue
+            fw += [(omega_p, pt.omega_s) for pt in pts]
+            bw += [(omega_p, pt.omega_i) for pt in pts]
+        for direction, rows in zip(Direction, (fw, bw)):
+            curves[(kind, direction)] = np.array(sorted(rows)).reshape(-1, 2)
     return curves

@@ -60,6 +60,30 @@ def test_gaps_map_files(tmp_path):
             assert len(rows) == 3
 
 
+def test_gaps_map_all_points_failed_exit_code(tmp_path, capsys):
+    # 0.3 flux quanta puts every pump point beyond the Bessel validity range
+    rc, err = _error_report(capsys, ["gaps-map", "--pump-flux", "0.3"],
+                            tmp_path)
+    assert rc == 3 and err["error"] == "AmplitudeOutOfRange"
+    assert not (tmp_path / "o" / "gaps_Ci_fw.csv").exists()
+
+
+def test_gaps_map_lists_failed_points(tmp_path):
+    # only the 5 GHz pump is out of range at this amplitude
+    out = _run(["gaps-map", "--processes", "Ci", "--pump-min", "2",
+                "--pump-max", "5", "--pump-points", "4",
+                "--pump-eps", "0.7"], tmp_path / "g")
+    for direction in ("fw", "bw"):
+        rows = np.genfromtxt(out / f"gaps_Ci_{direction}.csv",
+                             delimiter=",", names=True, ndmin=1)
+        assert len(rows) == 3 and rows["f_pump_GHz"][-1] == 4.0
+    manifest = json.loads((out / "manifest.json").read_text())
+    (failure,) = manifest["failures"]
+    assert failure["process"] == "Ci"
+    assert failure["f_pump_GHz"] == pytest.approx(5.0)
+    assert "validity bound" in failure["reason"]
+
+
 def test_scatter_writes_touchstone(tmp_path):
     out = _run(["scatter", "--f-min", "4", "--f-max", "8", "--points", "11"],
                tmp_path / "s")
@@ -148,7 +172,9 @@ def test_config_error_exit_code(tmp_path, capsys):
             ("defects", dict(good, defects=[{"kind": "open_junction"}])),
             ("n_cels", dict(good, n_cels=10)),
             ("n_cells", dict(good, n_cells=10.5)),
-            ("seed", dict(good, seed=-1, disorder_halfwidth=0.05))]:
+            ("seed", dict(good, seed=-1, disorder_halfwidth=0.05)),
+            ("defects[0].celll", dict(good, defects=[
+                {"cell": 3, "kind": "open_junction", "celll": 5}]))]:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         rc = main(["dispersion", "--spec", str(bad),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from twpc import device, dispersion, matching
 from twpc.dispersion import Mode, PumpContext, pump_wavevector, wavevector
@@ -139,3 +140,97 @@ def test_gap_map_structure(cell):
     assert al.shape == (0, 2)
     # deterministic ordering
     assert np.all(np.diff(ci_fw[:, 0]) > 0)
+
+
+def _scalar_scan(kind, omega_p, epsilon_p, cell, scan_step=2e7 * math.pi,
+                 tol=1e-10):
+    """Reference roots: the bracket scan with one scalar residual call per
+    grid point, followed by brentq on each bracket."""
+    k_p = pump_wavevector(cell, omega_p, epsilon_p)
+    ctx = PumpContext(epsilon_p, k_p) if epsilon_p > 0 else None
+    hi = dispersion.cutoff(Mode.Sigma, cell, ctx) * (1.0 - 1e-9)
+    if kind is not ProcessKind.TunableCoupling:
+        hi -= 2.0 * omega_p
+    lo = min(scan_step, 0.5 * hi)
+    if hi <= lo:
+        return []
+    res = matching._residual_fn(kind, omega_p, k_p, cell, ctx)
+    grid = np.arange(lo, hi, scan_step)
+    if grid[-1] < hi:
+        grid = np.append(grid, hi)
+    vals = np.array([res(w) for w in grid])
+    roots = []
+    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0):
+        w = grid[i] if vals[i] == 0.0 else brentq(
+            res, grid[i], grid[i + 1], xtol=1e-3, rtol=1e-15)
+        if abs(res(w)) <= tol:
+            roots.append(float(w))
+    return roots
+
+
+def _flux_eps(cell, f_p, flux_quanta=0.12):
+    k_p = pump_wavevector(cell, f_p * GHZ, 0.0)
+    return dispersion.amplitude_from_flux(
+        flux_quanta * 2 * math.pi * device.PHI0_BAR, k_p)
+
+
+_ORACLE_CASES = [
+    (device.fitted_cell(), kind, f_p, flux)
+    for kind in ProcessKind for f_p in (2.0, 3.5, 5.0) for flux in (0.0, 0.12)
+] + [
+    (device.design_cell(), kind, f_p, 0.06)
+    for kind in ProcessKind for f_p in (2.0, 3.5, 5.0)
+] + [
+    # either side of the aliased-circulation threshold, and the root that
+    # sits 92 kHz below the top of the scan band
+    (device.fitted_cell(), ProcessKind.CirculationAliased, f_p, 0.12)
+    for f_p in (4.97683, 4.97684, 5.0)
+]
+
+
+@pytest.mark.parametrize("cell_,kind,f_p,flux", _ORACLE_CASES)
+def test_array_scan_matches_scalar_scan(cell_, kind, f_p, flux):
+    eps = _flux_eps(cell_, f_p, flux) if flux else 0.0
+    want = _scalar_scan(kind, f_p * GHZ, eps, cell_)
+    try:
+        got = [pt.omega_s for pt in solve_corrected(kind, f_p * GHZ, eps,
+                                                    cell_)]
+    except NoSolutionInBand:
+        got = []
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * w
+
+
+def test_aliased_threshold_cases_straddle_the_onset():
+    cell_ = device.fitted_cell()
+    counts = [len(_scalar_scan(ProcessKind.CirculationAliased, f_p * GHZ,
+                               _flux_eps(cell_, f_p), cell_))
+              for f_p in (4.97683, 4.97684)]
+    assert counts == [0, 1]
+
+
+def test_gap_map_solves_each_point_once(cell, monkeypatch):
+    calls = []
+    solve = matching.solve_corrected
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "solve_corrected", counting)
+    kinds = list(ProcessKind)
+    pumps = np.array([2.0, 3.5, 5.0]) * GHZ
+    curves = gap_map(kinds, pumps, cell, lambda wp: _flux_eps(cell, wp / GHZ))
+    assert len(calls) == len(kinds) * len(pumps)
+    for args, kwargs in calls:      # positional (kind, omega_p, eps, cell)
+        kind, wp, eps, cell_ = args
+        assert kwargs == {} and cell_ is cell
+        assert eps == _flux_eps(cell, wp / GHZ)
+    # one solve feeds both directions
+    for kind in kinds:
+        fw = curves[(kind, Direction.forward)]
+        bw = curves[(kind, Direction.backward)]
+        assert fw.shape == bw.shape
+        shift = 0.0 if kind is ProcessKind.TunableCoupling else 2.0
+        np.testing.assert_array_equal(bw[:, 1], fw[:, 1] + shift * fw[:, 0])
