@@ -194,8 +194,7 @@ def cmd_gaps_map(args, runner):
     if getattr(args, "pump_flux", None) is not None:
         # fixed junction flux: amplitude varies along the pump axis
         eps = lambda wp: _pump_epsilon(args, spec.cell, wp)
-    failures = []
-    curves = matching.gap_map(kinds, pump, spec.cell, eps, failures)
+    curves, failures = matching.gap_map(kinds, pump, spec.cell, eps)
     runner.failures = [{"process": kind.value, "f_pump_GHz": wp / GHZ,
                         "reason": str(exc)} for kind, wp, exc in failures]
     if failures and not any(len(arr) for arr in curves.values()):

@@ -160,21 +160,20 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
     return points
 
 
-def gap_map(kinds, pump_grid, cell: CellParams, epsilon_p,
-            failures: list | None = None) -> dict:
+def gap_map(kinds, pump_grid, cell: CellParams, epsilon_p):
     """Probe-frequency loci of the transmission gaps.
 
-    Returns {(kind, direction): array of (omega_p, omega_probe) rows}.
-    Forward curves are at the signal frequency; backward curves at the
-    idler frequency (the same process probed from the other port), which
-    coincide for the reciprocal coupling process.  Each (kind, omega_p) is
-    solved once, at epsilon_p or, if callable, epsilon_p(omega_p).  Points
-    with no root (NoSolutionInBand) are absent; a point raising another
-    TwpcError is absent too and appended to failures as (kind, omega_p,
-    error), or the error propagates if failures is None.
+    Returns (curves, failures).  curves is {(kind, direction): array of
+    (omega_p, omega_probe) rows}.  Forward curves are at the signal
+    frequency; backward curves at the idler frequency (the same process
+    probed from the other port), which coincide for the reciprocal coupling
+    process.  Each (kind, omega_p) is solved once, at epsilon_p or, if
+    callable, epsilon_p(omega_p).  Points with no root (NoSolutionInBand)
+    are absent; a point raising another TwpcError is absent too and listed
+    in failures as (kind, omega_p, error).
     """
     amplitude = epsilon_p if callable(epsilon_p) else lambda wp: epsilon_p
-    curves = {}
+    curves, failures = {}, []
     for kind in kinds:
         fw, bw = [], []
         for omega_p in pump_grid:
@@ -183,12 +182,10 @@ def gap_map(kinds, pump_grid, cell: CellParams, epsilon_p,
             except NoSolutionInBand:
                 continue
             except TwpcError as exc:
-                if failures is None:
-                    raise
                 failures.append((kind, omega_p, exc))
                 continue
             fw += [(omega_p, pt.omega_s) for pt in pts]
             bw += [(omega_p, pt.omega_i) for pt in pts]
         for direction, rows in zip(Direction, (fw, bw)):
             curves[(kind, direction)] = np.array(sorted(rows)).reshape(-1, 2)
-    return curves
+    return curves, failures

@@ -84,6 +84,21 @@ def test_gaps_map_lists_failed_points(tmp_path):
     assert "validity bound" in failure["reason"]
 
 
+def test_gaps_map_lists_points_above_pump_cutoff(tmp_path):
+    # the Delta-mode pump cutoff of the fitted line is 9.21 GHz
+    out = _run(["gaps-map", "--processes", "Co", "--pump-min", "8",
+                "--pump-max", "10", "--pump-points", "3",
+                "--pump-eps", "0.05"], tmp_path / "g")
+    rows = np.genfromtxt(out / "gaps_Co_fw.csv", delimiter=",", names=True,
+                         ndmin=1)
+    assert list(rows["f_pump_GHz"]) == [8.0, 9.0]
+    manifest = json.loads((out / "manifest.json").read_text())
+    (failure,) = manifest["failures"]
+    assert failure["process"] == "Co"
+    assert failure["f_pump_GHz"] == pytest.approx(10.0)
+    assert "cutoff" in failure["reason"]
+
+
 def test_scatter_writes_touchstone(tmp_path):
     out = _run(["scatter", "--f-min", "4", "--f-max", "8", "--points", "11"],
                tmp_path / "s")

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from twpc import device, dispersion, matching
 from twpc.dispersion import Mode, PumpContext, pump_wavevector, wavevector
-from twpc.errors import NoSolutionInBand
+from twpc.errors import NoSolutionInBand, PumpAboveCutoff
 from twpc.matching import (Direction, ProcessKind, circulation_point_lowfreq,
                            coupler_point_lowfreq, gap_map, solve_corrected)
 
@@ -127,8 +127,10 @@ def test_no_aliased_root_at_low_pump_frequencies(cell):
 
 def test_gap_map_structure(cell):
     pumps = np.array([2.0, 3.0, 4.0]) * GHZ
-    curves = gap_map([ProcessKind.Circulation, ProcessKind.CirculationAliased],
-                     pumps, cell, 0.05)
+    curves, failures = gap_map(
+        [ProcessKind.Circulation, ProcessKind.CirculationAliased], pumps,
+        cell, 0.05)
+    assert failures == []
     ci_fw = curves[(ProcessKind.Circulation, Direction.forward)]
     ci_bw = curves[(ProcessKind.Circulation, Direction.backward)]
     assert ci_fw.shape == (3, 2)
@@ -175,21 +177,21 @@ def _flux_eps(cell, f_p, flux_quanta=0.12):
 
 
 _ORACLE_CASES = [
-    (device.fitted_cell(), kind, f_p, flux)
+    (device.fitted_cell(), kind, f_p, flux, None)
     for kind in ProcessKind for f_p in (2.0, 3.5, 5.0) for flux in (0.0, 0.12)
 ] + [
-    (device.design_cell(), kind, f_p, 0.06)
+    (device.design_cell(), kind, f_p, 0.06, None)
     for kind in ProcessKind for f_p in (2.0, 3.5, 5.0)
 ] + [
     # either side of the aliased-circulation threshold, and the root that
     # sits 92 kHz below the top of the scan band
-    (device.fitted_cell(), ProcessKind.CirculationAliased, f_p, 0.12)
-    for f_p in (4.97683, 4.97684, 5.0)
+    (device.fitted_cell(), ProcessKind.CirculationAliased, f_p, 0.12, n)
+    for f_p, n in ((4.97683, 0), (4.97684, 1), (5.0, 1))
 ]
 
 
-@pytest.mark.parametrize("cell_,kind,f_p,flux", _ORACLE_CASES)
-def test_array_scan_matches_scalar_scan(cell_, kind, f_p, flux):
+@pytest.mark.parametrize("cell_,kind,f_p,flux,n_roots", _ORACLE_CASES)
+def test_array_scan_matches_scalar_scan(cell_, kind, f_p, flux, n_roots):
     eps = _flux_eps(cell_, f_p, flux) if flux else 0.0
     want = _scalar_scan(kind, f_p * GHZ, eps, cell_)
     try:
@@ -198,16 +200,10 @@ def test_array_scan_matches_scalar_scan(cell_, kind, f_p, flux):
     except NoSolutionInBand:
         got = []
     assert len(got) == len(want)
+    if n_roots is not None:
+        assert len(got) == n_roots
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * w
-
-
-def test_aliased_threshold_cases_straddle_the_onset():
-    cell_ = device.fitted_cell()
-    counts = [len(_scalar_scan(ProcessKind.CirculationAliased, f_p * GHZ,
-                               _flux_eps(cell_, f_p), cell_))
-              for f_p in (4.97683, 4.97684)]
-    assert counts == [0, 1]
 
 
 def test_gap_map_solves_each_point_once(cell, monkeypatch):
@@ -221,7 +217,9 @@ def test_gap_map_solves_each_point_once(cell, monkeypatch):
     monkeypatch.setattr(matching, "solve_corrected", counting)
     kinds = list(ProcessKind)
     pumps = np.array([2.0, 3.5, 5.0]) * GHZ
-    curves = gap_map(kinds, pumps, cell, lambda wp: _flux_eps(cell, wp / GHZ))
+    curves, failures = gap_map(kinds, pumps, cell,
+                               lambda wp: _flux_eps(cell, wp / GHZ))
+    assert failures == []
     assert len(calls) == len(kinds) * len(pumps)
     for args, kwargs in calls:      # positional (kind, omega_p, eps, cell)
         kind, wp, eps, cell_ = args
@@ -234,3 +232,16 @@ def test_gap_map_solves_each_point_once(cell, monkeypatch):
         assert fw.shape == bw.shape
         shift = 0.0 if kind is ProcessKind.TunableCoupling else 2.0
         np.testing.assert_array_equal(bw[:, 1], fw[:, 1] + shift * fw[:, 0])
+
+
+def test_gap_map_lists_points_above_pump_cutoff(cell):
+    # the Delta-mode pump cutoff of the fitted cell is 9.21 GHz
+    pumps = np.array([8.0, 9.0, 10.0]) * GHZ
+    curves, failures = gap_map([ProcessKind.TunableCoupling], pumps, cell,
+                               0.05)
+    co = curves[(ProcessKind.TunableCoupling, Direction.forward)]
+    np.testing.assert_array_equal(co[:, 0], pumps[:2])
+    (failure,) = failures
+    kind, omega_p, exc = failure
+    assert kind is ProcessKind.TunableCoupling and omega_p == pumps[2]
+    assert isinstance(exc, PumpAboveCutoff)
