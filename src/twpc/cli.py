@@ -1,20 +1,23 @@
 """Command-line interface: experiment orchestration and file emission.
 
 Every subcommand writes its documented outputs into --out-dir together
-with a run manifest (tool version, config hash, seed, timestamps and
-per-output checksums).  All numeric output is deterministic for identical
-config + seed; only manifest timestamps differ between runs.
+with a run manifest (tool version, config hash, seed, timestamps,
+per-output checksums and the warnings the run raised).  All numeric output
+is deterministic for identical config + seed; only manifest timestamps
+differ between runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import datetime
 import hashlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +81,10 @@ class Runner:
             fh.write("\n")
         return p
 
-    def finish(self) -> Path:
+    def finish(self, caught) -> Path:
+        """Write manifest.json; caught are the warnings the run raised."""
+        counts = collections.Counter(
+            (str(w.message), w.category.__name__) for w in caught)
         cfg_bytes = json.dumps(self.config, sort_keys=True).encode()
         manifest = {
             "tool": "twpc",
@@ -93,6 +99,9 @@ class Runner:
                 p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in self.files
             },
+            "warnings": [{"category": category, "message": message,
+                          "count": n}
+                         for (message, category), n in sorted(counts.items())],
         }
         if self.failures is not None:
             manifest["failures"] = self.failures
@@ -132,11 +141,21 @@ def _load_spec(args) -> device.LineSpec:
     return device.validate(spec)
 
 
+def _pump_flags(args):
+    """(--pump-eps, --pump-flux), of which at most one may be given."""
+    eps = getattr(args, "pump_eps", None)
+    flux = getattr(args, "pump_flux", None)
+    if eps is not None and flux is not None:
+        raise ConfigError([("pump_eps", "give --pump-eps or --pump-flux, "
+                                        "not both")])
+    return eps, flux
+
+
 def _pump_epsilon(args, cell, omega_p: float) -> float:
     """Reduced pump amplitude from either --pump-eps or --pump-flux."""
-    if getattr(args, "pump_eps", None) is not None:
-        return args.pump_eps
-    flux = getattr(args, "pump_flux", None)
+    eps, flux = _pump_flags(args)
+    if eps is not None:
+        return eps
     if flux is None:
         raise ConfigError([("pump_eps", "give --pump-eps or --pump-flux")])
     k_p = dispersion.pump_wavevector(cell, omega_p, 0.0)
@@ -190,10 +209,12 @@ def cmd_gaps_map(args, runner):
     spec = _load_spec(args)
     kinds = [_KIND[k] for k in args.processes.split(",")]
     pump = _grid(args.pump_min, args.pump_max, args.pump_points)
-    eps = args.pump_eps if args.pump_eps is not None else 0.0
-    if getattr(args, "pump_flux", None) is not None:
+    eps, flux = _pump_flags(args)
+    if flux is not None:
         # fixed junction flux: amplitude varies along the pump axis
         eps = lambda wp: _pump_epsilon(args, spec.cell, wp)
+    elif eps is None:
+        eps = 0.0
     curves, failures = matching.gap_map(kinds, pump, spec.cell, eps)
     runner.failures = [{"process": kind.value, "f_pump_GHz": wp / GHZ,
                         "reason": str(exc)} for kind, wp, exc in failures]
@@ -630,8 +651,11 @@ def main(argv=None) -> int:
     try:
         runner = Runner(args.out_dir, config,
                         args.seed if args.seed is not None else 0)
-        args.func(args, runner)
-        runner.finish()
+        # also records warnings raised in --threads workers
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args.func(args, runner)
+        runner.finish(caught)
     except ConfigError as exc:
         json.dump({"error": "ConfigError",
                    "violations": exc.violations}, sys.stderr)

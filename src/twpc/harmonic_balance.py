@@ -22,8 +22,9 @@ import numpy as np
 
 from .device import PHI0_BAR
 from .errors import NonConvergence, TruncationWarning
-from .network import (ChainNetwork, _solve, admittance_matrix,
-                      band_to_sparse, conversion_band, port_impedances)
+from .network import (ChainNetwork, _solve, add_channel_loads,
+                      admittance_matrix, band_to_sparse, conversion_band,
+                      port_impedances)
 
 K_SAMPLES = 128  # FFT oversampling of the junction orbit
 
@@ -125,8 +126,8 @@ def _newton_step(net: ChainNetwork, omega_p: float, orders, z,
     complex conversion-matrix system on channels (+m, -m) with unknowns
     (dx, conj(dx)); every channel keeps the pump-frequency loads z."""
     h = np.concatenate([orders, np.negative(orders)])
-    ab = conversion_band(net, h * omega_p, h, np.broadcast_to(z, (len(h), 4)),
-                         _gamma(delta))
+    ab = conversion_band(net, h, _gamma(delta))
+    add_channel_loads(ab, net, h * omega_p, np.broadcast_to(z, (len(h), 4)))
     rhs = np.concatenate([res, res.conj()]).T.ravel()
     return _solve(ab, rhs).reshape(net.n_nodes, -1)[:, :len(orders)].T
 

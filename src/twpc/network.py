@@ -45,10 +45,6 @@ PORTS = ((Mode.Sigma, "L"), (Mode.Delta, "L"),
 _S2 = 1.0 / math.sqrt(2.0)
 A_MODE = np.array([[_S2, _S2], [-_S2, _S2]])
 
-# diagonal offset of each row of LAPACK band storage with kl = ku = 2,
-# ab[2 + i - j, j] = A[i, j]
-_BAND_OFFSETS = (2, 1, 0, -1, -2)
-
 # band positions of the entries (0,0), (0,1), (1,0), (1,1) of a 2x2 block
 # whose first row and column are 0
 _BLOCK_ROWS = np.array([2, 1, 3, 2])
@@ -121,10 +117,11 @@ def build_chain(spec: LineSpec, port_z="bloch") -> ChainNetwork:
 
 def _stamp_branches(ab, left, val):
     """Add two-terminal elements val between nodes left and
-    right = left + 2 (one electrode, adjacent columns) to band storage ab.
+    right = left + 2 (one electrode, adjacent columns) to band storage ab;
+    val and ab may share trailing axes, one band per trailing index.
     The left nodes are distinct: one branch per electrode and cell."""
     right = left + 2
-    diag = np.zeros(ab.shape[1], np.result_type(val))
+    diag = np.zeros(ab.shape[1:], np.result_type(val))
     diag[left] = val
     diag[right] += val
     ab[2] += diag
@@ -205,43 +202,44 @@ def admittance_matrix(net: ChainNetwork, omega: float, z,
     return ab
 
 
-def conversion_band(net: ChainNetwork, omegas, harmonics, z,
+def conversion_band(net: ChainNetwork, harmonics,
                     gamma: np.ndarray) -> np.ndarray:
-    """Band storage (kl = ku = 3 nb - 1) of the chain linearized about a
-    periodic pump orbit, on the reduced node fluxes of nb channels.
-
-    Channel c sits at the signed frequency omegas[c], harmonics[c] pump
-    harmonics away, with port reference impedances z[c].  Channel c' drives
-    c through the conversion matrix phi0 D^T diag(g gamma[h_c - h_c']) D,
-    gamma[:, q] being the Fourier coefficients of cos(delta(t)) per junction
-    (q modulo gamma.shape[1]); channel c adds i omega_c phi0 Y_c without
-    the junction inductances.  Index = node * nb + c.
+    """Pump part of the band (kl = ku = 3 nb - 1, index node * nb + c) of
+    the chain linearized about a periodic pump orbit, on the node fluxes of
+    nb channels at harmonics[c] pump harmonics: channel c' drives c through
+    phi0 D^T diag(g gamma[h_c - h_c']) D, gamma[:, q] being the Fourier
+    coefficients of cos(delta(t)) per junction (q modulo gamma.shape[1]).
+    add_channel_loads adds the part that depends on channel frequency.
     """
-    ops, n = net.ops, net.n_nodes
-    harmonics = np.asarray(harmonics)
-    nb = len(harmonics)
-    offsets, which = np.unique(harmonics[:, None] - harmonics,
-                               return_inverse=True)
-    bands = np.zeros((len(offsets), 5, n), complex)
-    for band, q in zip(bands, offsets):
-        _stamp_branches(band, ops.left,
-                        PHI0_BAR * ops.g * gamma[:, q % gamma.shape[1]])
-    blocks = bands[which.reshape(nb, nb)]            # (c, c', 5, n)
-    for c, w in enumerate(omegas):
-        blocks[c, c] += (1j * w * PHI0_BAR) * admittance_matrix(
-            net, w, z[c], inductive=False)
+    ops, n, nb = net.ops, net.n_nodes, len(harmonics)
+    q = np.subtract.outer(harmonics, harmonics) % gamma.shape[1]
+    blocks = np.zeros((5, n, nb, nb), complex)     # node band per (c, c')
+    _stamp_branches(blocks, ops.left,
+                    PHI0_BAR * ops.g[:, None, None] * gamma[:, q])
     # node band row r holds node offset r - 2, i.e. offset (r - 2) nb + c - c'
     ku = 3 * nb - 1
-    c, c2, r = np.ogrid[:nb, :nb, :5]
+    r, c, c2 = np.ogrid[:5, :nb, :nb]
     ab = np.zeros((2 * ku + 1, n, nb), complex)
-    ab[ku + (r - 2) * nb + c - c2, :, c2] = blocks
+    ab[ku + (r - 2) * nb + c - c2, :, c2] = np.moveaxis(blocks, 1, -1)
     return ab.reshape(2 * ku + 1, n * nb)
 
 
+def add_channel_loads(ab: np.ndarray, net: ChainNetwork, omegas, z):
+    """Add i omega_c phi0 Y_c without the junction inductances, at the
+    signed frequency omegas[c] with port impedances z[c], to the diagonal
+    block of channel c of the contiguous conversion band ab, in place."""
+    rows = (len(ab) - 1) // 2 + (np.arange(5) - 2) * len(omegas)
+    blocks = ab.reshape(len(ab), net.n_nodes, len(omegas))
+    for c, w in enumerate(omegas):
+        blocks[rows, :, c] += (1j * w * PHI0_BAR) * admittance_matrix(
+            net, w, z[c], inductive=False)
+
+
 def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
-    """The matrix held in band storage ab, as a sparse matrix."""
+    """The matrix held in LAPACK band storage ab with kl = ku = 2,
+    ab[2 + i - j, j] = A[i, j], as a sparse matrix."""
     n = ab.shape[1]
-    return sp.dia_matrix((ab, _BAND_OFFSETS), shape=(n, n)).tocsr()
+    return sp.dia_matrix((ab, range(2, -3, -1)), shape=(n, n)).tocsr()
 
 
 def _solve(ab, b):

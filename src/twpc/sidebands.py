@@ -5,9 +5,10 @@ a probe perturbation delta(t) carries current phi0 g cos(delta_P(t)) delta,
 which couples probe sidebands at omega_n = omega_probe + 2 n omega_P
 through the even-harmonic Fourier coefficients of cos(delta_P(t)).
 Negative omega_n label the conjugate channel of a down-converted sideband.
-The sidebands are the channels of the same conversion-matrix band that
-the harmonic-balance Newton step solves; one banded LU yields the
-scattering coefficients between all (port, sideband) pairs.  At zero pump
+The sidebands are the channels of the conversion-matrix band that the
+harmonic-balance Newton step also solves.  Its pump part is built once per
+pump orbit; each probe adds its channel loads and solves one banded LU for
+the incident (sideband, port) channels the caller reads.  At zero pump
 the channels decouple and the n = 0 block reduces to the linear S-matrix.
 """
 
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import PHI0_BAR
-from .dispersion import Mode, cutoff
+from .dispersion import cutoff
 from .errors import NonConvergence, SingularNetwork, TruncationWarning
 from .harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES, PumpSolution,
                                incident_amplitude, pump_harmonic_balance)
-from .network import (ChainNetwork, PORTS, _solve, conversion_band,
-                      port_impedances)
+from .network import (ChainNetwork, PORTS, _solve, add_channel_loads,
+                      conversion_band, port_impedances)
 
 
 @dataclass(frozen=True)
@@ -52,60 +53,62 @@ class SignalScattering:
 
 
 class _PumpedLinearizer:
-    """Caches the pump orbit's conversion coefficients for repeated probes."""
+    """Caches the pump part of the conversion band for repeated probes."""
 
     def __init__(self, net: ChainNetwork, pump: PumpSolution | None,
                  n_sidebands: int = 2):
-        self.net = net
-        self.pump = pump
-        self.n_sb = n_sidebands
-        if pump is not None:
-            self.gamma = pump.junction_gamma()
-        else:   # unpumped junctions: cos(delta) = 1
-            self.gamma = np.zeros((len(net.ops.g), K_SAMPLES))
-            self.gamma[:, 0] = 1.0
+        self.net, self.n_sb = net, n_sidebands
+        self.omega_p = pump.omega_p if pump is not None else 0.0
+        self.harmonics = 2 * np.arange(-n_sidebands, n_sidebands + 1)
+        gamma = (pump.junction_gamma() if pump is not None  # else cos 0 = 1
+                 else np.tile(np.eye(1, K_SAMPLES), (len(net.ops.g), 1)))
+        self.band = conversion_band(net, self.harmonics, gamma)
 
-    def solve(self, omega_probe: float) -> SignalScattering:
+    def solve(self, omega_probe: float, channels):
+        """Sideband frequencies (nb,) and outgoing waves s (nb, 4, k):
+        s[i, q, j] at (sideband i, port q) for a unit incident wave on
+        channels[j], a list of k (sideband, port) index pairs as in
+        SignalScattering.  The truncation check reads the probe's own
+        channel (n_sidebands, 0), so channels must include it."""
         net, nsb = self.net, self.n_sb
-        omega_p = self.pump.omega_p if self.pump is not None else 0.0
-        harmonics = 2 * np.arange(-nsb, nsb + 1)
-        freqs = omega_probe + harmonics * omega_p
+        freqs = omega_probe + self.harmonics * self.omega_p
         if np.any(np.abs(freqs) < 1e3):
             raise SingularNetwork("a sideband falls at zero frequency")
-        nb = len(harmonics)
         e = net.ops.e
         z = np.array([port_impedances(net, abs(w)) for w in freqs])
-        ab = conversion_band(net, freqs, harmonics, z, self.gamma)
+        ab = self.band.copy()
+        add_channel_loads(ab, net, freqs, z)
 
-        # Norton drive of a unit incident wave on each (sideband, port)
-        drive = np.eye(nb)[:, :, None] * (2.0 / np.sqrt(z))[:, None, :]
-        rhs = np.einsum("kp,ijp->kijp", e, drive).reshape(-1, nb * 4)
-        sol = _solve(ab, rhs).reshape(-1, nb, nb * 4)
-        v_ports = np.einsum("kq,kij->iqj", e, sol, optimize=True) \
-            * (1j * PHI0_BAR * freqs)[:, None, None]
-        s = (v_ports / np.sqrt(z)[:, :, None]).reshape(nb, 4, nb, 4)
-        s -= np.eye(nb * 4).reshape(nb, 4, nb, 4)
+        # Norton drive of a unit incident wave on each requested channel
+        i, p = np.array(channels).T
+        cols = np.arange(len(channels))
+        rhs = np.zeros((net.n_nodes, len(freqs), len(cols)))
+        rhs[:, i, cols] = e[:, p] * (2.0 / np.sqrt(z[i, p]))
+        sol = _solve(ab, rhs.reshape(-1, len(cols))).reshape(rhs.shape)
+        s = np.einsum("kq,kij->iqj", e, sol, optimize=True) \
+            * (1j * PHI0_BAR * freqs)[:, None, None] / np.sqrt(z)[:, :, None]
+        s[i, p, cols] -= 1.0
 
-        prop = np.abs(freqs)[:, None] < [cutoff(m, net.cell) for m, _ in PORTS]
-
-        # truncation check on the probe-driven column
-        c = nsb
-        pwr = np.abs(s[:, :, c, 0]) ** 2
-        total = pwr.sum()
-        edge = pwr[0].sum() + pwr[-1].sum()
+        pwr = np.abs(s[:, :, channels.index((nsb, 0))]) ** 2
+        total, edge = pwr.sum(), pwr[0].sum() + pwr[-1].sum()
         if nsb > 0 and total > 0 and edge > 0.01 * total:
             warnings.warn(
                 f"outermost sidebands carry {edge/total:.1%} of the "
                 "scattered probe power; increase n_sidebands",
                 TruncationWarning)
-        return SignalScattering(omega_probe, omega_p, nsb, freqs, s, prop)
+        return freqs, s
 
 
 def signal_sidebands(net: ChainNetwork, pump: PumpSolution | None,
                      omega_probe: float,
                      n_sidebands: int = 2) -> SignalScattering:
     """Multi-frequency probe scattering around a converged pump orbit."""
-    return _PumpedLinearizer(net, pump, n_sidebands).solve(omega_probe)
+    lin = _PumpedLinearizer(net, pump, n_sidebands)
+    nb = 2 * n_sidebands + 1
+    freqs, s = lin.solve(omega_probe, list(np.ndindex(nb, 4)))
+    prop = np.abs(freqs)[:, None] < [cutoff(m, net.cell) for m, _ in PORTS]
+    return SignalScattering(omega_probe, lin.omega_p, n_sidebands, freqs,
+                            s.reshape(nb, 4, nb, 4), prop)
 
 
 def transmission_map(net: ChainNetwork, pump_freqs, probe_freqs,
@@ -133,12 +136,11 @@ def transmission_map(net: ChainNetwork, pump_freqs, probe_freqs,
             failures.append((i, None, str(exc)))
             continue
         for j, wpr in enumerate(probe_freqs):
-            try:
-                sc = lin.solve(wpr)
+            try:   # Sigma-L and Sigma-R probe columns only
+                _, s = lin.solve(wpr, [(n_sidebands, 0), (n_sidebands, 2)])
             except SingularNetwork as exc:
                 failures.append((i, j, str(exc)))
                 continue
-            s0 = sc.s0()
-            s_fw[i, j] = 20.0 * math.log10(max(abs(s0[2, 0]), 1e-300))
-            s_bw[i, j] = 20.0 * math.log10(max(abs(s0[0, 2]), 1e-300))
+            s_fw[i, j], s_bw[i, j] = (20.0 * math.log10(max(abs(x), 1e-300))
+                                      for x in s[n_sidebands, [2, 0], [0, 1]])
     return s_fw, s_bw, failures

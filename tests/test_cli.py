@@ -6,7 +6,9 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from twpc import device, network
-from twpc.cli import main
+from twpc.cli import FLUX_Q, GHZ, main
+from twpc.dispersion import amplitude_from_flux, pump_wavevector
+from twpc.matching import ProcessKind, solve_corrected
 from twpc.touchstone import read_touchstone
 
 
@@ -33,6 +35,7 @@ def test_dispersion_outputs_and_manifest(tmp_path):
     assert np.any(np.isnan(rows["k_delta_rad_per_cell"]))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "twpc"
+    assert manifest["warnings"] == []
     for name, digest in manifest["outputs"].items():
         body = (out / name).read_bytes()
         assert hashlib.sha256(body).hexdigest() == digest
@@ -134,6 +137,26 @@ def test_nld_sim_summary(tmp_path):
     assert len(rows) == 4 * 3  # sidebands -1..1 at four ports
 
 
+def test_truncation_warning_recorded_in_manifest(tmp_path):
+    # one sideband pair is too few at the Ci gap probe; the two identical
+    # pump rows, solved in two worker threads, raise the same warning
+    cell = device.fitted_cell()
+    w = 3 * GHZ
+    eps = amplitude_from_flux(0.05 * FLUX_Q, pump_wavevector(cell, w, 0.0))
+    f_s = repr(solve_corrected(ProcessKind.Circulation, w, eps,
+                               cell)[0].omega_s / GHZ)
+    out = _run(["nld-map", "--pump-min", "3", "--pump-max", "3",
+                "--pump-points", "2", "--probe-min", f_s, "--probe-max", f_s,
+                "--probe-points", "1", "--pump-flux", "0.05",
+                "--harmonics", "2", "--n-sidebands", "1", "--threads", "2"],
+               tmp_path / "n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    (entry,) = manifest["warnings"]
+    assert entry["category"] == "TruncationWarning"
+    assert entry["count"] == 2
+    assert entry["message"].startswith("outermost sidebands carry")
+
+
 def test_nld_map_blank_cells_at_pump_harmonics(tmp_path):
     out = _run(["nld-map", "--pump-min", "3", "--pump-max", "3",
                 "--pump-points", "1", "--probe-min", "5", "--probe-max", "7",
@@ -198,6 +221,21 @@ def test_config_error_exit_code(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["violations"][0][0] == field
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-match", "--f-pump", "3"], ["envelope", "--f-pump", "3"],
+    ["gaps-map", "--pump-points", "2"],
+    ["nld-sim", "--f-pump", "3", "--f-probe", "7.1"],
+    ["nld-map", "--pump-points", "1", "--probe-points", "1"]])
+def test_both_pump_amplitudes_exit_code(tmp_path, capsys, argv):
+    rc, err = _error_report(
+        capsys, argv + ["--pump-eps", "0.05", "--pump-flux", "0.3"], tmp_path)
+    assert rc == 2 and err["error"] == "ConfigError"
+    ((field, message),) = err["violations"]
+    assert field == "pump_eps"
+    assert "--pump-eps" in message and "--pump-flux" in message
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_missing_input_exit_code(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from twpc import device, matching, network
 from twpc.device import PHI0_BAR
@@ -233,3 +234,64 @@ def test_banded_sidebands_match_sparse_oracle(oracle_pumps, line, probe_ghz,
         assert not sc.propagating[n_sb + 1, 1]
     ref = _reference_sidebands(net, pump, w, n_sb)
     assert np.max(np.abs(sc.s - ref)) <= 1e-10
+
+
+def _probe(pump, eps, probe_ghz):
+    if probe_ghz == "gap":
+        return solve_corrected(ProcessKind.Circulation, pump.omega_p, eps,
+                               pump.net.cell)[0].omega_s
+    return probe_ghz * GHZ
+
+
+@pytest.mark.parametrize("line, probe_ghz, n_sb", [
+    ("fitted", "gap", 2),       # Ci gap probe
+    ("fitted", 5.3, 2),         # +1 sideband above the Delta cutoff
+    ("fitted", 7.1, 1),
+    ("fitted", 7.1, 2),
+    ("fitted", 7.1, 3),
+    ("defect", 7.1, 2),
+    ("disorder", 7.1, 2),
+])
+def test_transmission_map_cells_match_full_scattering(oracle_pumps, line,
+                                                      probe_ghz, n_sb):
+    """The map's two probe columns agree with the full sideband solve."""
+    pump, eps = oracle_pumps[line]
+    w = _probe(pump, eps, probe_ghz)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        fw, bw, failures = transmission_map(pump.net, [pump.omega_p], [w],
+                                            eps, n_sidebands=n_sb)
+        s0 = signal_sidebands(pump.net, pump, w, n_sidebands=n_sb).s0()
+    assert not failures
+    assert abs(fw[0, 0] - 20 * math.log10(abs(s0[2, 0]))) <= 1e-12
+    assert abs(bw[0, 0] - 20 * math.log10(abs(s0[0, 2]))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_sb", [1, 2, 3])
+def test_sideband_solves_take_only_the_columns_read(oracle_pumps,
+                                                    monkeypatch, n_sb):
+    pump, eps = oracle_pumps["fitted"]
+    calls = []
+
+    def recorder(l_and_u, ab, b, *args, **kwargs):
+        calls.append((l_and_u[0], np.shape(b)))
+        return solve_banded(l_and_u, ab, b, *args, **kwargs)
+
+    monkeypatch.setattr(network, "solve_banded", recorder)
+    kl = 3 * (2 * n_sb + 1) - 1        # the sideband band; HB's is wider
+    probes = np.array([6.5, 7.1, 9.0]) * GHZ
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        transmission_map(pump.net, [pump.omega_p], probes, eps,
+                         n_sidebands=n_sb)
+        assert [shape[1] for k, shape in calls if k == kl] == [2] * 3
+        calls.clear()
+        signal_sidebands(pump.net, pump, probes[0], n_sidebands=n_sb)
+    assert [s[1] for _, s in calls] == [4 * (2 * n_sb + 1)]
+
+
+def test_transmission_map_warns_on_truncation(oracle_pumps):
+    pump, eps = oracle_pumps["fitted"]
+    with pytest.warns(TruncationWarning):
+        transmission_map(pump.net, [pump.omega_p],
+                         [_probe(pump, eps, "gap")], eps, n_sidebands=1)
