@@ -141,25 +141,21 @@ def _load_spec(args) -> device.LineSpec:
     return device.validate(spec)
 
 
-def _pump_flags(args):
-    """(--pump-eps, --pump-flux), of which at most one may be given."""
-    eps = getattr(args, "pump_eps", None)
-    flux = getattr(args, "pump_flux", None)
+def _pump_amplitude(args, cell, default=None):
+    """Reduced pump amplitude eps(omega_p): the constant --pump-eps, or the
+    amplitude giving the junction flux --pump-flux at omega_p.  At most one
+    flag may be given; default, if not None, stands in for both missing."""
+    eps, flux = args.pump_eps, args.pump_flux
     if eps is not None and flux is not None:
         raise ConfigError([("pump_eps", "give --pump-eps or --pump-flux, "
                                         "not both")])
-    return eps, flux
-
-
-def _pump_epsilon(args, cell, omega_p: float) -> float:
-    """Reduced pump amplitude from either --pump-eps or --pump-flux."""
-    eps, flux = _pump_flags(args)
-    if eps is not None:
-        return eps
-    if flux is None:
+    if flux is not None:
+        return lambda wp: dispersion.amplitude_from_flux(
+            flux * FLUX_Q, dispersion.pump_wavevector(cell, wp, 0.0))
+    eps = default if eps is None else eps
+    if eps is None:
         raise ConfigError([("pump_eps", "give --pump-eps or --pump-flux")])
-    k_p = dispersion.pump_wavevector(cell, omega_p, 0.0)
-    return dispersion.amplitude_from_flux(flux * FLUX_Q, k_p)
+    return lambda wp: eps
 
 
 def _grid(lo_ghz, hi_ghz, n) -> np.ndarray:
@@ -193,7 +189,7 @@ def cmd_dispersion(args, runner):
 def cmd_phase_match(args, runner):
     spec = _load_spec(args)
     omega_p = args.f_pump * GHZ
-    eps = _pump_epsilon(args, spec.cell, omega_p)
+    eps = _pump_amplitude(args, spec.cell)(omega_p)
     pts = matching.solve_corrected(_KIND[args.process], omega_p, eps,
                                    spec.cell)
     runner.write_csv(
@@ -207,14 +203,11 @@ def cmd_phase_match(args, runner):
 
 def cmd_gaps_map(args, runner):
     spec = _load_spec(args)
+    if not set(args.processes.split(",")) <= _KIND.keys():
+        raise ConfigError([("processes", "give a comma list of Ci, Co, Al")])
     kinds = [_KIND[k] for k in args.processes.split(",")]
     pump = _grid(args.pump_min, args.pump_max, args.pump_points)
-    eps, flux = _pump_flags(args)
-    if flux is not None:
-        # fixed junction flux: amplitude varies along the pump axis
-        eps = lambda wp: _pump_epsilon(args, spec.cell, wp)
-    elif eps is None:
-        eps = 0.0
+    eps = _pump_amplitude(args, spec.cell, default=0.0)
     curves, failures = matching.gap_map(kinds, pump, spec.cell, eps)
     runner.failures = [{"process": kind.value, "f_pump_GHz": wp / GHZ,
                         "reason": str(exc)} for kind, wp, exc in failures]
@@ -232,7 +225,7 @@ def cmd_gaps_map(args, runner):
 def cmd_envelope(args, runner):
     spec = _load_spec(args)
     omega_p = args.f_pump * GHZ
-    eps = _pump_epsilon(args, spec.cell, omega_p)
+    eps = _pump_amplitude(args, spec.cell)(omega_p)
     kind = _KIND[args.process]
     pt = matching.solve_corrected(kind, omega_p, eps, spec.cell)[0]
     if kind is ProcessKind.TunableCoupling:
@@ -330,7 +323,7 @@ def cmd_nld_sim(args, runner):
     spec = _load_spec(args)
     net = network.build_chain(spec)
     omega_p = args.f_pump * GHZ
-    eps = _pump_epsilon(args, spec.cell, omega_p)
+    eps = _pump_amplitude(args, spec.cell)(omega_p)
     basis = HarmonicBasis(args.harmonics)
     drives = [Drive(p, omega_p, incident_amplitude(net, omega_p, p, eps))
               for p in args.pump_ports]
@@ -370,11 +363,11 @@ def cmd_nld_map(args, runner):
     pump = _grid(args.pump_min, args.pump_max, args.pump_points)
     probe = _grid(args.probe_min, args.probe_max, args.probe_points)
     basis = HarmonicBasis(args.harmonics)
+    eps = _pump_amplitude(args, spec.cell)
 
     def one_row(wp):
-        eps = _pump_epsilon(args, spec.cell, wp)
         return sidebands.transmission_map(
-            net, [wp], probe, eps, tuple(args.pump_ports), basis,
+            net, wp, probe, eps(wp), tuple(args.pump_ports), basis,
             args.n_sidebands)
 
     if args.threads > 1:
@@ -385,28 +378,29 @@ def cmd_nld_map(args, runner):
 
     rows = []
     runner.failures = []
-    for i, wp in enumerate(pump):
-        fw, bw, failures = results[i]
-        for j, wpr in enumerate(probe):
-            rows.append((wp / GHZ, wpr / GHZ, fw[0, j], bw[0, j]))
+    for wp, (fw, bw, failures) in zip(pump, results):
+        rows += [(wp / GHZ, wpr / GHZ, a, b)
+                 for wpr, a, b in zip(probe, fw, bw)]
         runner.failures += [
             {"f_pump_GHz": wp / GHZ,
              "f_probe_GHz": None if j is None else probe[j] / GHZ,
-             "reason": reason} for _, j, reason in failures]
+             "reason": reason} for j, reason in failures]
     runner.write_csv("transmission_map.csv",
                      ["f_pump_GHz", "f_probe_GHz", "S_fw_dB", "S_bw_dB"],
                      rows)
-    return pump, probe, results
 
 
 def cmd_tdr(args, runner):
-    if args.input.endswith(".s4p"):
-        f, s, _ = touchstone.read_touchstone(args.input)
-        trace = s[:, args.port, args.port]
-    else:
-        data = np.genfromtxt(args.input, delimiter=",", names=True)
-        f = data["f_Hz"]
-        trace = data["s_re"] + 1j * data["s_im"]
+    try:
+        if args.input.endswith(".s4p"):
+            f, s, _ = touchstone.read_touchstone(args.input)
+            trace = s[:, args.port, args.port]
+        else:
+            data = np.genfromtxt(args.input, delimiter=",", names=True)
+            f = data["f_Hz"]
+            trace = data["s_re"] + 1j * data["s_im"]
+    except ValueError as exc:     # unparsable numbers or missing columns
+        raise ConfigError([("input", f"unreadable sweep: {exc}")])
     sweep = tdr.FrequencySweep((args.port, args.port), f, trace)
     imp = tdr.impulse_response(sweep, args.window, args.beta)
     runner.write_csv("impulse.csv", ["t_ns", "magnitude", "phase_rad"],
@@ -534,8 +528,24 @@ def cmd_reproduce_fig(args, runner):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a ConfigError instead of usage text."""
+
+    def error(self, message):
+        raise ConfigError([("arguments", message)])
+
+
+def _count(lo: int):
+    """argparse type: an integer no smaller than lo."""
+    def count(text):
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"need an integer >= {lo}")
+        return int(text)
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="twpc",
         description="two-mode Josephson transmission-line design toolkit")
     ap.add_argument("--version", action="version", version=__version__)
@@ -545,8 +555,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", help="LineSpec JSON file (default: bundled "
                                       "fitted parameters)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_count(1), default=1)
         p.add_argument("--out-dir", default=".")
+
+    def pump_amplitude(p):
+        p.add_argument("--pump-eps", type=float, default=None)
+        p.add_argument("--pump-flux", type=float, default=None,
+                       help="junction flux in flux quanta")
+
+    def pumped_line(p):
+        p.add_argument("--pump-ports", type=int, nargs="+", default=[3],
+                       choices=range(4))
+        p.add_argument("--harmonics", type=_count(1), default=3)
+        p.add_argument("--n-sidebands", type=_count(0), default=2)
 
     p = sub.add_parser("dispersion", help="mode dispersion curves")
     common(p)
@@ -559,9 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--process", choices=list(_KIND), default="Ci")
     p.add_argument("--f-pump", type=float, required=True, help="GHz")
-    p.add_argument("--pump-eps", type=float, default=None)
-    p.add_argument("--pump-flux", type=float, default=None,
-                   help="junction flux in flux quanta")
+    pump_amplitude(p)
     p.set_defaults(func=cmd_phase_match)
 
     p = sub.add_parser("gaps-map", help="gap-locus curves vs pump frequency")
@@ -570,16 +589,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pump-min", type=float, default=2.0)
     p.add_argument("--pump-max", type=float, default=5.0)
     p.add_argument("--pump-points", type=int, default=31)
-    p.add_argument("--pump-eps", type=float, default=None)
-    p.add_argument("--pump-flux", type=float, default=None)
+    pump_amplitude(p)
     p.set_defaults(func=cmd_gaps_map)
 
     p = sub.add_parser("envelope", help="signal/idler envelope profiles")
     common(p)
     p.add_argument("--process", choices=list(_KIND), default="Ci")
     p.add_argument("--f-pump", type=float, required=True)
-    p.add_argument("--pump-eps", type=float, default=None)
-    p.add_argument("--pump-flux", type=float, default=None)
+    pump_amplitude(p)
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("isolate", help="attenuation vs pump amplitude")
@@ -587,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-pump", type=float, required=True)
     p.add_argument("--eps-min", type=float, default=0.01)
     p.add_argument("--eps-max", type=float, default=0.4)
-    p.add_argument("--eps-points", type=int, default=20)
+    p.add_argument("--eps-points", type=_count(1), default=20)
     p.set_defaults(func=cmd_isolate)
 
     p = sub.add_parser("scatter", help="linear 4-port sweep to Touchstone")
@@ -603,11 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--f-pump", type=float, required=True)
     p.add_argument("--f-probe", type=float, required=True)
-    p.add_argument("--pump-eps", type=float, default=None)
-    p.add_argument("--pump-flux", type=float, default=None)
-    p.add_argument("--pump-ports", type=int, nargs="+", default=[3])
-    p.add_argument("--harmonics", type=int, default=3)
-    p.add_argument("--n-sidebands", type=int, default=2)
+    pump_amplitude(p)
+    pumped_line(p)
     p.set_defaults(func=cmd_nld_sim)
 
     p = sub.add_parser("nld-map", help="pump x probe transmission map")
@@ -618,17 +632,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-min", type=float, default=4.0)
     p.add_argument("--probe-max", type=float, default=12.0)
     p.add_argument("--probe-points", type=int, default=81)
-    p.add_argument("--pump-eps", type=float, default=None)
-    p.add_argument("--pump-flux", type=float, default=None)
-    p.add_argument("--pump-ports", type=int, nargs="+", default=[3])
-    p.add_argument("--harmonics", type=int, default=3)
-    p.add_argument("--n-sidebands", type=int, default=2)
+    pump_amplitude(p)
+    pumped_line(p)
     p.set_defaults(func=cmd_nld_map)
 
     p = sub.add_parser("tdr", help="impulse response of a reflection sweep")
     common(p)
     p.add_argument("--input", required=True, help=".s4p or CSV sweep")
-    p.add_argument("--port", type=int, default=0)
+    p.add_argument("--port", type=int, default=0, choices=range(4))
     p.add_argument("--window", default="kaiser",
                    choices=["none", "kaiser", "hann"])
     p.add_argument("--beta", type=float, default=6.0)
@@ -644,11 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func",) and not callable(v)}
     try:
+        args = build_parser().parse_args(argv)
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("func",) and not callable(v)}
         runner = Runner(args.out_dir, config,
                         args.seed if args.seed is not None else 0)
         # also records warnings raised in --threads workers

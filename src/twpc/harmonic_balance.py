@@ -10,6 +10,7 @@ multi-harmonic flux drops.  The Newton Jacobian is the conversion matrix
 built from the FFT of cos(delta(t)), the same banded system the sideband
 solver uses: the real Newton step is solved in its conjugate-doubled
 complex form, on channels at +m and -m pump harmonics, by one banded LU.
+Amplitude continuation applies the drive; its first step is the full drive.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class PumpSolution:
     omega_p: float
     phi: np.ndarray        # (M, n_nodes) reduced node-flux phasors
     d: np.ndarray          # (M, n_branches) junction flux drops
-    branches: list         # (electrode, cell) per branch
     drives: tuple
     residual: float
     iterations: int
@@ -137,15 +137,16 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
                           flux_ceiling: float = 0.3) -> PumpSolution:
     """Newton harmonic balance of the pump steady state.
 
-    drives: iterable of Drive (or (port, omega_p, amplitude, phase)
-    tuples), all at the same omega_p; simultaneous drives from both Delta
-    ports realize the coupler configuration.  On failure the drive is
-    ramped adaptively (step-halving amplitude continuation, each step
-    warm-started from the previous converged state) before NonConvergence
-    is raised.  flux_ceiling bounds the converged peak junction flux in
-    units of the flux quantum (warning above).
+    drives: iterable of Drive, all at the same omega_p; simultaneous
+    drives from both Delta ports realize the coupler configuration.  The
+    drive is applied by adaptive amplitude continuation whose first step is
+    the full drive from rest: on failure the step is halved, and each step
+    is warm-started by rescaling the last converged state, until the step
+    falls below 2 % of the drive and NonConvergence is raised.
+    flux_ceiling bounds the converged peak junction flux in units of the
+    flux quantum (warning above).
     """
-    drives = tuple(d if isinstance(d, Drive) else Drive(*d) for d in drives)
+    drives = tuple(drives)
     if not drives:
         raise ValueError("need at least one drive")
     omega_p = drives[0].omega_p
@@ -158,11 +159,10 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
     left, g, e = ops.left, ops.g, ops.e
     z = port_impedances(net, omega_p)
 
-    i_src = np.zeros(n, complex)
+    full_src = np.zeros(n, complex)
     for d in drives:
-        i_src += (e[:, d.port].astype(complex) * 2.0 / math.sqrt(z[d.port])
-                  * d.amplitude * np.exp(1j * d.phase))
-    scale = np.linalg.norm(i_src)
+        full_src += (e[:, d.port].astype(complex) * 2.0 / math.sqrt(z[d.port])
+                     * d.amplitude * np.exp(1j * d.phase))
 
     # linear complex operator per harmonic acting on reduced flux; the
     # loads keep their pump-frequency reference impedances at every
@@ -171,7 +171,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
         admittance_matrix(net, m * omega_p, z, inductive=False)
         * (1j * m * omega_p * PHI0_BAR)) for m in orders]
 
-    def residual(phi):
+    def residual(phi, i_src):
         d_br = phi[:, left + 2] - phi[:, left]
         delta = _orbit(d_br, orders)
         s = np.fft.fft(np.sin(delta), axis=1) / K_SAMPLES
@@ -180,76 +180,61 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
         res[:, left + 2] += i_nl
         res[:, left] -= i_nl
         res[0] -= i_src
-        return res, d_br, delta
+        rnorm = math.sqrt(sum(np.linalg.norm(r) ** 2 for r in res))
+        return res, d_br, delta, rnorm / np.linalg.norm(i_src)
 
-    def rnorm_of(res):
-        return math.sqrt(sum(np.linalg.norm(r) ** 2 for r in res)) / scale
-
-    def newton(phi, max_iter):
+    def newton(phi, i_src):
+        """(phi, or None unless converged, d_br, rnorm, it, history)."""
         history = []
-        res, d_br, delta = residual(phi)
-        rnorm = rnorm_of(res)
-        for it in range(max_iter):
+        res, d_br, delta, rnorm = residual(phi, i_src)
+        for it in range(max_iter + 1):
             history.append(rnorm)
-            if rnorm < tol:
-                return phi, d_br, rnorm, it, history
+            if rnorm < tol or it == max_iter:
+                break
             step = _newton_step(net, omega_p, orders, z, delta, res)
             # backtracking line search on the residual norm
             lam = 1.0
             for _ in range(12):
                 trial = phi - lam * step
-                res_t, d_t, delta_t = residual(trial)
-                rn_t = rnorm_of(res_t)
+                res_t, d_t, delta_t, rn_t = residual(trial, i_src)
                 if rn_t < rnorm:
                     break
                 lam *= 0.5
             else:
                 return None, d_br, rnorm, it + 1, history
             phi, res, d_br, delta, rnorm = trial, res_t, d_t, delta_t, rn_t
-        history.append(rnorm)
-        if rnorm < tol:
-            return phi, d_br, rnorm, max_iter, history
-        return None, d_br, rnorm, max_iter, history
+        return phi if rnorm < tol else None, d_br, rnorm, it, history
 
-    phi = np.zeros((len(orders), n), complex)
-    out = newton(phi, max_iter)
-    if out[0] is None:
-        # adaptive amplitude continuation: advance the drive fraction with
-        # step halving on failure, warm-starting each step by linearly
-        # rescaling the last converged state
-        full_src = i_src.copy()
-        frac, step = 0.0, 0.5
-        phi_ok = np.zeros((len(orders), n), complex)
-        while frac < 1.0:
-            trial_frac = min(1.0, frac + step)
-            i_src = full_src * trial_frac
-            scale = np.linalg.norm(i_src)
-            phi = phi_ok * (trial_frac / frac if frac else 1.0)
-            out = newton(phi, max_iter)
-            if out[0] is None:
-                step *= 0.5
-                if step < 0.02:
-                    i_src = full_src
-                    raise NonConvergence(out[3], out[2])
-                continue
-            frac, phi_ok = trial_frac, out[0]
-        i_src = full_src
+    frac, step = 0.0, 1.0
+    phi_ok = np.zeros((len(orders), n), complex)
+    while frac < 1.0:
+        trial_frac = min(1.0, frac + step)
+        out = newton(phi_ok * (trial_frac / frac if frac else 1.0),
+                     full_src * trial_frac)
+        if out[0] is None:
+            step *= 0.5
+            if step < 0.02:
+                raise NonConvergence(out[3], out[2])
+            continue
+        frac, phi_ok = trial_frac, out[0]
     phi, d_br, rnorm, it, history = out
 
-    sol = PumpSolution(net, basis, omega_p, phi, d_br, ops.branches,
-                       drives, rnorm, it, tuple(history))
+    sol = PumpSolution(net, basis, omega_p, phi, d_br, drives, rnorm, it,
+                       tuple(history))
+    f_p = f"f_P = {omega_p/2e9/math.pi:.4f} GHz"
     peak = sol.peak_junction_flux() / (2.0 * math.pi * PHI0_BAR)
     if peak > flux_ceiling:
         warnings.warn(
             f"peak junction flux {peak:.3f} flux quanta exceeds the "
-            f"{flux_ceiling:.2f} ceiling; harmonic truncation may be "
-            "unreliable", TruncationWarning)
+            f"{flux_ceiling:.2f} ceiling at {f_p}; harmonic truncation "
+            "may be unreliable", TruncationWarning)
     top = np.max(np.abs(d_br[-1])) if len(orders) > 1 else 0.0
     fund = np.max(np.abs(d_br[0])) if d_br.size else 0.0
     if fund > 0 and len(orders) > 1 and top > 0.1 * fund:
         warnings.warn(
             "highest retained pump harmonic carries >10% of the "
-            "fundamental flux; increase the basis order", TruncationWarning)
+            f"fundamental flux at {f_p}; increase the basis order",
+            TruncationWarning)
     return sol
 
 

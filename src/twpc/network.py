@@ -64,9 +64,9 @@ class ChainOperators:
 
     c_band: np.ndarray      # (5, n_nodes)
     gamma_band: np.ndarray  # (5, n_nodes)
-    left: np.ndarray        # (n_branches,) left node; right is left + 2
+    left: np.ndarray        # (n_branches,) left node; right is left + 2,
+                            # the cell is left // 2; electrode-major
     g: np.ndarray           # (n_branches,) 1/L per junction branch
-    branches: list          # (electrode, cell) per branch, electrode-major
     e: np.ndarray           # (n_nodes, 4) nodal injection of unit mode
                             # current at each port; E.T extracts voltages
     stamps: np.ndarray      # (4, 2, 2)
@@ -157,8 +157,7 @@ def _chain_operators(net: ChainNetwork) -> ChainOperators:
     e[col, np.arange(4)] = a[0]
     e[col + 1, np.arange(4)] = a[1]
     stamps = np.einsum("ip,jp->pij", a, a)
-    return ChainOperators(c_band, gamma_band, left, g,
-                          list(zip(elec.tolist(), cells.tolist())), e, stamps)
+    return ChainOperators(c_band, gamma_band, left, g, e, stamps)
 
 
 def bloch_impedance(mode: Mode, omega: float, cell: CellParams) -> complex:

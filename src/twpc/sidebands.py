@@ -10,6 +10,8 @@ harmonic-balance Newton step also solves.  Its pump part is built once per
 pump orbit; each probe adds its channel loads and solves one banded LU for
 the incident (sideband, port) channels the caller reads.  At zero pump
 the channels decouple and the n = 0 block reduces to the linear S-matrix.
+transmission_map solves one pump row of a map: one harmonic-balance orbit
+(continuation from the full drive down), then each probe on its band.
 """
 
 from __future__ import annotations
@@ -93,9 +95,10 @@ class _PumpedLinearizer:
         total, edge = pwr.sum(), pwr[0].sum() + pwr[-1].sum()
         if nsb > 0 and total > 0 and edge > 0.01 * total:
             warnings.warn(
-                f"outermost sidebands carry {edge/total:.1%} of the "
-                "scattered probe power; increase n_sidebands",
-                TruncationWarning)
+                f"outermost sidebands carry {edge/total:.1%} of the scattered "
+                f"probe power at f_P = {self.omega_p/2e9/math.pi:.4f} GHz, "
+                f"f_probe = {omega_probe/2e9/math.pi:.4f} GHz; increase "
+                "n_sidebands", TruncationWarning)
         return freqs, s
 
 
@@ -111,36 +114,36 @@ def signal_sidebands(net: ChainNetwork, pump: PumpSolution | None,
                             s.reshape(nb, 4, nb, 4), prop)
 
 
-def transmission_map(net: ChainNetwork, pump_freqs, probe_freqs,
+def transmission_map(net: ChainNetwork, omega_p: float, probe_freqs,
                      epsilon_p: float, pump_ports=(3,),
                      basis: HarmonicBasis = HarmonicBasis(3),
                      n_sidebands: int = 2):
-    """|S| maps of the pumped line versus (pump, probe) frequency.
+    """One pump row of the |S| map of the pumped line: Sigma-mode
+    transmission in dB versus probe frequency at pump frequency omega_p.
 
-    epsilon_p is the reduced amplitude of each launched pump.  Returns
-    (s_fw_dB, s_bw_dB, failures): arrays of shape
-    (len(pump_freqs), len(probe_freqs)) of Sigma-mode transmission in dB
-    (forward = L to R) and a list of (i, j, reason) for points that did
-    not converge (left as NaN).
+    epsilon_p is the reduced amplitude of the pump launched from each of
+    pump_ports.  Returns (s_fw_dB, s_bw_dB, failures): arrays of shape
+    (len(probe_freqs),), forward = L to R and NaN where not solved, and a
+    list of (j, reason) for probe j that failed, with j = None when the
+    pump itself failed.
     """
-    s_fw = np.full((len(pump_freqs), len(probe_freqs)), np.nan)
+    s_fw = np.full(len(probe_freqs), np.nan)
     s_bw = np.full_like(s_fw, np.nan)
+    try:
+        drives = [Drive(p, omega_p, incident_amplitude(net, omega_p, p,
+                                                       epsilon_p))
+                  for p in pump_ports]
+        lin = _PumpedLinearizer(net, pump_harmonic_balance(net, drives, basis),
+                                n_sidebands)
+    except (NonConvergence, SingularNetwork) as exc:
+        return s_fw, s_bw, [(None, str(exc))]
     failures = []
-    for i, wp in enumerate(pump_freqs):
-        try:
-            drives = [Drive(p, wp, incident_amplitude(net, wp, p, epsilon_p))
-                      for p in pump_ports]
-            pump = pump_harmonic_balance(net, drives, basis)
-            lin = _PumpedLinearizer(net, pump, n_sidebands)
-        except (NonConvergence, SingularNetwork) as exc:
-            failures.append((i, None, str(exc)))
+    for j, wpr in enumerate(probe_freqs):
+        try:   # Sigma-L and Sigma-R probe columns only
+            _, s = lin.solve(wpr, [(n_sidebands, 0), (n_sidebands, 2)])
+        except SingularNetwork as exc:
+            failures.append((j, str(exc)))
             continue
-        for j, wpr in enumerate(probe_freqs):
-            try:   # Sigma-L and Sigma-R probe columns only
-                _, s = lin.solve(wpr, [(n_sidebands, 0), (n_sidebands, 2)])
-            except SingularNetwork as exc:
-                failures.append((i, j, str(exc)))
-                continue
-            s_fw[i, j], s_bw[i, j] = (20.0 * math.log10(max(abs(x), 1e-300))
-                                      for x in s[n_sidebands, [2, 0], [0, 1]])
+        s_fw[j], s_bw[j] = (20.0 * math.log10(max(abs(x), 1e-300))
+                            for x in s[n_sidebands, [2, 0], [0, 1]])
     return s_fw, s_bw, failures

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from twpc import device, network
-from twpc.cli import FLUX_Q, GHZ, main
+from twpc import device, network, sidebands
+from twpc.cli import FLUX_Q, GHZ, build_parser, main
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.matching import ProcessKind, solve_corrected
 from twpc.touchstone import read_touchstone
@@ -157,6 +158,28 @@ def test_truncation_warning_recorded_in_manifest(tmp_path):
     assert entry["message"].startswith("outermost sidebands carry")
 
 
+def test_truncation_warnings_name_their_cells(tmp_path):
+    # the Ci gap probe of the 3 GHz pump needs more than one sideband pair
+    # at both pumps; each warning says which (pump, probe) cell it is from
+    cell = device.fitted_cell()
+    w = 3 * GHZ
+    eps = amplitude_from_flux(0.05 * FLUX_Q, pump_wavevector(cell, w, 0.0))
+    f_s = solve_corrected(ProcessKind.Circulation, w, eps, cell)[0].omega_s
+    out = _run(["nld-map", "--pump-min", "3", "--pump-max", "3.1",
+                "--pump-points", "2", "--probe-min", repr(f_s / GHZ),
+                "--probe-max", repr(f_s / GHZ), "--probe-points", "1",
+                "--pump-flux", "0.05", "--harmonics", "2",
+                "--n-sidebands", "1"], tmp_path / "n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    entries = manifest["warnings"]
+    assert [(e["category"], e["count"]) for e in entries] == [
+        ("TruncationWarning", 1)] * 2
+    messages = [e["message"] for e in entries]
+    for f_p in ("3.0000", "3.1000"):
+        (message,) = [m for m in messages if f"f_P = {f_p} GHz" in m]
+        assert f"f_probe = {f_s / GHZ:.4f} GHz" in message
+
+
 def test_nld_map_blank_cells_at_pump_harmonics(tmp_path):
     out = _run(["nld-map", "--pump-min", "3", "--pump-max", "3",
                 "--pump-points", "1", "--probe-min", "5", "--probe-max", "7",
@@ -272,3 +295,91 @@ def test_singular_network_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(network, "solve_banded", singular)
     rc, err = _error_report(capsys, ["scatter", "--points", "3"], tmp_path)
     assert rc == 3 and err["error"] == "SingularNetwork"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["gaps-map", "--processes", "Ci,Xx"], "processes"),
+    (["nld-sim", "--f-pump", "3", "--f-probe", "7.1", "--pump-flux", "0.05",
+      "--harmonics", "0"], "arguments"),
+    (["nld-sim", "--f-pump", "3", "--f-probe", "7.1", "--pump-flux", "0.05",
+      "--n-sidebands", "-1"], "arguments"),
+    (["nld-map", "--pump-flux", "0.05", "--pump-ports", "9"], "arguments"),
+    (["nld-map", "--pump-flux", "0.05", "--threads", "0"], "arguments"),
+    (["isolate", "--f-pump", "4.63", "--eps-points", "0"], "arguments"),
+    (["scatter", "--points", "abc"], "arguments"),
+    (["scatter", "--no-such-flag"], "arguments"),
+    (["tdr", "--input", "PROSE"], "input"),
+    (["tdr", "--input", "COLUMNS"], "input"),
+    (["tdr", "--input", "sweep.s4p", "--port", "4"], "arguments"),
+], ids=["unknown-process", "harmonics-0", "sidebands-negative", "port-9",
+        "threads-0", "eps-points-0", "points-abc", "unknown-flag",
+        "tdr-prose", "tdr-columns", "tdr-port-4"])
+def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
+    prose = tmp_path / "notes.md"      # text, not a sweep
+    prose.write_text("# twpc\n\nA design toolkit, for two-mode lines.\n")
+    columns = tmp_path / "sweep.csv"   # a CSV without the sweep columns
+    columns.write_text("f,s\n1,2\n3,4\n")
+    files = {"PROSE": str(prose), "COLUMNS": str(columns)}
+    rc, err = _error_report(capsys, [files.get(a, a) for a in argv],
+                            tmp_path)
+    assert rc == 2 and err["error"] == "ConfigError"
+    assert err["violations"][0][0] == field
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("figure, files", [
+    ("2", [f"gaps_{kind}_{direction}.csv" for kind in ("Al", "Ci", "Co")
+           for direction in ("bw", "fw")]),
+    ("3b", ["isolation_defect.csv"]),
+    ("S6", ["wave_profile.csv"]),
+    ("S4", ["tdr_left.csv", "tdr_peaks.json", "tdr_right.csv"]),
+])
+def test_reproduce_fig_outputs(tmp_path, figure, files):
+    out = _run(["reproduce-fig", figure], tmp_path / figure)
+    written = sorted(p.name for p in out.iterdir() if p.suffix != ".svg")
+    assert written == sorted(files + ["manifest.json"])
+    if figure == "S4":
+        # the open junction sits at cell 165 of 400, seen from both ends
+        peaks = json.loads((out / "tdr_peaks.json").read_text())
+        assert abs(peaks["left"]["cell"] - 165) < 28
+        assert abs(peaks["right"]["cell"] - (400 - 165)) < 28
+    if figure == "3b":
+        rows = np.genfromtxt(out / "isolation_defect.csv", delimiter=",",
+                             names=True)
+        assert rows["forward_dB"][-1] < rows["backward_dB"][-1]
+
+
+_REQUIRED = {"dispersion": [], "phase-match": ["--f-pump", "3"],
+             "gaps-map": [], "envelope": ["--f-pump", "3"],
+             "isolate": ["--f-pump", "4.63"], "scatter": [],
+             "nld-sim": ["--f-pump", "3", "--f-probe", "7.1"],
+             "nld-map": [], "tdr": ["--input", "sweep.s4p"],
+             "reproduce-fig": ["2"]}
+
+
+def test_every_subcommand_parses_threads_1():
+    # the benchmark passes --threads 1 to every call it makes
+    ap = build_parser()
+    (commands,) = [a.choices for a in ap._actions if a.dest == "command"]
+    assert set(commands) == set(_REQUIRED)
+    for command, required in _REQUIRED.items():
+        args = ap.parse_args([command, *required, "--threads", "1"])
+        assert args.threads == 1
+
+
+def test_nld_map_threads_1_solves_on_main_thread(tmp_path, monkeypatch):
+    # the benchmark's host-speed sampler runs in the main thread and reads
+    # low if the solves move to a worker
+    on_main = []
+    solve = sidebands.transmission_map
+
+    def recorder(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sidebands, "transmission_map", recorder)
+    _run(["nld-map", "--pump-min", "3", "--pump-max", "3.5",
+          "--pump-points", "2", "--probe-min", "5", "--probe-max", "5",
+          "--probe-points", "1", "--pump-flux", "0.04", "--harmonics", "2",
+          "--n-sidebands", "1", "--threads", "1"], tmp_path / "n")
+    assert on_main == [True, True]

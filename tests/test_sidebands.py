@@ -116,7 +116,7 @@ def test_outermost_sideband_warning(fitted_net):
 
 def test_transmission_map_flat_without_pump(fitted_net):
     probes = np.array([5.0, 6.0, 7.0]) * GHZ
-    fw, bw, failures = transmission_map(fitted_net, [2.2 * GHZ], probes,
+    fw, bw, failures = transmission_map(fitted_net, 2.2 * GHZ, probes,
                                         epsilon_p=1e-6)
     assert not failures
     np.testing.assert_allclose(fw, 0.0, atol=1e-3)
@@ -132,12 +132,12 @@ def test_transmission_map_shows_gap_and_records_failures(fitted_net):
     probes = np.array([pt.omega_s, pt.omega_s + GHZ, 2 * w])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        fw, bw, failures = transmission_map(fitted_net, [w], probes, eps)
-    assert fw[0, 0] < -10 and fw[0, 1] > -1
-    assert np.all(np.abs(bw[0, :2]) < 0.5)
+        fw, bw, failures = transmission_map(fitted_net, w, probes, eps)
+    assert fw[0] < -10 and fw[1] > -1
+    assert np.all(np.abs(bw[:2]) < 0.5)
     # the probe colliding with an even pump harmonic is a recorded failure
-    assert np.isnan(fw[0, 2])
-    assert any(j == 2 for _, j, _ in failures)
+    assert np.isnan(fw[2])
+    assert any(j == 2 for j, _ in failures)
 
 
 def test_amplification_ridge_with_bidirectional_pumps(fitted_net):
@@ -259,12 +259,12 @@ def test_transmission_map_cells_match_full_scattering(oracle_pumps, line,
     w = _probe(pump, eps, probe_ghz)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        fw, bw, failures = transmission_map(pump.net, [pump.omega_p], [w],
+        fw, bw, failures = transmission_map(pump.net, pump.omega_p, [w],
                                             eps, n_sidebands=n_sb)
         s0 = signal_sidebands(pump.net, pump, w, n_sidebands=n_sb).s0()
     assert not failures
-    assert abs(fw[0, 0] - 20 * math.log10(abs(s0[2, 0]))) <= 1e-12
-    assert abs(bw[0, 0] - 20 * math.log10(abs(s0[0, 2]))) <= 1e-12
+    assert abs(fw[0] - 20 * math.log10(abs(s0[2, 0]))) <= 1e-12
+    assert abs(bw[0] - 20 * math.log10(abs(s0[0, 2]))) <= 1e-12
 
 
 @pytest.mark.parametrize("n_sb", [1, 2, 3])
@@ -282,7 +282,7 @@ def test_sideband_solves_take_only_the_columns_read(oracle_pumps,
     probes = np.array([6.5, 7.1, 9.0]) * GHZ
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        transmission_map(pump.net, [pump.omega_p], probes, eps,
+        transmission_map(pump.net, pump.omega_p, probes, eps,
                          n_sidebands=n_sb)
         assert [shape[1] for k, shape in calls if k == kl] == [2] * 3
         calls.clear()
@@ -293,5 +293,5 @@ def test_sideband_solves_take_only_the_columns_read(oracle_pumps,
 def test_transmission_map_warns_on_truncation(oracle_pumps):
     pump, eps = oracle_pumps["fitted"]
     with pytest.warns(TruncationWarning):
-        transmission_map(pump.net, [pump.omega_p],
+        transmission_map(pump.net, pump.omega_p,
                          [_probe(pump, eps, "gap")], eps, n_sidebands=1)
