@@ -13,7 +13,9 @@ import argparse
 import collections
 import concurrent.futures
 import datetime
+import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -34,6 +36,9 @@ from .matching import ProcessKind
 GHZ = 2e9 * math.pi
 FLUX_Q = 2 * math.pi * PHI0_BAR
 
+#: CSV cell types that the "%.12e" row template writes as _fmt would
+_FLOATS = {float, np.float64}
+
 _KIND = {"Ci": ProcessKind.Circulation, "Co": ProcessKind.TunableCoupling,
          "Al": ProcessKind.CirculationAliased}
 
@@ -42,9 +47,10 @@ _KIND = {"Ci": ProcessKind.Circulation, "Co": ProcessKind.TunableCoupling,
 # output plumbing
 
 def _fmt(x) -> str:
+    """One CSV cell: numbers as %.12e, None and NaN blank, others as str."""
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
-    return f"{x:.12e}"
+    return f"{x:.12e}" if isinstance(x, (int, float)) else str(x)
 
 
 class Runner:
@@ -66,12 +72,21 @@ class Runner:
 
     def write_csv(self, name: str, header: list, rows) -> Path:
         p = self.path(name)
+        floats = ",".join(["%.12e"] * len(header)) + "\n"
+        rows = map(tuple, rows)
         with open(p, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(
-                    _fmt(x) if x is None or isinstance(x, (int, float))
-                    else str(x) for x in row) + "\n")
+            # blocks of 256 rows stream; a block of full rows of floats,
+            # none NaN, takes one template per row, others go cell by cell
+            while block := list(itertools.islice(rows, 256)):
+                cells = list(itertools.chain.from_iterable(block))
+                if (set(map(len, block)) == {len(header)}
+                        and _FLOATS.issuperset(map(type, cells))
+                        and not any(map(math.isnan, cells))):
+                    fh.writelines(map(floats.__mod__, block))
+                else:
+                    fh.writelines(",".join(map(_fmt, row)) + "\n"
+                                  for row in block)
         return p
 
     def write_json(self, name: str, doc) -> Path:
@@ -158,6 +173,13 @@ def _pump_amplitude(args, cell, default=None):
     return lambda wp: eps
 
 
+def _pump_ports(args) -> tuple:
+    """--pump-ports, each once: a repeated port would add its pump twice."""
+    if len(set(args.pump_ports)) < len(args.pump_ports):
+        raise ConfigError([("pump_ports", "give each pump port once")])
+    return tuple(args.pump_ports)
+
+
 def _grid(lo_ghz, hi_ghz, n) -> np.ndarray:
     if n < 1 or not 0 < lo_ghz <= hi_ghz < math.inf:   # also rejects NaN
         raise ConfigError([("grid", "need 1 or more finite positive "
@@ -237,8 +259,9 @@ def cmd_envelope(args, runner):
     runner.write_csv(
         "envelope.csv",
         ["x_cell", "abs_eps_s", "abs_eps_i", "phase_s_rad", "phase_i_rad"],
-        [(x, abs(s), abs(i), float(np.angle(s)), float(np.angle(i)))
-         for x, s, i in zip(sol.x, sol.eps_s, sol.eps_i)])
+        zip(sol.x.tolist(), map(abs, sol.eps_s.tolist()),
+            map(abs, sol.eps_i.tolist()), np.angle(sol.eps_s).tolist(),
+            np.angle(sol.eps_i).tolist()))
     runner.write_json("envelope_summary.json", {
         "f_s_GHz": pt.omega_s / GHZ, "f_i_GHz": pt.omega_i / GHZ,
         "alpha_per_cell": sol.alpha,
@@ -248,20 +271,12 @@ def cmd_envelope(args, runner):
 
 
 def _local_defect_smatrix(spec, halfwidth=20):
-    """Scattering of the defect neighbourhood alone: a short sub-chain
-    with the defect at its center and image-matched ports."""
+    """Scattering of the defect neighbourhood alone, cached per omega: a
+    short sub-chain with the defect at its center and image-matched ports."""
     sub = device.LineSpec(spec.cell, 2 * halfwidth + 1,
-                          ((halfwidth, "open_junction"),),
-                          0.0, spec.seed)
-    net = network.build_chain(sub)
-    cache = {}
-
-    def smatrix(omega):
-        if omega not in cache:
-            cache[omega] = network.linear_scattering(net, omega)
-        return cache[omega]
-
-    return smatrix
+                          ((halfwidth, "open_junction"),), 0.0, spec.seed)
+    return functools.cache(functools.partial(network.linear_scattering,
+                                             network.build_chain(sub)))
 
 
 def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
@@ -302,7 +317,6 @@ def cmd_isolate(args, runner):
     rows = _isolation_curves(spec, omega_p, amplitudes, defect)
     runner.write_csv("isolation.csv",
                      ["pump_amplitude", "forward_dB", "backward_dB"], rows)
-    return rows
 
 
 def cmd_scatter(args, runner):
@@ -316,17 +330,17 @@ def cmd_scatter(args, runner):
     z = network.port_impedances(net, freqs[len(freqs) // 2])
     touchstone.write_touchstone(runner.path("sweep.s4p"),
                                 freqs / (2 * math.pi), s, z)
-    return freqs, s
 
 
 def cmd_nld_sim(args, runner):
     spec = _load_spec(args)
+    ports = _pump_ports(args)
     net = network.build_chain(spec)
     omega_p = args.f_pump * GHZ
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     basis = HarmonicBasis(args.harmonics)
     drives = [Drive(p, omega_p, incident_amplitude(net, omega_p, p, eps))
-              for p in args.pump_ports]
+              for p in ports]
     pump = pump_harmonic_balance(net, drives, basis)
     powers = pump_harmonics_at_ports(pump)
     runner.write_json("pump_solution.json", {
@@ -341,12 +355,9 @@ def cmd_nld_sim(args, runner):
     sc = sidebands.signal_sidebands(net, pump, args.f_probe * GHZ,
                                     args.n_sidebands)
     s0 = sc.s0()
-    rows = []
-    for i, w in enumerate(sc.freqs):
-        for q in range(4):
-            rows.append((i - sc.n_sidebands, w / GHZ, q,
-                         abs(sc.s[i, q, sc.n_sidebands, 0]),
-                         bool(sc.propagating[i, q])))
+    rows = [(i - sc.n_sidebands, w / GHZ, q,
+             abs(sc.s[i, q, sc.n_sidebands, 0]), bool(sc.propagating[i, q]))
+            for i, w in enumerate(sc.freqs) for q in range(4)]
     runner.write_csv("sidebands.csv",
                      ["n", "f_GHz", "port", "abs_S_from_sigma_L",
                       "propagating"], rows)
@@ -364,11 +375,11 @@ def cmd_nld_map(args, runner):
     probe = _grid(args.probe_min, args.probe_max, args.probe_points)
     basis = HarmonicBasis(args.harmonics)
     eps = _pump_amplitude(args, spec.cell)
+    ports = _pump_ports(args)
 
     def one_row(wp):
         return sidebands.transmission_map(
-            net, wp, probe, eps(wp), tuple(args.pump_ports), basis,
-            args.n_sidebands)
+            net, wp, probe, eps(wp), ports, basis, args.n_sidebands)
 
     if args.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
@@ -396,7 +407,8 @@ def cmd_tdr(args, runner):
             f, s, _ = touchstone.read_touchstone(args.input)
             trace = s[:, args.port, args.port]
         else:
-            data = np.genfromtxt(args.input, delimiter=",", names=True)
+            data = np.genfromtxt(args.input, delimiter=",", names=True,
+                                 ndmin=1)
             f = data["f_Hz"]
             trace = data["s_re"] + 1j * data["s_im"]
     except ValueError as exc:     # unparsable numbers or missing columns
@@ -404,8 +416,8 @@ def cmd_tdr(args, runner):
     sweep = tdr.FrequencySweep((args.port, args.port), f, trace)
     imp = tdr.impulse_response(sweep, args.window, args.beta)
     runner.write_csv("impulse.csv", ["t_ns", "magnitude", "phase_rad"],
-                     [(t, abs(h), float(np.angle(h)))
-                      for t, h in zip(imp.t_ns, imp.h)])
+                     zip(imp.t_ns.tolist(), map(abs, imp.h.tolist()),
+                         np.angle(imp.h).tolist()))
     report = {"resolution_ns": imp.resolution_ns, "window": imp.window}
     try:
         est = tdr.locate_defect(imp, args.velocity, args.offset_ns)
@@ -457,19 +469,12 @@ def _fig_isolation(args, runner):
 def _fig_profile(args, runner):
     spec = device.fitted_line(defects=((165, "open_junction"),))
     net = network.build_chain(spec)
-    w = 5.0 * GHZ
-    rows = []
-    profs = {}
-    for port, label in ((0, "sigma_L"), (3, "delta_R")):
-        prof = network.wave_amplitude_profile(net, port, w)
-        profs[label] = prof
-    for n in range(spec.n_cells):
-        row = [n]
-        for label in ("sigma_L", "delta_R"):
-            for mode in (Mode.Sigma, Mode.Delta):
-                f, b = profs[label][mode]
-                row += [abs(f[n]), abs(b[n])]
-        rows.append(row)
+    cols = [range(spec.n_cells)]
+    for port in (0, 3):                         # Sigma-L and Delta-R drives
+        prof = network.wave_amplitude_profile(net, port, 5.0 * GHZ)
+        cols += [map(abs, a.tolist()) for mode in (Mode.Sigma, Mode.Delta)
+                 for a in prof[mode]]
+    rows = list(zip(*cols))
     runner.write_csv(
         "wave_profile.csv",
         ["cell",
@@ -507,7 +512,7 @@ def _fig_tdr(args, runner):
         report[label] = {"cell": est.cell, "t_peak_ns": est.t_peak_ns,
                          "uncertainty_cells": est.uncertainty_cells}
         runner.write_csv(f"tdr_{label}.csv", ["t_ns", "magnitude"],
-                         [(t, abs(h)) for t, h in zip(imp.t_ns, imp.h)])
+                         zip(imp.t_ns.tolist(), map(abs, imp.h.tolist())))
     report["resolution_ns"] = curves["left"].resolution_ns
     runner.write_json("tdr_peaks.json", report)
 

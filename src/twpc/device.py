@@ -79,11 +79,6 @@ class CellParams:
     def omega_g(self) -> float:
         return 1.0 / math.sqrt(self.l_j * self.c_g)
 
-    @property
-    def e_j(self) -> float:
-        """Josephson energy phi0^2 / L_J (J)."""
-        return PHI0_BAR ** 2 / self.l_j
-
 
 @dataclass(frozen=True)
 class DerivedConstants:

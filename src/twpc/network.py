@@ -194,7 +194,7 @@ def admittance_matrix(net: ChainNetwork, omega: float, z,
     ops = net.ops
     ab = 1j * omega * ops.c_band
     if inductive:
-        ab += ops.gamma_band / (1j * omega)
+        ab += ops.gamma_band * (1 / (1j * omega))  # same bits as / (1j w)
     y = ops.stamps / z[:, None, None]
     ab[_BLOCK_ROWS, _BLOCK_COLS] += (y[0] + y[1]).ravel()
     ab[_BLOCK_ROWS, _BLOCK_COLS + net.n_nodes - 2] += (y[2] + y[3]).ravel()
@@ -248,7 +248,7 @@ def _solve(ab, b):
         x = solve_banded((kl, kl), ab, b, overwrite_ab=True)
     except (LinAlgError, ValueError) as exc:   # singular or non-finite
         raise SingularNetwork(str(exc))
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SingularNetwork("non-finite nodal solution")
     return x
 
@@ -260,11 +260,11 @@ def linear_scattering(net: ChainNetwork, omega: float) -> np.ndarray:
     Sigma transmission L -> R.
     """
     z = port_impedances(net, omega)
-    e = net.ops.e
+    e, rz = net.ops.e, np.sqrt(z)
     # Norton drive of unit incident wave on port p: I_N = 2 / sqrt(Z_p)
-    v_nodes = _solve(admittance_matrix(net, omega, z), e * (2.0 / np.sqrt(z)))
+    v_nodes = _solve(admittance_matrix(net, omega, z), e * (2.0 / rz))
     v_ports = e.T @ v_nodes          # mode voltage at port q for drive p
-    return v_ports / np.sqrt(z)[:, None] - np.eye(4)
+    return v_ports / rz[:, None] - np.eye(4)
 
 
 def drive_solution(net: ChainNetwork, port: int, omega: float,

@@ -10,6 +10,8 @@ digits and round-trip bit-exactly.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ConfigError
@@ -18,22 +20,20 @@ from .errors import ConfigError
 def write_touchstone(path, f_hz, s, z_ref) -> None:
     """Write a 4-port sweep: f_hz (nf,), s (nf, 4, 4), z_ref (4,)."""
     f_hz = np.asarray(f_hz, float)
-    s = np.asarray(s, complex)
+    s = np.ascontiguousarray(s, complex)
     z_ref = [float(z) for z in z_ref]
     if s.shape != (len(f_hz), 4, 4):
         raise ConfigError([("s", f"expected (nf, 4, 4), got {s.shape}")])
+    # one frequency: f, then the 32 RI fields of S, eight to a line
+    line = " ".join(["%.17g"] * 8) + "\n"
+    record = "%.17g " + line + (" " + line) * 3
+    rows = np.column_stack([f_hz, s.view(float).reshape(len(f_hz), 32)])
     with open(path, "w") as fh:
         fh.write("! 4-port S-parameters, twpc chain model\n")
         for k, z in enumerate(z_ref):
             fh.write(f"! Z0[{k + 1}]={z:.17g}\n")
         fh.write(f"# Hz S RI R {z_ref[0]:.17g}\n")
-        for i, f in enumerate(f_hz):
-            for row in range(4):
-                fields = [] if row else [f"{f:.17g}"]
-                for col in range(4):
-                    fields.append(f"{s[i, row, col].real:.17g}")
-                    fields.append(f"{s[i, row, col].imag:.17g}")
-                fh.write((" " if row else "") + " ".join(fields) + "\n")
+        fh.writelines(record % tuple(row) for row in rows.tolist())
 
 
 def read_touchstone(path):
@@ -44,22 +44,24 @@ def read_touchstone(path):
     """
     z_ref = [None] * 4
     opts = None
-    numbers = []
-    with open(path) as fh:
+
+    def data_lines(fh):
+        nonlocal opts
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("!"):
                 body = line[1:].strip()
                 if body.startswith("Z0["):
                     k = int(body[3:body.index("]")]) - 1
                     z_ref[k] = float(body.split("=", 1)[1])
-                continue
-            if line.startswith("#"):
+            elif line.startswith("#"):
                 opts = line[1:].split()
-                continue
-            numbers.extend(float(x) for x in line.split())
+            else:
+                yield line
+
+    with open(path) as fh:
+        numbers = np.fromiter(map(float, itertools.chain.from_iterable(
+            map(str.split, data_lines(fh)))), float)
     if opts is None:
         raise ConfigError([("", "missing option line")])
     up = [o.upper() for o in opts]
@@ -68,12 +70,8 @@ def read_touchstone(path):
     r_opt = float(opts[up.index("R") + 1]) if "R" in up else 50.0
     z_ref = [r_opt if z is None else z for z in z_ref]
 
-    per_freq = 1 + 32
-    if len(numbers) % per_freq:
+    if len(numbers) % 33:       # f and 32 RI fields per frequency
         raise ConfigError([("", "malformed 4-port data block")])
-    nf = len(numbers) // per_freq
-    data = np.asarray(numbers).reshape(nf, per_freq)
-    f_hz = data[:, 0]
-    ri = data[:, 1:].reshape(nf, 4, 4, 2)
-    s = ri[..., 0] + 1j * ri[..., 1]
-    return f_hz, s, np.array(z_ref)
+    data = numbers.reshape(-1, 33)
+    s = np.ascontiguousarray(data[:, 1:]).view(complex).reshape(-1, 4, 4)
+    return data[:, 0], s, np.array(z_ref)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import threading
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from twpc import device, network, sidebands
-from twpc.cli import FLUX_Q, GHZ, build_parser, main
+from twpc.cli import FLUX_Q, GHZ, Runner, build_parser, main
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.matching import ProcessKind, solve_corrected
 from twpc.touchstone import read_touchstone
@@ -24,6 +25,55 @@ def _spec_file(tmp_path, **overrides):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(device.spec_to_json(spec)))
     return p
+
+
+def _write_csv_per_cell(path, header, rows):
+    """Reference writer: one format call per cell, one write per row."""
+    def fmt(x):
+        if x is None or (isinstance(x, float) and math.isnan(x)):
+            return ""
+        return f"{x:.12e}"
+
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                fmt(x) if x is None or isinstance(x, (int, float))
+                else str(x) for x in row) + "\n")
+
+
+def _float_rows(seed, n):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-300, 300, (n, 3))
+    rows = [tuple(r) for r in (rng.normal(size=(n, 3)) * scale).tolist()]
+    big = 1.7976931348623157e308
+    rows[:5] = [(-0.0, 5e-324, 1e-300), (big, -5e-324, 0.0), (big, big, 1.0),
+                (math.inf, 1.0, 2.0),
+                (np.float64(0.1), np.float64(-2.5e-7), 3.0)]
+    rows[n // 2] = [0.5, 0.25, 0.125]
+    return rows
+
+
+# each is appended to a table of floats, which then has to be written a
+# cell at a time
+_SPECIAL_ROWS = [
+    (math.inf, -math.inf, 1.0), (math.nan, 1.0, 2.0), (None, 1.0, 2.0),
+    (np.float64("nan"),) * 3, (1, True, False), (2 ** 60, -7, 0),
+    ("Ci", "fw", 1.5), (np.int64(3), np.float32(0.1), np.bool_(True)),
+    (np.float32(0.1), np.float32(2.0), np.float32(-1.5)),
+    (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_csv_writer_matches_per_cell_oracle(tmp_path, seed):
+    header = ["a", "b", "c"]
+    tables = [_float_rows(seed, 600), []] + [
+        _float_rows(seed, 100) + [row] for row in _SPECIAL_ROWS]
+    runner = Runner(str(tmp_path), {}, 0)
+    for k, rows in enumerate(tables):
+        new = runner.write_csv(f"new{k}.csv", header, iter(rows))
+        _write_csv_per_cell(tmp_path / f"old{k}.csv", header, rows)
+        assert new.read_bytes() == (tmp_path / f"old{k}.csv").read_bytes()
 
 
 def test_dispersion_outputs_and_manifest(tmp_path):
@@ -261,6 +311,15 @@ def test_both_pump_amplitudes_exit_code(tmp_path, capsys, argv):
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("n_rows", [1, 2])
+def test_tdr_short_csv_sweep_exit_code(tmp_path, capsys, n_rows):
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("f_Hz,s_re,s_im\n" + "".join(
+        f"{4e9 + 1e6 * i},0.1,0.2\n" for i in range(n_rows)))
+    rc, err = _error_report(capsys, ["tdr", "--input", str(sweep)], tmp_path)
+    assert rc == 3 and err["error"] == "NonUniformGrid"
+
+
 def test_missing_input_exit_code(tmp_path):
     rc = main(["tdr", "--input", str(tmp_path / "nope.s4p"),
                "--out-dir", str(tmp_path / "o")])
@@ -297,6 +356,22 @@ def test_singular_network_exit_code(tmp_path, capsys, monkeypatch):
     assert rc == 3 and err["error"] == "SingularNetwork"
 
 
+def test_scatter_solves_once_per_frequency(tmp_path, monkeypatch):
+    # the benchmark charges every network LU metric to solve_banded: one
+    # factor and solve of the (kl, ku) = (2, 2) nodal band per frequency
+    calls = []
+    solve = network.solve_banded
+
+    def recorder(l_and_u, ab, *args, **kwargs):
+        calls.append((l_and_u, ab.shape))
+        return solve(l_and_u, ab, *args, **kwargs)
+
+    monkeypatch.setattr(network, "solve_banded", recorder)
+    _run(["scatter", "--points", "5"], tmp_path / "s")
+    n_nodes = 2 * (device.fitted_line().n_cells + 1)
+    assert calls == [((2, 2), (5, n_nodes))] * 5
+
+
 @pytest.mark.parametrize("argv, field", [
     (["gaps-map", "--processes", "Ci,Xx"], "processes"),
     (["nld-sim", "--f-pump", "3", "--f-probe", "7.1", "--pump-flux", "0.05",
@@ -311,9 +386,14 @@ def test_singular_network_exit_code(tmp_path, capsys, monkeypatch):
     (["tdr", "--input", "PROSE"], "input"),
     (["tdr", "--input", "COLUMNS"], "input"),
     (["tdr", "--input", "sweep.s4p", "--port", "4"], "arguments"),
+    (["nld-sim", "--f-pump", "3", "--f-probe", "7.1", "--pump-flux", "0.05",
+      "--pump-ports", "3", "3"], "pump_ports"),
+    (["nld-map", "--pump-flux", "0.05", "--pump-ports", "1", "3", "1"],
+     "pump_ports"),
 ], ids=["unknown-process", "harmonics-0", "sidebands-negative", "port-9",
         "threads-0", "eps-points-0", "points-abc", "unknown-flag",
-        "tdr-prose", "tdr-columns", "tdr-port-4"])
+        "tdr-prose", "tdr-columns", "tdr-port-4", "nld-sim-port-twice",
+        "nld-map-port-twice"])
 def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
     prose = tmp_path / "notes.md"      # text, not a sweep
     prose.write_text("# twpc\n\nA design toolkit, for two-mode lines.\n")

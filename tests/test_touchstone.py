@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from twpc import network
 from twpc.errors import ConfigError
@@ -56,3 +59,65 @@ def test_malformed_data_rejected(tmp_path):
     p.write_text("# Hz S RI R 50\n1e9 0 0 0\n")
     with pytest.raises(ConfigError):
         read_touchstone(p)
+
+
+def _write_touchstone_per_field(path, f_hz, s, z_ref):
+    """Reference writer: one f-string per field, one write per line."""
+    f_hz = np.asarray(f_hz, float)
+    s = np.asarray(s, complex)
+    z_ref = [float(z) for z in z_ref]
+    with open(path, "w") as fh:
+        fh.write("! 4-port S-parameters, twpc chain model\n")
+        for k, z in enumerate(z_ref):
+            fh.write(f"! Z0[{k + 1}]={z:.17g}\n")
+        fh.write(f"# Hz S RI R {z_ref[0]:.17g}\n")
+        for i, f in enumerate(f_hz):
+            for row in range(4):
+                fields = [] if row else [f"{f:.17g}"]
+                for col in range(4):
+                    fields.append(f"{s[i, row, col].real:.17g}")
+                    fields.append(f"{s[i, row, col].imag:.17g}")
+                fh.write((" " if row else "") + " ".join(fields) + "\n")
+
+
+_EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308,
+             -1.7976931348623157e308, 1.0, -1.0 / 3.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("case", ["random", "extremes"])
+def test_writer_matches_per_field_oracle(tmp_path, case):
+    rng = np.random.default_rng(5)
+    if case == "random":
+        f = np.sort(rng.uniform(1e9, 1e10, 23))
+        s = (rng.normal(size=(23, 4, 4)) + 1j * rng.normal(size=(23, 4, 4))
+             ) * 10.0 ** rng.integers(-8, 8, size=(23, 4, 4))
+        z = rng.uniform(10.0, 100.0, 4)
+    else:
+        vals = np.array(_EXTREMES)
+        f = rng.choice(vals, 9)
+        s = np.empty((9, 4, 4), complex)
+        s.real, s.imag = rng.choice(vals, (2, 9, 4, 4))
+        s[0] = complex(-0.0, -0.0)
+        z = [5e-324, 1e-300, 1.7976931348623157e308, 50]
+    write_touchstone(tmp_path / "new.s4p", f, s, z)
+    _write_touchstone_per_field(tmp_path / "old.s4p", f, s, z)
+    assert ((tmp_path / "new.s4p").read_bytes()
+            == (tmp_path / "old.s4p").read_bytes())
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(f=hnp.arrays(float, st.integers(1, 6), elements=_finite),
+       re=hnp.arrays(float, 6 * 16, elements=_finite),
+       im=hnp.arrays(float, 6 * 16, elements=_finite))
+@settings(max_examples=60, deadline=None)
+def test_round_trip_bit_exact_for_any_finite_values(tmp_path_factory, f,
+                                                    re, im):
+    s = np.empty((len(f), 4, 4), complex)   # parts set apart keep -0.0
+    s.real.flat, s.imag.flat = re, im
+    p = tmp_path_factory.mktemp("rt") / "t.s4p"
+    write_touchstone(p, f, s, [50.0] * 4)
+    f2, s2, _ = read_touchstone(p)
+    np.testing.assert_array_equal(f.view(np.int64), f2.view(np.int64))
+    np.testing.assert_array_equal(s.view(np.int64), s2.view(np.int64))
