@@ -549,7 +549,10 @@ def _count(lo: int):
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept: every call
+    parses into a fresh namespace, and the defaults are immutable."""
     ap = _Parser(
         prog="twpc",
         description="two-mode Josephson transmission-line design toolkit")
@@ -569,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="junction flux in flux quanta")
 
     def pumped_line(p):
-        p.add_argument("--pump-ports", type=int, nargs="+", default=[3],
+        p.add_argument("--pump-ports", type=int, nargs="+", default=(3,),
                        choices=range(4))
         p.add_argument("--harmonics", type=_count(1), default=3)
         p.add_argument("--n-sidebands", type=_count(0), default=2)

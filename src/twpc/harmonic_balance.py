@@ -4,13 +4,13 @@ Unknowns are the reduced node-flux phasors phi_m (phi/phi0, convention
 x(t) = X e^{i m w t} + c.c.) at odd pump harmonics m in {1, 3, ..., 2M-1};
 even harmonics cannot be generated by the quartic junction nonlinearity on
 a symmetric line.  Each junction carries the full current phi0 sin(delta)/L,
-whose harmonic content is evaluated by oversampled FFT of the sampled
-orbit — numerically identical to the Jacobi-Anger expansion but exact for
+whose harmonic content is evaluated by real FFT of the sampled orbit —
+numerically identical to the Jacobi-Anger expansion but exact for
 multi-harmonic flux drops.  The Newton Jacobian is the conversion matrix
-built from the FFT of cos(delta(t)), the same banded system the sideband
-solver uses: the real Newton step is solved in its conjugate-doubled
-complex form, on channels at +m and -m pump harmonics, by one banded LU.
-Amplitude continuation applies the drive; its first step is the full drive.
+built from the FFT of cos(delta(t)) on the node-band blocks the sideband
+solver also uses; the Newton step is solved in real arithmetic, on
+(Re, Im) of each harmonic, by one banded LU.  Amplitude continuation
+applies the drive; its first step is the full drive.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import numpy as np
 
 from .device import PHI0_BAR
 from .errors import NonConvergence, TruncationWarning
-from .network import (ChainNetwork, _solve, add_channel_loads,
-                      admittance_matrix, band_to_sparse, conversion_band,
+from .network import (ChainNetwork, _solve, admittance_matrix,
+                      band_to_sparse, channel_band, conversion_blocks,
                       port_impedances)
 
-K_SAMPLES = 128  # FFT oversampling of the junction orbit
+K_SAMPLES = 128  # FFT oversampling of the orbit outside the Newton loop
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ class PumpSolution:
         """(n_branches, K) FFT coefficients of cos(delta(t)) along the
         converged pump orbit — the conversion matrix entries used to
         linearize the chain around the pump."""
-        return _gamma(_orbit(self.d, self.basis.orders))
+        delta = _orbit(self.d, self.basis.orders)
+        return np.fft.fft(np.cos(delta), axis=1) / K_SAMPLES
 
     def peak_junction_flux(self) -> float:
         """max_t max_j |delta_j(t)| * phi0, in Wb."""
@@ -103,33 +104,59 @@ class PumpSolution:
         return float(np.max(np.abs(delta))) * PHI0_BAR
 
 
-def _orbit(d: np.ndarray, orders) -> np.ndarray:
-    """Sampled real orbit delta(t_l) from phasors d (M, n_br)."""
-    n_br = d.shape[1]
-    x = np.zeros((n_br, K_SAMPLES), complex)
-    for h, m in enumerate(orders):
-        x[:, m] = d[h]
-        x[:, K_SAMPLES - m] = np.conj(d[h])
-    return K_SAMPLES * np.fft.ifft(x, axis=1).real
+def _sample_count(h_max: int) -> int:
+    """Orbit samples of the Newton loop: the smallest power of two
+    >= max(32, 4 h_max), so that every offset m +- m' <= 2 h_max of the
+    Jacobian is its own real-FFT bin."""
+    return 1 << (max(32, 4 * h_max) - 1).bit_length()
 
 
-def _gamma(delta: np.ndarray) -> np.ndarray:
-    """FFT coefficients of cos(delta(t)) from the sampled orbit."""
-    return np.fft.fft(np.cos(delta), axis=1) / K_SAMPLES
+def _orbit(d: np.ndarray, orders, k: int = K_SAMPLES) -> np.ndarray:
+    """Real orbit delta(t_l) at k samples from phasors d (M, n_br)."""
+    x = np.zeros((d.shape[1], k // 2 + 1), complex)
+    x[:, list(orders)] = d.T
+    return k * np.fft.irfft(x, k, axis=1)
+
+
+def _real_form(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Real matrix (..., 2a, 2b) of x -> P x + Q conj(x) on (Re x, Im x),
+    from s = P + Q and d = P - Q (..., a, b): [[Re s, -Im d], [Im s, Re d]]."""
+    out = np.stack([np.stack([s.real, -d.imag], -2),
+                    np.stack([s.imag, d.real], -2)], -4)
+    return out.reshape(s.shape[:-2] + (2 * s.shape[-2], 2 * s.shape[-1]))
+
+
+def _jacobian_blocks(net: ChainNetwork, omega_p: float, orders, z,
+                     delta: np.ndarray) -> np.ndarray:
+    """Node-band blocks of the real Newton Jacobian on channels
+    (Re dx_m, then Im dx_m) per node: the real form of
+    dx -> P dx + Q conj(dx), where P couples harmonic m' to m through
+    gamma[m - m'] plus the loads at m omega_p with impedances z, and Q
+    through gamma[m + m'], gamma being the real-FFT coefficients of
+    cos(delta) at the sampled orbit delta (gamma[-q] = conj(gamma[q]))."""
+    gamma = np.fft.rfft(np.cos(delta), axis=1) / delta.shape[1]
+    m = np.array(orders)
+    diff = np.subtract.outer(m, m)
+    p = np.where(diff < 0, gamma[:, -diff].conj(), gamma[:, diff])
+    q = gamma[:, np.add.outer(m, m)]
+    blocks = conversion_blocks(net, _real_form(p + q, p - q))
+    for h, mh in enumerate(orders):
+        load = (1j * mh * omega_p * PHI0_BAR) * admittance_matrix(
+            net, mh * omega_p, z, inductive=False)[..., None, None]
+        blocks[:, :, h::len(m), h::len(m)] += _real_form(load, load)
+    return blocks
 
 
 def _newton_step(net: ChainNetwork, omega_p: float, orders, z,
-                 delta: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Newton step dx (M, n_nodes) at the sampled orbit delta: the
-    solution of P dx + Q conj(dx) = res, where P couples harmonic m' to m
-    through gamma[m - m'] and Q through gamma[m + m'].  It is solved as the
-    complex conversion-matrix system on channels (+m, -m) with unknowns
-    (dx, conj(dx)); every channel keeps the pump-frequency loads z."""
-    h = np.concatenate([orders, np.negative(orders)])
-    ab = conversion_band(net, h, _gamma(delta))
-    add_channel_loads(ab, net, h * omega_p, np.broadcast_to(z, (len(h), 4)))
-    rhs = np.concatenate([res, res.conj()]).T.ravel()
-    return _solve(ab, rhs).reshape(net.n_nodes, -1)[:, :len(orders)].T
+                 delta: np.ndarray, res: np.ndarray, work=None) -> np.ndarray:
+    """Newton step dx (M, n_nodes) at the sampled orbit delta, the solution
+    of P dx + Q conj(dx) = res, by one real banded LU.  The band is built
+    in work when given: a loop that frees no band between its steps keeps
+    the heap from shrinking and faulting in the LU's memory anew."""
+    ab = channel_band(_jacobian_blocks(net, omega_p, orders, z, delta), work)
+    rhs = np.concatenate([res.real, res.imag]).T.ravel()
+    dx = _solve(ab, rhs).reshape(net.n_nodes, 2, len(orders))
+    return (dx[:, 0] + 1j * dx[:, 1]).T
 
 
 def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
@@ -154,6 +181,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
         raise ValueError("all drives must share one pump frequency")
 
     orders = basis.orders
+    k = _sample_count(max(orders))
     n = net.n_nodes
     ops = net.ops
     left, g, e = ops.left, ops.g, ops.e
@@ -173,8 +201,8 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
 
     def residual(phi, i_src):
         d_br = phi[:, left + 2] - phi[:, left]
-        delta = _orbit(d_br, orders)
-        s = np.fft.fft(np.sin(delta), axis=1) / K_SAMPLES
+        delta = _orbit(d_br, orders, k)
+        s = np.fft.rfft(np.sin(delta), axis=1) / k
         i_nl = PHI0_BAR * g * s[:, orders].T        # junction currents
         res = np.array([a @ p for a, p in zip(lin, phi)])
         res[:, left + 2] += i_nl
@@ -182,6 +210,9 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
         res[0] -= i_src
         rnorm = math.sqrt(sum(np.linalg.norm(r) ** 2 for r in res))
         return res, d_br, delta, rnorm / np.linalg.norm(i_src)
+
+    # the Newton band (kl = ku = 6 M - 1), refilled at every step
+    work = np.empty((12 * len(orders) - 1, 2 * len(orders) * n))
 
     def newton(phi, i_src):
         """(phi, or None unless converged, d_br, rnorm, it, history)."""
@@ -191,7 +222,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
             history.append(rnorm)
             if rnorm < tol or it == max_iter:
                 break
-            step = _newton_step(net, omega_p, orders, z, delta, res)
+            step = _newton_step(net, omega_p, orders, z, delta, res, work)
             # backtracking line search on the residual norm
             lam = 1.0
             for _ in range(12):

@@ -201,32 +201,38 @@ def admittance_matrix(net: ChainNetwork, omega: float, z,
     return ab
 
 
-def conversion_band(net: ChainNetwork, harmonics,
-                    gamma: np.ndarray) -> np.ndarray:
-    """Pump part of the band (kl = ku = 3 nb - 1, index node * nb + c) of
-    the chain linearized about a periodic pump orbit, on the node fluxes of
-    nb channels at harmonics[c] pump harmonics: channel c' drives c through
-    phi0 D^T diag(g gamma[h_c - h_c']) D, gamma[:, q] being the Fourier
-    coefficients of cos(delta(t)) per junction (q modulo gamma.shape[1]).
-    add_channel_loads adds the part that depends on channel frequency.
-    """
-    ops, n, nb = net.ops, net.n_nodes, len(harmonics)
-    q = np.subtract.outer(harmonics, harmonics) % gamma.shape[1]
-    blocks = np.zeros((5, n, nb, nb), complex)     # node band per (c, c')
-    _stamp_branches(blocks, ops.left,
-                    PHI0_BAR * ops.g[:, None, None] * gamma[:, q])
+def conversion_blocks(net: ChainNetwork, coupling: np.ndarray) -> np.ndarray:
+    """Node band (kl = ku = 2, as admittance_matrix) of nb x nb channel
+    blocks (5, n_nodes, nb, nb) of the chain linearized about a pump orbit:
+    channel c' drives c through phi0 D^T diag(g coupling[:, c, c']) D, with
+    coupling (n_branches, nb, nb) built from the Fourier coefficients of
+    cos(delta(t)) per junction."""
+    blocks = np.zeros((5, net.n_nodes) + coupling.shape[1:], coupling.dtype)
+    _stamp_branches(blocks, net.ops.left,
+                    PHI0_BAR * net.ops.g[:, None, None] * coupling)
+    return blocks
+
+
+def channel_band(blocks: np.ndarray, out=None) -> np.ndarray:
+    """LAPACK band storage (kl = ku = 3 nb - 1, index node * nb + c) of the
+    matrix held as node-band channel blocks (5, n_nodes, nb, nb), written
+    into out when given."""
+    _, n, nb, _ = blocks.shape
     # node band row r holds node offset r - 2, i.e. offset (r - 2) nb + c - c'
     ku = 3 * nb - 1
     r, c, c2 = np.ogrid[:5, :nb, :nb]
-    ab = np.zeros((2 * ku + 1, n, nb), complex)
-    ab[ku + (r - 2) * nb + c - c2, :, c2] = np.moveaxis(blocks, 1, -1)
-    return ab.reshape(2 * ku + 1, n * nb)
+    if out is None:
+        out = np.empty((2 * ku + 1, n * nb), blocks.dtype)
+    out.fill(0)
+    out.reshape(2 * ku + 1, n, nb)[ku + (r - 2) * nb + c - c2, :, c2] = \
+        np.moveaxis(blocks, 1, -1)
+    return out
 
 
 def add_channel_loads(ab: np.ndarray, net: ChainNetwork, omegas, z):
     """Add i omega_c phi0 Y_c without the junction inductances, at the
     signed frequency omegas[c] with port impedances z[c], to the diagonal
-    block of channel c of the contiguous conversion band ab, in place."""
+    block of channel c of the complex channel band ab, in place."""
     rows = (len(ab) - 1) // 2 + (np.arange(5) - 2) * len(omegas)
     blocks = ab.reshape(len(ab), net.n_nodes, len(omegas))
     for c, w in enumerate(omegas):
@@ -242,7 +248,8 @@ def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
 
 
 def _solve(ab, b):
-    """Banded LU with partial pivoting; ab (kl = ku) is overwritten."""
+    """Banded LU with partial pivoting of ab (kl = ku).  For kl > 1, as
+    every band here has, scipy factors a copy and leaves ab unchanged."""
     kl = (ab.shape[0] - 1) // 2
     try:
         x = solve_banded((kl, kl), ab, b, overwrite_ab=True)

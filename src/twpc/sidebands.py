@@ -28,7 +28,7 @@ from .errors import NonConvergence, SingularNetwork, TruncationWarning
 from .harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES, PumpSolution,
                                incident_amplitude, pump_harmonic_balance)
 from .network import (ChainNetwork, PORTS, _solve, add_channel_loads,
-                      conversion_band, port_impedances)
+                      channel_band, conversion_blocks, port_impedances)
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,8 @@ class SignalScattering:
 
 
 class _PumpedLinearizer:
-    """Caches the pump part of the conversion band for repeated probes."""
+    """Caches the pump part of the conversion band for repeated probes,
+    which fill one work band in turn."""
 
     def __init__(self, net: ChainNetwork, pump: PumpSolution | None,
                  n_sidebands: int = 2):
@@ -63,8 +64,11 @@ class _PumpedLinearizer:
         self.omega_p = pump.omega_p if pump is not None else 0.0
         self.harmonics = 2 * np.arange(-n_sidebands, n_sidebands + 1)
         gamma = (pump.junction_gamma() if pump is not None  # else cos 0 = 1
-                 else np.tile(np.eye(1, K_SAMPLES), (len(net.ops.g), 1)))
-        self.band = conversion_band(net, self.harmonics, gamma)
+                 else np.tile(np.eye(1, K_SAMPLES, dtype=complex),
+                              (len(net.ops.g), 1)))
+        q = np.subtract.outer(self.harmonics, self.harmonics) % gamma.shape[1]
+        self.band = channel_band(conversion_blocks(net, gamma[:, q]))
+        self.work = np.empty_like(self.band)
 
     def solve(self, omega_probe: float, channels):
         """Sideband frequencies (nb,) and outgoing waves s (nb, 4, k):
@@ -78,7 +82,8 @@ class _PumpedLinearizer:
             raise SingularNetwork("a sideband falls at zero frequency")
         e = net.ops.e
         z = np.array([port_impedances(net, abs(w)) for w in freqs])
-        ab = self.band.copy()
+        ab = self.work
+        np.copyto(ab, self.band)
         add_channel_loads(ab, net, freqs, z)
 
         # Norton drive of a unit incident wave on each requested channel

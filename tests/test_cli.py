@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
-from twpc import device, network, sidebands
+from twpc import cli, device, network, sidebands
 from twpc.cli import FLUX_Q, GHZ, Runner, build_parser, main
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.matching import ProcessKind, solve_corrected
@@ -463,3 +463,28 @@ def test_nld_map_threads_1_solves_on_main_thread(tmp_path, monkeypatch):
           "--probe-points", "1", "--pump-flux", "0.04", "--harmonics", "2",
           "--n-sidebands", "1", "--threads", "1"], tmp_path / "n")
     assert on_main == [True, True]
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
+    """main parses every call with one parser; a call after one that sets
+    --pump-ports parses and records what a fresh parser gives."""
+    base = ["nld-sim", "--f-pump", "3", "--f-probe", "7.1",
+            "--pump-flux", "0.04", "--harmonics", "2", "--n-sidebands", "1"]
+    fresh = build_parser.__wrapped__().parse_args(
+        base + ["--out-dir", str(tmp_path / "1")])
+    seen = []
+    parse = cli._Parser.parse_args
+
+    def recorder(self, *args, **kwargs):
+        seen.append(parse(self, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recorder)
+    assert build_parser() is build_parser()
+    for i, extra in enumerate((["--pump-ports", "1", "3"], [])):
+        _run(base + extra, tmp_path / str(i))
+    assert len(seen) == 2 and seen[0].pump_ports == [1, 3]
+    assert vars(seen[1]) == vars(fresh)
+    config = {k: v for k, v in vars(fresh).items() if k != "func"}
+    manifest = json.loads((tmp_path / "1" / "manifest.json").read_text())
+    assert manifest["config"] == json.loads(json.dumps(config))

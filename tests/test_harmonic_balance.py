@@ -1,16 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
-from twpc import device, network
+from twpc import device, harmonic_balance, network
 from twpc.device import PHI0_BAR
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.errors import NonConvergence, TruncationWarning
 from twpc.harmonic_balance import (K_SAMPLES, Drive, HarmonicBasis,
-                                   _newton_step, _orbit, incident_amplitude,
+                                   _newton_step, _orbit, _sample_count,
+                                   incident_amplitude,
                                    pump_harmonic_balance,
                                    pump_harmonics_at_ports)
 from twpc.network import (admittance_matrix, band_to_sparse, drive_solution,
@@ -196,3 +199,75 @@ def test_newton_step_matches_real_block_oracle(fitted_net, basis):
     step = _newton_step(fitted_net, w, basis.orders, z, delta, res)
     ref = _reference_newton_step(fitted_net, w, basis.orders, z, delta, res)
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _flux_drives(net, f_ghz, flux, ports=(3,)):
+    """Drives at f_ghz launching a wave of flux quanta flux per port."""
+    w = f_ghz * GHZ
+    eps = amplitude_from_flux(flux * FLUX_Q, pump_wavevector(net.cell, w, 0.0))
+    return [Drive(p, w, incident_amplitude(net, w, p, eps)) for p in ports]
+
+
+@pytest.fixture(scope="module")
+def disorder_net(fitted_spec):
+    return network.build_chain(dataclasses.replace(
+        fitted_spec, disorder_halfwidth=0.05, seed=7))
+
+
+@pytest.mark.parametrize("line, f_ghz, ports, basis", [
+    ("defect", 4.63, (3,), HarmonicBasis(3)),       # open junction
+    ("disorder", 3.0, (3,), HarmonicBasis(3)),      # 5 % disorder
+    ("fitted", 3.0, (1, 3), HarmonicBasis(3)),      # counterpropagating
+    ("fitted", 2.0, (3,), HarmonicBasis(4, include_even=True)),
+])
+def test_newton_step_matches_oracle_at_hard_cases(request, line, f_ghz,
+                                                  ports, basis):
+    net = request.getfixturevalue(f"{line}_net")
+    w = f_ghz * GHZ
+    sol = pump_harmonic_balance(net, _flux_drives(net, f_ghz, 0.06, ports),
+                                basis)
+    delta = _orbit(sol.d, basis.orders)
+    z = port_impedances(net, w)
+    rng = np.random.default_rng(1)
+    res = rng.normal(size=sol.phi.shape) + 1j * rng.normal(size=sol.phi.shape)
+    step = _newton_step(net, w, basis.orders, z, delta, res)
+    ref = _reference_newton_step(net, w, basis.orders, z, delta, res)
+    assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_newton_steps_are_real_banded_solves(fitted_net, monkeypatch):
+    """One real banded solve per Newton iteration, with (Re, Im) of three
+    harmonics per node: the benchmark's harmonic_balance.lu_* metrics are
+    read from these calls."""
+    calls = []
+
+    def recorder(l_and_u, ab, b, *args, **kwargs):
+        calls.append((l_and_u, ab.dtype, ab.shape))
+        return solve_banded(l_and_u, ab, b, *args, **kwargs)
+
+    monkeypatch.setattr(network, "solve_banded", recorder)
+    drives = _flux_drives(fitted_net, 2.0, 0.04)
+    sol = pump_harmonic_balance(fitted_net, drives, HarmonicBasis(3))
+    assert sol.iterations > 0
+    assert calls == [((17, 17), np.float64, (35, 4812))] * sol.iterations
+
+
+def test_newton_sample_count_rule():
+    for h_max in range(1, 13):
+        k = _sample_count(h_max)
+        assert k & (k - 1) == 0 and k >= 32 and k >= 4 * h_max
+        assert k == 32 or k < 8 * h_max        # the smallest such power
+
+
+@pytest.mark.parametrize("f_ghz, flux, basis", [
+    (3.0, 0.06, HarmonicBasis(3)),
+    (5.0, 0.12, HarmonicBasis(2)),
+    (2.0, 0.05, HarmonicBasis(4, include_even=True)),
+])
+def test_newton_samples_match_oversampled_orbit(fitted_net, monkeypatch,
+                                                f_ghz, flux, basis):
+    drives = _flux_drives(fitted_net, f_ghz, flux)
+    sol = pump_harmonic_balance(fitted_net, drives, basis)
+    monkeypatch.setattr(harmonic_balance, "_sample_count", lambda h_max: 128)
+    ref = pump_harmonic_balance(fitted_net, drives, basis)
+    assert np.max(np.abs(sol.phi - ref.phi)) <= 1e-11 * np.max(np.abs(ref.phi))

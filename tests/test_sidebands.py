@@ -17,7 +17,8 @@ from twpc.harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES,
 from twpc.matching import ProcessKind, solve_corrected
 from twpc.network import (admittance_matrix, band_to_sparse,
                           linear_scattering, port_impedances)
-from twpc.sidebands import signal_sidebands, transmission_map
+from twpc.sidebands import (_PumpedLinearizer, signal_sidebands,
+                            transmission_map)
 
 GHZ = 2e9 * math.pi
 FLUX_Q = 2 * math.pi * PHI0_BAR
@@ -295,3 +296,19 @@ def test_transmission_map_warns_on_truncation(oracle_pumps):
     with pytest.warns(TruncationWarning):
         transmission_map(pump.net, pump.omega_p,
                          [_probe(pump, eps, "gap")], eps, n_sidebands=1)
+
+
+def test_probes_refill_one_work_band(pumped):
+    """Each probe fills the linearizer's work band from the cached pump
+    band: probes leave that band as it was and repeat bit for bit."""
+    pump, _ = pumped
+    lin = _PumpedLinearizer(pump.net, pump)
+    band = lin.band.copy()
+    channels = [(2, 0), (2, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        first = lin.solve(7.1 * GHZ, channels)[1]
+        lin.solve(9.0 * GHZ, channels)
+        assert np.array_equal(lin.band, band)
+        again = lin.solve(7.1 * GHZ, channels)[1]
+    assert np.array_equal(again, first)
