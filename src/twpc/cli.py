@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import collections
 import concurrent.futures
+import ctypes
 import datetime
 import functools
 import hashlib
@@ -173,6 +174,13 @@ def _pump_amplitude(args, cell, default=None):
     return lambda wp: eps
 
 
+def _pump_omega(args) -> float:
+    """--f-pump in rad/s, a finite positive frequency."""
+    if not 0 < args.f_pump < math.inf:                  # also rejects NaN
+        raise ConfigError([("f_pump", "need a finite positive frequency")])
+    return args.f_pump * GHZ
+
+
 def _pump_ports(args) -> tuple:
     """--pump-ports, each once: a repeated port would add its pump twice."""
     if len(set(args.pump_ports)) < len(args.pump_ports):
@@ -210,7 +218,7 @@ def cmd_dispersion(args, runner):
 
 def cmd_phase_match(args, runner):
     spec = _load_spec(args)
-    omega_p = args.f_pump * GHZ
+    omega_p = _pump_omega(args)
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     pts = matching.solve_corrected(_KIND[args.process], omega_p, eps,
                                    spec.cell)
@@ -246,7 +254,7 @@ def cmd_gaps_map(args, runner):
 
 def cmd_envelope(args, runner):
     spec = _load_spec(args)
-    omega_p = args.f_pump * GHZ
+    omega_p = _pump_omega(args)
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     kind = _KIND[args.process]
     pt = matching.solve_corrected(kind, omega_p, eps, spec.cell)[0]
@@ -311,7 +319,7 @@ def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
 
 def cmd_isolate(args, runner):
     spec = _load_spec(args)
-    omega_p = args.f_pump * GHZ
+    omega_p = _pump_omega(args)
     amplitudes = np.linspace(args.eps_min, args.eps_max, args.eps_points)
     defect = spec.defects[0][0] if spec.defects else None
     rows = _isolation_curves(spec, omega_p, amplitudes, defect)
@@ -336,7 +344,7 @@ def cmd_nld_sim(args, runner):
     spec = _load_spec(args)
     ports = _pump_ports(args)
     net = network.build_chain(spec)
-    omega_p = args.f_pump * GHZ
+    omega_p = _pump_omega(args)
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     basis = HarmonicBasis(args.harmonics)
     drives = [Drive(p, omega_p, incident_amplitude(net, omega_p, p, eps))
@@ -352,11 +360,12 @@ def cmd_nld_sim(args, runner):
         "peak_junction_flux_quanta": pump.peak_junction_flux() / FLUX_Q,
         "port_powers_W": powers.tolist(),
     })
-    sc = sidebands.signal_sidebands(net, pump, args.f_probe * GHZ,
-                                    args.n_sidebands)
+    c = args.n_sidebands      # only the Sigma-L and Sigma-R probe columns
+    sc = sidebands.signal_sidebands(net, pump, args.f_probe * GHZ, c,
+                                    [(c, 0), (c, 2)])
     s0 = sc.s0()
-    rows = [(i - sc.n_sidebands, w / GHZ, q,
-             abs(sc.s[i, q, sc.n_sidebands, 0]), bool(sc.propagating[i, q]))
+    rows = [(i - c, w / GHZ, q, abs(sc.s[i, q, c, 0]),
+             bool(sc.propagating[i, q]))
             for i, w in enumerate(sc.freqs) for q in range(4)]
     runner.write_csv("sidebands.csv",
                      ["n", "f_GHz", "port", "abs_S_from_sigma_L",
@@ -662,7 +671,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _keep_freed_heap():
+    """Fix glibc's malloc thresholds at the ceilings of their dynamic rule:
+    blocks up to 32 MiB come from the heap, which is trimmed only above
+    64 MiB of free top.  Left dynamic, both follow the largest block freed
+    so far, and a Newton loop whose banded LU (scipy allocates two copies
+    of the band per call) frees more than twice that at every step returns
+    the memory to the system and faults it in again at the next step.  A
+    no-op where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)     # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         args = build_parser().parse_args(argv)
         config = {k: v for k, v in sorted(vars(args).items())

@@ -55,12 +55,16 @@ class CellParams:
                if not v > 0]
         if bad:
             raise ConfigError(bad)
-        if self.c_j is None:
-            object.__setattr__(
-                self, "c_j", 1.0 / (self.l_j * self.plasma_omega ** 2))
-        else:
-            object.__setattr__(
-                self, "plasma_omega", 1.0 / math.sqrt(self.l_j * self.c_j))
+        try:
+            if self.c_j is None:
+                object.__setattr__(
+                    self, "c_j", 1.0 / (self.l_j * self.plasma_omega ** 2))
+            else:
+                object.__setattr__(
+                    self, "plasma_omega", 1.0 / math.sqrt(self.l_j * self.c_j))
+        except (ZeroDivisionError, OverflowError):
+            raise ConfigError([("cell.c_j", "c_j or plasma_omega leaves the "
+                                            "floating-point range")])
         errs = []
         for name in ("l_j", "c_g", "c_i", "c_j"):
             if not getattr(self, name) > 0:
@@ -251,7 +255,11 @@ def spec_from_json(doc: dict) -> LineSpec:
 
 def load_spec(path) -> LineSpec:
     with open(path) as f:
-        return spec_from_json(json.load(f))
+        try:
+            doc = json.load(f)
+        except ValueError as exc:   # not JSON, or not UTF-8 text
+            raise ConfigError([("spec", f"not a JSON document: {exc}")])
+    return spec_from_json(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -149,8 +149,13 @@ def flux_from_amplitude(epsilon_p: float, k_p: float) -> float:
 
 
 def amplitude_from_flux(phi_jj: float, k_p: float) -> float:
-    """Inverse of flux_from_amplitude."""
-    return phi_jj / (4.0 * PHI0_BAR * math.sin(0.5 * k_p * A_CELL))
+    """Inverse of flux_from_amplitude; a pump whose junctions see no flux
+    drop (sin(k a / 2) = 0) raises AmplitudeOutOfRange."""
+    s = math.sin(0.5 * k_p * A_CELL)
+    if s == 0.0:
+        raise AmplitudeOutOfRange(f"no pump amplitude gives a junction flux "
+                                  f"at k_p = {k_p:.3g} rad/cell")
+    return phi_jj / (4.0 * PHI0_BAR * s)
 
 
 def pump_wavevector(cell: CellParams, omega_p: float, epsilon_p: float,

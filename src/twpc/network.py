@@ -17,7 +17,9 @@ in the Sigma/Delta mode basis at both ends, ordered
 Mode variables use the orthonormal transform V_Sigma = (V_a + V_b)/sqrt(2),
 V_Delta = (V_b - V_a)/sqrt(2) (same for currents), under which the mode
 characteristic impedances equal the per-electrode values sqrt(L_J/C_g) and
-sqrt(L_J/(C_g + 2 C_i)).
+sqrt(L_J/(C_g + 2 C_i)).  A matrix that commutes with swapping the
+electrodes keeps V_Sigma and V_Delta apart: sector_blocks restricts it to
+one of them, one unknown per column with bandwidth 1.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ from .errors import ConfigError, DecompositionIllConditioned, SingularNetwork
 #: port order (mode, side)
 PORTS = ((Mode.Sigma, "L"), (Mode.Delta, "L"),
          (Mode.Sigma, "R"), (Mode.Delta, "R"))
+
+#: parity of each port's mode under swapping the electrodes: Sigma even
+#: (+1), Delta odd (-1)
+PARITY = (1, -1, 1, -1)
 
 # orthonormal mode transform V_m = A_MODE V_e for electrode order (a, b),
 # mode order (Sigma, Delta); currents map as I_e = A_MODE.T I_m
@@ -213,31 +219,64 @@ def conversion_blocks(net: ChainNetwork, coupling: np.ndarray) -> np.ndarray:
     return blocks
 
 
+def sector_blocks(blocks: np.ndarray, sign) -> np.ndarray:
+    """Node-band blocks (3, n_cells + 1, ...) of the electrode-parity
+    sector sign of a matrix that commutes with swapping the electrodes,
+    given as node-band blocks (5, n_nodes, ...): the matrix on the one
+    unknown (sign V_a + V_b)/sqrt(2) per column, i.e. V_Sigma for sign 1
+    and V_Delta for sign -1.  sign None keeps the node basis and blocks."""
+    if sign is None:
+        return blocks
+    a, b = blocks[:, 0::2], blocks[:, 1::2]     # columns a_k' and b_k'
+    # entry (k' + d, k') = (A_aa + A_bb + sign (A_ab + A_ba)) / 2, with
+    # A_aa, A_bb in node rows 2 + 2d, A_ba in row 3 + 2d of column a_k'
+    # and A_ab in row 1 + 2d of column b_k'
+    out = 0.5 * (a[0::2] + b[0::2])
+    out[:2] += (0.5 * sign) * a[1::2]
+    out[1:] += (0.5 * sign) * b[1::2]
+    return out
+
+
+def sector_ports(net: ChainNetwork, sign) -> np.ndarray:
+    """ChainOperators.e on the unknowns of sector sign (see
+    sector_blocks): about 1 on the end column of each port whose mode has
+    parity sign, and exactly 0 for the other ports."""
+    e = net.ops.e
+    return e if sign is None else (sign * e[0::2] + e[1::2]) * _S2
+
+
 def channel_band(blocks: np.ndarray, out=None) -> np.ndarray:
-    """LAPACK band storage (kl = ku = 3 nb - 1, index node * nb + c) of the
-    matrix held as node-band channel blocks (5, n_nodes, nb, nb), written
-    into out when given."""
-    _, n, nb, _ = blocks.shape
-    # node band row r holds node offset r - 2, i.e. offset (r - 2) nb + c - c'
-    ku = 3 * nb - 1
-    r, c, c2 = np.ogrid[:5, :nb, :nb]
+    """LAPACK band storage (kl = ku = (w + 1) nb - 1, index node * nb + c)
+    of the matrix held as channel blocks (2 w + 1, n, nb, nb) in node band
+    storage of node bandwidth w: 2 on the n_nodes of the node basis
+    (3 nb - 1), 1 on the n_cells + 1 columns of a sector (2 nb - 1).
+    Written into out when given."""
+    rows, n, nb, _ = blocks.shape
+    # node band row r holds node offset r - w, i.e. offset (r - w) nb + c - c'
+    w = rows // 2
+    ku = (w + 1) * nb - 1
+    r, c, c2 = np.ogrid[:rows, :nb, :nb]
     if out is None:
         out = np.empty((2 * ku + 1, n * nb), blocks.dtype)
     out.fill(0)
-    out.reshape(2 * ku + 1, n, nb)[ku + (r - 2) * nb + c - c2, :, c2] = \
+    out.reshape(2 * ku + 1, n, nb)[ku + (r - w) * nb + c - c2, :, c2] = \
         np.moveaxis(blocks, 1, -1)
     return out
 
 
-def add_channel_loads(ab: np.ndarray, net: ChainNetwork, omegas, z):
+def add_channel_loads(ab: np.ndarray, net: ChainNetwork, omegas, z,
+                      sign=None):
     """Add i omega_c phi0 Y_c without the junction inductances, at the
     signed frequency omegas[c] with port impedances z[c], to the diagonal
-    block of channel c of the complex channel band ab, in place."""
-    rows = (len(ab) - 1) // 2 + (np.arange(5) - 2) * len(omegas)
-    blocks = ab.reshape(len(ab), net.n_nodes, len(omegas))
-    for c, w in enumerate(omegas):
-        blocks[rows, :, c] += (1j * w * PHI0_BAR) * admittance_matrix(
-            net, w, z[c], inductive=False)
+    block of channel c of the complex channel band ab, in place: ab is in
+    the node basis (kl = 3 nb - 1) for sign None and in the sector sign
+    (kl = 2 nb - 1, see sector_blocks) otherwise."""
+    w = 2 if sign is None else 1
+    rows = (len(ab) - 1) // 2 + (np.arange(2 * w + 1) - w) * len(omegas)
+    blocks = ab.reshape(len(ab), -1, len(omegas))
+    for c, omega in enumerate(omegas):
+        blocks[rows, :, c] += (1j * omega * PHI0_BAR) * sector_blocks(
+            admittance_matrix(net, omega, z[c], inductive=False), sign)
 
 
 def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:

@@ -8,8 +8,14 @@ Negative omega_n label the conjugate channel of a down-converted sideband.
 The sidebands are the channels of the conversion-matrix band that the
 harmonic-balance Newton step also solves.  Its pump part is built once per
 pump orbit; each probe adds its channel loads and solves one banded LU for
-the incident (sideband, port) channels the caller reads.  At zero pump
-the channels decouple and the n = 0 block reduces to the linear S-matrix.
+the incident (sideband, port) channels the caller reads.  When the two
+electrodes are identical and the pump drives only Sigma or only Delta
+ports, the band commutes with swapping the electrodes and splits exactly
+into an even (Sigma) and an odd (Delta) sector of nb (n_cells + 1)
+unknowns each (kl = 2 nb - 1, against nb n_nodes and 3 nb - 1 in the node
+basis); each channel is then solved in its port's sector, and outputs in
+the other sector are exactly 0.  At zero pump the channels decouple and
+the n = 0 block reduces to the linear S-matrix.
 transmission_map solves one pump row of a map: one harmonic-balance orbit
 (continuation from the full drive down), then each probe on its band.
 """
@@ -27,8 +33,9 @@ from .dispersion import cutoff
 from .errors import NonConvergence, SingularNetwork, TruncationWarning
 from .harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES, PumpSolution,
                                incident_amplitude, pump_harmonic_balance)
-from .network import (ChainNetwork, PORTS, _solve, add_channel_loads,
-                      channel_band, conversion_blocks, port_impedances)
+from .network import (PARITY, PORTS, ChainNetwork, _solve,
+                      add_channel_loads, channel_band, conversion_blocks,
+                      port_impedances, sector_blocks, sector_ports)
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,9 @@ class SignalScattering:
 
 class _PumpedLinearizer:
     """Caches the pump part of the conversion band for repeated probes,
-    which fill one work band in turn."""
+    which fill one work band in turn: per electrode-parity sector where
+    both electrodes see the same cos(delta_P(t)) (see the module
+    docstring), else in the node basis, the one sector sign None."""
 
     def __init__(self, net: ChainNetwork, pump: PumpSolution | None,
                  n_sidebands: int = 2):
@@ -67,34 +76,47 @@ class _PumpedLinearizer:
                  else np.tile(np.eye(1, K_SAMPLES, dtype=complex),
                               (len(net.ops.g), 1)))
         q = np.subtract.outer(self.harmonics, self.harmonics) % gamma.shape[1]
-        self.band = channel_band(conversion_blocks(net, gamma[:, q]))
-        self.work = np.empty_like(self.band)
+        blocks = conversion_blocks(net, gamma[:, q])
+        drives = pump.drives if pump is not None else ()
+        split = (len({PARITY[d.port] for d in drives}) < 2
+                 and np.array_equal(net.l_table[:, 0], net.l_table[:, 1]))
+        signs = (1, -1) if split else (None,)
+        # sign -> (pump band, port injection) of each sector
+        self.sectors = {sign: (channel_band(sector_blocks(blocks, sign)),
+                               sector_ports(net, sign)) for sign in signs}
+        self.work = np.empty_like(self.sectors[signs[0]][0])
 
     def solve(self, omega_probe: float, channels):
         """Sideband frequencies (nb,) and outgoing waves s (nb, 4, k):
         s[i, q, j] at (sideband i, port q) for a unit incident wave on
         channels[j], a list of k (sideband, port) index pairs as in
-        SignalScattering.  The truncation check reads the probe's own
+        SignalScattering.  Outputs in another sector than the incident
+        port's are exactly 0.  The truncation check reads the probe's own
         channel (n_sidebands, 0), so channels must include it."""
         net, nsb = self.net, self.n_sb
         freqs = omega_probe + self.harmonics * self.omega_p
         if np.any(np.abs(freqs) < 1e3):
             raise SingularNetwork("a sideband falls at zero frequency")
-        e = net.ops.e
         z = np.array([port_impedances(net, abs(w)) for w in freqs])
-        ab = self.work
-        np.copyto(ab, self.band)
-        add_channel_loads(ab, net, freqs, z)
-
-        # Norton drive of a unit incident wave on each requested channel
+        s = np.zeros((len(freqs), 4, len(channels)), complex)
+        for sign, (band, e) in self.sectors.items():
+            cols = [j for j, (_, p) in enumerate(channels)
+                    if sign in (None, PARITY[p])]
+            if not cols:
+                continue
+            ab = self.work
+            np.copyto(ab, band)
+            add_channel_loads(ab, net, freqs, z, sign)
+            # Norton drive of a unit incident wave on each requested channel
+            i, p = np.array(channels)[cols].T
+            rhs = np.zeros((len(e), len(freqs), len(cols)))
+            rhs[:, i, range(len(cols))] = e[:, p] * (2.0 / np.sqrt(z[i, p]))
+            sol = _solve(ab, rhs.reshape(-1, len(cols))).reshape(rhs.shape)
+            s[:, :, cols] = np.einsum("kq,kij->iqj", e, sol, optimize=True) \
+                * (1j * PHI0_BAR * freqs)[:, None, None] \
+                / np.sqrt(z)[:, :, None]
         i, p = np.array(channels).T
-        cols = np.arange(len(channels))
-        rhs = np.zeros((net.n_nodes, len(freqs), len(cols)))
-        rhs[:, i, cols] = e[:, p] * (2.0 / np.sqrt(z[i, p]))
-        sol = _solve(ab, rhs.reshape(-1, len(cols))).reshape(rhs.shape)
-        s = np.einsum("kq,kij->iqj", e, sol, optimize=True) \
-            * (1j * PHI0_BAR * freqs)[:, None, None] / np.sqrt(z)[:, :, None]
-        s[i, p, cols] -= 1.0
+        s[i, p, np.arange(len(channels))] -= 1.0
 
         pwr = np.abs(s[:, :, channels.index((nsb, 0))]) ** 2
         total, edge = pwr.sum(), pwr[0].sum() + pwr[-1].sum()
@@ -108,15 +130,24 @@ class _PumpedLinearizer:
 
 
 def signal_sidebands(net: ChainNetwork, pump: PumpSolution | None,
-                     omega_probe: float,
-                     n_sidebands: int = 2) -> SignalScattering:
-    """Multi-frequency probe scattering around a converged pump orbit."""
+                     omega_probe: float, n_sidebands: int = 2,
+                     channels=None) -> SignalScattering:
+    """Multi-frequency probe scattering around a converged pump orbit.
+
+    channels lists the incident (sideband, port) pairs to solve, all of
+    them by default; it must include the probe's Sigma-L channel
+    (n_sidebands, 0), and the columns of the others are NaN."""
     lin = _PumpedLinearizer(net, pump, n_sidebands)
     nb = 2 * n_sidebands + 1
-    freqs, s = lin.solve(omega_probe, list(np.ndindex(nb, 4)))
+    if channels is None:
+        channels = list(np.ndindex(nb, 4))
+    freqs, s_in = lin.solve(omega_probe, channels)
+    s = np.full((nb, 4, nb, 4), np.nan, complex)
+    i, p = np.array(channels).T
+    s[:, :, i, p] = s_in
     prop = np.abs(freqs)[:, None] < [cutoff(m, net.cell) for m, _ in PORTS]
-    return SignalScattering(omega_probe, lin.omega_p, n_sidebands, freqs,
-                            s.reshape(nb, 4, nb, 4), prop)
+    return SignalScattering(omega_probe, lin.omega_p, n_sidebands, freqs, s,
+                            prop)
 
 
 def transmission_map(net: ChainNetwork, omega_p: float, probe_freqs,

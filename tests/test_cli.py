@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,61 @@ def test_nld_sim_summary(tmp_path):
     assert summary["S_fw_dB"] < 0.1
     rows = np.genfromtxt(out / "sidebands.csv", delimiter=",", names=True)
     assert len(rows) == 4 * 3  # sidebands -1..1 at four ports
+
+
+@pytest.mark.parametrize("spec", [{}, {"defects": ((165, "open_junction"),)}])
+def test_nld_sim_solves_only_the_columns_it_writes(tmp_path, monkeypatch,
+                                                   spec):
+    """nld-sim's two-column sideband solve writes the same bytes as the
+    solve of every column, on a line with electrode symmetry and on one
+    without."""
+    argv = ["nld-sim", "--f-pump", "3", "--f-probe", "7.1",
+            "--pump-flux", "0.05", "--spec", str(_spec_file(tmp_path, **spec))]
+    two = _run(argv, tmp_path / "two")
+    every = sidebands.signal_sidebands
+    monkeypatch.setattr(sidebands, "signal_sidebands",
+                        lambda *args: every(*args[:4]))
+    full = _run(argv, tmp_path / "all")
+    for name in ("pump_solution.json", "sidebands.csv",
+                 "scattering_summary.json"):
+        assert (two / name).read_bytes() == (full / name).read_bytes()
+
+
+@pytest.mark.parametrize("f_pump", ["0", "-3", "nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["phase-match", "--pump-eps", "0.05"], ["envelope", "--pump-eps", "0.05"],
+    ["isolate"], ["nld-sim", "--f-probe", "7.1", "--pump-eps", "0.05"]])
+def test_bad_pump_frequency_exit_code(tmp_path, capsys, command, f_pump):
+    rc, err = _error_report(capsys, command + ["--f-pump", f_pump], tmp_path)
+    assert rc == 2 and err["violations"] == [
+        ["f_pump", "need a finite positive frequency"]]
+
+
+_HEAP_LOOP = """
+import resource
+import numpy as np
+from twpc import cli, network
+cli._keep_freed_heap()
+ab = np.ones((35, 4812))        # the harmonic-balance Newton band
+ab[17] = 40.0
+network._solve(ab, np.ones(4812))
+f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    network._solve(ab, np.ones(4812))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+"""
+
+
+def test_repeated_banded_solves_reuse_the_heap():
+    """With the malloc thresholds main fixes, ten Newton-sized banded LUs
+    in a fresh process fault in fewer pages than one LU's two 2 MB band
+    copies hold (about 1000); with glibc's dynamic thresholds they refault
+    both copies at every call (about 9400 pages)."""
+    src = str(Path(network.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _HEAP_LOOP],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) < 1000
 
 
 def test_truncation_warning_recorded_in_manifest(tmp_path):

@@ -156,7 +156,7 @@ def test_lossless_line_conserves_pump_power(fitted_net, f_ghz):
 def _reference_newton_step(net, omega_p, orders, z, delta, res):
     """Newton step from the real 2x2-block Jacobian assembled block by
     block as sparse matrices and solved by splu: the reference for the
-    conjugate-doubled banded step."""
+    real banded Newton step, whose blocks come from the same real form."""
     ops, n = net.ops, net.n_nodes
     eye = sp.identity(n, format="csr")
     dmat = eye[ops.left + 2] - eye[ops.left]
@@ -187,8 +187,8 @@ def _reference_newton_step(net, omega_p, orders, z, delta, res):
 @pytest.mark.parametrize("basis", [HarmonicBasis(3),
                                    HarmonicBasis(4, include_even=True)])
 def test_newton_step_matches_real_block_oracle(fitted_net, basis):
-    """One Newton step about a strongly pumped orbit, solved as the
-    conjugate-doubled banded system, against the real-block Jacobian."""
+    """One Newton step about a strongly pumped orbit, solved by the real
+    banded LU, against the real-block Jacobian solved by splu."""
     w = 3 * GHZ
     a = incident_amplitude(fitted_net, w, 3, 0.25)
     sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)], basis)

@@ -10,7 +10,7 @@ from scipy.linalg import solve_banded
 
 from twpc import device, matching, network
 from twpc.device import PHI0_BAR
-from twpc.dispersion import amplitude_from_flux, pump_wavevector
+from twpc.dispersion import Mode, amplitude_from_flux, cutoff, pump_wavevector
 from twpc.errors import SingularNetwork, TruncationWarning
 from twpc.harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES,
                                    incident_amplitude, pump_harmonic_balance)
@@ -193,17 +193,22 @@ def _reference_sidebands(net, pump, omega_probe, n_sb):
 def oracle_pumps(fitted_spec, fitted_net, defect_net):
     """3 GHz pump at 0.05 flux quanta from the right Delta port on the
     fitted line, the line with an open junction, and a line with 5 %
-    junction disorder: (pump, epsilon) per line."""
+    junction disorder; and on the fitted line from both Delta ports
+    ("coupler"), the left Sigma port ("sigma"), and the left Sigma and
+    right Delta ports ("mixed"): (pump, epsilon) per name."""
     disorder_net = network.build_chain(dataclasses.replace(
         fitted_spec, disorder_halfwidth=0.05, seed=7))
     w = 3 * GHZ
     eps = amplitude_from_flux(0.05 * FLUX_Q,
                               pump_wavevector(fitted_net.cell, w, 0.0))
     out = {}
-    for name, net in (("fitted", fitted_net), ("defect", defect_net),
-                      ("disorder", disorder_net)):
-        drive = Drive(3, w, incident_amplitude(net, w, 3, eps))
-        out[name] = pump_harmonic_balance(net, [drive], HarmonicBasis(3)), eps
+    for name, net, ports in (
+            ("fitted", fitted_net, (3,)), ("defect", defect_net, (3,)),
+            ("disorder", disorder_net, (3,)), ("coupler", fitted_net, (1, 3)),
+            ("sigma", fitted_net, (0,)), ("mixed", fitted_net, (0, 3))):
+        drives = [Drive(p, w, incident_amplitude(net, w, p, eps))
+                  for p in ports]
+        out[name] = pump_harmonic_balance(net, drives, HarmonicBasis(3)), eps
     return out
 
 
@@ -216,16 +221,17 @@ def oracle_pumps(fitted_spec, fitted_net, defect_net):
     ("fitted", 7.1, 3, True),
     ("defect", 7.1, 2, True),
     ("disorder", 7.1, 2, True),
+    ("coupler", 7.1, 2, True),      # both Delta ports pumped
+    ("sigma", 7.1, 2, True),        # Sigma-L pump
+    ("mixed", 7.1, 2, True),        # Sigma-L + Delta-R: the node basis
+    ("fitted", "sigma_cutoff", 2, True),
+    ("fitted", 40.0, 2, True),      # every sideband above both cutoffs
 ])
 def test_banded_sidebands_match_sparse_oracle(oracle_pumps, line, probe_ghz,
                                               n_sb, pumped):
     pump, eps = oracle_pumps[line]
     net = pump.net
-    if probe_ghz == "gap":
-        w = solve_corrected(ProcessKind.Circulation, pump.omega_p, eps,
-                            net.cell)[0].omega_s
-    else:
-        w = probe_ghz * GHZ
+    w = _probe(pump, eps, probe_ghz)
     if not pumped:
         pump = None
     with warnings.catch_warnings():
@@ -233,14 +239,22 @@ def test_banded_sidebands_match_sparse_oracle(oracle_pumps, line, probe_ghz,
         sc = signal_sidebands(net, pump, w, n_sidebands=n_sb)
     if probe_ghz == 5.3:
         assert not sc.propagating[n_sb + 1, 1]
+    if probe_ghz == 40.0:
+        assert not sc.propagating.any()
+    if probe_ghz == "sigma_cutoff":
+        assert sc.propagating[n_sb, 0]
     ref = _reference_sidebands(net, pump, w, n_sb)
     assert np.max(np.abs(sc.s - ref)) <= 1e-10
 
 
 def _probe(pump, eps, probe_ghz):
+    """Probe frequency: the Ci gap center, 1e-6 below the Sigma cutoff, or
+    probe_ghz GHz."""
     if probe_ghz == "gap":
         return solve_corrected(ProcessKind.Circulation, pump.omega_p, eps,
                                pump.net.cell)[0].omega_s
+    if probe_ghz == "sigma_cutoff":
+        return cutoff(Mode.Sigma, pump.net.cell) * (1 - 1e-6)
     return probe_ghz * GHZ
 
 
@@ -271,7 +285,10 @@ def test_transmission_map_cells_match_full_scattering(oracle_pumps, line,
 @pytest.mark.parametrize("n_sb", [1, 2, 3])
 def test_sideband_solves_take_only_the_columns_read(oracle_pumps,
                                                     monkeypatch, n_sb):
-    pump, eps = oracle_pumps["fitted"]
+    """Each probe solves only the columns its caller reads: on the fitted
+    line in the sector band of their ports (a map cell's two Sigma columns
+    in the even sector, all 4 nb columns as 2 nb per sector), on the
+    disordered line in the node band."""
     calls = []
 
     def recorder(l_and_u, ab, b, *args, **kwargs):
@@ -279,16 +296,59 @@ def test_sideband_solves_take_only_the_columns_read(oracle_pumps,
         return solve_banded(l_and_u, ab, b, *args, **kwargs)
 
     monkeypatch.setattr(network, "solve_banded", recorder)
-    kl = 3 * (2 * n_sb + 1) - 1        # the sideband band; HB's is wider
+    nb = 2 * n_sb + 1
     probes = np.array([6.5, 7.1, 9.0]) * GHZ
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        transmission_map(pump.net, pump.omega_p, probes, eps,
-                         n_sidebands=n_sb)
-        assert [shape[1] for k, shape in calls if k == kl] == [2] * 3
+    # the sideband band's kl (HB's is 17) and the columns of each solve of
+    # the full sideband scattering
+    for line, kl, full in (("fitted", 2 * nb - 1, [2 * nb] * 2),
+                           ("disorder", 3 * nb - 1, [4 * nb])):
+        pump, eps = oracle_pumps[line]
         calls.clear()
-        signal_sidebands(pump.net, pump, probes[0], n_sidebands=n_sb)
-    assert [s[1] for _, s in calls] == [4 * (2 * n_sb + 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            transmission_map(pump.net, pump.omega_p, probes, eps,
+                             n_sidebands=n_sb)
+            assert [shape[1] for k, shape in calls if k == kl] == [2] * 3
+            calls.clear()
+            signal_sidebands(pump.net, pump, probes[0], n_sidebands=n_sb)
+        assert [s[1] for _, s in calls] == full
+        assert {k for k, _ in calls} == {kl}
+
+
+def test_sector_band_only_where_electrodes_swap(oracle_pumps, fitted_net,
+                                                monkeypatch):
+    """The electrode-parity sector band, (4 nb - 1, nb (n_cells + 1)), is
+    solved on the fitted line pumped from Delta-R, both Delta ports, Sigma-L
+    or not at all, where a Sigma probe's Delta outputs are exactly 0; the
+    node band, (6 nb - 1, nb n_nodes), on the defect and disordered lines,
+    under the mixed Sigma-L + Delta-R pump and on the fitted line with one
+    junction moved by one ulp."""
+    shapes = []
+
+    def recorder(l_and_u, ab, b, *args, **kwargs):
+        shapes.append(np.shape(ab))
+        return solve_banded(l_and_u, ab, b, *args, **kwargs)
+
+    monkeypatch.setattr(network, "solve_banded", recorder)
+    nb, n = 5, fitted_net.n_cells + 1
+    sector, node = (4 * nb - 1, nb * n), (6 * nb - 1, 2 * nb * n)
+    l_table = fitted_net.l_table.copy()
+    l_table[200, 1] = np.nextafter(l_table[200, 1], np.inf)
+    nudged = dataclasses.replace(fitted_net, l_table=l_table)
+    cases = [(oracle_pumps[k][0].net, oracle_pumps[k][0], sector)
+             for k in ("fitted", "coupler", "sigma")]
+    cases += [(fitted_net, None, sector), (nudged, None, node)]
+    cases += [(oracle_pumps[k][0].net, oracle_pumps[k][0], node)
+              for k in ("defect", "disorder", "mixed")]
+    for net, pump, shape in cases:
+        shapes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            s = _PumpedLinearizer(net, pump).solve(7.1 * GHZ,
+                                                   [(2, 0), (2, 2)])[1]
+        assert shapes == [shape]
+        if shape == sector:
+            assert not s[:, [1, 3]].any()
 
 
 def test_transmission_map_warns_on_truncation(oracle_pumps):
@@ -298,17 +358,21 @@ def test_transmission_map_warns_on_truncation(oracle_pumps):
                          [_probe(pump, eps, "gap")], eps, n_sidebands=1)
 
 
-def test_probes_refill_one_work_band(pumped):
+def test_probes_refill_one_work_band(pumped, oracle_pumps):
     """Each probe fills the linearizer's work band from the cached pump
-    band: probes leave that band as it was and repeat bit for bit."""
-    pump, _ = pumped
-    lin = _PumpedLinearizer(pump.net, pump)
-    band = lin.band.copy()
-    channels = [(2, 0), (2, 2)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        first = lin.solve(7.1 * GHZ, channels)[1]
-        lin.solve(9.0 * GHZ, channels)
-        assert np.array_equal(lin.band, band)
-        again = lin.solve(7.1 * GHZ, channels)[1]
-    assert np.array_equal(again, first)
+    band of each sector it solves in: probes leave those bands as they
+    were and repeat bit for bit, on the fitted line (two sectors) and on
+    the disordered one (the node basis)."""
+    channels = [(2, 0), (2, 2), (2, 3)]
+    for pump, n_sectors in ((pumped[0], 2), (oracle_pumps["disorder"][0], 1)):
+        lin = _PumpedLinearizer(pump.net, pump)
+        bands = [band.copy() for band, _ in lin.sectors.values()]
+        assert len(bands) == n_sectors
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            first = lin.solve(7.1 * GHZ, channels)[1]
+            lin.solve(9.0 * GHZ, channels)
+            for band, (now, _) in zip(bands, lin.sectors.values()):
+                assert np.array_equal(now, band)
+            again = lin.solve(7.1 * GHZ, channels)[1]
+        assert np.array_equal(again, first)
