@@ -128,21 +128,6 @@ class Runner:
         return p
 
 
-def _svg_plot(runner, name, plotter):
-    """Best-effort quick-look plot; the CSVs are the contract."""
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except Exception:
-        return
-    fig, ax = plt.subplots(figsize=(6, 4))
-    plotter(ax)
-    fig.tight_layout()
-    fig.savefig(runner.path(name), format="svg")
-    plt.close(fig)
-
-
 # ---------------------------------------------------------------------------
 # shared option handling
 
@@ -161,6 +146,7 @@ def _pump_amplitude(args, cell, default=None):
     """Reduced pump amplitude eps(omega_p): the constant --pump-eps, or the
     amplitude giving the junction flux --pump-flux at omega_p.  At most one
     flag may be given; default, if not None, stands in for both missing."""
+    _amplitudes(args, "pump_eps", "pump_flux")
     eps, flux = args.pump_eps, args.pump_flux
     if eps is not None and flux is not None:
         raise ConfigError([("pump_eps", "give --pump-eps or --pump-flux, "
@@ -174,11 +160,20 @@ def _pump_amplitude(args, cell, default=None):
     return lambda wp: eps
 
 
-def _pump_omega(args) -> float:
-    """--f-pump in rad/s, a finite positive frequency."""
-    if not 0 < args.f_pump < math.inf:                  # also rejects NaN
-        raise ConfigError([("f_pump", "need a finite positive frequency")])
-    return args.f_pump * GHZ
+def _amplitudes(args, *names):
+    """Reject each amplitude flag given as NaN, infinity or below 0."""
+    bad = [(name, "need a finite amplitude >= 0") for name in names
+           if not 0 <= (getattr(args, name) or 0) < math.inf]  # None: unset
+    if bad:
+        raise ConfigError(bad)
+
+
+def _omega(args, name="f_pump") -> float:
+    """The frequency flag name (GHz) in rad/s, finite and positive."""
+    f = getattr(args, name)
+    if not 0 < f < math.inf:                            # also rejects NaN
+        raise ConfigError([(name, "need a finite positive frequency")])
+    return f * GHZ
 
 
 def _pump_ports(args) -> tuple:
@@ -218,7 +213,7 @@ def cmd_dispersion(args, runner):
 
 def cmd_phase_match(args, runner):
     spec = _load_spec(args)
-    omega_p = _pump_omega(args)
+    omega_p = _omega(args)
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     pts = matching.solve_corrected(_KIND[args.process], omega_p, eps,
                                    spec.cell)
@@ -249,12 +244,11 @@ def cmd_gaps_map(args, runner):
             f"gaps_{kind.value}_{direction.value}.csv",
             ["f_pump_GHz", "f_probe_GHz"],
             [(a / GHZ, b / GHZ) for a, b in arr])
-    return curves
 
 
 def cmd_envelope(args, runner):
     spec = _load_spec(args)
-    omega_p = _pump_omega(args)
+    omega_p = _omega(args)
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     kind = _KIND[args.process]
     pt = matching.solve_corrected(kind, omega_p, eps, spec.cell)[0]
@@ -278,11 +272,12 @@ def cmd_envelope(args, runner):
     })
 
 
-def _local_defect_smatrix(spec, halfwidth=20):
+def _local_defect_smatrix(spec):
     """Scattering of the defect neighbourhood alone, cached per omega: a
-    short sub-chain with the defect at its center and image-matched ports."""
-    sub = device.LineSpec(spec.cell, 2 * halfwidth + 1,
-                          ((halfwidth, "open_junction"),), 0.0, spec.seed)
+    41-cell sub-chain with the defect at its center and image-matched
+    ports."""
+    sub = device.LineSpec(spec.cell, 41, ((20, "open_junction"),), 0.0,
+                          spec.seed)
     return functools.cache(functools.partial(network.linear_scattering,
                                              network.build_chain(sub)))
 
@@ -319,7 +314,8 @@ def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
 
 def cmd_isolate(args, runner):
     spec = _load_spec(args)
-    omega_p = _pump_omega(args)
+    omega_p = _omega(args)
+    _amplitudes(args, "eps_min", "eps_max")
     amplitudes = np.linspace(args.eps_min, args.eps_max, args.eps_points)
     defect = spec.defects[0][0] if spec.defects else None
     rows = _isolation_curves(spec, omega_p, amplitudes, defect)
@@ -344,7 +340,7 @@ def cmd_nld_sim(args, runner):
     spec = _load_spec(args)
     ports = _pump_ports(args)
     net = network.build_chain(spec)
-    omega_p = _pump_omega(args)
+    omega_p, omega_s = _omega(args), _omega(args, "f_probe")
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     basis = HarmonicBasis(args.harmonics)
     drives = [Drive(p, omega_p, incident_amplitude(net, omega_p, p, eps))
@@ -361,7 +357,7 @@ def cmd_nld_sim(args, runner):
         "port_powers_W": powers.tolist(),
     })
     c = args.n_sidebands      # only the Sigma-L and Sigma-R probe columns
-    sc = sidebands.signal_sidebands(net, pump, args.f_probe * GHZ, c,
+    sc = sidebands.signal_sidebands(net, pump, omega_s, c,
                                     [(c, 0), (c, 2)])
     s0 = sc.s0()
     rows = [(i - c, w / GHZ, q, abs(sc.s[i, q, c, 0]),
@@ -444,17 +440,7 @@ def _fig_gaps(args, runner):
     args.processes = "Ci,Co,Al"
     args.pump_min, args.pump_max, args.pump_points = 2.0, 5.0, 61
     args.pump_flux, args.pump_eps = 0.12, None
-    curves = cmd_gaps_map(args, runner)
-
-    def plot(ax):
-        for (kind, direction), arr in curves.items():
-            if len(arr):
-                ax.plot(arr[:, 0] / GHZ, arr[:, 1] / GHZ, ".",
-                        label=f"{kind.value} {direction.value}")
-        ax.set_xlabel("pump frequency (GHz)")
-        ax.set_ylabel("probe frequency (GHz)")
-        ax.legend(fontsize=7)
-    _svg_plot(runner, "gap_overlays.svg", plot)
+    cmd_gaps_map(args, runner)
 
 
 def _fig_isolation(args, runner):
@@ -464,15 +450,6 @@ def _fig_isolation(args, runner):
     rows = _isolation_curves(spec, omega_p, amplitudes, 165)
     runner.write_csv("isolation_defect.csv",
                      ["pump_amplitude", "forward_dB", "backward_dB"], rows)
-
-    def plot(ax):
-        arr = np.array(rows)
-        ax.plot(arr[:, 0], arr[:, 1], label="forward")
-        ax.plot(arr[:, 0], arr[:, 2], label="backward")
-        ax.set_xlabel("pump amplitude (reduced)")
-        ax.set_ylabel("transmission (dB)")
-        ax.legend()
-    _svg_plot(runner, "isolation_defect.svg", plot)
 
 
 def _fig_profile(args, runner):
@@ -492,17 +469,6 @@ def _fig_profile(args, runner):
          "drive_deltaR_fwd_sigma", "drive_deltaR_bwd_sigma",
          "drive_deltaR_fwd_delta", "drive_deltaR_bwd_delta"], rows)
 
-    def plot(ax):
-        arr = np.array(rows)
-        ax.plot(arr[:, 0], arr[:, 1], label="fwd Sigma (Sigma-L drive)")
-        ax.plot(arr[:, 0], arr[:, 2], label="bwd Sigma")
-        ax.plot(arr[:, 0], arr[:, 7], label="fwd Delta (Delta-R drive)")
-        ax.plot(arr[:, 0], arr[:, 8], label="bwd Delta")
-        ax.set_xlabel("cell")
-        ax.set_ylabel("|amplitude|")
-        ax.legend(fontsize=7)
-    _svg_plot(runner, "wave_profile.svg", plot)
-
 
 def _fig_tdr(args, runner):
     spec = device.fitted_line(defects=((165, "open_junction"),))
@@ -512,27 +478,16 @@ def _fig_tdr(args, runner):
     s = np.array([network.linear_scattering(net, 2 * math.pi * f)
                   for f in freqs])
     report = {}
-    curves = {}
     for port, label in ((0, "left"), (2, "right")):
         sweep = tdr.FrequencySweep((port, port), freqs, s[:, port, port])
         imp = tdr.impulse_response(sweep)
         est = tdr.locate_defect(imp, v)
-        curves[label] = imp
         report[label] = {"cell": est.cell, "t_peak_ns": est.t_peak_ns,
                          "uncertainty_cells": est.uncertainty_cells}
         runner.write_csv(f"tdr_{label}.csv", ["t_ns", "magnitude"],
                          zip(imp.t_ns.tolist(), map(abs, imp.h.tolist())))
-    report["resolution_ns"] = curves["left"].resolution_ns
+    report["resolution_ns"] = imp.resolution_ns     # the same for both ends
     runner.write_json("tdr_peaks.json", report)
-
-    def plot(ax):
-        for label, imp in curves.items():
-            ax.plot(imp.t_ns, np.abs(imp.h), label=f"from {label}")
-        ax.set_xlim(0, 12)
-        ax.set_xlabel("time (ns)")
-        ax.set_ylabel("|impulse response|")
-        ax.legend()
-    _svg_plot(runner, "tdr.svg", plot)
 
 
 def cmd_reproduce_fig(args, runner):

@@ -35,6 +35,8 @@ from .device import A_CELL
 from .errors import SectionMismatch, WrongPropagationSigns
 from .matching import MatchPoint, ProcessKind
 
+N_X = 401       # envelope samples along the line, both ends included
+
 
 @dataclass(frozen=True)
 class ProcessConfig:
@@ -115,15 +117,10 @@ def _pump_sq(config: ProcessConfig, pump_fw=None, pump_bw=None) -> complex:
     return bw * bw
 
 
-def attenuation_constant(config: ProcessConfig, k_s: float, k_i: float,
-                         k_p: float) -> float:
+def attenuation_constant(config: ProcessConfig) -> float:
     """alpha = (a^2/4) k_P^2 sqrt(-k_I k_S) |eps_P^2_eff|, 1/cell."""
-    if k_s * k_i >= 0:
-        raise WrongPropagationSigns(
-            f"k_s = {k_s:.4g}, k_i = {k_i:.4g}: signal and idler must "
-            "counterpropagate")
-    return (0.25 * A_CELL ** 2 * k_p ** 2 * math.sqrt(-k_i * k_s)
-            * abs(_pump_sq(config)))
+    return (0.25 * A_CELL ** 2 * config.k_p ** 2
+            * math.sqrt(-config.k_i * config.k_s) * abs(_pump_sq(config)))
 
 
 def bandwidth_estimate(config: ProcessConfig, match: MatchPoint) -> float:
@@ -146,12 +143,12 @@ def _system_matrix(c_i, c_s, kappa):
     return np.array([[0.0, 1j * c_i], [1j * c_s, -1j * kappa]])
 
 
-def solve_uniform(config: ProcessConfig, eps_s0: complex,
-                  n_x: int = 401) -> EnvelopeSolution:
-    """Matched closed-form envelopes on a uniform single-section line."""
-    alpha = attenuation_constant(config, config.k_s, config.k_i, config.k_p)
+def solve_uniform(config: ProcessConfig, eps_s0: complex) -> EnvelopeSolution:
+    """Matched closed-form envelopes on a uniform single-section line,
+    sampled at N_X points."""
+    alpha = attenuation_constant(config)
     L = config.length
-    x = np.linspace(0.0, L, n_x)
+    x = np.linspace(0.0, L, N_X)
     denom = 1.0 + math.exp(-2.0 * alpha * L)
     em, ep = np.exp(-alpha * x), np.exp(-alpha * (2.0 * L - x))
     eps_s = eps_s0 * (em + ep) / denom
@@ -163,8 +160,8 @@ def solve_uniform(config: ProcessConfig, eps_s0: complex,
     return EnvelopeSolution(x, eps_s, eps_i, alpha, complex(total), 0.0)
 
 
-def solve_detuned(config: ProcessConfig, kappa: float, eps_s0: complex,
-                  n_x: int = 401) -> EnvelopeSolution:
+def solve_detuned(config: ProcessConfig, kappa: float,
+                  eps_s0: complex) -> EnvelopeSolution:
     """Two-point solve of the detuned linear system.
 
     Exact matrix-exponential propagation of the constant-coefficient form;
@@ -172,13 +169,13 @@ def solve_detuned(config: ProcessConfig, kappa: float, eps_s0: complex,
     |kappa| = 2 alpha).  Attenuation is even in kappa.
     """
     c_i, c_s = _couplings(config)
-    alpha = attenuation_constant(config, config.k_s, config.k_i, config.k_p)
+    alpha = attenuation_constant(config)
     A = _system_matrix(c_i, c_s, kappa)
     L = config.length
     M = expm(A * L)
     # boundary conditions u(0) = eps_s0, v(L) = 0
     v0 = -M[1, 0] / M[1, 1] * eps_s0
-    x = np.linspace(0.0, L, n_x)
+    x = np.linspace(0.0, L, N_X)
     y0 = np.array([eps_s0, v0])
     lam, P = np.linalg.eig(A)
     c0 = np.linalg.solve(P, y0)

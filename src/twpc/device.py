@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,9 @@ PHI0_BAR = 3.2910597841613324e-16
 A_CELL = 1.0  # cell length, fixed
 
 DEFECT_KINDS = ("open_junction",)
+
+#: upper bound on n_cells: 250 times the 400-cell device
+MAX_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,6 @@ class CellParams:
         """Mode asymmetry mu = 1 + 2 C_i / C_g = (v_Sigma/v_Delta)^2."""
         return 1.0 + 2.0 * self.c_i / self.c_g
 
-    @property
-    def omega_g(self) -> float:
-        return 1.0 / math.sqrt(self.l_j * self.c_g)
-
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -92,32 +91,22 @@ class DerivedConstants:
     v_delta0: float       # cell/s
     z_sigma: float        # Ohm
     z_delta: float        # Ohm
-    omega_sigma_co: float  # rad/s
-    omega_delta_co: float  # rad/s
-    omega_g: float         # rad/s
-    omega_j: float         # rad/s
-    mu: float
 
 
 def derive_constants(cell: CellParams) -> DerivedConstants:
-    """Velocities, impedances and cutoffs of the two modes.
+    """Low-frequency velocities and impedances of the two modes (the
+    cutoffs are :func:`twpc.dispersion.cutoff`).
 
     v_Sigma = a/sqrt(L_J C_g),      v_Delta = a/sqrt(L_J (C_g + 2 C_i)),
-    Z_Sigma = sqrt(L_J/C_g),        Z_Delta = sqrt(L_J/(C_g + 2 C_i)),
-    omega_co = 2/sqrt(L_J (C + 4 C_J)) with C the mode's shunt capacitance.
+    Z_Sigma = sqrt(L_J/C_g),        Z_Delta = sqrt(L_J/(C_g + 2 C_i)).
     """
-    lj, cg, ci, cj = cell.l_j, cell.c_g, cell.c_i, cell.c_j
-    cd = cg + 2.0 * ci
+    lj, cg = cell.l_j, cell.c_g
+    cd = cg + 2.0 * cell.c_i
     return DerivedConstants(
         v_sigma0=A_CELL / math.sqrt(lj * cg),
         v_delta0=A_CELL / math.sqrt(lj * cd),
         z_sigma=math.sqrt(lj / cg),
         z_delta=math.sqrt(lj / cd),
-        omega_sigma_co=2.0 / math.sqrt(lj * (cg + 4.0 * cj)),
-        omega_delta_co=2.0 / math.sqrt(lj * (cd + 4.0 * cj)),
-        omega_g=cell.omega_g,
-        omega_j=cell.plasma_omega,
-        mu=cell.mu,
     )
 
 
@@ -149,8 +138,8 @@ def validate(spec: LineSpec) -> LineSpec:
     """Check all LineSpec invariants; raise ConfigError listing every
     violation with its field path, or return the spec unchanged."""
     errs = []
-    if spec.n_cells < 1:
-        errs.append(("n_cells", "must be >= 1"))
+    if not 1 <= spec.n_cells <= MAX_CELLS:
+        errs.append(("n_cells", f"must lie in [1, {MAX_CELLS}]"))
     for i, (idx, kind) in enumerate(spec.defects):
         if not 0 <= idx < spec.n_cells:
             errs.append((f"defects[{i}].cell",

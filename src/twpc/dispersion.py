@@ -128,18 +128,17 @@ def wavevector(mode: Mode, omega, cell: CellParams,
     return float(k) if np.isscalar(omega) else k
 
 
-def phase_velocity(mode: Mode, omega, cell: CellParams,
-                   renorm: PumpContext | None = None):
-    """omega / k(omega), cell/s."""
-    return omega / wavevector(mode, omega, cell, renorm)
+def phase_velocity(mode: Mode, omega, cell: CellParams):
+    """omega / k(omega) of the unpumped line, cell/s."""
+    return omega / wavevector(mode, omega, cell)
 
 
-def group_velocity(mode: Mode, omega: float, cell: CellParams,
-                   renorm: PumpContext | None = None,
-                   domega: float = 2 * math.pi * 1e6) -> float:
-    """d(omega)/dk by central difference (cell/s)."""
-    k1 = wavevector(mode, omega - domega, cell, renorm)
-    k2 = wavevector(mode, omega + domega, cell, renorm)
+def group_velocity(mode: Mode, omega: float, cell: CellParams) -> float:
+    """d(omega)/dk of the unpumped line by central difference over
+    +-1 MHz (cell/s)."""
+    domega = 2 * math.pi * 1e6
+    k1 = wavevector(mode, omega - domega, cell)
+    k2 = wavevector(mode, omega + domega, cell)
     return 2.0 * domega / (k2 - k1)
 
 
@@ -158,25 +157,25 @@ def amplitude_from_flux(phi_jj: float, k_p: float) -> float:
     return phi_jj / (4.0 * PHI0_BAR * s)
 
 
-def pump_wavevector(cell: CellParams, omega_p: float, epsilon_p: float,
-                    mode: Mode = Mode.Delta, tol: float = 1e-13,
-                    max_iter: int = 200) -> float:
-    """Self-consistent pump wavevector.
+def pump_wavevector(cell: CellParams, omega_p: float,
+                    epsilon_p: float) -> float:
+    """Self-consistent wavevector of a Delta-mode pump.
 
     The pump renormalizes its own inductance through SPM, which in turn
-    changes its wavevector; iterate the fixed point k = k(omega_p; L_spm(k)).
+    changes its wavevector; iterate the fixed point k = k(omega_p; L_spm(k))
+    up to 200 times, until a step is below 1e-13 rad/cell.
     """
     try:
-        k = wavevector(mode, omega_p, cell)
+        k = wavevector(Mode.Delta, omega_p, cell)
     except AboveCutoff as e:
         raise PumpAboveCutoff(str(e))
-    for _ in range(max_iter):
-        ctx = PumpContext(epsilon_p, k, mode)
+    for _ in range(200):
+        ctx = PumpContext(epsilon_p, k)
         try:
-            k_new = wavevector(mode, omega_p, cell, ctx)
+            k_new = wavevector(Mode.Delta, omega_p, cell, ctx)
         except AboveCutoff as e:
             raise PumpAboveCutoff(str(e))
-        if abs(k_new - k) < tol:
+        if abs(k_new - k) < 1e-13:
             return k_new
         k = k_new
     raise PumpAboveCutoff(

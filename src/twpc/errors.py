@@ -63,16 +63,12 @@ class SingularNetwork(TwpcError):
 class NonConvergence(TwpcError):
     """Newton iteration of the harmonic balance failed to converge."""
 
-    def __init__(self, iterations, residual, message=""):
+    def __init__(self, iterations, residual):
         self.iterations = iterations
         self.residual = residual
-        text = (
+        super().__init__(
             f"harmonic balance did not converge after {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
-        if message:
-            text += ": " + message
-        super().__init__(text)
+            f"(residual {residual:.3e})")
 
 
 class DecompositionIllConditioned(TwpcError):

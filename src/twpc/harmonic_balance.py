@@ -28,6 +28,8 @@ from .network import (ChainNetwork, _solve, admittance_matrix,
                       port_impedances)
 
 K_SAMPLES = 128  # FFT oversampling of the orbit outside the Newton loop
+TOL = 1e-10      # Newton converges below this residual norm / drive norm
+MAX_ITER = 50    # Newton iterations per continuation step
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,12 @@ class HarmonicBasis:
 
 @dataclass(frozen=True)
 class Drive:
-    """Incident pump wave: port index, angular frequency, power-wave
-    amplitude (sqrt(W)) and phase (rad)."""
+    """Incident pump wave: port index, angular frequency and real
+    power-wave amplitude (sqrt(W))."""
 
     port: int
     omega_p: float
     amplitude: float
-    phase: float = 0.0
 
 
 def incident_amplitude(net: ChainNetwork, omega: float, port: int,
@@ -160,7 +161,6 @@ def _newton_step(net: ChainNetwork, omega_p: float, orders, z,
 
 
 def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
-                          tol: float = 1e-10, max_iter: int = 50,
                           flux_ceiling: float = 0.3) -> PumpSolution:
     """Newton harmonic balance of the pump steady state.
 
@@ -189,8 +189,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
 
     full_src = np.zeros(n, complex)
     for d in drives:
-        full_src += (e[:, d.port].astype(complex) * 2.0 / math.sqrt(z[d.port])
-                     * d.amplitude * np.exp(1j * d.phase))
+        full_src += e[:, d.port] * 2.0 / math.sqrt(z[d.port]) * d.amplitude
 
     # linear complex operator per harmonic acting on reduced flux; the
     # loads keep their pump-frequency reference impedances at every
@@ -218,9 +217,9 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
         """(phi, or None unless converged, d_br, rnorm, it, history)."""
         history = []
         res, d_br, delta, rnorm = residual(phi, i_src)
-        for it in range(max_iter + 1):
+        for it in range(MAX_ITER + 1):
             history.append(rnorm)
-            if rnorm < tol or it == max_iter:
+            if rnorm < TOL or it == MAX_ITER:
                 break
             step = _newton_step(net, omega_p, orders, z, delta, res, work)
             # backtracking line search on the residual norm
@@ -234,7 +233,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
             else:
                 return None, d_br, rnorm, it + 1, history
             phi, res, d_br, delta, rnorm = trial, res_t, d_t, delta_t, rn_t
-        return phi if rnorm < tol else None, d_br, rnorm, it, history
+        return phi if rnorm < TOL else None, d_br, rnorm, it, history
 
     frac, step = 0.0, 1.0
     phi_ok = np.zeros((len(orders), n), complex)
@@ -281,5 +280,5 @@ def pump_harmonics_at_ports(pump: PumpSolution) -> np.ndarray:
     v_ports = pump.net.ops.e.T @ (1j * PHI0_BAR * omegas[:, None] * pump.phi).T
     b = v_ports / np.sqrt(z)[:, None]
     for d in pump.drives:       # the fundamental comes first
-        b[d.port, 0] -= d.amplitude * np.exp(1j * d.phase)
+        b[d.port, 0] -= d.amplitude
     return np.abs(b) ** 2

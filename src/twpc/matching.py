@@ -33,6 +33,10 @@ from .dispersion import Mode, PumpContext, cutoff, pump_wavevector, wavevector
 from .errors import NoSolutionInBand, TwpcError
 
 
+SCAN_STEP = 2e7 * math.pi     # rad/s between residual samples (10 MHz)
+RESIDUAL_TOL = 1e-10          # rad/cell: largest momentum residual of a root
+
+
 class ProcessKind(enum.Enum):
     Circulation = "Ci"
     CirculationAliased = "Al"
@@ -108,14 +112,14 @@ def _residual_fn(kind: ProcessKind, omega_p: float, k_p: float,
 
 
 def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
-                    cell: CellParams, scan_step: float = 2e7 * math.pi,
-                    tol: float = 1e-10) -> list[MatchPoint]:
+                    cell: CellParams) -> list[MatchPoint]:
     """All matched signal frequencies of the full transcendental system.
 
     Evaluates the momentum residual over the open signal band on a coarse
-    grid (default 10 MHz) in one array call, then refines each sign change
-    with brentq, keeping roots whose residual is within tol.  Roots are
-    sorted ascending in omega_s; raises NoSolutionInBand when none.
+    grid (SCAN_STEP, 10 MHz) in one array call, then refines each sign
+    change with brentq, keeping roots whose residual is within
+    RESIDUAL_TOL.  Roots are sorted ascending in omega_s; raises
+    NoSolutionInBand when none.
     """
     k_p = pump_wavevector(cell, omega_p, epsilon_p)
     ctx = PumpContext(epsilon_p, k_p) if epsilon_p > 0 else None
@@ -124,13 +128,13 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
     hi = co_sigma * (1.0 - 1e-9)
     if kind in (ProcessKind.Circulation, ProcessKind.CirculationAliased):
         hi -= 2.0 * omega_p
-    lo = min(scan_step, 0.5 * hi)
+    lo = min(SCAN_STEP, 0.5 * hi)
     if hi <= lo:
         raise NoSolutionInBand(
             f"{kind.value}: empty signal band at f_P = {omega_p/2e9/math.pi:.3f} GHz")
 
     res = _residual_fn(kind, omega_p, k_p, cell, ctx)
-    grid = np.arange(lo, hi, scan_step)
+    grid = np.arange(lo, hi, SCAN_STEP)
     if grid[-1] < hi:
         grid = np.append(grid, hi)
     vals = res(grid)
@@ -142,7 +146,7 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
         else:
             w_root = brentq(res, grid[i], grid[i + 1], xtol=1e-3, rtol=1e-15)
         r = res(w_root)
-        if abs(r) > tol:
+        if abs(r) > RESIDUAL_TOL:
             continue
         omega_s = float(w_root)
         if kind is ProcessKind.TunableCoupling:

@@ -313,12 +313,11 @@ def linear_scattering(net: ChainNetwork, omega: float) -> np.ndarray:
     return v_ports / rz[:, None] - np.eye(4)
 
 
-def drive_solution(net: ChainNetwork, port: int, omega: float,
-                   amplitude: complex = 1.0) -> np.ndarray:
-    """Node voltages for an incident wave of power-wave amplitude
-    ``amplitude`` on the given port."""
+def drive_solution(net: ChainNetwork, port: int, omega: float) -> np.ndarray:
+    """Node voltages for an incident wave of unit power-wave amplitude
+    (1 sqrt(W)) on the given port."""
     z = port_impedances(net, omega)
-    b = net.ops.e[:, port] * (2.0 * amplitude / math.sqrt(z[port]))
+    b = net.ops.e[:, port] * (2.0 / math.sqrt(z[port]))
     return _solve(admittance_matrix(net, omega, z), b)
 
 

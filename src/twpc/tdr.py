@@ -51,7 +51,6 @@ class ImpulseResponse:
     resolution_ns: float   # 1.2 / BW
     window: str
     window_values: np.ndarray
-    sweep: FrequencySweep
 
 
 def _window(name, n, beta):
@@ -65,17 +64,16 @@ def _window(name, n, beta):
 
 
 def impulse_response(sweep: FrequencySweep, window: str = "kaiser",
-                     beta: float = 6.0,
-                     pad_factor: int = 8) -> ImpulseResponse:
+                     beta: float = 6.0) -> ImpulseResponse:
     """Windowed, zero-padded inverse DFT of the band-limited sweep.
 
     Normalized so a flat unit-magnitude trace gives a unit peak at t = 0.
-    The time grid spans 1/df regardless of padding; padding only refines
-    the peak interpolation.
+    The time grid spans 1/df; padding to a power of two at least 8 times
+    the sweep only refines the peak interpolation.
     """
     w, wname = _window(window, len(sweep.f), beta)
     wsum = w.sum()
-    n_pad = 1 << int(math.ceil(math.log2(pad_factor * len(sweep.f))))
+    n_pad = 1 << int(math.ceil(math.log2(8 * len(sweep.f))))
     spec = np.zeros(n_pad, complex)
     spec[:len(sweep.f)] = w * sweep.s
     t = np.arange(n_pad) / (n_pad * sweep.df)
@@ -83,7 +81,7 @@ def impulse_response(sweep: FrequencySweep, window: str = "kaiser",
     # restore the band's absolute phase (carrier at f0)
     h *= np.exp(2j * math.pi * sweep.f[0] * t)
     return ImpulseResponse(t * 1e9, h, 1.2 / sweep.bandwidth * 1e9,
-                           wname, w, sweep)
+                           wname, w)
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,6 @@ class DefectEstimate:
     uncertainty_cells: float
     t_peak_ns: float
     magnitude: float
-    threshold: float
 
 
 def locate_defect(impulse: ImpulseResponse, v: float,
@@ -118,5 +115,4 @@ def locate_defect(impulse: ImpulseResponse, v: float,
         uncertainty_cells=v * impulse.resolution_ns / 2.0,
         t_peak_ns=t_peak,
         magnitude=float(mag[i]),
-        threshold=threshold,
     )

@@ -146,7 +146,7 @@ def test_attenuation_scaling_and_closed_form():
     for eps in amplitudes:
         pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, eps, cell)[0]
         cfg = from_match_point(pt, 400.0, pump_bw=eps)
-        a = attenuation_constant(cfg, cfg.k_s, cfg.k_i, cfg.k_p)
+        a = attenuation_constant(cfg)
         alphas.append(a)
         alpha_l.append(a * cfg.length)
         closed = solve_uniform(cfg, 1.0).total_attenuation

@@ -220,6 +220,26 @@ def test_bad_pump_frequency_exit_code(tmp_path, capsys, command, f_pump):
         ["f_pump", "need a finite positive frequency"]]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+@pytest.mark.parametrize("command, flag", [
+    (["phase-match", "--f-pump", "3"], "--pump-eps"),
+    (["envelope", "--f-pump", "3"], "--pump-flux"),
+    (["isolate", "--f-pump", "4.63"], "--eps-min"),
+    (["isolate", "--f-pump", "4.63"], "--eps-max"),
+    (["nld-sim", "--f-pump", "3", "--f-probe", "7.1"], "--pump-eps"),
+    (["nld-sim", "--f-pump", "3", "--pump-flux", "0.05"], "--f-probe"),
+    (["nld-map", "--pump-points", "1", "--probe-points", "2"],
+     "--pump-flux")])
+def test_bad_pump_input_exit_code(tmp_path, capsys, command, flag, value):
+    """A NaN, infinite or negative pump amplitude or probe frequency is a
+    configuration error naming its flag, raised before any solve writes a
+    file."""
+    rc, err = _error_report(capsys, command + [flag, value], tmp_path)
+    assert rc == 2 and err["error"] == "ConfigError"
+    assert [v[0] for v in err["violations"]] == [flag[2:].replace("-", "_")]
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 _HEAP_LOOP = """
 import resource
 import numpy as np
@@ -342,6 +362,7 @@ def test_config_error_exit_code(tmp_path, capsys):
             ("defects", dict(good, defects=[{"kind": "open_junction"}])),
             ("n_cels", dict(good, n_cels=10)),
             ("n_cells", dict(good, n_cells=10.5)),
+            ("n_cells", dict(good, n_cells=1e300)),
             ("seed", dict(good, seed=-1, disorder_halfwidth=0.05)),
             ("defects[0].celll", dict(good, defects=[
                 {"cell": 3, "kind": "open_junction", "celll": 5}]))]:
@@ -475,7 +496,7 @@ def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
 ])
 def test_reproduce_fig_outputs(tmp_path, figure, files):
     out = _run(["reproduce-fig", figure], tmp_path / figure)
-    written = sorted(p.name for p in out.iterdir() if p.suffix != ".svg")
+    written = sorted(p.name for p in out.iterdir())
     assert written == sorted(files + ["manifest.json"])
     if figure == "S4":
         # the open junction sits at cell 165 of 400, seen from both ends

@@ -12,6 +12,7 @@ from twpc import device
 from twpc.device import (CellParams, LineSpec, PHI0_BAR, derive_constants,
                          design_cell, fitted_cell, load_spec, sample_disorder,
                          spec_from_json, spec_to_json, validate)
+from twpc.dispersion import Mode, cutoff
 from twpc.errors import ConfigError
 
 
@@ -136,8 +137,8 @@ def test_spec_json_round_trip_property(l_j, c_g, c_i, ratio):
        c_i=st.floats(1e-15, 2e-12))
 @settings(max_examples=50, deadline=None)
 def test_sigma_faster_and_stiffer_whenever_coupled(l_j, c_g, c_i):
-    c = derive_constants(CellParams(l_j=l_j, c_g=c_g, c_i=c_i,
-                                    c_j=0.1 * c_g))
+    cell = CellParams(l_j=l_j, c_g=c_g, c_i=c_i, c_j=0.1 * c_g)
+    c = derive_constants(cell)
     assert c.v_sigma0 > c.v_delta0
     assert c.z_sigma > c.z_delta
-    assert c.omega_sigma_co > 0 and c.omega_delta_co > 0
+    assert cutoff(Mode.Sigma, cell) > 0 and cutoff(Mode.Delta, cell) > 0
