@@ -40,6 +40,9 @@ FLUX_Q = 2 * math.pi * PHI0_BAR
 #: CSV cell types that the "%.12e" row template writes as _fmt would
 _FLOATS = {float, np.float64}
 
+#: requirement and test of an amplitude flag (see _check)
+_AMPLITUDE = ("amplitude >= 0", lambda x: 0 <= x < math.inf)
+
 _KIND = {"Ci": ProcessKind.Circulation, "Co": ProcessKind.TunableCoupling,
          "Al": ProcessKind.CirculationAliased}
 
@@ -146,7 +149,7 @@ def _pump_amplitude(args, cell, default=None):
     """Reduced pump amplitude eps(omega_p): the constant --pump-eps, or the
     amplitude giving the junction flux --pump-flux at omega_p.  At most one
     flag may be given; default, if not None, stands in for both missing."""
-    _amplitudes(args, "pump_eps", "pump_flux")
+    _check(args, ("pump_eps", *_AMPLITUDE), ("pump_flux", *_AMPLITUDE))
     eps, flux = args.pump_eps, args.pump_flux
     if eps is not None and flux is not None:
         raise ConfigError([("pump_eps", "give --pump-eps or --pump-flux, "
@@ -160,10 +163,10 @@ def _pump_amplitude(args, cell, default=None):
     return lambda wp: eps
 
 
-def _amplitudes(args, *names):
-    """Reject each amplitude flag given as NaN, infinity or below 0."""
-    bad = [(name, "need a finite amplitude >= 0") for name in names
-           if not 0 <= (getattr(args, name) or 0) < math.inf]  # None: unset
+def _check(args, *rules):
+    """Reject each set flag in rules (name, requirement, test) failing test."""
+    bad = [(name, f"need a finite {need}") for name, need, test in rules
+           if (v := getattr(args, name)) is not None and not test(v)]
     if bad:
         raise ConfigError(bad)
 
@@ -315,7 +318,7 @@ def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
 def cmd_isolate(args, runner):
     spec = _load_spec(args)
     omega_p = _omega(args)
-    _amplitudes(args, "eps_min", "eps_max")
+    _check(args, ("eps_min", *_AMPLITUDE), ("eps_max", *_AMPLITUDE))
     amplitudes = np.linspace(args.eps_min, args.eps_max, args.eps_points)
     defect = spec.defects[0][0] if spec.defects else None
     rows = _isolation_curves(spec, omega_p, amplitudes, defect)
@@ -407,6 +410,9 @@ def cmd_nld_map(args, runner):
 
 
 def cmd_tdr(args, runner):
+    _check(args, ("velocity", "velocity > 0", lambda v: 0 < v < math.inf),
+           ("offset_ns", "offset (ns)", math.isfinite),
+           ("beta", "Kaiser beta >= 0", lambda b: 0 <= b < math.inf))
     try:
         if args.input.endswith(".s4p"):
             f, s, _ = touchstone.read_touchstone(args.input)
@@ -460,14 +466,10 @@ def _fig_profile(args, runner):
         prof = network.wave_amplitude_profile(net, port, 5.0 * GHZ)
         cols += [map(abs, a.tolist()) for mode in (Mode.Sigma, Mode.Delta)
                  for a in prof[mode]]
-    rows = list(zip(*cols))
-    runner.write_csv(
-        "wave_profile.csv",
-        ["cell",
-         "drive_sigmaL_fwd_sigma", "drive_sigmaL_bwd_sigma",
-         "drive_sigmaL_fwd_delta", "drive_sigmaL_bwd_delta",
-         "drive_deltaR_fwd_sigma", "drive_deltaR_bwd_sigma",
-         "drive_deltaR_fwd_delta", "drive_deltaR_bwd_delta"], rows)
+    runner.write_csv("wave_profile.csv", ["cell"] + [
+        f"drive_{drive}_{way}_{mode}" for drive in ("sigmaL", "deltaR")
+        for mode in ("sigma", "delta") for way in ("fwd", "bwd")],
+        zip(*cols))
 
 
 def _fig_tdr(args, runner):

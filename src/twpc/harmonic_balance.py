@@ -1,16 +1,19 @@
 """Frequency-domain Newton solve of the pumped chain's periodic steady state.
 
-Unknowns are the reduced node-flux phasors phi_m (phi/phi0, convention
+Unknowns are the reduced flux phasors phi_m (phi/phi0, convention
 x(t) = X e^{i m w t} + c.c.) at odd pump harmonics m in {1, 3, ..., 2M-1};
 even harmonics cannot be generated by the quartic junction nonlinearity on
-a symmetric line.  Each junction carries the full current phi0 sin(delta)/L,
-whose harmonic content is evaluated by real FFT of the sampled orbit —
-numerically identical to the Jacobi-Anger expansion but exact for
-multi-harmonic flux drops.  The Newton Jacobian is the conversion matrix
-built from the FFT of cos(delta(t)) on the node-band blocks the sideband
-solver also uses; the Newton step is solved in real arithmetic, on
-(Re, Im) of each harmonic, by one banded LU.  Amplitude continuation
-applies the drive; its first step is the full drive.
+a symmetric line.  On identical electrodes with all drives on Sigma ports
+or all on Delta ports, the orbit lies in that electrode-parity sector and
+the unknowns are (sign phi_a + phi_b)/sqrt(2) per column
+(network.parity_sector), else the node fluxes; norms agree in both, and
+the solution is returned on the nodes.  Each junction carries the full
+current phi0 sin(delta)/L, whose harmonics are a real DFT of the sampled
+orbit, exact for multi-harmonic flux drops.  The Newton Jacobian, their
+exact derivative, is the conversion matrix of cos(delta(t)) on the blocks
+the sideband solver also uses, solved in real arithmetic on (Re, Im) of
+each harmonic by one banded LU.  Amplitude continuation applies the drive;
+its first step is the full drive.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import numpy as np
 
 from .device import PHI0_BAR
 from .errors import NonConvergence, TruncationWarning
-from .network import (ChainNetwork, _solve, admittance_matrix,
-                      band_to_sparse, channel_band, conversion_blocks,
+from .network import (ChainNetwork, ChainOperators, _solve, band_to_sparse,
+                      channel_band, conversion_blocks, parity_sector,
                       port_impedances)
 
 K_SAMPLES = 128  # FFT oversampling of the orbit outside the Newton loop
@@ -94,69 +97,60 @@ class PumpSolution:
         """(n_branches, K) FFT coefficients of cos(delta(t)) along the
         converged pump orbit — the conversion matrix entries used to
         linearize the chain around the pump."""
-        delta = _orbit(self.d, self.basis.orders)
+        delta = _orbit(self.d, _samples(self.basis.orders, K_SAMPLES))
         return np.fft.fft(np.cos(delta), axis=1) / K_SAMPLES
 
     def peak_junction_flux(self) -> float:
         """max_t max_j |delta_j(t)| * phi0, in Wb."""
         if not len(self.d):
             return 0.0
-        delta = _orbit(self.d, self.basis.orders)
+        delta = _orbit(self.d, _samples(self.basis.orders, K_SAMPLES))
         return float(np.max(np.abs(delta))) * PHI0_BAR
 
 
 def _sample_count(h_max: int) -> int:
     """Orbit samples of the Newton loop: the smallest power of two
     >= max(32, 4 h_max), so that every offset m +- m' <= 2 h_max of the
-    Jacobian is its own real-FFT bin."""
+    Jacobian is its own frequency bin."""
     return 1 << (max(32, 4 * h_max) - 1).bit_length()
 
 
-def _orbit(d: np.ndarray, orders, k: int = K_SAMPLES) -> np.ndarray:
-    """Real orbit delta(t_l) at k samples from phasors d (M, n_br)."""
-    x = np.zeros((d.shape[1], k // 2 + 1), complex)
-    x[:, list(orders)] = d.T
-    return k * np.fft.irfft(x, k, axis=1)
+def _samples(orders, k: int) -> np.ndarray:
+    """Rows a_l = (cos, -sin)(2 pi m l / k) over the orders m, (k, 2 M):
+    the orbit of drop phasors d is 2 a_l . (Re d, Im d) at sample l (see
+    _orbit), and (Re, Im) of harmonic m of samples x is sum_l x_l a_l / k."""
+    ang = 2 * np.pi / k * np.outer(np.arange(k), orders)
+    return np.concatenate([np.cos(ang), -np.sin(ang)], 1)
 
 
-def _real_form(s: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Real matrix (..., 2a, 2b) of x -> P x + Q conj(x) on (Re x, Im x),
-    from s = P + Q and d = P - Q (..., a, b): [[Re s, -Im d], [Im s, Re d]]."""
-    out = np.stack([np.stack([s.real, -d.imag], -2),
-                    np.stack([s.imag, d.real], -2)], -4)
-    return out.reshape(s.shape[:-2] + (2 * s.shape[-2], 2 * s.shape[-1]))
+def _orbit(d: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Real orbit (n_br, k) of phasors d (M, n_br) at the samples of a."""
+    return 2 * np.concatenate([d.real, d.imag]).T @ a.T
 
 
-def _jacobian_blocks(net: ChainNetwork, omega_p: float, orders, z,
-                     delta: np.ndarray) -> np.ndarray:
-    """Node-band blocks of the real Newton Jacobian on channels
-    (Re dx_m, then Im dx_m) per node: the real form of
-    dx -> P dx + Q conj(dx), where P couples harmonic m' to m through
-    gamma[m - m'] plus the loads at m omega_p with impedances z, and Q
-    through gamma[m + m'], gamma being the real-FFT coefficients of
-    cos(delta) at the sampled orbit delta (gamma[-q] = conj(gamma[q]))."""
-    gamma = np.fft.rfft(np.cos(delta), axis=1) / delta.shape[1]
-    m = np.array(orders)
-    diff = np.subtract.outer(m, m)
-    p = np.where(diff < 0, gamma[:, -diff].conj(), gamma[:, diff])
-    q = gamma[:, np.add.outer(m, m)]
-    blocks = conversion_blocks(net, _real_form(p + q, p - q))
-    for h, mh in enumerate(orders):
-        load = (1j * mh * omega_p * PHI0_BAR) * admittance_matrix(
-            net, mh * omega_p, z, inductive=False)[..., None, None]
-        blocks[:, :, h::len(m), h::len(m)] += _real_form(load, load)
-    return blocks
+def _load_blocks(loads: np.ndarray) -> np.ndarray:
+    """The part of the Newton Jacobian fixed from step to step: node-band
+    blocks (2 w + 1, n, 2 M, 2 M) on channels (Re x_m, then Im x_m) of the
+    harmonics' load bands (2 w + 1, n, M), [[Re, -Im], [Im, Re]] each."""
+    diag = loads[..., None] * np.eye(loads.shape[-1])
+    return np.block([[diag.real, -diag.imag], [diag.imag, diag.real]])
 
 
-def _newton_step(net: ChainNetwork, omega_p: float, orders, z,
-                 delta: np.ndarray, res: np.ndarray, work=None) -> np.ndarray:
-    """Newton step dx (M, n_nodes) at the sampled orbit delta, the solution
-    of P dx + Q conj(dx) = res, by one real banded LU.  The band is built
-    in work when given: a loop that frees no band between its steps keeps
-    the heap from shrinking and faulting in the LU's memory anew."""
-    ab = channel_band(_jacobian_blocks(net, omega_p, orders, z, delta), work)
+def _newton_step(ops: ChainOperators, loads: np.ndarray, a: np.ndarray,
+                 cos_delta: np.ndarray, res: np.ndarray,
+                 work=None) -> np.ndarray:
+    """Newton step dx (M, n) on the unknowns of ops, by one real banded
+    LU of J dx = res: J is loads (see _load_blocks) plus, per branch, the
+    derivative (2/k) sum_l cos(delta_l) a_l a_l^T of the harmonics of
+    sin(delta) by (Re d, Im d) (see _samples).  The band is built in work
+    when given: a loop that frees no band between steps keeps the heap
+    from shrinking and faulting in the LU's memory anew."""
+    k, m2 = a.shape
+    coupling = cos_delta @ (a[:, :, None] * a[:, None, :]).reshape(k, -1)
+    blocks = conversion_blocks(ops, coupling.reshape(-1, m2, m2) * (2 / k))
+    blocks += loads
     rhs = np.concatenate([res.real, res.imag]).T.ravel()
-    dx = _solve(ab, rhs).reshape(net.n_nodes, 2, len(orders))
+    dx = _solve(channel_band(blocks, work), rhs).reshape(len(ops.e), 2, -1)
     return (dx[:, 0] + 1j * dx[:, 1]).T
 
 
@@ -181,62 +175,59 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
         raise ValueError("all drives must share one pump frequency")
 
     orders = basis.orders
-    k = _sample_count(max(orders))
-    n = net.n_nodes
-    ops = net.ops
-    left, g, e = ops.left, ops.g, ops.e
+    a = _samples(orders, _sample_count(max(orders)))
+    ops = net.sectors[parity_sector(net, [d.port for d in drives])]
+    left, right, g, e = ops.left, ops.left + ops.w, ops.g, ops.e
     z = port_impedances(net, omega_p)
 
-    full_src = np.zeros(n, complex)
-    for d in drives:
-        full_src += e[:, d.port] * 2.0 / math.sqrt(z[d.port]) * d.amplitude
+    full_src = sum(e[:, d.port] * 2.0 / math.sqrt(z[d.port]) * d.amplitude
+                   for d in drives)
 
-    # linear complex operator per harmonic acting on reduced flux; the
-    # loads keep their pump-frequency reference impedances at every
-    # harmonic, as in the Newton step
-    lin = [band_to_sparse(
-        admittance_matrix(net, m * omega_p, z, inductive=False)
-        * (1j * m * omega_p * PHI0_BAR)) for m in orders]
+    # linear operator per harmonic on reduced flux; its loads keep the
+    # pump-frequency reference impedances at every harmonic
+    w_m = omega_p * np.array(orders)
+    loads = ops.admittance(w_m, [z] * len(w_m), False) * (1j * PHI0_BAR * w_m)
+    lin = [band_to_sparse(loads[:, :, h]) for h in range(len(orders))]
+    fixed = _load_blocks(loads)
 
     def residual(phi, i_src):
-        d_br = phi[:, left + 2] - phi[:, left]
-        delta = _orbit(d_br, orders, k)
-        s = np.fft.rfft(np.sin(delta), axis=1) / k
-        i_nl = PHI0_BAR * g * s[:, orders].T        # junction currents
-        res = np.array([a @ p for a, p in zip(lin, phi)])
-        res[:, left + 2] += i_nl
+        d_br = ops.scale * (phi[:, right] - phi[:, left])
+        delta = _orbit(d_br, a)
+        s = np.sin(delta) @ a / len(a)
+        i_nl = (PHI0_BAR / ops.scale * g) * (s[:, :len(orders)]
+                                             + 1j * s[:, len(orders):]).T
+        res = np.array([op @ p for op, p in zip(lin, phi)])
+        res[:, right] += i_nl
         res[:, left] -= i_nl
         res[0] -= i_src
-        rnorm = math.sqrt(sum(np.linalg.norm(r) ** 2 for r in res))
-        return res, d_br, delta, rnorm / np.linalg.norm(i_src)
+        return res, delta, np.linalg.norm(res) / np.linalg.norm(i_src)
 
-    # the Newton band (kl = ku = 6 M - 1), refilled at every step
-    work = np.empty((12 * len(orders) - 1, 2 * len(orders) * n))
+    # the Newton band (kl = ku = 2 (w + 1) M - 1), refilled at every step
+    work = np.empty((4 * (ops.w + 1) * len(orders) - 1,
+                     2 * len(orders) * len(e)))
 
     def newton(phi, i_src):
-        """(phi, or None unless converged, d_br, rnorm, it, history)."""
+        """(phi, or None unless converged, rnorm, it, history)."""
         history = []
-        res, d_br, delta, rnorm = residual(phi, i_src)
+        res, delta, rnorm = residual(phi, i_src)
         for it in range(MAX_ITER + 1):
             history.append(rnorm)
             if rnorm < TOL or it == MAX_ITER:
                 break
-            step = _newton_step(net, omega_p, orders, z, delta, res, work)
+            step = _newton_step(ops, fixed, a, np.cos(delta), res, work)
             # backtracking line search on the residual norm
-            lam = 1.0
-            for _ in range(12):
+            for lam in 0.5 ** np.arange(12):
                 trial = phi - lam * step
-                res_t, d_t, delta_t, rn_t = residual(trial, i_src)
+                res_t, delta_t, rn_t = residual(trial, i_src)
                 if rn_t < rnorm:
                     break
-                lam *= 0.5
             else:
-                return None, d_br, rnorm, it + 1, history
-            phi, res, d_br, delta, rnorm = trial, res_t, d_t, delta_t, rn_t
-        return phi if rnorm < TOL else None, d_br, rnorm, it, history
+                return None, rnorm, it + 1, history
+            phi, res, delta, rnorm = trial, res_t, delta_t, rn_t
+        return phi if rnorm < TOL else None, rnorm, it, history
 
     frac, step = 0.0, 1.0
-    phi_ok = np.zeros((len(orders), n), complex)
+    phi_ok = np.zeros((len(orders), len(e)), complex)
     while frac < 1.0:
         trial_frac = min(1.0, frac + step)
         out = newton(phi_ok * (trial_frac / frac if frac else 1.0),
@@ -244,10 +235,12 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
         if out[0] is None:
             step *= 0.5
             if step < 0.02:
-                raise NonConvergence(out[3], out[2])
+                raise NonConvergence(out[2], out[1])
             continue
         frac, phi_ok = trial_frac, out[0]
-    phi, d_br, rnorm, it, history = out
+    phi = ops.to_nodes(phi_ok)
+    d_br = phi[:, net.ops.left + 2] - phi[:, net.ops.left]
+    rnorm, it, history = out[1:]
 
     sol = PumpSolution(net, basis, omega_p, phi, d_br, drives, rnorm, it,
                        tuple(history))

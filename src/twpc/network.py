@@ -18,8 +18,8 @@ Mode variables use the orthonormal transform V_Sigma = (V_a + V_b)/sqrt(2),
 V_Delta = (V_b - V_a)/sqrt(2) (same for currents), under which the mode
 characteristic impedances equal the per-electrode values sqrt(L_J/C_g) and
 sqrt(L_J/(C_g + 2 C_i)).  A matrix that commutes with swapping the
-electrodes keeps V_Sigma and V_Delta apart: sector_blocks restricts it to
-one of them, one unknown per column with bandwidth 1.
+electrodes keeps V_Sigma and V_Delta apart: ChainNetwork.sectors holds
+its operators on either one, one unknown per column (see parity_sector).
 """
 
 from __future__ import annotations
@@ -51,31 +51,46 @@ PARITY = (1, -1, 1, -1)
 _S2 = 1.0 / math.sqrt(2.0)
 A_MODE = np.array([[_S2, _S2], [-_S2, _S2]])
 
-# band positions of the entries (0,0), (0,1), (1,0), (1,1) of a 2x2 block
-# whose first row and column are 0
-_BLOCK_ROWS = np.array([2, 1, 3, 2])
-_BLOCK_COLS = np.array([0, 1, 0, 1])
-
 
 @dataclass(frozen=True)
 class ChainOperators:
-    """Frequency-independent nodal operators of a chain.
+    """Frequency-independent operators of a chain on its n unknowns: the
+    nodes (sign None, node bandwidth w = 2), or the one unknown
+    (sign V_a + V_b)/sqrt(2) per column of an electrode-parity sector
+    (w = 1), exact on identical electrodes.  Y(omega) = i omega C +
+    Gamma/(i omega) + loads, with C and Gamma = D^T diag(g) D in band
+    storage, D the drops scale (x[left + w] - x[left]) of the branches (a
+    sector keeps the b electrode's, whose currents, times 1/scale, stand
+    for both), and the loads sum_p y[:, p] / z_p at band positions
+    (rows, cols)."""
 
-    Y(omega) = i omega C + Gamma/(i omega) + loads, with C and
-    Gamma = D^T diag(g) D in band storage (D: the branch incidence,
-    (D phi)_k = phi[left_k + 2] - phi[left_k]) and the loads assembled from
-    stamps[p], the 2x2 conductance of a 1 S termination of port p on its
-    end column.
-    """
-
-    c_band: np.ndarray      # (5, n_nodes)
-    gamma_band: np.ndarray  # (5, n_nodes)
-    left: np.ndarray        # (n_branches,) left node; right is left + 2,
-                            # the cell is left // 2; electrode-major
+    sign: object
+    w: int
+    scale: float
+    c_band: np.ndarray      # (2 w + 1, n)
+    gamma_band: np.ndarray  # (2 w + 1, n)
+    branches: np.ndarray    # (n_branches,) index in the node basis's list
+    left: np.ndarray        # (n_branches,) electrode-major, opens removed
     g: np.ndarray           # (n_branches,) 1/L per junction branch
-    e: np.ndarray           # (n_nodes, 4) nodal injection of unit mode
-                            # current at each port; E.T extracts voltages
-    stamps: np.ndarray      # (4, 2, 2)
+    e: np.ndarray           # (n, 4) unit mode current injection per port
+    rows: np.ndarray
+    cols: np.ndarray
+    y: np.ndarray           # (len(rows), 4)
+
+    def admittance(self, omegas, z, inductive=True) -> np.ndarray:
+        """Node bands (2 w + 1, n, nb) of Y at omegas[c] with port
+        impedances z[c].  inductive=False leaves out the junction
+        inductances, which the pumped solvers carry as junction currents."""
+        ab = self.c_band[..., None] * (1j * np.asarray(omegas))
+        if inductive:   # same bits as / (1j w)
+            ab += self.gamma_band[..., None] * (1 / (1j * np.asarray(omegas)))
+        ab[self.rows, self.cols] += (self.y[:, None] / z).sum(-1)
+        return ab
+
+    def to_nodes(self, x: np.ndarray) -> np.ndarray:
+        """Node values (..., n_nodes) of x (..., n) on these unknowns."""
+        return x if self.sign is None else (
+            x[..., None] * [self.sign * _S2, _S2]).reshape(*x.shape[:-1], -1)
 
 
 @dataclass(frozen=True)
@@ -94,8 +109,14 @@ class ChainNetwork:
 
     @cached_property
     def ops(self) -> ChainOperators:
-        """Nodal operators, built on first use and kept."""
+        """Operators on the nodes, built on first use and kept."""
         return _chain_operators(self)
+
+    @cached_property
+    def sectors(self) -> dict:
+        """Operators on the nodes (None) and the parity sectors (1, -1)."""
+        return {s: _chain_operators(self, s) if s else self.ops
+                for s in (None, 1, -1)}
 
 
 def build_chain(spec: LineSpec, port_z="bloch") -> ChainNetwork:
@@ -121,49 +142,70 @@ def build_chain(spec: LineSpec, port_z="bloch") -> ChainNetwork:
     return ChainNetwork(spec.cell, spec.n_cells, table, port_z, consts)
 
 
-def _stamp_branches(ab, left, val):
-    """Add two-terminal elements val between nodes left and
-    right = left + 2 (one electrode, adjacent columns) to band storage ab;
-    val and ab may share trailing axes, one band per trailing index.
-    The left nodes are distinct: one branch per electrode and cell."""
-    right = left + 2
+def _stamp_branches(ab, left, val, w=2):
+    """Add two-terminal elements val between unknowns left and
+    right = left + w (adjacent columns) to band storage ab of node
+    bandwidth w; val and ab may share trailing axes, one band per trailing
+    index.  The left unknowns are distinct: one branch per column."""
+    right = left + w
     diag = np.zeros(ab.shape[1:], np.result_type(val))
     diag[left] = val
     diag[right] += val
-    ab[2] += diag
+    ab[w] += diag
     ab[0, right] -= val
-    ab[4, left] -= val
+    ab[2 * w, left] -= val
 
 
-def _chain_operators(net: ChainNetwork) -> ChainOperators:
+def _chain_operators(net: ChainNetwork, sign=None) -> ChainOperators:
     n_cells, n, cell = net.n_cells, net.n_nodes, net.cell
     # junction branches, electrode-major; open (defect) branches removed
     elec, cells = np.divmod(np.arange(2 * n_cells), n_cells)
     l = net.l_table.T.ravel()
     keep = np.isfinite(l)
     elec, cells, g = elec[keep], cells[keep], 1.0 / l[keep]
-    left = 2 * cells + elec
-
-    # shunts C_g (each electrode) and C_i (between electrodes), half
-    # weight on the end columns
-    w = np.ones(n_cells + 1)
-    w[[0, -1]] = 0.5
-    c_band = np.zeros((5, n))
-    c_band[2] = np.repeat(w * (cell.c_g + cell.c_i), 2)
-    c_band[1, 1::2] = -w * cell.c_i     # entries (a_c, b_c)
-    c_band[3, 0::2] = -w * cell.c_i     # entries (b_c, a_c)
-    _stamp_branches(c_band, left, np.full(len(g), cell.c_j))
-    gamma_band = np.zeros((5, n))
-    _stamp_branches(gamma_band, left, g)
 
     # I_e = A_MODE.T I_m on the two nodes of the port's end column
     a = A_MODE.T[:, [0 if mode is Mode.Sigma else 1 for mode, _ in PORTS]]
     col = np.array([0 if side == "L" else n - 2 for _, side in PORTS])
     e = np.zeros((n, 4))
-    e[col, np.arange(4)] = a[0]
-    e[col + 1, np.arange(4)] = a[1]
-    stamps = np.einsum("ip,jp->pij", a, a)
-    return ChainOperators(c_band, gamma_band, left, g, e, stamps)
+    e[col, np.arange(4)], e[col + 1, np.arange(4)] = a
+
+    # shunts C_g (each electrode) and C_i (between electrodes), half
+    # weight on the end columns
+    wt = np.r_[0.5, np.ones(n_cells - 1), 0.5]
+    if sign is None:
+        w, scale, branches, left = 2, 1.0, np.arange(len(g)), 2 * cells + elec
+        c_band = np.zeros((5, n))
+        c_band[2] = np.repeat(wt * (cell.c_g + cell.c_i), 2)
+        c_band[1, 1::2] = -wt * cell.c_i     # entries (a_c, b_c)
+        c_band[3, 0::2] = -wt * cell.c_i     # entries (b_c, a_c)
+    else:   # (C_aa + C_bb + sign (C_ab + C_ba)) / 2 on each column
+        w, scale, branches = 1, _S2, np.flatnonzero(elec == 1)
+        left = cells[branches]
+        c_band = np.zeros((3, n_cells + 1))
+        c_band[1] = wt * (cell.c_g + (1 - sign) * cell.c_i)
+        e = (sign * e[0::2] + e[1::2]) * _S2
+    g = g[branches]
+    _stamp_branches(c_band, left, np.full(len(g), cell.c_j), w)
+    gamma_band = np.zeros_like(c_band)
+    _stamp_branches(gamma_band, left, g, w)
+
+    # the port loads E diag(1/z) E.T on the end unknowns the ports touch
+    i, j = (x.ravel() for x in np.meshgrid(*2 * [np.flatnonzero(e.any(1))],
+                                           indexing="ij"))
+    near = abs(i - j) <= w
+    return ChainOperators(sign, w, scale, c_band, gamma_band, branches, left,
+                          g, e, (w + i - j)[near], j[near],
+                          (e[i] * e[j])[near])
+
+
+def parity_sector(net: ChainNetwork, ports):
+    """Electrode-parity sector of the chain's response to drives on ports:
+    their common PARITY (1 for none) when the electrodes are identical, so
+    that the chain commutes with swapping them; None (the nodes) else."""
+    parities = {PARITY[p] for p in ports} or {1}
+    same = np.array_equal(net.l_table[:, 0], net.l_table[:, 1])
+    return parities.pop() if same and len(parities) == 1 else None
 
 
 def bloch_impedance(mode: Mode, omega: float, cell: CellParams) -> complex:
@@ -195,54 +237,22 @@ def port_impedances(net: ChainNetwork, omega: float) -> np.ndarray:
 def admittance_matrix(net: ChainNetwork, omega: float, z,
                       inductive: bool = True) -> np.ndarray:
     """Band storage (kl = ku = 2) of the nodal admittance at omega with
-    port reference impedances z.  inductive=False leaves out the junction
-    inductances, which the pumped solvers carry as junction currents."""
-    ops = net.ops
-    ab = 1j * omega * ops.c_band
-    if inductive:
-        ab += ops.gamma_band * (1 / (1j * omega))  # same bits as / (1j w)
-    y = ops.stamps / z[:, None, None]
-    ab[_BLOCK_ROWS, _BLOCK_COLS] += (y[0] + y[1]).ravel()
-    ab[_BLOCK_ROWS, _BLOCK_COLS + net.n_nodes - 2] += (y[2] + y[3]).ravel()
-    return ab
+    port reference impedances z (see ChainOperators.admittance)."""
+    return net.ops.admittance([omega], [z], inductive)[..., 0]
 
 
-def conversion_blocks(net: ChainNetwork, coupling: np.ndarray) -> np.ndarray:
-    """Node band (kl = ku = 2, as admittance_matrix) of nb x nb channel
-    blocks (5, n_nodes, nb, nb) of the chain linearized about a pump orbit:
+def conversion_blocks(ops: ChainOperators, coupling: np.ndarray) -> np.ndarray:
+    """Node band (as ChainOperators.admittance) of nb x nb channel blocks
+    (2 w + 1, n, nb, nb) of the chain linearized about a pump orbit:
     channel c' drives c through phi0 D^T diag(g coupling[:, c, c']) D, with
-    coupling (n_branches, nb, nb) built from the Fourier coefficients of
-    cos(delta(t)) per junction."""
-    blocks = np.zeros((5, net.n_nodes) + coupling.shape[1:], coupling.dtype)
-    _stamp_branches(blocks, net.ops.left,
-                    PHI0_BAR * net.ops.g[:, None, None] * coupling)
+    coupling (branches of ops, nb, nb) from the Fourier coefficients of
+    cos(delta(t)) per junction.  In a sector the two electrodes' halves
+    add up to one whole stamp (current weight times drop scale is 1)."""
+    blocks = np.zeros((2 * ops.w + 1, len(ops.e)) + coupling.shape[1:],
+                      coupling.dtype)
+    _stamp_branches(blocks, ops.left,
+                    PHI0_BAR * ops.g[:, None, None] * coupling, ops.w)
     return blocks
-
-
-def sector_blocks(blocks: np.ndarray, sign) -> np.ndarray:
-    """Node-band blocks (3, n_cells + 1, ...) of the electrode-parity
-    sector sign of a matrix that commutes with swapping the electrodes,
-    given as node-band blocks (5, n_nodes, ...): the matrix on the one
-    unknown (sign V_a + V_b)/sqrt(2) per column, i.e. V_Sigma for sign 1
-    and V_Delta for sign -1.  sign None keeps the node basis and blocks."""
-    if sign is None:
-        return blocks
-    a, b = blocks[:, 0::2], blocks[:, 1::2]     # columns a_k' and b_k'
-    # entry (k' + d, k') = (A_aa + A_bb + sign (A_ab + A_ba)) / 2, with
-    # A_aa, A_bb in node rows 2 + 2d, A_ba in row 3 + 2d of column a_k'
-    # and A_ab in row 1 + 2d of column b_k'
-    out = 0.5 * (a[0::2] + b[0::2])
-    out[:2] += (0.5 * sign) * a[1::2]
-    out[1:] += (0.5 * sign) * b[1::2]
-    return out
-
-
-def sector_ports(net: ChainNetwork, sign) -> np.ndarray:
-    """ChainOperators.e on the unknowns of sector sign (see
-    sector_blocks): about 1 on the end column of each port whose mode has
-    parity sign, and exactly 0 for the other ports."""
-    e = net.ops.e
-    return e if sign is None else (sign * e[0::2] + e[1::2]) * _S2
 
 
 def channel_band(blocks: np.ndarray, out=None) -> np.ndarray:
@@ -264,26 +274,21 @@ def channel_band(blocks: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def add_channel_loads(ab: np.ndarray, net: ChainNetwork, omegas, z,
-                      sign=None):
+def add_channel_loads(ab: np.ndarray, ops: ChainOperators, omegas, z):
     """Add i omega_c phi0 Y_c without the junction inductances, at the
     signed frequency omegas[c] with port impedances z[c], to the diagonal
-    block of channel c of the complex channel band ab, in place: ab is in
-    the node basis (kl = 3 nb - 1) for sign None and in the sector sign
-    (kl = 2 nb - 1, see sector_blocks) otherwise."""
-    w = 2 if sign is None else 1
-    rows = (len(ab) - 1) // 2 + (np.arange(2 * w + 1) - w) * len(omegas)
-    blocks = ab.reshape(len(ab), -1, len(omegas))
-    for c, omega in enumerate(omegas):
-        blocks[rows, :, c] += (1j * omega * PHI0_BAR) * sector_blocks(
-            admittance_matrix(net, omega, z[c], inductive=False), sign)
+    block of channel c of the complex channel band ab on the unknowns of
+    ops, in place."""
+    rows = (len(ab) - 1) // 2 + (np.arange(2 * ops.w + 1) - ops.w) * len(z)
+    ab.reshape(len(ab), -1, len(z))[rows] += ops.admittance(
+        omegas, z, inductive=False) * (1j * PHI0_BAR * np.asarray(omegas))
 
 
 def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
-    """The matrix held in LAPACK band storage ab with kl = ku = 2,
-    ab[2 + i - j, j] = A[i, j], as a sparse matrix."""
-    n = ab.shape[1]
-    return sp.dia_matrix((ab, range(2, -3, -1)), shape=(n, n)).tocsr()
+    """The matrix held in LAPACK band storage ab with kl = ku = w,
+    ab[w + i - j, j] = A[i, j], as a sparse matrix."""
+    w, n = len(ab) // 2, ab.shape[1]
+    return sp.dia_matrix((ab, range(w, -w - 1, -1)), shape=(n, n)).tocsr()
 
 
 def _solve(ab, b):

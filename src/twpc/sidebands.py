@@ -35,7 +35,7 @@ from .harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES, PumpSolution,
                                incident_amplitude, pump_harmonic_balance)
 from .network import (PARITY, PORTS, ChainNetwork, _solve,
                       add_channel_loads, channel_band, conversion_blocks,
-                      port_impedances, sector_blocks, sector_ports)
+                      parity_sector, port_impedances)
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,14 @@ class _PumpedLinearizer:
                  else np.tile(np.eye(1, K_SAMPLES, dtype=complex),
                               (len(net.ops.g), 1)))
         q = np.subtract.outer(self.harmonics, self.harmonics) % gamma.shape[1]
-        blocks = conversion_blocks(net, gamma[:, q])
         drives = pump.drives if pump is not None else ()
-        split = (len({PARITY[d.port] for d in drives}) < 2
-                 and np.array_equal(net.l_table[:, 0], net.l_table[:, 1]))
-        signs = (1, -1) if split else (None,)
-        # sign -> (pump band, port injection) of each sector
-        self.sectors = {sign: (channel_band(sector_blocks(blocks, sign)),
-                               sector_ports(net, sign)) for sign in signs}
-        self.work = np.empty_like(self.sectors[signs[0]][0])
+        split = parity_sector(net, [d.port for d in drives]) is not None
+        self.sectors = {}       # sign -> (pump band, operators) per sector
+        for ops in (net.sectors[1], net.sectors[-1]) if split else (net.ops,):
+            band = channel_band(conversion_blocks(ops,
+                                                  gamma[ops.branches][:, q]))
+            self.sectors[ops.sign] = band, ops
+        self.work = np.empty_like(band)
 
     def solve(self, omega_probe: float, channels):
         """Sideband frequencies (nb,) and outgoing waves s (nb, 4, k):
@@ -99,15 +98,16 @@ class _PumpedLinearizer:
             raise SingularNetwork("a sideband falls at zero frequency")
         z = np.array([port_impedances(net, abs(w)) for w in freqs])
         s = np.zeros((len(freqs), 4, len(channels)), complex)
-        for sign, (band, e) in self.sectors.items():
+        for sign, (band, ops) in self.sectors.items():
             cols = [j for j, (_, p) in enumerate(channels)
                     if sign in (None, PARITY[p])]
             if not cols:
                 continue
             ab = self.work
             np.copyto(ab, band)
-            add_channel_loads(ab, net, freqs, z, sign)
+            add_channel_loads(ab, ops, freqs, z)
             # Norton drive of a unit incident wave on each requested channel
+            e = ops.e
             i, p = np.array(channels)[cols].T
             rhs = np.zeros((len(e), len(freqs), len(cols)))
             rhs[:, i, range(len(cols))] = e[:, p] * (2.0 / np.sqrt(z[i, p]))

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from test_coupled_mode import _rk_total
 
-from twpc import coupled_mode, device, dispersion, matching, network, \
-    sidebands, tdr
+from twpc import device, tdr
 from twpc.cli import main
 from twpc.coupled_mode import attenuation_constant, from_match_point, \
     solve_uniform
@@ -26,7 +25,7 @@ from twpc.errors import NoSolutionInBand, TruncationWarning
 from twpc.harmonic_balance import Drive, HarmonicBasis, incident_amplitude, \
     pump_harmonic_balance, pump_harmonics_at_ports
 from twpc.matching import ProcessKind, solve_corrected
-from twpc.network import build_chain, linear_scattering
+from twpc.network import linear_scattering
 from twpc.sidebands import signal_sidebands
 
 GHZ = 2e9 * math.pi

@@ -400,6 +400,28 @@ def test_tdr_short_csv_sweep_exit_code(tmp_path, capsys, n_rows):
     assert rc == 3 and err["error"] == "NonUniformGrid"
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--velocity", "nan", "velocity"), ("--velocity", "-5", "velocity"),
+    ("--velocity", "0", "velocity"), ("--velocity", "inf", "velocity"),
+    ("--offset-ns", "inf", "offset_ns"), ("--offset-ns", "nan", "offset_ns"),
+    ("--beta", "nan", "beta"), ("--beta", "-1", "beta"),
+    ("--beta", "inf", "beta")])
+def test_tdr_bad_flag_exit_code(tmp_path, capsys, flag, value, field):
+    """A TDR flag that would write NaN, infinite or negative cells exits 2
+    and names the flag, before any output is written."""
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("f_Hz,s_re,s_im\n" + "".join(
+        f"{4e9 + 1e7 * i},{0.1 * math.cos(0.3 * i)},0.2\n"
+        for i in range(64)))
+    argv = ["tdr", "--input", str(sweep), "--offset-ns", "-1.5", "--beta",
+            "0"]
+    _run(argv, tmp_path / "ok")       # finite offsets and beta 0 are fine
+    rc, err = _error_report(capsys, argv + [flag, value], tmp_path)
+    assert rc == 2 and err["error"] == "ConfigError"
+    assert [f for f, _ in err["violations"]] == [field]
+    assert not any((tmp_path / "o").iterdir())
+
+
 def test_missing_input_exit_code(tmp_path):
     rc = main(["tdr", "--input", str(tmp_path / "nope.s4p"),
                "--out-dir", str(tmp_path / "o")])

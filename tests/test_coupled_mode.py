@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from twpc import coupled_mode, device, matching
+from twpc import coupled_mode, device
 from twpc.coupled_mode import (ProcessConfig, attenuation_constant,
                                bandwidth_estimate, from_match_point,
                                solve_detuned, solve_uniform,

@@ -1,11 +1,13 @@
 """The package imports nothing but the standard library, numpy and scipy,
-the two runtime dependencies pyproject.toml declares."""
+the two runtime dependencies pyproject.toml declares, and no module of the
+package or its tests imports a name it never uses."""
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "twpc"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "twpc"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy"}
 
 
@@ -27,3 +29,24 @@ def test_src_imports_only_stdlib_numpy_scipy():
              for imp in _top_level_imports(path)}
     assert {"numpy", "scipy"} <= {pkg for _, pkg in found}
     assert sorted(imp for imp in found if imp[1] not in ALLOWED) == []
+
+
+def _unused_imports(path):
+    """Names that path imports at any depth and never reads or rebinds."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    """Every module in src/twpc and tests uses each name it imports; the
+    package's __init__ is exempt, as its imports are the public API."""
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    found = {path.name: _unused_imports(path) for path in paths
+             if path != SRC / "__init__.py"}
+    assert {name: unused for name, unused in found.items() if unused} == {}

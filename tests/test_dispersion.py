@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0, j1
 
-from twpc import device, dispersion
+from twpc import device
 from twpc.device import CellParams
 from twpc.dispersion import (Mode, PumpContext, X_MAX_SPM, X_MAX_XPM,
                              amplitude_from_flux, cutoff, flux_from_amplitude,

@@ -7,12 +7,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from twpc import device, harmonic_balance, network
+from twpc import harmonic_balance, network
 from twpc.device import PHI0_BAR
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
-from twpc.errors import NonConvergence, TruncationWarning
+from twpc.errors import TruncationWarning
 from twpc.harmonic_balance import (K_SAMPLES, Drive, HarmonicBasis,
-                                   _newton_step, _orbit, _sample_count,
+                                   _load_blocks, _newton_step, _orbit,
+                                   _sample_count, _samples,
                                    incident_amplitude,
                                    pump_harmonic_balance,
                                    pump_harmonics_at_ports)
@@ -184,20 +185,38 @@ def _reference_newton_step(net, omega_p, orders, z, delta, res):
     return dx[:, 0] + 1j * dx[:, 1]
 
 
+def _step_and_oracle(sol, seed):
+    """The Newton step about the orbit of sol, on the unknowns
+    pump_harmonic_balance picks for its drives and mapped back to the
+    nodes, and the oracle's step, for a random right-hand side in that
+    basis."""
+    net, orders, w = sol.net, sol.basis.orders, sol.omega_p
+    ops = net.sectors[network.parity_sector(net,
+                                            [d.port for d in sol.drives])]
+    a = _samples(orders, K_SAMPLES)
+    delta = _orbit(sol.d, a)
+    z = port_impedances(net, w)
+    rng = np.random.default_rng(seed)
+    shape = (len(orders), len(ops.e))
+    res = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    w_m = w * np.array(orders)
+    loads = ops.admittance(w_m, [z] * len(w_m), False) * (1j * PHI0_BAR * w_m)
+    step = _newton_step(ops, _load_blocks(loads), a,
+                        np.cos(delta[ops.branches]), res)
+    ref = _reference_newton_step(net, w, orders, z, delta, ops.to_nodes(res))
+    return ops.to_nodes(step), ref
+
+
 @pytest.mark.parametrize("basis", [HarmonicBasis(3),
                                    HarmonicBasis(4, include_even=True)])
 def test_newton_step_matches_real_block_oracle(fitted_net, basis):
     """One Newton step about a strongly pumped orbit, solved by the real
-    banded LU, against the real-block Jacobian solved by splu."""
+    banded LU in the Delta sector, against the real-block Jacobian on the
+    nodes solved by splu."""
     w = 3 * GHZ
     a = incident_amplitude(fitted_net, w, 3, 0.25)
     sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)], basis)
-    delta = _orbit(sol.d, basis.orders)
-    z = port_impedances(fitted_net, w)
-    rng = np.random.default_rng(0)
-    res = rng.normal(size=sol.phi.shape) + 1j * rng.normal(size=sol.phi.shape)
-    step = _newton_step(fitted_net, w, basis.orders, z, delta, res)
-    ref = _reference_newton_step(fitted_net, w, basis.orders, z, delta, res)
+    step, ref = _step_and_oracle(sol, 0)
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -219,26 +238,32 @@ def disorder_net(fitted_spec):
     ("disorder", 3.0, (3,), HarmonicBasis(3)),      # 5 % disorder
     ("fitted", 3.0, (1, 3), HarmonicBasis(3)),      # counterpropagating
     ("fitted", 2.0, (3,), HarmonicBasis(4, include_even=True)),
+    ("fitted", 3.0, (0, 3), HarmonicBasis(3)),      # Sigma + Delta: nodes
 ])
 def test_newton_step_matches_oracle_at_hard_cases(request, line, f_ghz,
                                                   ports, basis):
     net = request.getfixturevalue(f"{line}_net")
-    w = f_ghz * GHZ
     sol = pump_harmonic_balance(net, _flux_drives(net, f_ghz, 0.06, ports),
                                 basis)
-    delta = _orbit(sol.d, basis.orders)
-    z = port_impedances(net, w)
-    rng = np.random.default_rng(1)
-    res = rng.normal(size=sol.phi.shape) + 1j * rng.normal(size=sol.phi.shape)
-    step = _newton_step(net, w, basis.orders, z, delta, res)
-    ref = _reference_newton_step(net, w, basis.orders, z, delta, res)
+    step, ref = _step_and_oracle(sol, 1)
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_newton_steps_are_real_banded_solves(fitted_net, monkeypatch):
-    """One real banded solve per Newton iteration, with (Re, Im) of three
-    harmonics per node: the benchmark's harmonic_balance.lu_* metrics are
-    read from these calls."""
+def test_parity_sector_rule(fitted_net, defect_net, disorder_net):
+    """The sector of a drive: its ports' parity on identical electrodes,
+    the node basis on the defect and disordered lines and under a mixed
+    Sigma + Delta drive."""
+    sector = network.parity_sector
+    assert sector(fitted_net, (3,)) == sector(fitted_net, (1, 3)) == -1
+    assert sector(fitted_net, (0,)) == sector(fitted_net, (0, 2)) == 1
+    assert sector(fitted_net, (0, 3)) is None
+    assert sector(defect_net, (3,)) is None
+    assert sector(disorder_net, (3,)) is None
+
+
+def _newton_solves(net, monkeypatch, ports):
+    """(iterations, (l_and_u, dtype, shape) of each banded solve) of the
+    pump at 2 GHz and 0.04 flux quanta from ports."""
     calls = []
 
     def recorder(l_and_u, ab, b, *args, **kwargs):
@@ -246,10 +271,48 @@ def test_newton_steps_are_real_banded_solves(fitted_net, monkeypatch):
         return solve_banded(l_and_u, ab, b, *args, **kwargs)
 
     monkeypatch.setattr(network, "solve_banded", recorder)
-    drives = _flux_drives(fitted_net, 2.0, 0.04)
-    sol = pump_harmonic_balance(fitted_net, drives, HarmonicBasis(3))
-    assert sol.iterations > 0
-    assert calls == [((17, 17), np.float64, (35, 4812))] * sol.iterations
+    drives = _flux_drives(net, 2.0, 0.04, ports)
+    return pump_harmonic_balance(net, drives, HarmonicBasis(3)).iterations, \
+        calls
+
+
+def test_newton_steps_are_real_banded_solves(fitted_net, monkeypatch):
+    """One real banded solve per Newton iteration, with (Re, Im) of three
+    harmonics on the 401 columns of the Delta sector: the benchmark's
+    harmonic_balance.lu_* metrics are read from these calls."""
+    it, calls = _newton_solves(fitted_net, monkeypatch, (3,))
+    assert it > 0
+    assert calls == [((11, 11), np.float64, (23, 2406))] * it
+
+
+@pytest.mark.parametrize("line, ports", [
+    ("disorder", (3,)), ("defect", (3,)), ("fitted", (0, 3))])
+def test_node_basis_newton_steps(request, monkeypatch, line, ports):
+    """Where the line or the drive breaks the electrode swap, each Newton
+    step solves (Re, Im) of three harmonics on all 802 nodes."""
+    net = request.getfixturevalue(f"{line}_net")
+    it, calls = _newton_solves(net, monkeypatch, ports)
+    assert it > 0
+    assert calls == [((17, 17), np.float64, (35, 4812))] * it
+
+
+@pytest.mark.parametrize("f_ghz, flux, basis", [
+    (3.0, 0.06, HarmonicBasis(3)),
+    (9.0, 0.02, HarmonicBasis(3)),                  # near the Delta cutoff
+    (5.0, 0.12, HarmonicBasis(2)),                  # needs continuation
+])
+def test_sector_orbit_matches_node_orbit(fitted_net, monkeypatch, f_ghz,
+                                         flux, basis):
+    """The Delta-sector solve, mapped back to the nodes, against the same
+    Newton loop on the nodes."""
+    drives = _flux_drives(fitted_net, f_ghz, flux)
+    sol = pump_harmonic_balance(fitted_net, drives, basis)
+    monkeypatch.setattr(harmonic_balance, "parity_sector",
+                        lambda net, ports: None)
+    ref = pump_harmonic_balance(fitted_net, drives, basis)
+    assert sol.residual < 1e-10 and ref.residual < 1e-10
+    assert np.max(np.abs(sol.phi - ref.phi)) <= 1e-10 * np.max(np.abs(ref.phi))
+    assert np.max(np.abs(sol.d - ref.d)) <= 1e-10 * np.max(np.abs(ref.d))
 
 
 def test_newton_sample_count_rule():

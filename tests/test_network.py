@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from twpc import device, dispersion, network
+from twpc import device, network
 from twpc.dispersion import Mode, cutoff, wavevector
 from twpc.errors import DecompositionIllConditioned
 from twpc.network import (bloch_impedance, build_chain, linear_scattering,

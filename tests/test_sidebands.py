@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from twpc import device, matching, network
+from twpc import network
 from twpc.device import PHI0_BAR
 from twpc.dispersion import Mode, amplitude_from_flux, cutoff, pump_wavevector
 from twpc.errors import SingularNetwork, TruncationWarning

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from twpc import network
 from twpc.errors import ConfigError
 from twpc.touchstone import read_touchstone, write_touchstone
 

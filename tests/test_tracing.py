@@ -36,6 +36,7 @@ def test_nld_map_lu_metrics_flow_through_solve_banded(tracer, tmp_path):
     # 2005 unknowns (5 sidebands x 401 columns of the even sector) with
     # kl = ku = 9 in LAPACK's (2 kl + ku + 1)-row factor storage
     assert m["sidebands.lu_fill_nnz"] == 2005 * (3 * 9 + 1) == 56140
-    # 4812 unknowns (2 x 3 harmonics x 802 nodes), kl = ku = 17
-    assert m["harmonic_balance.lu_fill_nnz"] == 4812 * (3 * 17 + 1) == 250224
+    # 2406 unknowns (2 x 3 harmonics x 401 columns of the odd sector),
+    # kl = ku = 11
+    assert m["harmonic_balance.lu_fill_nnz"] == 2406 * (3 * 11 + 1) == 81804
     assert tracer.absent == []
