@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import j0, j1
 
 from .device import A_CELL, PHI0_BAR, CellParams
@@ -62,9 +61,11 @@ def _shunt_cap(mode: Mode, cell: CellParams) -> float:
 
 
 # Validity bounds of the single-harmonic truncation: the renormalization
-# factor (2 J1(x)/x for SPM, J0(x) for XPM) must stay above 0.5.
-X_MAX_SPM = brentq(lambda x: 2.0 * j1(x) / x - 0.5, 1.0, 3.0, xtol=1e-13)
-X_MAX_XPM = brentq(lambda x: j0(x) - 0.5, 0.5, 2.4, xtol=1e-13)
+# factor (2 J1(x)/x for SPM, J0(x) for XPM) must stay above 0.5.  The
+# roots are written out so that importing the package imports no root
+# finder; tests/test_dispersion.py re-solves them (Brent, xtol 1e-13).
+X_MAX_SPM = 2.215089367724233     # 2 J1(x)/x = 0.5, x in [1, 3]
+X_MAX_XPM = 1.5211440576687651    # J0(x) = 0.5, x in [0.5, 2.4]
 
 
 def _junction_x(epsilon: float, ka: float) -> float:

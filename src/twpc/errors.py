@@ -61,13 +61,14 @@ class SingularNetwork(TwpcError):
 
 
 class NonConvergence(TwpcError):
-    """Newton iteration of the harmonic balance failed to converge."""
+    """An iterative solver (the harmonic-balance Newton loop, or the Brent
+    search of a phase-matching root) failed to converge."""
 
-    def __init__(self, iterations, residual):
+    def __init__(self, iterations, residual, solver="harmonic balance"):
         self.iterations = iterations
         self.residual = residual
         super().__init__(
-            f"harmonic balance did not converge after {iterations} iterations "
+            f"{solver} did not converge after {iterations} iterations "
             f"(residual {residual:.3e})")
 
 

@@ -93,11 +93,13 @@ class PumpSolution:
     iterations: int
     residual_history: tuple
 
-    def junction_gamma(self) -> np.ndarray:
+    def junction_gamma(self, branches=slice(None)) -> np.ndarray:
         """(n_branches, K) FFT coefficients of cos(delta(t)) along the
         converged pump orbit — the conversion matrix entries used to
-        linearize the chain around the pump."""
-        delta = _orbit(self.d, _samples(self.basis.orders, K_SAMPLES))
+        linearize the chain around the pump — on the given branches only
+        (default all)."""
+        delta = _orbit(self.d[:, branches],
+                       _samples(self.basis.orders, K_SAMPLES))
         return np.fft.fft(np.cos(delta), axis=1) / K_SAMPLES
 
     def peak_junction_flux(self) -> float:

@@ -26,15 +26,62 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .device import A_CELL, CellParams
 from .dispersion import Mode, PumpContext, cutoff, pump_wavevector, wavevector
-from .errors import NoSolutionInBand, TwpcError
+from .errors import NoSolutionInBand, NonConvergence, TwpcError
 
 
 SCAN_STEP = 2e7 * math.pi     # rad/s between residual samples (10 MHz)
 RESIDUAL_TOL = 1e-10          # rad/cell: largest momentum residual of a root
+BRENT_MAXITER = 100
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in the bracket [a, b] by Brent's method (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973): a line-for-line
+    port of scipy's C brentq, so it returns the same floats, kept in the
+    package because importing scipy.optimize costs ~0.2 s of start-up.
+    Raises NonConvergence after BRENT_MAXITER iterations."""
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise NonConvergence(BRENT_MAXITER, abs(fcur), "brent root search")
 
 
 class ProcessKind(enum.Enum):
@@ -117,7 +164,7 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
 
     Evaluates the momentum residual over the open signal band on a coarse
     grid (SCAN_STEP, 10 MHz) in one array call, then refines each sign
-    change with brentq, keeping roots whose residual is within
+    change with _brent, keeping roots whose residual is within
     RESIDUAL_TOL.  Roots are sorted ascending in omega_s; raises
     NoSolutionInBand when none.
     """
@@ -144,7 +191,7 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
         if vals[i] == 0.0:
             w_root = grid[i]
         else:
-            w_root = brentq(res, grid[i], grid[i + 1], xtol=1e-3, rtol=1e-15)
+            w_root = _brent(res, grid[i], grid[i + 1], xtol=1e-3, rtol=1e-15)
         r = res(w_root)
         if abs(r) > RESIDUAL_TOL:
             continue

@@ -72,16 +72,17 @@ class _PumpedLinearizer:
         self.net, self.n_sb = net, n_sidebands
         self.omega_p = pump.omega_p if pump is not None else 0.0
         self.harmonics = 2 * np.arange(-n_sidebands, n_sidebands + 1)
-        gamma = (pump.junction_gamma() if pump is not None  # else cos 0 = 1
-                 else np.tile(np.eye(1, K_SAMPLES, dtype=complex),
-                              (len(net.ops.g), 1)))
-        q = np.subtract.outer(self.harmonics, self.harmonics) % gamma.shape[1]
         drives = pump.drives if pump is not None else ()
         split = parity_sector(net, [d.port for d in drives]) is not None
+        sectors = (net.sectors[1], net.sectors[-1]) if split else (net.ops,)
+        branches = sectors[0].branches      # the same in both sectors
+        gamma = (pump.junction_gamma(branches) if pump is not None
+                 else np.tile(np.eye(1, K_SAMPLES, dtype=complex),  # cos 0
+                              (len(branches), 1)))
+        q = np.subtract.outer(self.harmonics, self.harmonics) % gamma.shape[1]
         self.sectors = {}       # sign -> (pump band, operators) per sector
-        for ops in (net.sectors[1], net.sectors[-1]) if split else (net.ops,):
-            band = channel_band(conversion_blocks(ops,
-                                                  gamma[ops.branches][:, q]))
+        for ops in sectors:
+            band = channel_band(conversion_blocks(ops, gamma[:, q]))
             self.sectors[ops.sign] = band, ops
         self.work = np.empty_like(band)
 

@@ -1,8 +1,11 @@
 """The package imports nothing but the standard library, numpy and scipy,
-the two runtime dependencies pyproject.toml declares, and no module of the
-package or its tests imports a name it never uses."""
+the two runtime dependencies pyproject.toml declares, no module of the
+package or its tests imports a name it never uses, and the CLI runs
+without importing scipy.optimize."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +53,28 @@ def test_no_unused_imports():
     found = {path.name: _unused_imports(path) for path in paths
              if path != SRC / "__init__.py"}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+_CLI_RUNS = """
+import sys
+from twpc.cli import main
+runs = [
+    ["gaps-map"],
+    ["phase-match", "--process", "Ci", "--f-pump", "3", "--pump-flux", "0.06"],
+    ["envelope", "--f-pump", "3", "--pump-flux", "0.05"],
+    ["scatter", "--points", "3"],
+    ["nld-sim", "--f-pump", "3", "--f-probe", "7.1", "--pump-flux", "0.05"],
+]
+for i, argv in enumerate(runs):
+    assert main(argv + ["--out-dir", f"{sys.argv[1]}/{i}"]) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+
+
+def test_cli_runs_without_scipy_optimize(tmp_path):
+    """Importing scipy.optimize costs about 0.2 s of every start-up; the
+    package solves its roots in-house, so no CLI path may import it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _CLI_RUNS, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import j0, j1
 
 from twpc import device
@@ -84,6 +85,10 @@ def test_bessel_renormalization_against_scipy():
     # validity bounds sit where the retained Bessel factor reaches 1/2
     assert 2 * j1(X_MAX_SPM) / X_MAX_SPM == pytest.approx(0.5, abs=1e-12)
     assert j0(X_MAX_XPM) == pytest.approx(0.5, abs=1e-12)
+    # the written-out bounds are the root finder's floats, exactly
+    assert X_MAX_SPM == brentq(lambda x: 2.0 * j1(x) / x - 0.5, 1.0, 3.0,
+                               xtol=1e-13)
+    assert X_MAX_XPM == brentq(lambda x: j0(x) - 0.5, 0.5, 2.4, xtol=1e-13)
     eps, ka = 0.2, 0.7
     x = 4 * eps * math.sin(ka / 2)
     assert spm_inductance(l_j, eps, ka) == pytest.approx(

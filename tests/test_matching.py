@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from scipy.optimize import brentq
 
 from twpc import device, dispersion, matching
 from twpc.dispersion import Mode, PumpContext, pump_wavevector, wavevector
-from twpc.errors import NoSolutionInBand, PumpAboveCutoff
+from twpc.cli import main
+from twpc.errors import NoSolutionInBand, NonConvergence, PumpAboveCutoff
 from twpc.matching import (Direction, ProcessKind, circulation_point_lowfreq,
                            coupler_point_lowfreq, gap_map, solve_corrected)
 
@@ -245,3 +247,71 @@ def test_gap_map_lists_points_above_pump_cutoff(cell):
     kind, omega_p, exc = failure
     assert kind is ProcessKind.TunableCoupling and omega_p == pumps[2]
     assert isinstance(exc, PumpAboveCutoff)
+
+
+def test_brent_port_equals_scipy_brentq(cell, monkeypatch):
+    """The port returns the same float as scipy's brentq on every bracket
+    that gap_map's solves build, for each process, 31 pumps and four
+    fluxes (flux quanta; 0 is the unpumped line)."""
+    calls = []
+    brent = matching._brent
+
+    def recording(f, a, b, xtol, rtol):
+        assert (xtol, rtol) == (1e-3, 1e-15)
+        calls.append((f, a, b))
+        return brent(f, a, b, xtol, rtol)
+
+    monkeypatch.setattr(matching, "_brent", recording)
+    pumps = np.linspace(2.0, 5.0, 31) * GHZ + 1.7e6 * math.pi
+    for flux in (0.0, 0.04, 0.08, 0.12):
+        gap_map(list(ProcessKind), pumps, cell, lambda wp: _flux_eps(
+            cell, wp / GHZ, flux) if flux else 0.0)
+    assert len(calls) > 200
+    for f, a, b in calls:
+        assert brent(f, a, b, 1e-3, 1e-15) == brentq(
+            f, a, b, xtol=1e-3, rtol=1e-15), (a, b)
+
+
+def test_brent_endpoint_roots():
+    def f(x):
+        return x - 2.0
+    assert matching._brent(f, 2.0, 3.0, 1e-3, 1e-15) == 2.0
+    assert matching._brent(f, 1.0, 2.0, 1e-3, 1e-15) == 2.0
+    assert matching._brent(f, 1.0, 3.0, 1e-3, 1e-15) == brentq(
+        f, 1.0, 3.0, xtol=1e-3, rtol=1e-15)
+    with pytest.raises(ValueError):
+        matching._brent(f, 3.0, 4.0, 1e-3, 1e-15)
+
+
+def test_brent_exhausted_iterations_raise_nonconvergence(monkeypatch):
+    def step(x):        # no secant step lands on the jump at 1/3
+        return -1.0 if x < 1.0 / 3.0 else 1.0
+    with pytest.raises(RuntimeError):
+        brentq(step, 0.0, 1.0, xtol=1e-12, rtol=1e-15, maxiter=5)
+    monkeypatch.setattr(matching, "BRENT_MAXITER", 5)
+    with pytest.raises(NonConvergence) as err:
+        matching._brent(step, 0.0, 1.0, 1e-12, 1e-15)
+    assert err.value.iterations == 5 and err.value.residual == 1.0
+
+
+def test_gap_map_lists_root_search_failures(cell, monkeypatch):
+    monkeypatch.setattr(matching, "BRENT_MAXITER", 1)
+    pumps = np.array([2.5, 3.5]) * GHZ
+    curves, failures = gap_map([ProcessKind.Circulation], pumps, cell, 0.05)
+    assert [(kind, wp) for kind, wp, _ in failures] == [
+        (ProcessKind.Circulation, wp) for wp in pumps]
+    assert all(isinstance(exc, NonConvergence) for _, _, exc in failures)
+    assert curves[(ProcessKind.Circulation, Direction.forward)].shape == (0, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-match", "--process", "Ci", "--f-pump", "3", "--pump-eps", "0.05"],
+    ["gaps-map", "--processes", "Ci", "--pump-points", "3",
+     "--pump-eps", "0.05"]])
+def test_root_search_failure_exit_code(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(matching, "BRENT_MAXITER", 1)
+    rc = main(argv + ["--out-dir", str(tmp_path / "o")])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 3 and err["error"] == "NonConvergence"
+    assert err["iterations"] == 1 and err["residual"] > 0
+    assert err["message"].startswith("brent root search did not converge")

@@ -247,6 +247,26 @@ def test_banded_sidebands_match_sparse_oracle(oracle_pumps, line, probe_ghz,
     assert np.max(np.abs(sc.s - ref)) <= 1e-10
 
 
+@pytest.mark.parametrize("line, signs", [
+    ("fitted", [1, -1]), ("coupler", [1, -1]), ("disorder", [None])])
+def test_linearizer_gamma_rows_match_full_gamma(oracle_pumps, line, signs):
+    """The linearizer computes cos(delta) only on the branches its sectors
+    read (the b-electrode ones in a parity sector, all in the node basis),
+    and its pump bands equal those built from the rows of the full
+    junction_gamma() bit for bit."""
+    pump, _ = oracle_pumps[line]
+    full = pump.junction_gamma()
+    lin = _PumpedLinearizer(pump.net, pump)
+    assert list(lin.sectors) == signs
+    q = np.subtract.outer(lin.harmonics, lin.harmonics) % K_SAMPLES
+    for band, ops in lin.sectors.values():
+        rows = pump.junction_gamma(ops.branches)
+        assert rows.shape == (len(ops.branches), K_SAMPLES)
+        assert np.array_equal(rows, full[ops.branches])
+        assert np.array_equal(band, network.channel_band(
+            network.conversion_blocks(ops, full[ops.branches][:, q])))
+
+
 def _probe(pump, eps, probe_ghz):
     """Probe frequency: the Ci gap center, 1e-6 below the Sigma cutoff, or
     probe_ghz GHz."""
