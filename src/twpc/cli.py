@@ -333,7 +333,7 @@ def cmd_scatter(args, runner):
         ports = ports.split(",")
     net = network.build_chain(spec, ports)
     freqs = _grid(args.f_min, args.f_max, args.points)
-    s = np.array([network.linear_scattering(net, w) for w in freqs])
+    s = network.scattering_sweep(net, freqs)
     z = network.port_impedances(net, freqs[len(freqs) // 2])
     touchstone.write_touchstone(runner.path("sweep.s4p"),
                                 freqs / (2 * math.pi), s, z)
@@ -371,8 +371,8 @@ def cmd_nld_sim(args, runner):
                       "propagating"], rows)
     runner.write_json("scattering_summary.json", {
         "f_probe_GHz": args.f_probe,
-        "S_fw_dB": 20 * math.log10(abs(s0[2, 0])),
-        "S_bw_dB": 20 * math.log10(abs(s0[0, 2])),
+        "S_fw_dB": 20 * math.log10(max(abs(s0[2, 0]), 1e-300)),
+        "S_bw_dB": 20 * math.log10(max(abs(s0[0, 2]), 1e-300)),
     })
 
 
@@ -477,8 +477,7 @@ def _fig_tdr(args, runner):
     net = network.build_chain(spec)
     freqs = np.linspace(4e9, 8e9, 801)
     v = device.derive_constants(spec.cell).v_sigma0 / 1e9  # cell/ns
-    s = np.array([network.linear_scattering(net, 2 * math.pi * f)
-                  for f in freqs])
+    s = network.scattering_sweep(net, 2 * math.pi * freqs)
     report = {}
     for port, label in ((0, "left"), (2, "right")):
         sweep = tdr.FrequencySweep((port, port), freqs, s[:, port, port])

@@ -211,8 +211,11 @@ def parity_sector(net: ChainNetwork, ports):
 def bloch_impedance(mode: Mode, omega: float, cell: CellParams) -> complex:
     """Image impedance of one symmetric pi-section (real below cutoff)."""
     c = cell.c_g if mode is Mode.Sigma else cell.c_g + 2.0 * cell.c_i
-    z_se = 1.0 / (1.0 / (1j * omega * cell.l_j) + 1j * omega * cell.c_j)
+    y_se = 1.0 / (1j * omega * cell.l_j) + 1j * omega * cell.c_j
     y_sh = 0.5j * omega * c
+    if y_se == 0:       # at the plasma frequency: the limit 1 / y_sh
+        return 1.0 / y_sh
+    z_se = 1.0 / y_se
     return cmath.sqrt(z_se / (y_sh * (2.0 + z_se * y_sh)))
 
 
@@ -316,6 +319,44 @@ def linear_scattering(net: ChainNetwork, omega: float) -> np.ndarray:
     v_nodes = _solve(admittance_matrix(net, omega, z), e * (2.0 / rz))
     v_ports = e.T @ v_nodes          # mode voltage at port q for drive p
     return v_ports / rz[:, None] - np.eye(4)
+
+
+def scattering_sweep(net: ChainNetwork, omegas) -> np.ndarray:
+    """linear_scattering at each of omegas, (nf, 4, 4), in O(nf) memory, by
+    Gaussian elimination (Golub & Van Loan, sec. 4.5) of the 2 x 2 column
+    blocks from both loaded ends, vectorised over frequency.  The pivot
+    S = [[p, q], [q, r]] is the loaded part's input admittance: no pivoting."""
+    w = np.asarray(omegas, float)
+    z = np.array([port_impedances(net, x) for x in w]).T      # (4, nf)
+    ops, n = net.ops, net.n_nodes
+    # C, Gamma band rows 2-4, node order and reversed: i (w C - Gamma / w)
+    cg = np.stack([ops.c_band, ops.gamma_band])
+    cg = np.stack([cg[:, 2:], cg[:, 2::-1, ::-1]], -1)[..., None]
+    e = np.stack([ops.e, ops.e[::-1]], -1)[..., None]       # (n, 4, 2, 1)
+    p, q, r, ua, ub = 1.0, 0.0, 1.0, 0.0, 0.0   # U = i diag(ua, ub)
+    with np.errstate(all="ignore"):     # a zero pivot leaves S non-finite
+        for k in range(0, n, 2):
+            f = 1 / (p * r - q * q)
+            (da, db), (m, _), u = cg[0, :, k:k + 2] * w - cg[1, :, k:k + 2] / w
+            # t: the start column's drives carried here, -U S^-1 each step
+            t = (-1j * ua * f * (r * t[0] - q * t[1]), -1j * ub * f * (
+                p * t[1] - q * t[0])) if k else np.eye(2)[..., None, None]
+            p, q, r = (1j * da + ua * ua * r * f, 1j * m - ua * ub * q * f,
+                       1j * db + ub * ub * p * f)
+            if k in (0, n - 2):     # an end column: port loads and drives
+                y = (e[k:k + 2, None] * e[k:k + 2] / z[:, None]).sum(2)
+                p, q, r = p + y[0, 0], q + y[0, 1], r + y[1, 1]
+                x = e[k:k + 2] * (2 / np.sqrt(z[:, None]))  # (2, 4, 2, nf)
+                x0 = x if k == 0 else x0
+            ua, ub = u
+        x = x + np.einsum("ijdf,jpdf->ipdf", np.array(t), x0)
+        v = np.array([r * x[0] - q * x[1], p * x[1] - q * x[0]])
+        # mode voltage at port q for drive p: the far end of each direction
+        s = np.einsum("iqd,ipdf->fqp", e[-2:, ..., 0], v / (p * r - q * q)) \
+            / np.sqrt(z.T)[:, :, None] - np.eye(4)
+    if not np.isfinite(s).all():
+        raise SingularNetwork("non-finite scattering matrix")
+    return s
 
 
 def drive_solution(net: ChainNetwork, port: int, omega: float) -> np.ndarray:

@@ -451,27 +451,61 @@ def test_bad_grid_exit_code(tmp_path, capsys, argv):
 
 
 def test_singular_network_exit_code(tmp_path, capsys, monkeypatch):
+    # the single-frequency banded LU still serves isolate's defect
+    # neighbourhood
     def singular(*args, **kwargs):
         raise LinAlgError("singular matrix")
     monkeypatch.setattr(network, "solve_banded", singular)
+    spec = _spec_file(tmp_path, defects=((165, "open_junction"),))
+    rc, err = _error_report(capsys, ["isolate", "--spec", str(spec),
+                                     "--f-pump", "4.63", "--eps-points", "1"],
+                            tmp_path)
+    assert rc == 3 and err["error"] == "SingularNetwork"
+
+
+@pytest.mark.parametrize("z", [0.0, math.nan], ids=["zero", "nan"])
+def test_singular_sweep_exit_code(tmp_path, capsys, monkeypatch, z):
+    # infinite or NaN port loads leave the swept S non-finite
+    monkeypatch.setattr(network, "port_impedances",
+                        lambda net, omega: np.full(4, z))
     rc, err = _error_report(capsys, ["scatter", "--points", "3"], tmp_path)
     assert rc == 3 and err["error"] == "SingularNetwork"
 
 
-def test_scatter_solves_once_per_frequency(tmp_path, monkeypatch):
-    # the benchmark charges every network LU metric to solve_banded: one
-    # factor and solve of the (kl, ku) = (2, 2) nodal band per frequency
-    calls = []
-    solve = network.solve_banded
+def test_scatter_solves_in_one_sweep(tmp_path, monkeypatch):
+    # the whole grid goes through one scattering_sweep, with no banded LU
+    lu_calls, sweeps = [], []
+    sweep = network.scattering_sweep
 
-    def recorder(l_and_u, ab, *args, **kwargs):
-        calls.append((l_and_u, ab.shape))
-        return solve(l_and_u, ab, *args, **kwargs)
+    def recorder(net, omegas):
+        sweeps.append(len(omegas))
+        return sweep(net, omegas)
 
-    monkeypatch.setattr(network, "solve_banded", recorder)
+    monkeypatch.setattr(network, "solve_banded",
+                        lambda *args, **kwargs: lu_calls.append(args))
+    monkeypatch.setattr(network, "scattering_sweep", recorder)
     _run(["scatter", "--points", "5"], tmp_path / "s")
-    n_nodes = 2 * (device.fitted_line().n_cells + 1)
-    assert calls == [((2, 2), (5, n_nodes))] * 5
+    assert lu_calls == [] and sweeps == [5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--f-min", "32.9", "--f-max", "32.9", "--points", "1"],
+    ["nld-sim", "--f-pump", "3", "--f-probe", "32.9", "--pump-flux", "0.05",
+     "--harmonics", "2", "--n-sidebands", "1"],
+], ids=["scatter", "nld-sim"])
+def test_plasma_frequency_exits_cleanly(tmp_path, capsys, argv):
+    # the series junction branch is open there: the Bloch impedance has
+    # the limit 1 / y_sh, not real, so the ports fall back to low frequency
+    assert GHZ * 32.9 == device.fitted_cell().plasma_omega
+    rc = main(argv + ["--out-dir", str(tmp_path / "o")])
+    if rc == 3:
+        assert json.loads(capsys.readouterr().err)["error"]
+        return
+    assert rc == 0
+    for path in (tmp_path / "o").iterdir():
+        text = path.read_text().lower()     # blank CSV fields stand for NaN
+        blank = path.suffix == ".csv" and (",," in text or ",\n" in text)
+        assert "nan" not in text and "inf" not in text and not blank
 
 
 @pytest.mark.parametrize("argv, field", [

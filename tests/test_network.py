@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import scipy.sparse.linalg as spla
 
 from twpc import device, network
 from twpc.dispersion import Mode, cutoff, wavevector
-from twpc.errors import DecompositionIllConditioned
+from twpc.errors import DecompositionIllConditioned, SingularNetwork
 from twpc.network import (bloch_impedance, build_chain, linear_scattering,
-                          port_impedances, wave_amplitude_profile)
+                          port_impedances, scattering_sweep,
+                          wave_amplitude_profile)
 
 GHZ = 2e9 * math.pi
 
@@ -51,6 +53,19 @@ def test_bloch_impedance_low_frequency_limit():
     assert z.real == pytest.approx(c.z_sigma, rel=1e-3)
     z = bloch_impedance(Mode.Delta, 0.05 * GHZ, cell)
     assert z.real == pytest.approx(c.z_delta, rel=1e-3)
+
+
+def test_bloch_impedance_at_plasma_frequency(fitted_net):
+    # the series branch is open: the image impedance tends to 1 / y_sh,
+    # which is not real, so the ports fall back to the low-frequency values
+    cell, c = fitted_net.cell, fitted_net.consts
+    assert 1 / (1j * cell.plasma_omega * cell.l_j) \
+        + 1j * cell.plasma_omega * cell.c_j == 0
+    z = bloch_impedance(Mode.Sigma, cell.plasma_omega, cell)
+    assert z == pytest.approx(1 / (0.5j * cell.plasma_omega * cell.c_g))
+    np.testing.assert_array_equal(
+        port_impedances(fitted_net, cell.plasma_omega),
+        [c.z_sigma, c.z_delta, c.z_sigma, c.z_delta])
 
 
 def test_defect_scattering_fractions(defect_net):
@@ -226,3 +241,62 @@ def test_banded_solve_matches_sparse_oracle(case):
     np.testing.assert_allclose(s, _splu_scattering(net, w), rtol=0,
                                atol=1e-10)
     np.testing.assert_allclose(s, s.T, rtol=0, atol=1e-10)
+
+
+_PLASMA = device.fitted_cell().plasma_omega
+_SWEEP_CASES = {   # (spec overrides, port_z, frequencies in GHz)
+    "delta_cutoff": ({}, "bloch", [9.2, 9.213]),
+    "evanescent": ({}, "bloch", [12.0, 20.0]),
+    "plasma": ({}, "bloch",
+               [32.9, *(_PLASMA / GHZ * np.array([1 - 1e-6, 1, 1 + 1e-6]))]),
+    "open_junction": ({"defects": ((165, "open_junction"),)}, "bloch",
+                      np.linspace(4, 8, 41)),
+    "disorder": ({"disorder_halfwidth": 0.02, "seed": 11}, "bloch",
+                 np.linspace(0.05, 40, 81)),
+    "lowfreq_ports": ({}, "lowfreq", np.linspace(1, 10, 19)),
+    "4_ohm_ports": ({}, (4.0,) * 4, np.linspace(1, 10, 19)),
+    "one_cell": ({"n_cells": 1}, (89.0, 28.0, 60.0, 40.0),
+                 np.linspace(0.05, 40, 41)),
+    "two_cells": ({"n_cells": 2}, "lowfreq", np.linspace(0.05, 40, 41)),
+    "one_point": ({}, "bloch", [6.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(_SWEEP_CASES))
+def test_scattering_sweep_matches_banded_lu(case):
+    overrides, port_z, f_ghz = _SWEEP_CASES[case]
+    spec = dataclasses.replace(device.fitted_line(), **overrides)
+    net = build_chain(spec, port_z)
+    omegas = np.asarray(f_ghz) * GHZ
+    s = scattering_sweep(net, omegas)
+    assert s.shape == (len(omegas), 4, 4)
+    np.testing.assert_allclose(
+        s, [linear_scattering(net, w) for w in omegas], rtol=0, atol=1e-11)
+
+
+def test_scattering_sweep_unitary_and_reciprocal(fitted_net):
+    s = scattering_sweep(fitted_net, np.linspace(4, 8, 1601) * GHZ)
+    np.testing.assert_allclose(s.conj().transpose(0, 2, 1) @ s,
+                               np.broadcast_to(np.eye(4), s.shape), atol=1e-12)
+    np.testing.assert_allclose(s, s.transpose(0, 2, 1), rtol=0, atol=1e-12)
+
+
+def test_scattering_sweep_memory_is_linear_in_frequencies(fitted_net):
+    # one (5, n_nodes, n_f) band of the whole grid would take about 100 MB
+    omegas = np.linspace(4, 8, 1601) * GHZ
+    fitted_net.ops          # the cached operators are not the sweep's
+    tracemalloc.start()
+    try:
+        scattering_sweep(fitted_net, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fitted_net.n_cells == 400 and peak < 8e6
+
+
+def test_scattering_sweep_zero_frequency_is_singular():
+    net = build_chain(device.fitted_line(), "lowfreq")
+    with pytest.raises(SingularNetwork):
+        scattering_sweep(net, [5 * GHZ, 0.0])
+    with pytest.raises(SingularNetwork), np.errstate(all="ignore"):
+        linear_scattering(net, 0.0)
