@@ -23,6 +23,7 @@ its own linear algebra.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,10 +117,21 @@ def wavevector(mode: Mode, omega, cell: CellParams,
     """Wavevector k(omega) in rad/cell, in (0, pi/a].
 
     Accepts a scalar or array omega; raises AboveCutoff if any frequency
-    is at or above the (renormalized) cutoff.
+    is at or above the (renormalized) cutoff.  A float omega takes a scalar
+    path with the array expression's operation order and np.arccos (not
+    math.acos, which differs from it in the last bit), so both paths give
+    the same floats.
     """
     l_eff = _effective_inductance(mode, cell, renorm)
     c = _shunt_cap(mode, cell)
+    if isinstance(omega, float):        # also np.float64
+        omega = float(omega)
+        w2 = omega * omega
+        den = -2.0 + 2.0 * cell.c_j * l_eff * w2
+        arg = 1.0 + c * l_eff * w2 / den if den else math.inf
+        if arg < -1.0 or arg > 1.0:
+            raise AboveCutoff(mode.name, omega, cutoff(mode, cell, renorm))
+        return float(np.arccos(arg)) / A_CELL
     w2 = np.square(np.asarray(omega, dtype=float))
     arg = 1.0 + c * l_eff * w2 / (-2.0 + 2.0 * cell.c_j * l_eff * w2)
     if np.any(arg < -1.0) or np.any(arg > 1.0):
@@ -164,8 +176,17 @@ def pump_wavevector(cell: CellParams, omega_p: float,
 
     The pump renormalizes its own inductance through SPM, which in turn
     changes its wavevector; iterate the fixed point k = k(omega_p; L_spm(k))
-    up to 200 times, until a step is below 1e-13 rad/cell.
+    up to 200 times, until a step is below 1e-13 rad/cell.  The fixed
+    point is memoized per (cell, omega_p, epsilon_p).
     """
+    return _pump_fixed_point(cell, omega_p, epsilon_p)
+
+
+# the memo sits on a private helper so that pump_wavevector stays a plain
+# function, which perfbench/tracing.py can wrap and count
+@functools.lru_cache(maxsize=1024)
+def _pump_fixed_point(cell: CellParams, omega_p: float,
+                      epsilon_p: float) -> float:
     try:
         k = wavevector(Mode.Delta, omega_p, cell)
     except AboveCutoff as e:

@@ -186,8 +186,12 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
         grid = np.append(grid, hi)
     vals = res(grid)
 
+    # each strict sign change is one bracket; a sample where the residual
+    # is exactly zero is a root by itself, so no bracket reports it twice
+    sign = np.sign(vals)
+    change = np.append(sign[:-1] * sign[1:] < 0, False)
     points = []
-    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0):
+    for i in np.flatnonzero(change | (vals == 0.0)):
         if vals[i] == 0.0:
             w_root = grid[i]
         else:

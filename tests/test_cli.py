@@ -508,6 +508,16 @@ def test_plasma_frequency_exits_cleanly(tmp_path, capsys, argv):
         assert "nan" not in text and "inf" not in text and not blank
 
 
+def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
+    # the dispersion denominator is exactly zero there: both modes are
+    # above cutoff, written as blank cells, and no numpy warning leaks
+    out = _run(["dispersion", "--f-min", "32.9", "--f-max", "32.9",
+                "--points", "1"], tmp_path / "o")
+    assert (out / "dispersion.csv").read_text().splitlines()[1] == \
+        "3.290000000000e+01,,,,"
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == []
+
+
 @pytest.mark.parametrize("argv, field", [
     (["gaps-map", "--processes", "Ci,Xx"], "processes"),
     (["nld-sim", "--f-pump", "3", "--f-probe", "7.1", "--pump-flux", "0.05",

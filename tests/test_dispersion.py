@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,47 @@ def test_wavevector_accepts_arrays():
     ks = wavevector(Mode.Sigma, w, cell)
     assert ks.shape == (3,)
     assert ks[0] == pytest.approx(wavevector(Mode.Sigma, w[0], cell))
+    # a float omega (Python or numpy) takes the scalar path, which must
+    # give the array path's floats bit for bit, with no pump, under SPM
+    # (pump on the same mode) and under XPM (pump on the other mode)
+    rng = np.random.default_rng(15)
+    k_p = pump_wavevector(cell, 3.0 * GHZ, 0.3)
+    for mode in Mode:
+        other = Mode.Sigma if mode is Mode.Delta else Mode.Delta
+        for ctx in (None, PumpContext(0.3, k_p, mode),
+                    PumpContext(0.3, k_p, other)):
+            co = cutoff(mode, cell, ctx)
+            w = np.append(rng.uniform(0.0, co, 500),
+                          co * (1.0 - np.array([1e-9, 1e-12, 1e-15])))
+            ks = wavevector(mode, w, cell, ctx)
+            for x, k in zip(w, ks):
+                for scalar in (x, float(x)):
+                    got = wavevector(mode, scalar, cell, ctx)
+                    assert type(got) is float and got.hex() == k.hex()
+            for x in (co * 1.001, 0.5 * (co + cell.plasma_omega),
+                      2.0 * cell.plasma_omega):
+                with pytest.raises(AboveCutoff) as from_scalar:
+                    wavevector(mode, x, cell, ctx)
+                with pytest.raises(AboveCutoff) as from_array:
+                    wavevector(mode, np.array([x]), cell, ctx)
+                assert str(from_scalar.value) == str(from_array.value)
+            assert math.isnan(wavevector(mode, math.nan, cell, ctx))
+            assert np.isnan(wavevector(mode, np.array([math.nan]), cell,
+                                       ctx)).all()
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_zero_denominator_raises_above_cutoff(mode):
+    # at the junction plasma frequency the dispersion relation's
+    # denominator -2 + 2 C_J L omega^2 is exactly zero
+    cell = device.fitted_cell()
+    w = cell.plasma_omega
+    assert type(w) is float
+    assert -2.0 + 2.0 * cell.c_j * cell.l_j * w * w == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AboveCutoff):
+            wavevector(mode, w, cell)
 
 
 @pytest.mark.parametrize("mode", list(Mode))

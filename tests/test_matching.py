@@ -146,6 +146,67 @@ def test_gap_map_structure(cell):
     assert np.all(np.diff(ci_fw[:, 0]) > 0)
 
 
+def _zero_at_sample(index, grids):
+    """_residual_fn stand-in: the residual w - grid[index], exactly zero at
+    one scan sample.  Its first call gets the scan grid, kept in grids."""
+    def residual_fn(kind, omega_p, k_p, cell, ctx):
+        def res(w):
+            if not grids:
+                grids.append(np.array(w))
+            return w - grids[0][index]
+        return res
+    return residual_fn
+
+
+@pytest.mark.parametrize("index", [0, 100, -1],
+                         ids=["first", "interior", "last"])
+def test_root_on_a_scan_sample_is_reported_once(cell, monkeypatch, index):
+    grids = []
+    monkeypatch.setattr(matching, "_residual_fn",
+                        _zero_at_sample(index, grids))
+    pts = solve_corrected(ProcessKind.TunableCoupling, 3.0 * GHZ, 0.0, cell)
+    (grid,) = grids
+    assert len(grid) > 200
+    assert [(pt.omega_s, pt.kappa) for pt in pts] == [(grid[index], 0.0)]
+
+
+# (process, f_p GHz, float.hex of omega_s, k_s and k_p) at 0.12 flux
+# quanta, or None where there is no root; the Al root at 5 GHz sits 92 kHz
+# below the top of its scan band, the one at 4.97684 GHz just above the
+# aliased-circulation threshold
+_PINNED_ROOTS = [
+    ("Ci", 2.0, ("0x1.63f301f2ff446p+34", "0x1.1e468542942aep-2",
+                 "0x1.c0323921fbf48p-2")),
+    ("Ci", 3.5, ("0x1.1cb9ac4315940p+35", "0x1.d250efb11db61p-2",
+                 "0x1.90d63e74afef9p-1")),
+    ("Ci", 5.0, ("0x1.59d09f72f2135p+35", "0x1.1f5b2a5433be1p-1",
+                 "0x1.29507af8356f6p+0")),
+    ("Co", 2.0, ("0x1.12454d79b6b2bp+35", "0x1.c0323921fbf48p-2",
+                 "0x1.c0323921fbf48p-2")),
+    ("Co", 3.5, ("0x1.d0414db3be1ccp+35", "0x1.90d63e74afefap-1",
+                 "0x1.90d63e74afef9p-1")),
+    ("Co", 5.0, ("0x1.3c3c794fd7b74p+36", "0x1.29507af8356f6p+0",
+                 "0x1.29507af8356f6p+0")),
+    ("Al", 2.0, None),
+    ("Al", 3.5, None),
+    ("Al", 4.97684, ("0x1.e83c3679311dap+35", "0x1.a9ad818268982p-1",
+                     "0x1.27b8540b99516p+0")),
+    ("Al", 5.0, ("0x1.e60f977753122p+35", "0x1.a766461dbdbcdp-1",
+                 "0x1.29507af8356f6p+0")),
+]
+
+
+@pytest.mark.parametrize("kind,f_p,want", _PINNED_ROOTS)
+def test_roots_pinned_to_the_last_bit(cell, kind, f_p, want):
+    eps = _flux_eps(cell, f_p)
+    if want is None:
+        with pytest.raises(NoSolutionInBand):
+            solve_corrected(ProcessKind(kind), f_p * GHZ, eps, cell)
+        return
+    (pt,) = solve_corrected(ProcessKind(kind), f_p * GHZ, eps, cell)
+    assert (pt.omega_s.hex(), pt.k_s.hex(), pt.k_p.hex()) == want
+
+
 def _scalar_scan(kind, omega_p, epsilon_p, cell, scan_step=2e7 * math.pi,
                  tol=1e-10):
     """Reference roots: the bracket scan with one scalar residual call per

@@ -1,8 +1,10 @@
-"""The benchmark tracer's view of a small pumped map.
+"""The benchmark tracer's view of a small pumped map and a small gap map.
 
 perfbench/tracing.py charges every LU metric to scipy's solve_banded, so
 the solvers must keep reaching LAPACK through it; this pins the counts and
-fills a one-pump nld-map reports.
+fills a one-pump nld-map reports.  The tracer wraps only plain public
+functions, so a layer function hidden behind a decorator reads as absent;
+the gap map pins the matching and dispersion call counts.
 """
 
 from pathlib import Path
@@ -39,4 +41,16 @@ def test_nld_map_lu_metrics_flow_through_solve_banded(tracer, tmp_path):
     # 2406 unknowns (2 x 3 harmonics x 401 columns of the odd sector),
     # kl = ku = 11
     assert m["harmonic_balance.lu_fill_nnz"] == 2406 * (3 * 11 + 1) == 81804
+    assert tracer.absent == []
+
+
+def test_gaps_map_calls_each_layer_function_once_per_point(tracer,
+                                                          tmp_path):
+    assert main(["gaps-map", "--processes", "Ci,Co,Al", "--pump-min", "2",
+                 "--pump-max", "5", "--pump-points", "3", "--pump-eps",
+                 "0.3", "--out-dir", str(tmp_path)]) == 0
+    m = {k: v.value for k, v in tracer.metrics(1.0).items()}
+    assert m["matching.solve_calls"] == 3 * 3
+    assert m["dispersion.pump_wavevector_calls"] == 3 * 3
+    assert m["dispersion.wavevector_calls"] > 0
     assert tracer.absent == []
