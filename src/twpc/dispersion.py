@@ -133,7 +133,9 @@ def wavevector(mode: Mode, omega, cell: CellParams,
             raise AboveCutoff(mode.name, omega, cutoff(mode, cell, renorm))
         return float(np.arccos(arg)) / A_CELL
     w2 = np.square(np.asarray(omega, dtype=float))
-    arg = 1.0 + c * l_eff * w2 / (-2.0 + 2.0 * cell.c_j * l_eff * w2)
+    # a zero denominator (the plasma frequency) gives inf: above cutoff
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = 1.0 + c * l_eff * w2 / (-2.0 + 2.0 * cell.c_j * l_eff * w2)
     if np.any(arg < -1.0) or np.any(arg > 1.0):
         om = np.max(omega)
         raise AboveCutoff(mode.name, float(om), cutoff(mode, cell, renorm))

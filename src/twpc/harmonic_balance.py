@@ -165,7 +165,8 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
     drive is applied by adaptive amplitude continuation whose first step is
     the full drive from rest: on failure the step is halved, and each step
     is warm-started by rescaling the last converged state, until the step
-    falls below 2 % of the drive and NonConvergence is raised.
+    falls below 2 % of the drive and NonConvergence is raised with the
+    Newton steps of all attempts and the last residual.
     flux_ceiling bounds the converged peak junction flux in units of the
     flux quantum (warning above).
     """
@@ -228,16 +229,17 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
             phi, res, delta, rnorm = trial, res_t, delta_t, rn_t
         return phi if rnorm < TOL else None, rnorm, it, history
 
-    frac, step = 0.0, 1.0
+    frac, step, steps = 0.0, 1.0, 0
     phi_ok = np.zeros((len(orders), len(e)), complex)
     while frac < 1.0:
         trial_frac = min(1.0, frac + step)
         out = newton(phi_ok * (trial_frac / frac if frac else 1.0),
                      full_src * trial_frac)
+        steps += out[2]
         if out[0] is None:
             step *= 0.5
-            if step < 0.02:
-                raise NonConvergence(out[2], out[1])
+            if step < 0.02:     # the Newton steps of every attempt
+                raise NonConvergence(steps, out[1])
             continue
         frac, phi_ok = trial_frac, out[0]
     phi = ops.to_nodes(phi_ok)

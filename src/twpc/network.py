@@ -219,10 +219,18 @@ def bloch_impedance(mode: Mode, omega: float, cell: CellParams) -> complex:
     return cmath.sqrt(z_se / (y_sh * (2.0 + z_se * y_sh)))
 
 
-def port_impedances(net: ChainNetwork, omega: float) -> np.ndarray:
-    """Reference impedance of each port at omega (always real)."""
+def port_impedances(net: ChainNetwork, omega) -> np.ndarray:
+    """Reference impedance of each port at omega (always real): (4,), or
+    (len(omega), 4) for a 1-d array omega, one row per frequency in the
+    same scalar arithmetic."""
+    if np.ndim(omega):
+        return np.array([_port_row(net, w) for w in omega]).reshape(-1, 4)
+    return np.array(_port_row(net, omega))
+
+
+def _port_row(net: ChainNetwork, omega: float) -> tuple:
     if isinstance(net.port_z, tuple):
-        return np.array(net.port_z)
+        return net.port_z
     if net.port_z == "lowfreq":
         z = (net.consts.z_sigma, net.consts.z_delta)
     else:  # bloch, falling back to the low-frequency value above cutoff
@@ -231,7 +239,7 @@ def port_impedances(net: ChainNetwork, omega: float) -> np.ndarray:
                          (Mode.Delta, net.consts.z_delta)):
             zb = bloch_impedance(mode, omega, net.cell)
             z.append(zb.real if abs(zb.imag) < 1e-9 * abs(zb) else zl)
-    return np.array([z[0], z[1], z[0], z[1]])
+    return z[0], z[1], z[0], z[1]
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +285,20 @@ def channel_band(blocks: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def add_channel_loads(ab: np.ndarray, ops: ChainOperators, omegas, z):
-    """Add i omega_c phi0 Y_c without the junction inductances, at the
-    signed frequency omegas[c] with port impedances z[c], to the diagonal
-    block of channel c of the complex channel band ab on the unknowns of
-    ops, in place."""
-    rows = (len(ab) - 1) // 2 + (np.arange(2 * ops.w + 1) - ops.w) * len(z)
-    ab.reshape(len(ab), -1, len(z))[rows] += ops.admittance(
-        omegas, z, inductive=False) * (1j * PHI0_BAR * np.asarray(omegas))
+def add_channel_loads(ab: np.ndarray, ops: ChainOperators, omegas, z,
+                      out: np.ndarray) -> np.ndarray:
+    """Write the complex channel band ab on the unknowns of ops plus
+    i omega_c phi0 Y_c without the junction inductances, at the signed
+    frequency omegas[c] with port impedances z[c], on the diagonal block
+    of channel c, into out (ab itself, or a band of its shape), whose
+    other rows stay as they are.  Returns the 2 w + 1 band rows written,
+    as a view (2 w + 1, n, nb) of out."""
+    nb, ku = len(z), (len(ab) - 1) // 2
+    rows = slice(ku - ops.w * nb, ku + ops.w * nb + 1, nb)
+    loads = ops.admittance(omegas, z, inductive=False)
+    loads *= 1j * PHI0_BAR * np.asarray(omegas)
+    return np.add(ab.reshape(len(ab), -1, nb)[rows], loads,
+                  out=out.reshape(len(ab), -1, nb)[rows])
 
 
 def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
@@ -294,12 +308,16 @@ def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
     return sp.dia_matrix((ab, range(w, -w - 1, -1)), shape=(n, n)).tocsr()
 
 
-def _solve(ab, b):
-    """Banded LU with partial pivoting of ab (kl = ku).  For kl > 1, as
-    every band here has, scipy factors a copy and leaves ab unchanged."""
+def _solve(ab, b, check_finite=True):
+    """Banded LU with partial pivoting of ab (kl = ku), which stays as it
+    is (scipy's overwrite_ab=False contract).  check_finite=False leaves
+    the check for non-finite entries of ab and b to the caller, as the
+    sideband probes do (see sidebands._PumpedLinearizer): LAPACK may
+    return a finite, wrong solution for a band that holds an inf."""
     kl = (ab.shape[0] - 1) // 2
     try:
-        x = solve_banded((kl, kl), ab, b, overwrite_ab=True)
+        x = solve_banded((kl, kl), ab, b, overwrite_ab=False,
+                         check_finite=check_finite)
     except (LinAlgError, ValueError) as exc:   # singular or non-finite
         raise SingularNetwork(str(exc))
     if not np.isfinite(x).all():

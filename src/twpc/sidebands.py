@@ -62,10 +62,14 @@ class SignalScattering:
 
 
 class _PumpedLinearizer:
-    """Caches the pump part of the conversion band for repeated probes,
-    which fill one work band in turn: per electrode-parity sector where
-    both electrodes see the same cos(delta_P(t)) (see the module
-    docstring), else in the node basis, the one sector sign None."""
+    """Caches the pump part of the conversion band for repeated probes:
+    per electrode-parity sector where both electrodes see the same
+    cos(delta_P(t)) (see the module docstring), else in the node basis,
+    the one sector sign None.  One work band holds the pump band of the
+    sector last solved in; a probe in that sector rewrites only its
+    2 w + 1 channel-load rows.  LAPACK runs without scipy's finite check:
+    the pump bands are checked once, and each probe checks its port
+    impedances (which set its drives) and the load rows it writes."""
 
     def __init__(self, net: ChainNetwork, pump: PumpSolution | None,
                  n_sidebands: int = 2):
@@ -83,43 +87,84 @@ class _PumpedLinearizer:
         self.sectors = {}       # sign -> (pump band, operators) per sector
         for ops in sectors:
             band = channel_band(conversion_blocks(ops, gamma[:, q]))
+            if not np.isfinite(band).all():
+                raise SingularNetwork("non-finite pump band")
             self.sectors[ops.sign] = band, ops
         self.work = np.empty_like(band)
+        self.held = 0           # sign of the sector whose pump band work holds
+        self.plans = {}         # channels -> _plan(channels)
 
-    def solve(self, omega_probe: float, channels):
+    def _plan(self, channels):
+        """Index arrays of a channel list, built once per list: sideband
+        i, port p and column k of each channel, and per sector to solve in
+        (sign, columns, their (i, p), their drives' rhs entries and e
+        values on the unknowns the ports touch, the rows of the solution
+        on those unknowns, e^T on them)."""
+        i, p = np.array(channels).T
+        k = np.arange(len(channels))
+        nb = len(self.harmonics)
+        sectors = []
+        for sign, (_, ops) in self.sectors.items():
+            cols = k if sign is None else k[np.take(PARITY, p) == sign]
+            if len(cols):
+                node = np.flatnonzero(ops.e.any(1))[:, None]
+                e = ops.e[node[:, 0]]
+                sectors.append((sign, cols, (i[cols], p[cols]),
+                                (node * nb + i[cols], np.arange(len(cols))),
+                                e[:, p[cols]],
+                                (node * nb + np.arange(nb)).ravel(), e.T))
+        return i, p, k, sectors
+
+    def impedances(self, omega_probes) -> np.ndarray:
+        """Port impedances (len(omega_probes), nb, 4) at the sidebands of
+        each probe, in one pass (a sideband that solve rejects as zero
+        frequency is taken at 1e3 rad/s)."""
+        freqs = np.asarray(omega_probes, float)[:, None] \
+            + self.harmonics * self.omega_p
+        return port_impedances(self.net, np.maximum(np.abs(freqs), 1e3)
+                               .ravel()).reshape(freqs.shape + (4,))
+
+    def solve(self, omega_probe: float, channels, z=None):
         """Sideband frequencies (nb,) and outgoing waves s (nb, 4, k):
         s[i, q, j] at (sideband i, port q) for a unit incident wave on
         channels[j], a list of k (sideband, port) index pairs as in
-        SignalScattering.  Outputs in another sector than the incident
-        port's are exactly 0.  The truncation check reads the probe's own
-        channel (n_sidebands, 0), so channels must include it."""
-        net, nsb = self.net, self.n_sb
+        SignalScattering; z, the sidebands' port impedances (nb, 4), is
+        computed when not given.  Outputs in another sector than the
+        incident port's are exactly 0.  The truncation check reads the
+        probe's own channel (n_sidebands, 0), so channels must include
+        it."""
+        nsb = self.n_sb
         freqs = omega_probe + self.harmonics * self.omega_p
-        if np.any(np.abs(freqs) < 1e3):
+        if np.abs(freqs).min() < 1e3:
             raise SingularNetwork("a sideband falls at zero frequency")
-        z = np.array([port_impedances(net, abs(w)) for w in freqs])
-        s = np.zeros((len(freqs), 4, len(channels)), complex)
-        for sign, (band, ops) in self.sectors.items():
-            cols = [j for j, (_, p) in enumerate(channels)
-                    if sign in (None, PARITY[p])]
-            if not cols:
-                continue
-            ab = self.work
-            np.copyto(ab, band)
-            add_channel_loads(ab, ops, freqs, z)
-            # Norton drive of a unit incident wave on each requested channel
-            e = ops.e
-            i, p = np.array(channels)[cols].T
-            rhs = np.zeros((len(e), len(freqs), len(cols)))
-            rhs[:, i, range(len(cols))] = e[:, p] * (2.0 / np.sqrt(z[i, p]))
-            sol = _solve(ab, rhs.reshape(-1, len(cols))).reshape(rhs.shape)
-            s[:, :, cols] = np.einsum("kq,kij->iqj", e, sol, optimize=True) \
-                * (1j * PHI0_BAR * freqs)[:, None, None] \
-                / np.sqrt(z)[:, :, None]
-        i, p = np.array(channels).T
-        s[i, p, np.arange(len(channels))] -= 1.0
+        if z is None:
+            z = self.impedances([omega_probe])[0]
+        if not 0 < z.min() <= z.max() < math.inf:   # also NaN
+            raise SingularNetwork("port impedance not finite and positive")
+        rz = np.sqrt(z)
+        key = tuple(map(tuple, channels))
+        if key not in self.plans:
+            self.plans[key] = self._plan(channels)
+        i, p, k, sectors = self.plans[key]
+        s = np.zeros((len(freqs), 4, len(k)), complex)
+        for sign, cols, chan, entries, drive, out, e_t in sectors:
+            band, ops = self.sectors[sign]
+            if self.held != sign:
+                np.copyto(self.work, band)
+                self.held = sign
+            if not np.isfinite(add_channel_loads(band, ops, freqs, z,
+                                                 self.work)).all():
+                raise SingularNetwork("non-finite channel loads")
+            # Norton drive of a unit incident wave on each channel
+            rhs = np.zeros((self.work.shape[1], len(cols)))
+            rhs[entries] = drive * (2.0 / rz[chan])
+            sol = _solve(self.work, rhs, check_finite=False)
+            v = e_t @ sol[out].reshape(e_t.shape[1], -1)
+            s[:, :, cols] = v.reshape(4, len(freqs), -1).transpose(1, 0, 2) \
+                * (1j * PHI0_BAR * freqs)[:, None, None] / rz[:, :, None]
+        s[i, p, k] -= 1.0
 
-        pwr = np.abs(s[:, :, channels.index((nsb, 0))]) ** 2
+        pwr = np.abs(s[:, :, key.index((nsb, 0))]) ** 2
         total, edge = pwr.sum(), pwr[0].sum() + pwr[-1].sum()
         if nsb > 0 and total > 0 and edge > 0.01 * total:
             warnings.warn(
@@ -175,9 +220,10 @@ def transmission_map(net: ChainNetwork, omega_p: float, probe_freqs,
     except (NonConvergence, SingularNetwork) as exc:
         return s_fw, s_bw, [(None, str(exc))]
     failures = []
+    z = lin.impedances(probe_freqs)
     for j, wpr in enumerate(probe_freqs):
         try:   # Sigma-L and Sigma-R probe columns only
-            _, s = lin.solve(wpr, [(n_sidebands, 0), (n_sidebands, 2)])
+            _, s = lin.solve(wpr, [(n_sidebands, 0), (n_sidebands, 2)], z[j])
         except SingularNetwork as exc:
             failures.append((j, str(exc)))
             continue

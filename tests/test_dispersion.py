@@ -91,8 +91,12 @@ def test_zero_denominator_raises_above_cutoff(mode):
     assert -2.0 + 2.0 * cell.c_j * cell.l_j * w * w == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(AboveCutoff):
+        with pytest.raises(AboveCutoff) as from_scalar:
             wavevector(mode, w, cell)
+        # the array path neither warns (divide by zero) before it raises
+        with pytest.raises(AboveCutoff) as from_array:
+            wavevector(mode, np.array([1e9, w]), cell)
+    assert str(from_array.value) == str(from_scalar.value)
 
 
 @pytest.mark.parametrize("mode", list(Mode))

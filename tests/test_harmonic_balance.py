@@ -10,7 +10,7 @@ from scipy.linalg import solve_banded
 from twpc import harmonic_balance, network
 from twpc.device import PHI0_BAR
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
-from twpc.errors import TruncationWarning
+from twpc.errors import NonConvergence, TruncationWarning
 from twpc.harmonic_balance import (K_SAMPLES, Drive, HarmonicBasis,
                                    _load_blocks, _newton_step, _orbit,
                                    _sample_count, _samples,
@@ -334,3 +334,33 @@ def test_newton_samples_match_oversampled_orbit(fitted_net, monkeypatch,
     monkeypatch.setattr(harmonic_balance, "_sample_count", lambda h_max: 128)
     ref = pump_harmonic_balance(fitted_net, drives, basis)
     assert np.max(np.abs(sol.phi - ref.phi)) <= 1e-11 * np.max(np.abs(ref.phi))
+
+
+def test_nonconvergence_reports_every_attempts_newton_steps(fitted_spec,
+                                                          monkeypatch):
+    """A failed solve reports the Newton steps of all its continuation
+    attempts (each one Jacobian solve), not only the last attempt's, with
+    the last attempt's residual; a converged solve still reports the steps
+    of its last attempt."""
+    net = network.build_chain(dataclasses.replace(fitted_spec, n_cells=20))
+    w = 3 * GHZ
+    drives = [Drive(3, w, incident_amplitude(net, w, 3, 0.02))]
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return _newton_step(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic_balance, "_newton_step", counted)
+    sol = pump_harmonic_balance(net, drives, HarmonicBasis(2))
+    assert sol.iterations == len(steps) > 0     # one attempt, the full drive
+    steps.clear()
+    monkeypatch.setattr(harmonic_balance, "TOL", 0.0)  # nothing converges
+    monkeypatch.setattr(harmonic_balance, "MAX_ITER", 3)
+    with pytest.raises(NonConvergence) as exc:
+        pump_harmonic_balance(net, drives, HarmonicBasis(2))
+    # attempts at drive steps 1, 1/2, ..., 1/32 of at most 3 steps each
+    assert harmonic_balance.MAX_ITER < exc.value.iterations == len(steps)
+    assert len(steps) <= 6 * 3
+    assert f"after {len(steps)} iterations" in str(exc.value)
+    assert math.isfinite(exc.value.residual) and exc.value.residual > 0

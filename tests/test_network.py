@@ -154,6 +154,24 @@ def test_explicit_port_impedances():
                                [89.0, 28.0, 89.0, 28.0])
 
 
+@pytest.mark.parametrize("ports", ["bloch", "lowfreq", (89.0, 28.0, 89.0,
+                                                         28.0)],
+                         ids=["bloch", "lowfreq", "explicit"])
+def test_port_impedances_of_an_array_are_the_scalar_rows(ports):
+    """An array of frequencies gives one row per frequency, each equal bit
+    for bit to the scalar call: below and above both cutoffs, at the
+    plasma frequency, and for an empty array."""
+    cell = device.fitted_cell()
+    net = build_chain(device.fitted_line(), ports)
+    omegas = np.array([0.3, 5.0, 9.2, 9.3, 22.0, 40.0]) * GHZ
+    omegas = np.append(omegas, cell.plasma_omega)
+    rows = port_impedances(net, omegas)
+    assert rows.shape == (len(omegas), 4)
+    for w, row in zip(omegas, rows):
+        assert np.array_equal(row, port_impedances(net, float(w)))
+    assert port_impedances(net, np.array([])).shape == (0, 4)
+
+
 def test_disorder_changes_scattering_deterministically():
     base = device.fitted_line()
     d1 = dataclasses.replace(base, disorder_halfwidth=0.05, seed=1)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -8,15 +9,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from twpc import network
+from twpc import network, sidebands
+from twpc.cli import main
 from twpc.device import PHI0_BAR
 from twpc.dispersion import Mode, amplitude_from_flux, cutoff, pump_wavevector
 from twpc.errors import SingularNetwork, TruncationWarning
 from twpc.harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES,
                                    incident_amplitude, pump_harmonic_balance)
 from twpc.matching import ProcessKind, solve_corrected
-from twpc.network import (admittance_matrix, band_to_sparse,
-                          linear_scattering, port_impedances)
+from twpc.network import (PARITY, add_channel_loads, admittance_matrix,
+                          band_to_sparse, linear_scattering, port_impedances)
 from twpc.sidebands import (_PumpedLinearizer, signal_sidebands,
                             transmission_map)
 
@@ -192,20 +194,25 @@ def _reference_sidebands(net, pump, omega_probe, n_sb):
 @pytest.fixture(scope="module")
 def oracle_pumps(fitted_spec, fitted_net, defect_net):
     """3 GHz pump at 0.05 flux quanta from the right Delta port on the
-    fitted line, the line with an open junction, and a line with 5 %
-    junction disorder; and on the fitted line from both Delta ports
-    ("coupler"), the left Sigma port ("sigma"), and the left Sigma and
-    right Delta ports ("mixed"): (pump, epsilon) per name."""
+    fitted line, the line with an open junction, and lines with 5 % and
+    2 % ("disorder2") junction disorder; and on the fitted line from
+    both Delta ports ("coupler"), the left Sigma port ("sigma"), and the
+    left Sigma and right Delta ports ("mixed"): (pump, epsilon) per
+    name."""
     disorder_net = network.build_chain(dataclasses.replace(
         fitted_spec, disorder_halfwidth=0.05, seed=7))
+    disorder2_net = network.build_chain(dataclasses.replace(
+        fitted_spec, disorder_halfwidth=0.02, seed=11))
     w = 3 * GHZ
     eps = amplitude_from_flux(0.05 * FLUX_Q,
                               pump_wavevector(fitted_net.cell, w, 0.0))
     out = {}
     for name, net, ports in (
             ("fitted", fitted_net, (3,)), ("defect", defect_net, (3,)),
-            ("disorder", disorder_net, (3,)), ("coupler", fitted_net, (1, 3)),
-            ("sigma", fitted_net, (0,)), ("mixed", fitted_net, (0, 3))):
+            ("disorder", disorder_net, (3,)),
+            ("disorder2", disorder2_net, (3,)),
+            ("coupler", fitted_net, (1, 3)), ("sigma", fitted_net, (0,)),
+            ("mixed", fitted_net, (0, 3))):
         drives = [Drive(p, w, incident_amplitude(net, w, p, eps))
                   for p in ports]
         out[name] = pump_harmonic_balance(net, drives, HarmonicBasis(3)), eps
@@ -396,3 +403,153 @@ def test_probes_refill_one_work_band(pumped, oracle_pumps):
                 assert np.array_equal(now, band)
             again = lin.solve(7.1 * GHZ, channels)[1]
         assert np.array_equal(again, first)
+
+
+def _rebuilt_band_probe(lin, omega_probe, channels):
+    """lin.solve on a band rebuilt whole for the probe: a fresh copy of
+    each sector's pump band, its channel loads added in place, solved by
+    solve_banded with its finite check, outputs contracted over every
+    unknown; the reference for the refreshed load rows."""
+    freqs = omega_probe + lin.harmonics * lin.omega_p
+    z = np.array([port_impedances(lin.net, abs(w)) for w in freqs])
+    s = np.zeros((len(freqs), 4, len(channels)), complex)
+    for sign, (band, ops) in lin.sectors.items():
+        cols = [j for j, (_, p) in enumerate(channels)
+                if sign in (None, PARITY[p])]
+        if not cols:
+            continue
+        ab = band.copy()
+        add_channel_loads(ab, ops, freqs, z, ab)
+        e = ops.e
+        i, p = np.array(channels)[cols].T
+        rhs = np.zeros((len(e), len(freqs), len(cols)))
+        rhs[:, i, range(len(cols))] = e[:, p] * (2.0 / np.sqrt(z[i, p]))
+        kl = (len(ab) - 1) // 2
+        sol = solve_banded((kl, kl), ab, rhs.reshape(-1, len(cols)))
+        s[:, :, cols] = np.einsum(
+            "kq,kij->iqj", e, sol.reshape(rhs.shape), optimize=True) \
+            * (1j * PHI0_BAR * freqs)[:, None, None] / np.sqrt(z)[:, :, None]
+    i, p = np.array(channels).T
+    s[i, p, np.arange(len(channels))] -= 1.0
+    return freqs, s
+
+
+@pytest.mark.parametrize("line", ["fitted", "coupler", "sigma", "disorder2",
+                                  "defect"])
+def test_refreshed_load_rows_match_rebuilt_band(oracle_pumps, line):
+    """One linearizer through probes that alternate sectors and channel
+    sets (the map's two columns, every channel, a Sigma/Delta mix), so
+    that its work band switches sector, is reused, and has only its load
+    rows rewritten: every output equals the rebuilt-band reference bit for
+    bit in the parity sectors, and to 1e-12 of each column's largest entry
+    on the nodes, where the outputs are contracted over the port unknowns
+    only (a different summation order)."""
+    pump, _ = oracle_pumps[line]
+    lin = _PumpedLinearizer(pump.net, pump)
+    assert list(lin.sectors) == ([None] if line in ("disorder2", "defect")
+                                 else [1, -1])
+    cols = [(2, 0), (2, 2)]
+    every = list(np.ndindex(5, 4))
+    mix = [(1, 1), (2, 0), (2, 3), (4, 2)]
+    held = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for f, channels in ((7.1, cols), (9.0, cols), (5.3, every),
+                            (7.1, cols), (6.4, mix), (11.0, every),
+                            (4.2, cols), (3.3, mix)):
+            freqs, s = lin.solve(f * GHZ, channels)
+            held.append(lin.held)
+            ref_freqs, ref = _rebuilt_band_probe(lin, f * GHZ, channels)
+            assert np.array_equal(freqs, ref_freqs)
+            if None in lin.sectors:
+                scale = np.abs(ref).max(axis=(0, 1))
+                assert np.all(np.abs(s - ref).max(axis=(0, 1))
+                              <= 1e-12 * scale)
+            else:
+                assert np.array_equal(s, ref)
+    if None not in lin.sectors:     # the sector last solved in
+        assert held == [1, 1, -1, 1, -1, -1, 1, -1]
+
+
+def test_map_row_takes_its_sideband_impedances_in_one_call(oracle_pumps,
+                                                           monkeypatch):
+    calls = []
+
+    def recorder(net, omega):
+        calls.append(np.shape(omega))
+        return port_impedances(net, omega)
+
+    monkeypatch.setattr(sidebands, "port_impedances", recorder)
+    pump, eps = oracle_pumps["fitted"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        transmission_map(pump.net, pump.omega_p,
+                         np.array([6.5, 7.1, 9.0]) * GHZ, eps)
+    assert calls == [(3 * 5,)]      # 3 probes x 5 sidebands
+
+
+def _nonfinite_pump_band(monkeypatch):
+    """Make the pump band of every linearizer hold an inf on its diagonal,
+    where LAPACK would return a finite, wrong solution."""
+    band = sidebands.channel_band
+
+    def poisoned(blocks, out=None):
+        ab = band(blocks, out)
+        ab[len(ab) // 2, 7] = np.inf
+        return ab
+    monkeypatch.setattr(sidebands, "channel_band", poisoned)
+
+
+@pytest.mark.parametrize("bad", ["nan", "zero", "inf", "pump_band"])
+def test_non_finite_inputs_fail_loudly(oracle_pumps, monkeypatch, tmp_path,
+                                       capsys, bad):
+    """A NaN, zero or infinite sideband port impedance, or a non-finite
+    pump band, ends as SingularNetwork, never as a finite S: a probe
+    raises, a map leaves its cells blank and says why, nld-sim exits 3
+    with its JSON report."""
+    if bad == "pump_band":
+        _nonfinite_pump_band(monkeypatch)
+    else:
+        z = {"nan": math.nan, "zero": 0.0, "inf": math.inf}[bad]
+        monkeypatch.setattr(sidebands, "port_impedances",
+                            lambda net, omega: np.full(np.shape(omega) + (4,),
+                                                       z))
+    pump, eps = oracle_pumps["fitted"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # nor any numpy warning
+        with pytest.raises(SingularNetwork):
+            _PumpedLinearizer(pump.net, pump).solve(7.1 * GHZ,
+                                                    [(2, 0), (2, 2)])
+    common = ["--f-pump", "3", "--pump-flux", "0.02", "--harmonics", "2",
+              "--n-sidebands", "1"]
+    assert main(["nld-sim", "--f-probe", "7.1", "--out-dir",
+                 str(tmp_path / "sim")] + common) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SingularNetwork" and err["message"]
+    assert not (tmp_path / "sim" / "scattering_summary.json").exists()
+    out = tmp_path / "map"
+    assert main(["nld-map", "--pump-min", "3", "--pump-max", "3",
+                 "--pump-points", "1", "--probe-min", "5", "--probe-max",
+                 "7.1", "--probe-points", "2", "--pump-flux", "0.02",
+                 "--harmonics", "2", "--n-sidebands", "1", "--out-dir",
+                 str(out)]) == 0
+    rows = (out / "transmission_map.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",,") for row in rows)
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    probes = [None] if bad == "pump_band" else [5.0, 7.1]
+    assert [f["f_probe_GHz"] for f in failures] == probes
+    assert all(f["reason"] for f in failures)
+
+
+def test_overflowing_channel_loads_fail_loudly(oracle_pumps, tmp_path,
+                                               capsys):
+    """Loads that overflow to inf at an absurd probe frequency, with
+    finite impedances, are caught in the rows a probe writes."""
+    pump, _ = oracle_pumps["fitted"]
+    with pytest.raises(SingularNetwork, match="channel loads"), \
+            np.errstate(over="ignore"):
+        _PumpedLinearizer(pump.net, pump).solve(1e300, [(2, 0), (2, 2)])
+    assert main(["nld-sim", "--f-pump", "3", "--f-probe", "1e290",
+                 "--pump-flux", "0.02", "--harmonics", "2",
+                 "--n-sidebands", "1", "--out-dir", str(tmp_path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "SingularNetwork"
