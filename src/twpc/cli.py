@@ -665,7 +665,9 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         json.dump({"error": "NonConvergence", "message": str(exc),
                    "iterations": exc.iterations,
-                   "residual": exc.residual}, sys.stderr)
+                   # a non-finite residual is no JSON number
+                   "residual": exc.residual if math.isfinite(exc.residual)
+                   else None}, sys.stderr)
         sys.stderr.write("\n")
         return 3
     except OSError as exc:

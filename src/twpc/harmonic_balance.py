@@ -33,6 +33,7 @@ from .network import (ChainNetwork, ChainOperators, _solve, band_to_sparse,
 K_SAMPLES = 128  # FFT oversampling of the orbit outside the Newton loop
 TOL = 1e-10      # Newton converges below this residual norm / drive norm
 MAX_ITER = 50    # Newton iterations per continuation step
+FLUX_CEILING = 0.3  # peak junction flux (flux quanta) above which to warn
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,8 @@ def _newton_step(ops: ChainOperators, loads: np.ndarray, a: np.ndarray,
     return (dx[:, 0] + 1j * dx[:, 1]).T
 
 
-def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
-                          flux_ceiling: float = 0.3) -> PumpSolution:
+def pump_harmonic_balance(net: ChainNetwork, drives,
+                          basis: HarmonicBasis) -> PumpSolution:
     """Newton harmonic balance of the pump steady state.
 
     drives: iterable of Drive, all at the same omega_p; simultaneous
@@ -166,9 +167,9 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
     the full drive from rest: on failure the step is halved, and each step
     is warm-started by rescaling the last converged state, until the step
     falls below 2 % of the drive and NonConvergence is raised with the
-    Newton steps of all attempts and the last residual.
-    flux_ceiling bounds the converged peak junction flux in units of the
-    flux quantum (warning above).
+    Newton steps of all attempts and the last residual.  The residual is
+    relative to the drive, absolute for a zero drive, whose orbit phi = 0
+    converges at once.
     """
     drives = tuple(drives)
     if not drives:
@@ -203,7 +204,8 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
         res[:, right] += i_nl
         res[:, left] -= i_nl
         res[0] -= i_src
-        return res, delta, np.linalg.norm(res) / np.linalg.norm(i_src)
+        return res, delta, np.linalg.norm(res) / (np.linalg.norm(i_src)
+                                                  or 1.0)
 
     # the Newton band (kl = ku = 2 (w + 1) M - 1), refilled at every step
     work = np.empty((4 * (ops.w + 1) * len(orders) - 1,
@@ -250,10 +252,10 @@ def pump_harmonic_balance(net: ChainNetwork, drives, basis: HarmonicBasis,
                        tuple(history))
     f_p = f"f_P = {omega_p/2e9/math.pi:.4f} GHz"
     peak = sol.peak_junction_flux() / (2.0 * math.pi * PHI0_BAR)
-    if peak > flux_ceiling:
+    if peak > FLUX_CEILING:
         warnings.warn(
             f"peak junction flux {peak:.3f} flux quanta exceeds the "
-            f"{flux_ceiling:.2f} ceiling at {f_p}; harmonic truncation "
+            f"{FLUX_CEILING:.2f} ceiling at {f_p}; harmonic truncation "
             "may be unreliable", TruncationWarning)
     top = np.max(np.abs(d_br[-1])) if len(orders) > 1 else 0.0
     fund = np.max(np.abs(d_br[0])) if d_br.size else 0.0

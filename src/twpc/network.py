@@ -285,20 +285,19 @@ def channel_band(blocks: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def add_channel_loads(ab: np.ndarray, ops: ChainOperators, omegas, z,
+def add_channel_loads(rows: np.ndarray, ops: ChainOperators, omegas, z,
                       out: np.ndarray) -> np.ndarray:
-    """Write the complex channel band ab on the unknowns of ops plus
-    i omega_c phi0 Y_c without the junction inductances, at the signed
-    frequency omegas[c] with port impedances z[c], on the diagonal block
-    of channel c, into out (ab itself, or a band of its shape), whose
-    other rows stay as they are.  Returns the 2 w + 1 band rows written,
-    as a view (2 w + 1, n, nb) of out."""
-    nb, ku = len(z), (len(ab) - 1) // 2
-    rows = slice(ku - ops.w * nb, ku + ops.w * nb + 1, nb)
+    """Write rows, the pump part (2 w + 1, n, nb) of the channels' diagonal
+    blocks on the unknowns of ops, plus i omega_c phi0 Y_c without the
+    junction inductances, at the signed frequency omegas[c] with port
+    impedances z[c], into the 2 w + 1 band rows of out, a channel band,
+    that hold those blocks; its other rows stay as they are.  Returns the
+    rows written, as a view (2 w + 1, n, nb) of out."""
+    nb, ku = len(z), (len(out) - 1) // 2
     loads = ops.admittance(omegas, z, inductive=False)
     loads *= 1j * PHI0_BAR * np.asarray(omegas)
-    return np.add(ab.reshape(len(ab), -1, nb)[rows], loads,
-                  out=out.reshape(len(ab), -1, nb)[rows])
+    return np.add(rows, loads, out=out.reshape(len(out), -1, nb)[
+        ku - ops.w * nb:ku + ops.w * nb + 1:nb])
 
 
 def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
@@ -345,7 +344,7 @@ def scattering_sweep(net: ChainNetwork, omegas) -> np.ndarray:
     blocks from both loaded ends, vectorised over frequency.  The pivot
     S = [[p, q], [q, r]] is the loaded part's input admittance: no pivoting."""
     w = np.asarray(omegas, float)
-    z = np.array([port_impedances(net, x) for x in w]).T      # (4, nf)
+    z = port_impedances(net, w).T                             # (4, nf)
     ops, n = net.ops, net.n_nodes
     # C, Gamma band rows 2-4, node order and reversed: i (w C - Gamma / w)
     cg = np.stack([ops.c_band, ops.gamma_band])

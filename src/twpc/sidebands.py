@@ -7,15 +7,17 @@ through the even-harmonic Fourier coefficients of cos(delta_P(t)).
 Negative omega_n label the conjugate channel of a down-converted sideband.
 The sidebands are the channels of the conversion-matrix band that the
 harmonic-balance Newton step also solves.  Its pump part is built once per
-pump orbit; each probe adds its channel loads and solves one banded LU for
-the incident (sideband, port) channels the caller reads.  When the two
-electrodes are identical and the pump drives only Sigma or only Delta
-ports, the band commutes with swapping the electrodes and splits exactly
-into an even (Sigma) and an odd (Delta) sector of nb (n_cells + 1)
-unknowns each (kl = 2 nb - 1, against nb n_nodes and 3 nb - 1 in the node
-basis); each channel is then solved in its port's sector, and outputs in
-the other sector are exactly 0.  At zero pump the channels decouple and
-the n = 0 block reduces to the linear S-matrix.
+pump orbit and list of incident (sideband, port) channels the caller
+reads; each probe writes its channel loads into the band's load rows and
+solves one banded LU for those channels.  When the two electrodes are
+identical and the pump drives only Sigma or only Delta ports, the band
+commutes with swapping the electrodes and splits exactly into an even
+(Sigma) and an odd (Delta) sector of nb (n_cells + 1) unknowns each
+(kl = 2 nb - 1, against nb n_nodes and 3 nb - 1 in the node basis); each
+channel is then solved in its port's sector, a sector no channel uses
+gets no band, and outputs in the other sector are exactly 0.  At zero
+pump the channels decouple and the n = 0 block reduces to the linear
+S-matrix.
 transmission_map solves one pump row of a map: one harmonic-balance orbit
 (continuation from the full drive down), then each probe on its band.
 """
@@ -62,58 +64,58 @@ class SignalScattering:
 
 
 class _PumpedLinearizer:
-    """Caches the pump part of the conversion band for repeated probes:
-    per electrode-parity sector where both electrodes see the same
-    cos(delta_P(t)) (see the module docstring), else in the node basis,
-    the one sector sign None.  One work band holds the pump band of the
-    sector last solved in; a probe in that sector rewrites only its
-    2 w + 1 channel-load rows.  LAPACK runs without scipy's finite check:
-    the pump bands are checked once, and each probe checks its port
-    impedances (which set its drives) and the load rows it writes."""
+    """Solves probes around one pump orbit for one list of incident
+    (sideband, port) channels, index pairs as in SignalScattering.  It
+    builds the pump part of the conversion band once in each sector its
+    channels use: per electrode-parity sector where both electrodes see
+    the same cos(delta_P(t)) (see the module docstring), else in the node
+    basis, the one sector sign None.  A probe rewrites only the 2 w + 1
+    channel-load rows of each band.  LAPACK runs without scipy's finite
+    check: the pump bands are checked once, and each probe checks its port
+    impedances (which set its drives) and the load rows it writes.  The
+    truncation check reads the probe's own channel (n_sidebands, 0), so
+    channels must include it."""
 
     def __init__(self, net: ChainNetwork, pump: PumpSolution | None,
-                 n_sidebands: int = 2):
+                 channels, n_sidebands: int = 2):
         self.net, self.n_sb = net, n_sidebands
         self.omega_p = pump.omega_p if pump is not None else 0.0
         self.harmonics = 2 * np.arange(-n_sidebands, n_sidebands + 1)
+        nb = len(self.harmonics)
+        self.probe = [tuple(c) for c in channels].index((n_sidebands, 0))
+        self.chan = i, p = np.array(channels).T
+        k = np.arange(len(channels))
         drives = pump.drives if pump is not None else ()
-        split = parity_sector(net, [d.port for d in drives]) is not None
-        sectors = (net.sectors[1], net.sectors[-1]) if split else (net.ops,)
-        branches = sectors[0].branches      # the same in both sectors
+        if parity_sector(net, [d.port for d in drives]) is None:
+            sectors = {None: k}
+        else:   # each channel in its port's sector
+            parity = np.take(PARITY, p)
+            sectors = {s: k[parity == s] for s in (1, -1) if s in parity}
+        # the same branches in both parity sectors
+        branches = net.sectors[next(iter(sectors))].branches
         gamma = (pump.junction_gamma(branches) if pump is not None
                  else np.tile(np.eye(1, K_SAMPLES, dtype=complex),  # cos 0
                               (len(branches), 1)))
         q = np.subtract.outer(self.harmonics, self.harmonics) % gamma.shape[1]
-        self.sectors = {}       # sign -> (pump band, operators) per sector
-        for ops in sectors:
-            band = channel_band(conversion_blocks(ops, gamma[:, q]))
+        # per sector: its pump band and operators, the pump part of the
+        # band's channel-load rows, and the plan of its channels: their
+        # columns k and (i, p), their drives' rhs entries and e values on
+        # the unknowns the ports touch, the rows of the solution on those
+        # unknowns, e^T on them
+        self.sectors = {}
+        for sign, cols in sectors.items():
+            ops = net.sectors[sign]
+            blocks = conversion_blocks(ops, gamma[:, q])
+            band = channel_band(blocks)
             if not np.isfinite(band).all():
                 raise SingularNetwork("non-finite pump band")
-            self.sectors[ops.sign] = band, ops
-        self.work = np.empty_like(band)
-        self.held = 0           # sign of the sector whose pump band work holds
-        self.plans = {}         # channels -> _plan(channels)
-
-    def _plan(self, channels):
-        """Index arrays of a channel list, built once per list: sideband
-        i, port p and column k of each channel, and per sector to solve in
-        (sign, columns, their (i, p), their drives' rhs entries and e
-        values on the unknowns the ports touch, the rows of the solution
-        on those unknowns, e^T on them)."""
-        i, p = np.array(channels).T
-        k = np.arange(len(channels))
-        nb = len(self.harmonics)
-        sectors = []
-        for sign, (_, ops) in self.sectors.items():
-            cols = k if sign is None else k[np.take(PARITY, p) == sign]
-            if len(cols):
-                node = np.flatnonzero(ops.e.any(1))[:, None]
-                e = ops.e[node[:, 0]]
-                sectors.append((sign, cols, (i[cols], p[cols]),
-                                (node * nb + i[cols], np.arange(len(cols))),
-                                e[:, p[cols]],
-                                (node * nb + np.arange(nb)).ravel(), e.T))
-        return i, p, k, sectors
+            node = np.flatnonzero(ops.e.any(1))[:, None]
+            e = ops.e[node[:, 0]]
+            self.sectors[sign] = (
+                band, ops, np.diagonal(blocks, 0, 2, 3).copy(),
+                (cols, (i[cols], p[cols]),
+                 (node * nb + i[cols], np.arange(len(cols))), e[:, p[cols]],
+                 (node * nb + np.arange(nb)).ravel(), e.T))
 
     def impedances(self, omega_probes) -> np.ndarray:
         """Port impedances (len(omega_probes), nb, 4) at the sidebands of
@@ -124,16 +126,12 @@ class _PumpedLinearizer:
         return port_impedances(self.net, np.maximum(np.abs(freqs), 1e3)
                                .ravel()).reshape(freqs.shape + (4,))
 
-    def solve(self, omega_probe: float, channels, z=None):
+    def solve(self, omega_probe: float, z=None):
         """Sideband frequencies (nb,) and outgoing waves s (nb, 4, k):
-        s[i, q, j] at (sideband i, port q) for a unit incident wave on
-        channels[j], a list of k (sideband, port) index pairs as in
-        SignalScattering; z, the sidebands' port impedances (nb, 4), is
-        computed when not given.  Outputs in another sector than the
-        incident port's are exactly 0.  The truncation check reads the
-        probe's own channel (n_sidebands, 0), so channels must include
-        it."""
-        nsb = self.n_sb
+        s[i, q, j] at (sideband i, port q) for a unit incident wave on the
+        j-th of the k channels; z, the sidebands' port impedances (nb, 4),
+        is computed when not given.  Outputs in another sector than the
+        incident port's are exactly 0."""
         freqs = omega_probe + self.harmonics * self.omega_p
         if np.abs(freqs).min() < 1e3:
             raise SingularNetwork("a sideband falls at zero frequency")
@@ -142,31 +140,25 @@ class _PumpedLinearizer:
         if not 0 < z.min() <= z.max() < math.inf:   # also NaN
             raise SingularNetwork("port impedance not finite and positive")
         rz = np.sqrt(z)
-        key = tuple(map(tuple, channels))
-        if key not in self.plans:
-            self.plans[key] = self._plan(channels)
-        i, p, k, sectors = self.plans[key]
-        s = np.zeros((len(freqs), 4, len(k)), complex)
-        for sign, cols, chan, entries, drive, out, e_t in sectors:
-            band, ops = self.sectors[sign]
-            if self.held != sign:
-                np.copyto(self.work, band)
-                self.held = sign
-            if not np.isfinite(add_channel_loads(band, ops, freqs, z,
-                                                 self.work)).all():
+        i, p = self.chan
+        s = np.zeros((len(freqs), 4, len(i)), complex)
+        for band, ops, rows, plan in self.sectors.values():
+            cols, chan, entries, drive, out, e_t = plan
+            if not np.isfinite(add_channel_loads(rows, ops, freqs, z,
+                                                 band)).all():
                 raise SingularNetwork("non-finite channel loads")
             # Norton drive of a unit incident wave on each channel
-            rhs = np.zeros((self.work.shape[1], len(cols)))
+            rhs = np.zeros((band.shape[1], len(cols)))
             rhs[entries] = drive * (2.0 / rz[chan])
-            sol = _solve(self.work, rhs, check_finite=False)
+            sol = _solve(band, rhs, check_finite=False)
             v = e_t @ sol[out].reshape(e_t.shape[1], -1)
             s[:, :, cols] = v.reshape(4, len(freqs), -1).transpose(1, 0, 2) \
                 * (1j * PHI0_BAR * freqs)[:, None, None] / rz[:, :, None]
-        s[i, p, k] -= 1.0
+        s[i, p, np.arange(len(i))] -= 1.0
 
-        pwr = np.abs(s[:, :, key.index((nsb, 0))]) ** 2
+        pwr = np.abs(s[:, :, self.probe]) ** 2
         total, edge = pwr.sum(), pwr[0].sum() + pwr[-1].sum()
-        if nsb > 0 and total > 0 and edge > 0.01 * total:
+        if self.n_sb > 0 and total > 0 and edge > 0.01 * total:
             warnings.warn(
                 f"outermost sidebands carry {edge/total:.1%} of the scattered "
                 f"probe power at f_P = {self.omega_p/2e9/math.pi:.4f} GHz, "
@@ -183,11 +175,11 @@ def signal_sidebands(net: ChainNetwork, pump: PumpSolution | None,
     channels lists the incident (sideband, port) pairs to solve, all of
     them by default; it must include the probe's Sigma-L channel
     (n_sidebands, 0), and the columns of the others are NaN."""
-    lin = _PumpedLinearizer(net, pump, n_sidebands)
     nb = 2 * n_sidebands + 1
     if channels is None:
         channels = list(np.ndindex(nb, 4))
-    freqs, s_in = lin.solve(omega_probe, channels)
+    lin = _PumpedLinearizer(net, pump, channels, n_sidebands)
+    freqs, s_in = lin.solve(omega_probe)
     s = np.full((nb, 4, nb, 4), np.nan, complex)
     i, p = np.array(channels).T
     s[:, :, i, p] = s_in
@@ -215,15 +207,16 @@ def transmission_map(net: ChainNetwork, omega_p: float, probe_freqs,
         drives = [Drive(p, omega_p, incident_amplitude(net, omega_p, p,
                                                        epsilon_p))
                   for p in pump_ports]
-        lin = _PumpedLinearizer(net, pump_harmonic_balance(net, drives, basis),
-                                n_sidebands)
+        lin = _PumpedLinearizer(  # Sigma-L and Sigma-R probe columns only
+            net, pump_harmonic_balance(net, drives, basis),
+            [(n_sidebands, 0), (n_sidebands, 2)], n_sidebands)
     except (NonConvergence, SingularNetwork) as exc:
         return s_fw, s_bw, [(None, str(exc))]
     failures = []
     z = lin.impedances(probe_freqs)
     for j, wpr in enumerate(probe_freqs):
-        try:   # Sigma-L and Sigma-R probe columns only
-            _, s = lin.solve(wpr, [(n_sidebands, 0), (n_sidebands, 2)], z[j])
+        try:
+            _, s = lin.solve(wpr, z[j])
         except SingularNetwork as exc:
             failures.append((j, str(exc)))
             continue

@@ -192,6 +192,39 @@ def test_nld_sim_summary(tmp_path):
     assert len(rows) == 4 * 3  # sidebands -1..1 at four ports
 
 
+@pytest.mark.parametrize("amp", [["--pump-flux", "0"], ["--pump-eps", "0"]])
+def test_zero_pump_sees_the_unpumped_line(tmp_path, fitted_net, amp):
+    """A zero pump converges at once on its exact orbit phi = 0, and the
+    probe sees the unpumped line: nld-sim gives the linear S, nld-map
+    fails no cell and warns of nothing."""
+    out = _run(["nld-sim", "--f-pump", "3", "--f-probe", "7", *amp],
+               tmp_path / "sim")
+    pump = json.loads((out / "pump_solution.json").read_text())
+    assert pump["iterations"] == 0 and pump["residual"] == 0
+    s = network.linear_scattering(fitted_net, 7 * GHZ)
+    summary = json.loads((out / "scattering_summary.json").read_text())
+    for key, (q, p) in (("S_fw_dB", (2, 0)), ("S_bw_dB", (0, 2))):
+        assert summary[key] == pytest.approx(
+            20 * math.log10(abs(s[q, p])), abs=1e-9)
+    out = _run(["nld-map", "--pump-points", "2", "--probe-points", "3",
+                *amp], tmp_path / "map")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == [] and manifest["warnings"] == []
+    assert ",," not in (out / "transmission_map.csv").read_text()
+
+
+def test_overflowing_pump_reports_strict_json(tmp_path, capsys):
+    """A pump whose residual overflows to NaN exits 3 with a JSON report
+    that writes the residual as null."""
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert main(["nld-sim", "--f-pump", "3", "--f-probe", "7",
+                 "--pump-eps", "1e300", "--out-dir", str(tmp_path)]) == 3
+    err = json.loads(capsys.readouterr().err, parse_constant=no_constant)
+    assert err["error"] == "NonConvergence" and err["residual"] is None
+
+
 @pytest.mark.parametrize("spec", [{}, {"defects": ((165, "open_junction"),)}])
 def test_nld_sim_solves_only_the_columns_it_writes(tmp_path, monkeypatch,
                                                    spec):
@@ -467,25 +500,34 @@ def test_singular_network_exit_code(tmp_path, capsys, monkeypatch):
 def test_singular_sweep_exit_code(tmp_path, capsys, monkeypatch, z):
     # infinite or NaN port loads leave the swept S non-finite
     monkeypatch.setattr(network, "port_impedances",
-                        lambda net, omega: np.full(4, z))
+                        lambda net, omega: np.full(np.shape(omega) + (4,),
+                                                   z))
     rc, err = _error_report(capsys, ["scatter", "--points", "3"], tmp_path)
     assert rc == 3 and err["error"] == "SingularNetwork"
 
 
 def test_scatter_solves_in_one_sweep(tmp_path, monkeypatch):
-    # the whole grid goes through one scattering_sweep, with no banded LU
-    lu_calls, sweeps = [], []
-    sweep = network.scattering_sweep
+    # the whole grid goes through one scattering_sweep, with no banded LU,
+    # which takes its port impedances in one call (the Touchstone
+    # reference takes one more, at the middle frequency)
+    lu_calls, sweeps, impedances = [], [], []
+    sweep, port_impedances = network.scattering_sweep, network.port_impedances
 
     def recorder(net, omegas):
         sweeps.append(len(omegas))
         return sweep(net, omegas)
 
+    def z_recorder(net, omega):
+        impedances.append(np.shape(omega))
+        return port_impedances(net, omega)
+
     monkeypatch.setattr(network, "solve_banded",
                         lambda *args, **kwargs: lu_calls.append(args))
     monkeypatch.setattr(network, "scattering_sweep", recorder)
+    monkeypatch.setattr(network, "port_impedances", z_recorder)
     _run(["scatter", "--points", "5"], tmp_path / "s")
     assert lu_calls == [] and sweeps == [5]
+    assert impedances == [(5,), ()]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,19 +1,24 @@
-"""Property tests of the CLI error contract on the cheap subcommands.
+"""Property tests of the CLI error contract.
 
 Any spec JSON document and any grid arguments given to ``dispersion``,
-``phase-match`` or ``gaps-map`` (at most 3 pump points) end in exit code
-0, 2 (bad config), 3 (solver failure) or 4 (I/O error), with a JSON
-report on stderr whenever the code is not 0, and never in an exception
-escaping ``main``.
+``phase-match`` or ``gaps-map`` (at most 3 pump points), and any pump and
+probe given to ``nld-sim`` or a small ``nld-map`` on a 20-cell line, end
+in exit code 0, 2 (bad config), 3 (solver failure) or 4 (I/O error), with
+a strict JSON report on stderr whenever the code is not 0, and never in
+an exception escaping ``main``.  Every blank cell of a map is a listed
+failure.
 """
 
 import contextlib
+import csv
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from twpc import device
 from twpc.cli import main
 
 #: a value of the spec's fitted preset, rescaled over many decades
@@ -65,6 +70,10 @@ amplitude = st.one_of(
     st.just(()))
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _contract(argv, spec_text, workdir):
     """Run main on argv with the spec file spec_text (None: no --spec);
     assert the error contract and return the exit code."""
@@ -77,7 +86,7 @@ def _contract(argv, spec_text, workdir):
         rc = main(argv + ["--out-dir", str(workdir / "out")])
     assert rc in (0, 2, 3, 4)
     if rc:
-        report = json.loads(err.getvalue())
+        report = json.loads(err.getvalue(), parse_constant=_no_constant)
         assert isinstance(report, dict) and "error" in report
     else:
         assert err.getvalue() == ""
@@ -86,6 +95,7 @@ def _contract(argv, spec_text, workdir):
 
 _FUZZ = settings(max_examples=60, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
+_PUMPED = settings(_FUZZ, max_examples=25)
 
 
 @_FUZZ
@@ -132,3 +142,69 @@ def test_undecodable_spec_is_a_config_error(tmp_path):
     for text in ("{", "\xff\xfe", "[1, 2]"):
         assert _contract(["dispersion", "--points", "3"], text,
                          tmp_path) == 2
+
+
+@pytest.fixture(scope="module")
+def short_line(tmp_path_factory):
+    """Spec file of the fitted line cut to 20 cells."""
+    p = tmp_path_factory.mktemp("line") / "spec.json"
+    p.write_text(json.dumps(device.spec_to_json(device.fitted_line(20))))
+    return p
+
+
+# zero, tiny, moderate, strong and overflowing pump amplitudes
+pump_amplitude = st.tuples(
+    st.sampled_from(["--pump-eps", "--pump-flux"]),
+    st.one_of(st.sampled_from(["0", "5e-324", "1e-300", "1e300"]),
+              st.floats(0.0, 0.5).map(repr)))
+# near 0, in band, above the Delta cutoff (9.2 GHz) and above both
+pump_ghz = st.one_of(st.sampled_from([1e-9, 0.01, 3.0, 9.5, 40.0]),
+                     st.floats(0.01, 12.0))
+pumped_line = st.tuples(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),   # may repeat
+    st.integers(1, 3), st.integers(0, 2))
+
+
+def _pumped_argv(spec, amp, ports, harmonics, n_sidebands):
+    return ["--spec", str(spec), *amp, "--pump-ports", *map(str, ports),
+            "--harmonics", str(harmonics), "--n-sidebands", str(n_sidebands)]
+
+
+@_PUMPED
+@given(f_pump=pump_ghz, probe=st.one_of(st.just("2 f_pump"),
+                                        st.floats(0.01, 40.0)),
+       amp=pump_amplitude, line=pumped_line)
+def test_nld_sim_keeps_the_error_contract(tmp_path_factory, short_line,
+                                          f_pump, probe, amp, line):
+    f_probe = 2 * f_pump if probe == "2 f_pump" else probe
+    _contract(["nld-sim", "--f-pump", repr(f_pump), "--f-probe",
+               repr(f_probe), *_pumped_argv(short_line, amp, *line)], None,
+              tmp_path_factory.mktemp("sim"))
+
+
+@_PUMPED
+@given(f_pump=pump_ghz, pump_points=st.integers(1, 2),
+       probe_points=st.integers(1, 3), amp=pump_amplitude, line=pumped_line)
+def test_nld_map_keeps_the_error_contract(tmp_path_factory, short_line,
+                                          f_pump, pump_points, probe_points,
+                                          amp, line):
+    """The probe grid runs up from 2 f_pump, a sideband at zero frequency
+    in the first pump row."""
+    workdir = tmp_path_factory.mktemp("map")
+    argv = ["nld-map", "--pump-min", repr(f_pump), "--pump-max",
+            repr(1.5 * f_pump), "--pump-points", str(pump_points),
+            "--probe-min", repr(2 * f_pump), "--probe-max",
+            repr(2 * f_pump + 3), "--probe-points", str(probe_points),
+            *_pumped_argv(short_line, amp, *line)]
+    if _contract(argv, None, workdir):
+        return
+    failures = json.loads((workdir / "out" / "manifest.json").read_text())[
+        "failures"]
+    failed = {(f"{f['f_pump_GHz']:.12e}", None if f["f_probe_GHz"] is None
+               else f"{f['f_probe_GHz']:.12e}") for f in failures}
+    with open(workdir / "out" / "transmission_map.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == pump_points * probe_points
+    for f_p, f_pr, s_fw, s_bw in rows:
+        if "" in (s_fw, s_bw):
+            assert {(f_p, f_pr), (f_p, None)} & failed

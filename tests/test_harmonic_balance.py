@@ -79,14 +79,14 @@ def test_strong_drive_converges_via_continuation(fitted_net):
     assert sol.residual < 1e-10
 
 
-def test_flux_ceiling_warns(fitted_net):
+def test_flux_ceiling_warns(fitted_net, monkeypatch):
+    monkeypatch.setattr(harmonic_balance, "FLUX_CEILING", 0.05)
     w = 3 * GHZ
     kp = pump_wavevector(fitted_net.cell, w, 0.0)
     eps = amplitude_from_flux(0.1 * FLUX_Q, kp)
     a = incident_amplitude(fitted_net, w, 3, eps)
     with pytest.warns(TruncationWarning):
-        pump_harmonic_balance(fitted_net, [Drive(3, w, a)], HarmonicBasis(3),
-                              flux_ceiling=0.05)
+        pump_harmonic_balance(fitted_net, [Drive(3, w, a)], HarmonicBasis(3))
 
 
 def test_mismatched_drive_frequencies_rejected(fitted_net):

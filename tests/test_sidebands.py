@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from twpc import network, sidebands
+from twpc import device, network, sidebands
 from twpc.cli import main
 from twpc.device import PHI0_BAR
 from twpc.dispersion import Mode, amplitude_from_flux, cutoff, pump_wavevector
@@ -17,8 +17,8 @@ from twpc.errors import SingularNetwork, TruncationWarning
 from twpc.harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES,
                                    incident_amplitude, pump_harmonic_balance)
 from twpc.matching import ProcessKind, solve_corrected
-from twpc.network import (PARITY, add_channel_loads, admittance_matrix,
-                          band_to_sparse, linear_scattering, port_impedances)
+from twpc.network import (PARITY, admittance_matrix, band_to_sparse,
+                          linear_scattering, port_impedances)
 from twpc.sidebands import (_PumpedLinearizer, signal_sidebands,
                             transmission_map)
 
@@ -263,10 +263,10 @@ def test_linearizer_gamma_rows_match_full_gamma(oracle_pumps, line, signs):
     junction_gamma() bit for bit."""
     pump, _ = oracle_pumps[line]
     full = pump.junction_gamma()
-    lin = _PumpedLinearizer(pump.net, pump)
+    lin = _PumpedLinearizer(pump.net, pump, list(np.ndindex(5, 4)))
     assert list(lin.sectors) == signs
     q = np.subtract.outer(lin.harmonics, lin.harmonics) % K_SAMPLES
-    for band, ops in lin.sectors.values():
+    for band, ops, *_ in lin.sectors.values():
         rows = pump.junction_gamma(ops.branches)
         assert rows.shape == (len(ops.branches), K_SAMPLES)
         assert np.array_equal(rows, full[ops.branches])
@@ -371,11 +371,38 @@ def test_sector_band_only_where_electrodes_swap(oracle_pumps, fitted_net,
         shapes.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            s = _PumpedLinearizer(net, pump).solve(7.1 * GHZ,
-                                                   [(2, 0), (2, 2)])[1]
+            s = _PumpedLinearizer(net, pump, [(2, 0), (2, 2)]).solve(
+                7.1 * GHZ)[1]
         assert shapes == [shape]
         if shape == sector:
             assert not s[:, [1, 3]].any()
+
+
+@pytest.mark.parametrize("ports, line, blocks", [
+    ((3,), {}, (3, 401, 5, 5)),         # the even sector only
+    ((1, 3), {}, (3, 401, 5, 5)),
+    ((3,), {"defects": ((165, "open_junction"),)}, (5, 802, 5, 5)),
+    ((3,), {"disorder_halfwidth": 0.02, "seed": 11}, (5, 802, 5, 5))])
+def test_map_builds_one_pump_band_per_row(tmp_path, monkeypatch, ports,
+                                          line, blocks):
+    """nld-map reads only the Sigma probe columns, so each pump row builds
+    one pump band: the even sector's on the fitted line pumped from Delta
+    ports, the node band on lines without electrode symmetry."""
+    built = []
+    band = sidebands.channel_band
+
+    def recorder(b, out=None):
+        built.append(b.shape)
+        return band(b, out)
+
+    monkeypatch.setattr(sidebands, "channel_band", recorder)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(device.spec_to_json(device.fitted_line(
+        **line))))
+    assert main(["nld-map", "--pump-points", "2", "--probe-points", "2",
+                 "--pump-flux", "0.05", "--pump-ports", *map(str, ports),
+                 "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+    assert built == [blocks] * 2
 
 
 def test_transmission_map_warns_on_truncation(oracle_pumps):
@@ -385,51 +412,61 @@ def test_transmission_map_warns_on_truncation(oracle_pumps):
                          [_probe(pump, eps, "gap")], eps, n_sidebands=1)
 
 
-def test_probes_refill_one_work_band(pumped, oracle_pumps):
-    """Each probe fills the linearizer's work band from the cached pump
-    band of each sector it solves in: probes leave those bands as they
-    were and repeat bit for bit, on the fitted line (two sectors) and on
-    the disordered one (the node basis)."""
+def test_probes_rewrite_only_the_load_rows(pumped, oracle_pumps):
+    """Each probe writes the kept pump part of its channel-load rows plus
+    its loads into each sector's band: probes leave the other rows of the
+    bands and the kept pump rows as they were and repeat bit for bit, on
+    the fitted line (two sectors) and on the disordered one (the node
+    basis)."""
     channels = [(2, 0), (2, 2), (2, 3)]
     for pump, n_sectors in ((pumped[0], 2), (oracle_pumps["disorder"][0], 1)):
-        lin = _PumpedLinearizer(pump.net, pump)
-        bands = [band.copy() for band, _ in lin.sectors.values()]
-        assert len(bands) == n_sectors
+        lin = _PumpedLinearizer(pump.net, pump, channels)
+        kept = [[x.copy() for x in (band, rows)]
+                for band, _, rows, _ in lin.sectors.values()]
+        assert len(kept) == n_sectors
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            first = lin.solve(7.1 * GHZ, channels)[1]
-            lin.solve(9.0 * GHZ, channels)
-            for band, (now, _) in zip(bands, lin.sectors.values()):
-                assert np.array_equal(now, band)
-            again = lin.solve(7.1 * GHZ, channels)[1]
+            first = lin.solve(7.1 * GHZ)[1]
+            lin.solve(9.0 * GHZ)
+            for (band, rows), (now, ops, now_rows, _) in zip(
+                    kept, lin.sectors.values()):
+                assert np.array_equal(now_rows, rows)
+                nb, ku = rows.shape[-1], (len(band) - 1) // 2
+                other = np.setdiff1d(range(len(band)), range(
+                    ku - ops.w * nb, ku + ops.w * nb + 1, nb))
+                assert np.array_equal(now[other], band[other])
+            again = lin.solve(7.1 * GHZ)[1]
         assert np.array_equal(again, first)
 
 
-def _rebuilt_band_probe(lin, omega_probe, channels):
+def _rebuilt_band_probe(lin, bands, omega_probe, channels):
     """lin.solve on a band rebuilt whole for the probe: a fresh copy of
-    each sector's pump band, its channel loads added in place, solved by
-    solve_banded with its finite check, outputs contracted over every
-    unknown; the reference for the refreshed load rows."""
+    each sector's pump band as built (bands), its channel loads added to
+    its channel-load rows, solved by solve_banded with its finite check,
+    outputs contracted over every unknown; the reference for the
+    refreshed load rows."""
     freqs = omega_probe + lin.harmonics * lin.omega_p
     z = np.array([port_impedances(lin.net, abs(w)) for w in freqs])
-    s = np.zeros((len(freqs), 4, len(channels)), complex)
-    for sign, (band, ops) in lin.sectors.items():
+    channels = np.array(channels)
+    nb = len(freqs)
+    s = np.zeros((nb, 4, len(channels)), complex)
+    for sign, (_, ops, *_) in lin.sectors.items():
         cols = [j for j, (_, p) in enumerate(channels)
                 if sign in (None, PARITY[p])]
-        if not cols:
-            continue
-        ab = band.copy()
-        add_channel_loads(ab, ops, freqs, z, ab)
+        ab = bands[sign].copy()
+        ku, w = (len(ab) - 1) // 2, ops.w
+        ab.reshape(len(ab), -1, nb)[ku - w * nb:ku + w * nb + 1:nb] += \
+            ops.admittance(freqs, z, inductive=False) \
+            * (1j * PHI0_BAR * freqs)
         e = ops.e
-        i, p = np.array(channels)[cols].T
-        rhs = np.zeros((len(e), len(freqs), len(cols)))
+        i, p = channels[cols].T
+        rhs = np.zeros((len(e), nb, len(cols)))
         rhs[:, i, range(len(cols))] = e[:, p] * (2.0 / np.sqrt(z[i, p]))
-        kl = (len(ab) - 1) // 2
-        sol = solve_banded((kl, kl), ab, rhs.reshape(-1, len(cols)))
+        sol = solve_banded((ku, ku), ab, rhs.reshape(-1, len(cols)))
         s[:, :, cols] = np.einsum(
             "kq,kij->iqj", e, sol.reshape(rhs.shape), optimize=True) \
             * (1j * PHI0_BAR * freqs)[:, None, None] / np.sqrt(z)[:, :, None]
-    i, p = np.array(channels).T
+    i, p = channels.T
     s[i, p, np.arange(len(channels))] -= 1.0
     return freqs, s
 
@@ -437,38 +474,41 @@ def _rebuilt_band_probe(lin, omega_probe, channels):
 @pytest.mark.parametrize("line", ["fitted", "coupler", "sigma", "disorder2",
                                   "defect"])
 def test_refreshed_load_rows_match_rebuilt_band(oracle_pumps, line):
-    """One linearizer through probes that alternate sectors and channel
-    sets (the map's two columns, every channel, a Sigma/Delta mix), so
-    that its work band switches sector, is reused, and has only its load
-    rows rewritten: every output equals the rebuilt-band reference bit for
-    bit in the parity sectors, and to 1e-12 of each column's largest entry
-    on the nodes, where the outputs are contracted over the port unknowns
-    only (a different summation order)."""
+    """One linearizer per channel list (the map's two columns, every
+    channel, a Sigma/Delta mix), each in the sectors its channels use,
+    through probes that alternate the lists, so that each band is reused
+    and has only its load rows rewritten: every output equals the
+    rebuilt-band reference bit for bit in the parity sectors, and to
+    1e-12 of each column's largest entry on the nodes, where the outputs
+    are contracted over the port unknowns only (a different summation
+    order)."""
     pump, _ = oracle_pumps[line]
-    lin = _PumpedLinearizer(pump.net, pump)
-    assert list(lin.sectors) == ([None] if line in ("disorder2", "defect")
-                                 else [1, -1])
-    cols = [(2, 0), (2, 2)]
-    every = list(np.ndindex(5, 4))
-    mix = [(1, 1), (2, 0), (2, 3), (4, 2)]
-    held = []
+    nodes = line in ("disorder2", "defect")
+    lins = {}
+    for name, channels, signs in (
+            ("cols", [(2, 0), (2, 2)], [1]),
+            ("every", list(np.ndindex(5, 4)), [1, -1]),
+            ("mix", [(1, 1), (2, 0), (2, 3), (4, 2)], [1, -1])):
+        lin = _PumpedLinearizer(pump.net, pump, channels)
+        assert list(lin.sectors) == ([None] if nodes else signs)
+        lins[name] = lin, channels, {sign: sector[0].copy()
+                                     for sign, sector in lin.sectors.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        for f, channels in ((7.1, cols), (9.0, cols), (5.3, every),
-                            (7.1, cols), (6.4, mix), (11.0, every),
-                            (4.2, cols), (3.3, mix)):
-            freqs, s = lin.solve(f * GHZ, channels)
-            held.append(lin.held)
-            ref_freqs, ref = _rebuilt_band_probe(lin, f * GHZ, channels)
+        for f, name in ((7.1, "cols"), (9.0, "cols"), (5.3, "every"),
+                        (7.1, "cols"), (6.4, "mix"), (11.0, "every"),
+                        (4.2, "cols"), (3.3, "mix")):
+            lin, channels, bands = lins[name]
+            freqs, s = lin.solve(f * GHZ)
+            ref_freqs, ref = _rebuilt_band_probe(lin, bands, f * GHZ,
+                                                 channels)
             assert np.array_equal(freqs, ref_freqs)
-            if None in lin.sectors:
+            if nodes:
                 scale = np.abs(ref).max(axis=(0, 1))
                 assert np.all(np.abs(s - ref).max(axis=(0, 1))
                               <= 1e-12 * scale)
             else:
                 assert np.array_equal(s, ref)
-    if None not in lin.sectors:     # the sector last solved in
-        assert held == [1, 1, -1, 1, -1, -1, 1, -1]
 
 
 def test_map_row_takes_its_sideband_impedances_in_one_call(oracle_pumps,
@@ -518,8 +558,8 @@ def test_non_finite_inputs_fail_loudly(oracle_pumps, monkeypatch, tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # nor any numpy warning
         with pytest.raises(SingularNetwork):
-            _PumpedLinearizer(pump.net, pump).solve(7.1 * GHZ,
-                                                    [(2, 0), (2, 2)])
+            _PumpedLinearizer(pump.net, pump, [(2, 0), (2, 2)]).solve(
+                7.1 * GHZ)
     common = ["--f-pump", "3", "--pump-flux", "0.02", "--harmonics", "2",
               "--n-sidebands", "1"]
     assert main(["nld-sim", "--f-probe", "7.1", "--out-dir",
@@ -548,7 +588,7 @@ def test_overflowing_channel_loads_fail_loudly(oracle_pumps, tmp_path,
     pump, _ = oracle_pumps["fitted"]
     with pytest.raises(SingularNetwork, match="channel loads"), \
             np.errstate(over="ignore"):
-        _PumpedLinearizer(pump.net, pump).solve(1e300, [(2, 0), (2, 2)])
+        _PumpedLinearizer(pump.net, pump, [(2, 0), (2, 2)]).solve(1e300)
     assert main(["nld-sim", "--f-pump", "3", "--f-probe", "1e290",
                  "--pump-flux", "0.02", "--harmonics", "2",
                  "--n-sidebands", "1", "--out-dir", str(tmp_path)]) == 3
