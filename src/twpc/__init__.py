@@ -4,7 +4,7 @@ lines mixing counterpropagating waves through a slow pump."""
 from .device import (CellParams, DerivedConstants, LineSpec, derive_constants,
                      design_cell, fitted_cell, fitted_line, load_spec,
                      sample_disorder, spec_from_json, spec_to_json, validate)
-from .dispersion import (Mode, PumpContext, amplitude_from_flux, cutoff,
+from .dispersion import (Mode, amplitude_from_flux, cutoff,
                          flux_from_amplitude, pump_wavevector, spm_inductance,
                          wavevector, xpm_inductance)
 from .matching import (Direction, MatchPoint, ProcessKind,

@@ -524,10 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--spec", help="LineSpec JSON file (default: bundled "
-                                      "fitted parameters)")
-        p.add_argument("--seed", type=int, default=None)
+    def common(p, line=True):
+        # --spec/--seed only where the subcommand builds its line from them
+        if line:
+            p.add_argument("--spec", help="LineSpec JSON file (default: "
+                                          "bundled fitted parameters)")
+            p.add_argument("--seed", type=int, default=None)
+        else:
+            p.set_defaults(spec=None, seed=None)
         p.add_argument("--threads", type=_count(1), default=1)
         p.add_argument("--out-dir", default=".")
 
@@ -610,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nld_map)
 
     p = sub.add_parser("tdr", help="impulse response of a reflection sweep")
-    common(p)
+    common(p, line=False)
     p.add_argument("--input", required=True, help=".s4p or CSV sweep")
     p.add_argument("--port", type=int, default=0, choices=range(4))
     p.add_argument("--window", default="kaiser",
@@ -621,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tdr)
 
     p = sub.add_parser("reproduce-fig", help="bundled figure pipelines")
-    common(p)
+    common(p, line=False)
     p.add_argument("figure", choices=["2", "3b", "S6", "S4"])
     p.set_defaults(func=cmd_reproduce_fig)
     return ap

@@ -59,7 +59,6 @@ class ProcessConfig:
     length: float   # cells
     pump_fw: complex = 0.0
     pump_bw: complex = 0.0
-    kappa: float = 0.0
     sections: tuple = None
 
     def __post_init__(self):
@@ -88,10 +87,10 @@ class ProcessConfig:
 
 
 def from_match_point(match: MatchPoint, length: float, pump_fw=0.0,
-                     pump_bw=0.0, kappa: float = 0.0) -> ProcessConfig:
+                     pump_bw=0.0) -> ProcessConfig:
     return ProcessConfig(match.kind, match.omega_p, match.omega_s,
                          match.k_s, match.k_i, match.k_p, length,
-                         pump_fw, pump_bw, kappa)
+                         pump_fw, pump_bw)
 
 
 @dataclass(frozen=True)
@@ -186,10 +185,11 @@ def solve_detuned(config: ProcessConfig, kappa: float,
     return EnvelopeSolution(x, u, eps_i, alpha, total, kappa)
 
 
-def _section_propagator(config, sec, kappa):
+def _section_propagator(config, sec):
+    """Phase-matched (kappa = 0) envelope propagator across one section."""
     x0, x1, fw, bw = sec
     c_i, c_s = _couplings(config, fw, bw)
-    return expm(_system_matrix(c_i, c_s, kappa) * (x1 - x0))
+    return expm(_system_matrix(c_i, c_s, 0.0) * (x1 - x0))
 
 
 def solve_with_defect(config: ProcessConfig, defect_smatrix,
@@ -220,11 +220,9 @@ def solve_with_defect(config: ProcessConfig, defect_smatrix,
 
 
 def _defect_oneway(config, sections, defect_smatrix, eps_s0, reverse=False):
-    kappa = config.kappa
     sec1, sec2 = sections
-    xd = sec1[1]
-    M1 = _section_propagator(config, sec1, kappa)
-    M2 = _section_propagator(config, sec2, kappa)
+    M1 = _section_propagator(config, sec1)
+    M2 = _section_propagator(config, sec2)
     S_s = np.asarray(defect_smatrix(config.omega_s))
     S_i = np.asarray(defect_smatrix(config.omega_i))
     if reverse:

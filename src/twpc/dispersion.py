@@ -5,13 +5,15 @@ The lumped-element dispersion of either mode reads
     cos(k a) = 1 + C L omega^2 / (-2 + 2 C_J L omega^2)
 
 with C the mode shunt capacitance (C_g for Sigma, C_g + 2 C_i for Delta)
-and L the junction inductance, possibly renormalized by a strong pump:
-self-phase modulation (SPM) for the pump's own wavevector,
+and L the junction inductance.  wavevector and cutoff take L as l_eff,
+the unpumped L_J by default; a strong pump renormalizes it, and the caller
+picks the renormalization: self-phase modulation (SPM) for the pump's own
+wavevector (the fixed point of pump_wavevector),
 
     L_spm = L_J * x / (2 J1(x)),    x = 4 eps sin(k a / 2),
 
 cross-phase modulation (XPM, twice as strong at leading order) for weak
-waves riding on the pumped line,
+waves riding on the pumped line (computed once per matching solve),
 
     L_xpm = L_J / J0(x).
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import j0, j1
@@ -37,24 +38,6 @@ from .errors import AboveCutoff, AmplitudeOutOfRange, PumpAboveCutoff
 class Mode(enum.Enum):
     Sigma = "sigma"
     Delta = "delta"
-
-
-@dataclass(frozen=True)
-class PumpContext:
-    """Strong wave whose presence renormalizes the line.
-
-    epsilon_p is the reduced flux amplitude (phi/phi0 units) of the
-    traveling wave, k_p its wavevector (rad/cell), mode the mode it
-    travels on (the slow Delta mode in normal operation).
-    """
-
-    epsilon_p: float
-    k_p: float
-    mode: Mode = Mode.Delta
-
-    def __post_init__(self):
-        if self.epsilon_p < 0:
-            raise AmplitudeOutOfRange("epsilon_p must be >= 0")
 
 
 def _shunt_cap(mode: Mode, cell: CellParams) -> float:
@@ -70,6 +53,8 @@ X_MAX_XPM = 1.5211440576687651    # J0(x) = 0.5, x in [0.5, 2.4]
 
 
 def _junction_x(epsilon: float, ka: float) -> float:
+    if epsilon < 0:
+        raise AmplitudeOutOfRange("epsilon_p must be >= 0")
     return 4.0 * epsilon * math.sin(0.5 * ka)
 
 
@@ -96,33 +81,25 @@ def xpm_inductance(l_j: float, epsilon: float, ka: float) -> float:
     return l_j / j0(x)
 
 
-def _effective_inductance(mode: Mode, cell: CellParams,
-                          renorm: PumpContext | None) -> float:
-    if renorm is None or renorm.epsilon_p == 0.0:
-        return cell.l_j
-    if mode is renorm.mode:
-        return spm_inductance(cell.l_j, renorm.epsilon_p, renorm.k_p * A_CELL)
-    return xpm_inductance(cell.l_j, renorm.epsilon_p, renorm.k_p * A_CELL)
-
-
-def cutoff(mode: Mode, cell: CellParams,
-           renorm: PumpContext | None = None) -> float:
-    """Propagation cutoff (rad/s), omega_co = 2/sqrt(L (C + 4 C_J))."""
-    l_eff = _effective_inductance(mode, cell, renorm)
+def cutoff(mode: Mode, cell: CellParams, l_eff: float | None = None) -> float:
+    """Propagation cutoff (rad/s), omega_co = 2/sqrt(L (C + 4 C_J)), at
+    junction inductance L = l_eff (default cell.l_j)."""
+    l_eff = cell.l_j if l_eff is None else l_eff
     return 2.0 / math.sqrt(l_eff * (_shunt_cap(mode, cell) + 4.0 * cell.c_j))
 
 
 def wavevector(mode: Mode, omega, cell: CellParams,
-               renorm: PumpContext | None = None):
-    """Wavevector k(omega) in rad/cell, in (0, pi/a].
+               l_eff: float | None = None):
+    """Wavevector k(omega) in rad/cell, in (0, pi/a], at junction
+    inductance l_eff (default cell.l_j).
 
     Accepts a scalar or array omega; raises AboveCutoff if any frequency
-    is at or above the (renormalized) cutoff.  A float omega takes a scalar
+    is at or above the cutoff at l_eff.  A float omega takes a scalar
     path with the array expression's operation order and np.arccos (not
     math.acos, which differs from it in the last bit), so both paths give
     the same floats.
     """
-    l_eff = _effective_inductance(mode, cell, renorm)
+    l_eff = cell.l_j if l_eff is None else l_eff
     c = _shunt_cap(mode, cell)
     if isinstance(omega, float):        # also np.float64
         omega = float(omega)
@@ -130,7 +107,7 @@ def wavevector(mode: Mode, omega, cell: CellParams,
         den = -2.0 + 2.0 * cell.c_j * l_eff * w2
         arg = 1.0 + c * l_eff * w2 / den if den else math.inf
         if arg < -1.0 or arg > 1.0:
-            raise AboveCutoff(mode.name, omega, cutoff(mode, cell, renorm))
+            raise AboveCutoff(mode.name, omega, cutoff(mode, cell, l_eff))
         return float(np.arccos(arg)) / A_CELL
     w2 = np.square(np.asarray(omega, dtype=float))
     # a zero denominator (the plasma frequency) gives inf: above cutoff
@@ -138,7 +115,7 @@ def wavevector(mode: Mode, omega, cell: CellParams,
         arg = 1.0 + c * l_eff * w2 / (-2.0 + 2.0 * cell.c_j * l_eff * w2)
     if np.any(arg < -1.0) or np.any(arg > 1.0):
         om = np.max(omega)
-        raise AboveCutoff(mode.name, float(om), cutoff(mode, cell, renorm))
+        raise AboveCutoff(mode.name, float(om), cutoff(mode, cell, l_eff))
     k = np.arccos(arg) / A_CELL
     return float(k) if np.isscalar(omega) else k
 
@@ -194,9 +171,9 @@ def _pump_fixed_point(cell: CellParams, omega_p: float,
     except AboveCutoff as e:
         raise PumpAboveCutoff(str(e))
     for _ in range(200):
-        ctx = PumpContext(epsilon_p, k)
+        l_spm = spm_inductance(cell.l_j, epsilon_p, k * A_CELL)
         try:
-            k_new = wavevector(Mode.Delta, omega_p, cell, ctx)
+            k_new = wavevector(Mode.Delta, omega_p, cell, l_spm)
         except AboveCutoff as e:
             raise PumpAboveCutoff(str(e))
         if abs(k_new - k) < 1e-13:

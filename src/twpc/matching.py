@@ -16,7 +16,8 @@ pump:
 
 All wavevectors above are magnitudes of the renormalized lumped dispersion:
 the pump wavevector is the SPM self-consistent one, and the weak Sigma
-waves see the pump through XPM.
+waves see the pump through XPM, whose junction inductance solve_corrected
+computes once per call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import A_CELL, CellParams
-from .dispersion import Mode, PumpContext, cutoff, pump_wavevector, wavevector
+from .dispersion import (Mode, cutoff, pump_wavevector, wavevector,
+                         xpm_inductance)
 from .errors import NoSolutionInBand, NonConvergence, TwpcError
 
 
@@ -140,20 +142,21 @@ def coupler_point_lowfreq(omega_p: float, v_sigma: float,
 
 
 def _residual_fn(kind: ProcessKind, omega_p: float, k_p: float,
-                 cell: CellParams, ctx: PumpContext | None):
-    """Momentum residual as a function of signal frequency (rad/cell)."""
+                 cell: CellParams, l_eff: float):
+    """Momentum residual as a function of signal frequency (rad/cell), with
+    the Sigma waves at junction inductance l_eff."""
     if kind is ProcessKind.TunableCoupling:
         def res(w):
-            return wavevector(Mode.Sigma, w, cell, ctx) - k_p
+            return wavevector(Mode.Sigma, w, cell, l_eff) - k_p
     elif kind is ProcessKind.Circulation:
         def res(w):
-            return (wavevector(Mode.Sigma, w, cell, ctx)
-                    + wavevector(Mode.Sigma, w + 2.0 * omega_p, cell, ctx)
+            return (wavevector(Mode.Sigma, w, cell, l_eff)
+                    + wavevector(Mode.Sigma, w + 2.0 * omega_p, cell, l_eff)
                     - 2.0 * k_p)
     else:  # CirculationAliased: lattice supplies 2 pi / a
         def res(w):
-            return (wavevector(Mode.Sigma, w, cell, ctx)
-                    + wavevector(Mode.Sigma, w + 2.0 * omega_p, cell, ctx)
+            return (wavevector(Mode.Sigma, w, cell, l_eff)
+                    + wavevector(Mode.Sigma, w + 2.0 * omega_p, cell, l_eff)
                     + 2.0 * k_p - 2.0 * math.pi / A_CELL)
     return res
 
@@ -169,8 +172,9 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
     NoSolutionInBand when none.
     """
     k_p = pump_wavevector(cell, omega_p, epsilon_p)
-    ctx = PumpContext(epsilon_p, k_p) if epsilon_p > 0 else None
-    co_sigma = cutoff(Mode.Sigma, cell, ctx)
+    l_eff = xpm_inductance(cell.l_j, epsilon_p, k_p * A_CELL) \
+        if epsilon_p > 0 else cell.l_j
+    co_sigma = cutoff(Mode.Sigma, cell, l_eff)
 
     hi = co_sigma * (1.0 - 1e-9)
     if kind in (ProcessKind.Circulation, ProcessKind.CirculationAliased):
@@ -180,7 +184,7 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
         raise NoSolutionInBand(
             f"{kind.value}: empty signal band at f_P = {omega_p/2e9/math.pi:.3f} GHz")
 
-    res = _residual_fn(kind, omega_p, k_p, cell, ctx)
+    res = _residual_fn(kind, omega_p, k_p, cell, l_eff)
     grid = np.arange(lo, hi, SCAN_STEP)
     if grid[-1] < hi:
         grid = np.append(grid, hi)
@@ -204,8 +208,8 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
             omega_i = omega_s
         else:
             omega_i = omega_s + 2.0 * omega_p
-        k_s = wavevector(Mode.Sigma, omega_s, cell, ctx)
-        k_i = -wavevector(Mode.Sigma, omega_i, cell, ctx)
+        k_s = wavevector(Mode.Sigma, omega_s, cell, l_eff)
+        k_i = -wavevector(Mode.Sigma, omega_i, cell, l_eff)
         points.append(MatchPoint(kind, omega_s, omega_i, omega_p,
                                  k_s, k_i, k_p, kappa=float(r)))
     if not points:

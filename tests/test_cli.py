@@ -578,10 +578,13 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
       "--pump-ports", "3", "3"], "pump_ports"),
     (["nld-map", "--pump-flux", "0.05", "--pump-ports", "1", "3", "1"],
      "pump_ports"),
+    # tdr and reproduce-fig build no line from --spec/--seed
+    (["tdr", "--input", "sweep.s4p", "--spec", "x.json"], "arguments"),
+    (["reproduce-fig", "S6", "--seed", "3"], "arguments"),
 ], ids=["unknown-process", "harmonics-0", "sidebands-negative", "port-9",
         "threads-0", "eps-points-0", "points-abc", "unknown-flag",
         "tdr-prose", "tdr-columns", "tdr-port-4", "nld-sim-port-twice",
-        "nld-map-port-twice"])
+        "nld-map-port-twice", "tdr-spec", "fig-seed"])
 def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
     prose = tmp_path / "notes.md"      # text, not a sweep
     prose.write_text("# twpc\n\nA design toolkit, for two-mode lines.\n")

@@ -10,7 +10,7 @@ from scipy.special import j0, j1
 
 from twpc import device
 from twpc.device import CellParams
-from twpc.dispersion import (Mode, PumpContext, X_MAX_SPM, X_MAX_XPM,
+from twpc.dispersion import (Mode, X_MAX_SPM, X_MAX_XPM,
                              amplitude_from_flux, cutoff, flux_from_amplitude,
                              group_velocity, phase_velocity, pump_wavevector,
                              spm_inductance, wavevector, xpm_inductance)
@@ -54,31 +54,30 @@ def test_wavevector_accepts_arrays():
     assert ks[0] == pytest.approx(wavevector(Mode.Sigma, w[0], cell))
     # a float omega (Python or numpy) takes the scalar path, which must
     # give the array path's floats bit for bit, with no pump, under SPM
-    # (pump on the same mode) and under XPM (pump on the other mode)
+    # (a pump's own inductance) and under XPM (a weak wave's)
     rng = np.random.default_rng(15)
     k_p = pump_wavevector(cell, 3.0 * GHZ, 0.3)
     for mode in Mode:
-        other = Mode.Sigma if mode is Mode.Delta else Mode.Delta
-        for ctx in (None, PumpContext(0.3, k_p, mode),
-                    PumpContext(0.3, k_p, other)):
-            co = cutoff(mode, cell, ctx)
+        for l_eff in (None, spm_inductance(cell.l_j, 0.3, k_p),
+                      xpm_inductance(cell.l_j, 0.3, k_p)):
+            co = cutoff(mode, cell, l_eff)
             w = np.append(rng.uniform(0.0, co, 500),
                           co * (1.0 - np.array([1e-9, 1e-12, 1e-15])))
-            ks = wavevector(mode, w, cell, ctx)
+            ks = wavevector(mode, w, cell, l_eff)
             for x, k in zip(w, ks):
                 for scalar in (x, float(x)):
-                    got = wavevector(mode, scalar, cell, ctx)
+                    got = wavevector(mode, scalar, cell, l_eff)
                     assert type(got) is float and got.hex() == k.hex()
             for x in (co * 1.001, 0.5 * (co + cell.plasma_omega),
                       2.0 * cell.plasma_omega):
                 with pytest.raises(AboveCutoff) as from_scalar:
-                    wavevector(mode, x, cell, ctx)
+                    wavevector(mode, x, cell, l_eff)
                 with pytest.raises(AboveCutoff) as from_array:
-                    wavevector(mode, np.array([x]), cell, ctx)
+                    wavevector(mode, np.array([x]), cell, l_eff)
                 assert str(from_scalar.value) == str(from_array.value)
-            assert math.isnan(wavevector(mode, math.nan, cell, ctx))
+            assert math.isnan(wavevector(mode, math.nan, cell, l_eff))
             assert np.isnan(wavevector(mode, np.array([math.nan]), cell,
-                                       ctx)).all()
+                                       l_eff)).all()
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -155,9 +154,10 @@ def test_renormalization_bounds_enforced():
 def test_zero_amplitude_renorm_is_bit_identical():
     cell = device.fitted_cell()
     w = 6 * GHZ
-    ctx = PumpContext(0.0, 1.1)
-    assert wavevector(Mode.Sigma, w, cell, ctx) == wavevector(
-        Mode.Sigma, w, cell)
+    for l_eff in (spm_inductance(cell.l_j, 0.0, 1.1),
+                  xpm_inductance(cell.l_j, 0.0, 1.1)):
+        assert wavevector(Mode.Sigma, w, cell, l_eff) == wavevector(
+            Mode.Sigma, w, cell)
 
 
 def test_renormalized_wavevector_strictly_larger():
@@ -165,10 +165,10 @@ def test_renormalized_wavevector_strictly_larger():
     wp = 3 * GHZ
     eps = 0.25
     kp = pump_wavevector(cell, wp, eps)
-    ctx = PumpContext(eps, kp)
+    l_xpm = xpm_inductance(cell.l_j, eps, kp)
     for f in (2.0, 6.0, 12.0):
         w = f * GHZ
-        assert wavevector(Mode.Sigma, w, cell, ctx) \
+        assert wavevector(Mode.Sigma, w, cell, l_xpm) \
             > wavevector(Mode.Sigma, w, cell)
     assert kp > pump_wavevector(cell, wp, 0.0)
 
@@ -177,9 +177,19 @@ def test_pump_wavevector_is_self_consistent():
     cell = device.fitted_cell()
     wp, eps = 4 * GHZ, 0.3
     kp = pump_wavevector(cell, wp, eps)
-    ctx = PumpContext(eps, kp)
-    assert wavevector(Mode.Delta, wp, cell, ctx) == pytest.approx(kp,
-                                                                  abs=1e-12)
+    l_spm = spm_inductance(cell.l_j, eps, kp)
+    assert wavevector(Mode.Delta, wp, cell, l_spm) == pytest.approx(kp,
+                                                                    abs=1e-12)
+
+
+def test_negative_amplitude_raises():
+    cell = device.fitted_cell()
+    for renormalize in (spm_inductance, xpm_inductance):
+        with pytest.raises(AmplitudeOutOfRange,
+                           match="^epsilon_p must be >= 0$"):
+            renormalize(cell.l_j, -0.1, 1.0)
+    with pytest.raises(AmplitudeOutOfRange, match="^epsilon_p must be >= 0$"):
+        pump_wavevector(cell, 3 * GHZ, -0.1)
 
 
 def test_pump_above_cutoff_raises():

@@ -6,9 +6,11 @@ import pytest
 from scipy.optimize import brentq
 
 from twpc import device, dispersion, matching
-from twpc.dispersion import Mode, PumpContext, pump_wavevector, wavevector
+from twpc.dispersion import (Mode, pump_wavevector, wavevector,
+                             xpm_inductance)
 from twpc.cli import main
-from twpc.errors import NoSolutionInBand, NonConvergence, PumpAboveCutoff
+from twpc.errors import (AmplitudeOutOfRange, NoSolutionInBand, NonConvergence,
+                         PumpAboveCutoff)
 from twpc.matching import (Direction, ProcessKind, circulation_point_lowfreq,
                            coupler_point_lowfreq, gap_map, solve_corrected)
 
@@ -66,11 +68,11 @@ def test_energy_and_momentum_conservation(cell, kind, eps):
             assert pt.omega_i == pt.omega_s + 2 * wp  # exact by construction
         assert abs(pt.kappa) < 1e-10
         # wavevectors belong to the renormalized dispersion
-        ctx = PumpContext(eps, pt.k_p) if eps else None
+        l_xpm = xpm_inductance(cell.l_j, eps, pt.k_p)
         assert pt.k_s == pytest.approx(
-            wavevector(Mode.Sigma, pt.omega_s, cell, ctx), abs=1e-12)
+            wavevector(Mode.Sigma, pt.omega_s, cell, l_xpm), abs=1e-12)
         assert pt.k_i == pytest.approx(
-            -wavevector(Mode.Sigma, pt.omega_i, cell, ctx), abs=1e-12)
+            -wavevector(Mode.Sigma, pt.omega_i, cell, l_xpm), abs=1e-12)
         assert pt.k_s > 0 > pt.k_i
 
 
@@ -146,10 +148,32 @@ def test_gap_map_structure(cell):
     assert np.all(np.diff(ci_fw[:, 0]) > 0)
 
 
+@pytest.mark.parametrize("eps, calls", [(0.0, 0), (0.2, 1)])
+def test_xpm_inductance_computed_once_per_solve(cell, monkeypatch, eps,
+                                                calls):
+    """The weak waves' XPM inductance is one number per solve: computed
+    once when the pump is on, never at zero amplitude."""
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return xpm_inductance(*args)
+
+    monkeypatch.setattr(dispersion, "xpm_inductance", counted)
+    monkeypatch.setattr(matching, "xpm_inductance", counted, raising=False)
+    pts = solve_corrected(ProcessKind.Circulation, 3.0 * GHZ, eps, cell)
+    assert pts and len(seen) == calls
+
+
+def test_negative_amplitude_raises(cell):
+    with pytest.raises(AmplitudeOutOfRange, match="^epsilon_p must be >= 0$"):
+        solve_corrected(ProcessKind.Circulation, 3.0 * GHZ, -0.1, cell)
+
+
 def _zero_at_sample(index, grids):
     """_residual_fn stand-in: the residual w - grid[index], exactly zero at
     one scan sample.  Its first call gets the scan grid, kept in grids."""
-    def residual_fn(kind, omega_p, k_p, cell, ctx):
+    def residual_fn(kind, omega_p, k_p, cell, l_eff):
         def res(w):
             if not grids:
                 grids.append(np.array(w))
@@ -212,14 +236,14 @@ def _scalar_scan(kind, omega_p, epsilon_p, cell, scan_step=2e7 * math.pi,
     """Reference roots: the bracket scan with one scalar residual call per
     grid point, followed by brentq on each bracket."""
     k_p = pump_wavevector(cell, omega_p, epsilon_p)
-    ctx = PumpContext(epsilon_p, k_p) if epsilon_p > 0 else None
-    hi = dispersion.cutoff(Mode.Sigma, cell, ctx) * (1.0 - 1e-9)
+    l_xpm = xpm_inductance(cell.l_j, epsilon_p, k_p)
+    hi = dispersion.cutoff(Mode.Sigma, cell, l_xpm) * (1.0 - 1e-9)
     if kind is not ProcessKind.TunableCoupling:
         hi -= 2.0 * omega_p
     lo = min(scan_step, 0.5 * hi)
     if hi <= lo:
         return []
-    res = matching._residual_fn(kind, omega_p, k_p, cell, ctx)
+    res = matching._residual_fn(kind, omega_p, k_p, cell, l_xpm)
     grid = np.arange(lo, hi, scan_step)
     if grid[-1] < hi:
         grid = np.append(grid, hi)

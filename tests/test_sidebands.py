@@ -274,6 +274,38 @@ def test_linearizer_gamma_rows_match_full_gamma(oracle_pumps, line, signs):
             network.conversion_blocks(ops, full[ops.branches][:, q])))
 
 
+# pumps that oracle_pumps does not hold: (ports, f_p in GHz, flux quanta)
+_MANLEY_ROWE_DRIVES = {"coupler": ((1, 3), 3.5, 0.03),
+                       "copropagating": ((1,), 5.0, 0.12)}
+
+
+@pytest.mark.parametrize("line", ["fitted", "coupler", "copropagating",
+                                  "disorder2", "defect"])
+def test_sidebands_conserve_photon_number(oracle_pumps, fitted_net, line):
+    """Manley-Rowe: the lossless pumped line moves photons between the
+    sidebands but makes or loses none.  A unit wave incident on channel j
+    gives sum_i |S_ij|^2 omega_j / omega_i = 1 over all outgoing channels,
+    with signed sideband frequencies: a conjugate (negative-frequency)
+    channel counts its photons negatively."""
+    if line in _MANLEY_ROWE_DRIVES:
+        ports, f_ghz, flux = _MANLEY_ROWE_DRIVES[line]
+        w = f_ghz * GHZ
+        eps = amplitude_from_flux(flux * FLUX_Q,
+                                  pump_wavevector(fitted_net.cell, w, 0.0))
+        pump = pump_harmonic_balance(
+            fitted_net, [Drive(p, w, incident_amplitude(fitted_net, w, p, eps))
+                         for p in ports], HarmonicBasis(3))
+    else:
+        pump, _ = oracle_pumps[line]
+    for f in np.linspace(4.05, 10.05, 7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            sc = signal_sidebands(pump.net, pump, f * GHZ)
+        ratio = sc.freqs / sc.freqs[:, None]       # [i, j] = omega_j/omega_i
+        photons = np.einsum("iqjp,ij->jp", np.abs(sc.s) ** 2, ratio)
+        assert np.max(np.abs(photons - 1.0)) <= 1e-10
+
+
 def _probe(pump, eps, probe_ghz):
     """Probe frequency: the Ci gap center, 1e-6 below the Sigma cutoff, or
     probe_ghz GHz."""
