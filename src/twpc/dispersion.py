@@ -70,6 +70,12 @@ def spm_inductance(l_j: float, epsilon: float, ka: float) -> float:
     return l_j * x / (2.0 * j1(x))
 
 
+def spm_factor(x) -> np.ndarray:
+    """L_J / L_spm = 2 J1(x)/x at drop amplitudes x, clipped at X_MAX_SPM."""
+    x = np.minimum(x, X_MAX_SPM)
+    return np.divide(2.0 * j1(x), x, out=np.ones_like(x), where=x != 0)
+
+
 def xpm_inductance(l_j: float, epsilon: float, ka: float) -> float:
     """Junction inductance seen by a weak wave in the presence of a strong
     wave of reduced amplitude epsilon and wavevector ka (cross-phase

@@ -12,8 +12,8 @@ current phi0 sin(delta)/L, whose harmonics are a real DFT of the sampled
 orbit, exact for multi-harmonic flux drops.  The Newton Jacobian, their
 exact derivative, is the conversion matrix of cos(delta(t)) on the blocks
 the sideband solver also uses, solved in real arithmetic on (Re, Im) of
-each harmonic by one banded LU.  Amplitude continuation applies the drive;
-its first step is the full drive.
+each harmonic by one banded LU.  It starts at the full drive from the
+describing-function orbit; amplitude continuation takes over on failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import PHI0_BAR
+from .dispersion import spm_factor
 from .errors import NonConvergence, TruncationWarning
 from .network import (ChainNetwork, ChainOperators, _solve, band_to_sparse,
                       channel_band, conversion_blocks, parity_sector,
@@ -157,6 +158,19 @@ def _newton_step(ops: ChainOperators, loads: np.ndarray, a: np.ndarray,
     return (dx[:, 0] + 1j * dx[:, 1]).T
 
 
+def _predict(ops: ChainOperators, loads: np.ndarray, i_src) -> np.ndarray:
+    """Newton's describing-function start (M, n) for drive i_src: higher
+    harmonics 0, the fundamental solved (complex banded LU) on loads[:, :, 0]
+    plus linear junctions, then at the SPM inductance of the drops found."""
+    phi, gain = np.zeros(loads.shape[:0:-1], complex), np.ones(len(ops.g))
+    for _ in range(2):          # junction inductances 1/(g gain)
+        band = conversion_blocks(ops, gain[:, None, None])[..., 0, 0]
+        phi[0] = _solve(loads[:, :, 0] + band, i_src)
+        d = phi[0, ops.left + ops.w] - phi[0, ops.left]
+        gain = spm_factor(2 * ops.scale * abs(d))
+    return phi
+
+
 def pump_harmonic_balance(net: ChainNetwork, drives,
                           basis: HarmonicBasis) -> PumpSolution:
     """Newton harmonic balance of the pump steady state.
@@ -164,12 +178,12 @@ def pump_harmonic_balance(net: ChainNetwork, drives,
     drives: iterable of Drive, all at the same omega_p; simultaneous
     drives from both Delta ports realize the coupler configuration.  The
     drive is applied by adaptive amplitude continuation whose first step is
-    the full drive from rest: on failure the step is halved, and each step
-    is warm-started by rescaling the last converged state, until the step
-    falls below 2 % of the drive and NonConvergence is raised with the
-    Newton steps of all attempts and the last residual.  The residual is
-    relative to the drive, absolute for a zero drive, whose orbit phi = 0
-    converges at once.
+    the full drive: on failure the step is halved, and each step starts
+    from the last converged state rescaled, else from _predict's orbit,
+    until the step falls below 2 % of the drive and NonConvergence is
+    raised with the Newton steps of all attempts and the last residual.
+    The residual is relative to the drive, absolute for a zero drive,
+    whose orbit phi = 0 converges at once.
     """
     drives = tuple(drives)
     if not drives:
@@ -232,11 +246,11 @@ def pump_harmonic_balance(net: ChainNetwork, drives,
         return phi if rnorm < TOL else None, rnorm, it, history
 
     frac, step, steps = 0.0, 1.0, 0
-    phi_ok = np.zeros((len(orders), len(e)), complex)
     while frac < 1.0:
         trial_frac = min(1.0, frac + step)
-        out = newton(phi_ok * (trial_frac / frac if frac else 1.0),
-                     full_src * trial_frac)
+        i_src = full_src * trial_frac
+        out = newton(phi_ok * (trial_frac / frac) if frac
+                     else _predict(ops, loads, i_src), i_src)
         steps += out[2]
         if out[0] is None:
             step *= 0.5

@@ -19,7 +19,7 @@ gets no band, and outputs in the other sector are exactly 0.  At zero
 pump the channels decouple and the n = 0 block reduces to the linear
 S-matrix.
 transmission_map solves one pump row of a map: one harmonic-balance orbit
-(continuation from the full drive down), then each probe on its band.
+(from its describing-function start), then each probe on its band.
 """
 
 from __future__ import annotations

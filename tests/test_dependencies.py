@@ -14,24 +14,37 @@ SRC = TESTS.parent / "src" / "twpc"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy"}
 
 
-def _top_level_imports(path):
-    """(file name, top-level package) of every absolute import in path,
-    also those inside functions or try blocks."""
+def _imports(path):
+    """(file name, dotted module name) of every absolute import in path,
+    also those inside functions or try blocks; "from a import b" gives
+    both a and a.b, as b may be a module."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
         else:
             continue
-        yield from ((path.name, name.split(".")[0]) for name in names)
+        yield from ((path.name, name) for name in names)
 
 
 def test_src_imports_only_stdlib_numpy_scipy():
-    found = {imp for path in sorted(SRC.glob("*.py"))
-             for imp in _top_level_imports(path)}
+    found = {(name, module.split(".")[0])
+             for path in sorted(SRC.glob("*.py"))
+             for name, module in _imports(path)}
     assert {"numpy", "scipy"} <= {pkg for _, pkg in found}
     assert sorted(imp for imp in found if imp[1] not in ALLOWED) == []
+
+
+def test_only_dispersion_imports_scipy_special():
+    """The junction's Bessel functions come from dispersion alone
+    (harmonic balance takes its describing function from there), so an
+    in-package J0/J1 would replace scipy.special in one module."""
+    found = {name for path in sorted(SRC.glob("*.py"))
+             for name, module in _imports(path)
+             if (module + ".").startswith("scipy.special.")}
+    assert found == {"dispersion.py"}
 
 
 def _unused_imports(path):

@@ -13,7 +13,8 @@ from twpc.device import CellParams
 from twpc.dispersion import (Mode, X_MAX_SPM, X_MAX_XPM,
                              amplitude_from_flux, cutoff, flux_from_amplitude,
                              group_velocity, phase_velocity, pump_wavevector,
-                             spm_inductance, wavevector, xpm_inductance)
+                             spm_factor, spm_inductance, wavevector,
+                             xpm_inductance)
 from twpc.errors import AboveCutoff, AmplitudeOutOfRange, PumpAboveCutoff
 
 GHZ = 2e9 * math.pi
@@ -142,6 +143,21 @@ def test_bessel_renormalization_against_scipy():
                                                          rel=1e-14)
     # quoted operating point: XPM factor 1/J0(x) at x = 0.28284
     assert 1.0 / j0(0.28284) == pytest.approx(1.0203, abs=5e-4)
+
+
+def test_spm_factor_is_the_describing_function_gain():
+    """2 J1(x)/x elementwise: 1 at x = 0 (no division), L_J / L_spm in the
+    validity range, and 1/2 from X_MAX_SPM on."""
+    x = np.array([0.0, 1e-300, 0.3, 1.7, X_MAX_SPM, 3.0, 50.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spm_factor(x)
+    assert got[0] == 1.0 and got[1] == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(got[2:4], 2 * j1(x[2:4]) / x[2:4], rtol=1e-15)
+    assert 1e-9 / got[3] == pytest.approx(
+        spm_inductance(1e-9, 1.7 / (4 * math.sin(0.35)), 0.7), rel=1e-14)
+    assert got[4:].tolist() == [got[4]] * 3
+    assert got[4] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_renormalization_bounds_enforced():

@@ -277,23 +277,29 @@ def _newton_solves(net, monkeypatch, ports):
 
 
 def test_newton_steps_are_real_banded_solves(fitted_net, monkeypatch):
-    """One real banded solve per Newton iteration, with (Re, Im) of three
-    harmonics on the 401 columns of the Delta sector: the benchmark's
-    harmonic_balance.lu_* metrics are read from these calls."""
+    """Two complex banded solves of the fundamental on the 401 columns of
+    the Delta sector (the describing-function start), then one real
+    banded solve per Newton iteration, with (Re, Im) of three harmonics on
+    those columns: the benchmark's harmonic_balance.lu_* metrics are read
+    from these calls."""
     it, calls = _newton_solves(fitted_net, monkeypatch, (3,))
     assert it > 0
-    assert calls == [((11, 11), np.float64, (23, 2406))] * it
+    assert calls == [((1, 1), np.complex128, (3, 401))] * 2 \
+        + [((11, 11), np.float64, (23, 2406))] * it
 
 
 @pytest.mark.parametrize("line, ports", [
     ("disorder", (3,)), ("defect", (3,)), ("fitted", (0, 3))])
 def test_node_basis_newton_steps(request, monkeypatch, line, ports):
-    """Where the line or the drive breaks the electrode swap, each Newton
-    step solves (Re, Im) of three harmonics on all 802 nodes."""
+    """Where the line or the drive breaks the electrode swap, the two
+    solves of the describing-function start are complex on the fundamental
+    of all 802 nodes, and each Newton step solves (Re, Im) of three
+    harmonics on them."""
     net = request.getfixturevalue(f"{line}_net")
     it, calls = _newton_solves(net, monkeypatch, ports)
     assert it > 0
-    assert calls == [((17, 17), np.float64, (35, 4812))] * it
+    assert calls == [((2, 2), np.complex128, (5, 802))] * 2 \
+        + [((17, 17), np.float64, (35, 4812))] * it
 
 
 @pytest.mark.parametrize("f_ghz, flux, basis", [
@@ -364,3 +370,50 @@ def test_nonconvergence_reports_every_attempts_newton_steps(fitted_spec,
     assert len(steps) <= 6 * 3
     assert f"after {len(steps)} iterations" in str(exc.value)
     assert math.isfinite(exc.value.residual) and exc.value.residual > 0
+
+
+@pytest.mark.parametrize("f_ghz", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("flux", [0.04, 0.06, 0.08])
+def test_pump_sweep_drives_converge_in_one_attempt(fitted_net, monkeypatch,
+                                                   f_ghz, flux):
+    """From the describing-function start every drive of the benchmark's
+    pump sweep converges at the full drive in a few Newton steps; from
+    rest, 3 GHz at 0.06 and 0.08 and 4 GHz at 0.08 flux quanta took 39 to
+    50 steps over several attempts."""
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return _newton_step(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic_balance, "_newton_step", counted)
+    sol = pump_harmonic_balance(fitted_net, _flux_drives(fitted_net, f_ghz,
+                                                         flux),
+                                HarmonicBasis(3))
+    assert sol.residual < 1e-10
+    assert sol.iterations == len(steps) <= 8    # one attempt
+
+
+def _h3_over_h1(sol):
+    return np.max(np.abs(sol.d[1])) / np.max(np.abs(sol.d[0]))
+
+
+def test_start_selects_between_coexisting_orbits(fitted_net, monkeypatch):
+    """Near the third-harmonic resonance below the Delta cutoff two
+    orbits coexist at 3.025 GHz and 0.05 flux quanta.  The describing-
+    function start converges to the one continuous with its 3.024 and
+    3.026 GHz neighbours; a start from rest converges to a second orbit
+    with three times the third harmonic."""
+    sols = [pump_harmonic_balance(fitted_net, _flux_drives(fitted_net, f,
+                                                           0.05),
+                                  HarmonicBasis(3))
+            for f in (3.024, 3.025, 3.026)]
+    ratios = [_h3_over_h1(sol) for sol in sols]
+    assert ratios[0] < ratios[1] < ratios[2]
+    assert ratios == pytest.approx([0.031, 0.039, 0.063], abs=2e-3)
+    monkeypatch.setattr(harmonic_balance, "_predict",
+                        lambda ops, loads, i_src: np.zeros(
+                            (loads.shape[2], loads.shape[1]), complex))
+    rest = pump_harmonic_balance(fitted_net, sols[1].drives, HarmonicBasis(3))
+    assert sols[1].residual < 1e-10 and rest.residual < 1e-10
+    assert _h3_over_h1(rest) == pytest.approx(0.126, abs=2e-3)

@@ -286,7 +286,9 @@ def test_sidebands_conserve_photon_number(oracle_pumps, fitted_net, line):
     sidebands but makes or loses none.  A unit wave incident on channel j
     gives sum_i |S_ij|^2 omega_j / omega_i = 1 over all outgoing channels,
     with signed sideband frequencies: a conjugate (negative-frequency)
-    channel counts its photons negatively."""
+    channel counts its photons negatively.  Besides 7 probes across the
+    band, three put the outermost upper sideband (probe + 4 f_p) just
+    below, 1 % below and 1 % above the Sigma cutoff."""
     if line in _MANLEY_ROWE_DRIVES:
         ports, f_ghz, flux = _MANLEY_ROWE_DRIVES[line]
         w = f_ghz * GHZ
@@ -297,10 +299,13 @@ def test_sidebands_conserve_photon_number(oracle_pumps, fitted_net, line):
                          for p in ports], HarmonicBasis(3))
     else:
         pump, _ = oracle_pumps[line]
-    for f in np.linspace(4.05, 10.05, 7):
+    top = cutoff(Mode.Sigma, pump.net.cell)
+    probes = [*np.linspace(4.05, 10.05, 7) * GHZ,
+              *(r * top - 4 * pump.omega_p for r in (1 - 1e-6, 0.99, 1.01))]
+    for w in probes:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            sc = signal_sidebands(pump.net, pump, f * GHZ)
+            sc = signal_sidebands(pump.net, pump, w)
         ratio = sc.freqs / sc.freqs[:, None]       # [i, j] = omega_j/omega_i
         photons = np.einsum("iqjp,ij->jp", np.abs(sc.s) ** 2, ratio)
         assert np.max(np.abs(photons - 1.0)) <= 1e-10
