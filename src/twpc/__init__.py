@@ -12,8 +12,7 @@ from .matching import (Direction, MatchPoint, ProcessKind,
                        gap_map, solve_corrected)
 from .coupled_mode import (EnvelopeSolution, ProcessConfig,
                            attenuation_constant, bandwidth_estimate,
-                           from_match_point, solve_detuned, solve_uniform,
-                           solve_with_defect)
+                           solve_detuned, solve_uniform, solve_with_defect)
 from .network import (ChainNetwork, bloch_impedance, build_chain,
                       linear_scattering, wave_amplitude_profile)
 from .harmonic_balance import (Drive, HarmonicBasis, PumpSolution,

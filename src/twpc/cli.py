@@ -255,11 +255,9 @@ def cmd_envelope(args, runner):
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     kind = _KIND[args.process]
     pt = matching.solve_corrected(kind, omega_p, eps, spec.cell)[0]
-    if kind is ProcessKind.TunableCoupling:
-        cfg = coupled_mode.from_match_point(pt, spec.n_cells,
-                                            pump_fw=eps, pump_bw=eps)
-    else:
-        cfg = coupled_mode.from_match_point(pt, spec.n_cells, pump_bw=eps)
+    fw = eps if kind is ProcessKind.TunableCoupling else 0.0
+    cfg = coupled_mode.ProcessConfig(pt, spec.n_cells, pump_fw=fw,
+                                     pump_bw=eps)
     sol = coupled_mode.solve_uniform(cfg, 1.0)
     runner.write_csv(
         "envelope.csv",
@@ -288,28 +286,19 @@ def _local_defect_smatrix(spec):
 def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
     """Forward/backward attenuation (dB) of the circulation process vs
     pump amplitude, with optional defect and pump scattering."""
-    cell = spec.cell
     if defect_cell is not None:
         sm = _local_defect_smatrix(spec)
     rows = []
     for eps in amplitudes:
         pt = matching.solve_corrected(ProcessKind.Circulation, omega_p,
-                                      eps, cell)[0]
+                                      eps, spec.cell)[0]
+        cfg = coupled_mode.ProcessConfig(pt, spec.n_cells, pump_bw=eps)
         if defect_cell is None:
-            cfg = coupled_mode.from_match_point(pt, spec.n_cells, pump_bw=eps)
-            sol = coupled_mode.solve_uniform(cfg, 1.0)
-            fw, bw = sol.total_attenuation, 1.0
+            fw = coupled_mode.solve_uniform(cfg, 1.0).total_attenuation
+            bw = 1.0
         else:
-            s_p = sm(omega_p)
-            # pump launched from the right Delta port; the defect splits it
-            t_p, r_p = abs(s_p[1, 3]), abs(s_p[3, 3])
-            xd = float(defect_cell)
-            sections = ((0.0, xd, 0.0, t_p * eps),
-                        (xd, spec.n_cells, r_p * eps, eps))
-            cfg = coupled_mode.ProcessConfig(
-                pt.kind, pt.omega_p, pt.omega_s, pt.k_s, pt.k_i, pt.k_p,
-                spec.n_cells, sections=sections)
-            fw, bw = coupled_mode.solve_with_defect(cfg, sm, 1.0)
+            fw, bw = coupled_mode.solve_with_defect(cfg, float(defect_cell),
+                                                    sm, 1.0)
         rows.append((eps, 20 * math.log10(max(abs(fw), 1e-300)),
                      20 * math.log10(max(abs(bw), 1e-300))))
     return rows
@@ -320,6 +309,9 @@ def cmd_isolate(args, runner):
     omega_p = _omega(args)
     _check(args, ("eps_min", *_AMPLITUDE), ("eps_max", *_AMPLITUDE))
     amplitudes = np.linspace(args.eps_min, args.eps_max, args.eps_points)
+    if len(spec.defects) > 1:
+        raise ConfigError([("defects", "isolate models one defect at most, "
+                            f"not {len(spec.defects)}")])
     defect = spec.defects[0][0] if spec.defects else None
     rows = _isolation_curves(spec, omega_p, amplitudes, defect)
     runner.write_csv("isolation.csv",
@@ -424,7 +416,7 @@ def cmd_tdr(args, runner):
             trace = data["s_re"] + 1j * data["s_im"]
     except ValueError as exc:     # unparsable numbers or missing columns
         raise ConfigError([("input", f"unreadable sweep: {exc}")])
-    sweep = tdr.FrequencySweep((args.port, args.port), f, trace)
+    sweep = tdr.FrequencySweep(f, trace)
     imp = tdr.impulse_response(sweep, args.window, args.beta)
     runner.write_csv("impulse.csv", ["t_ns", "magnitude", "phase_rad"],
                      zip(imp.t_ns.tolist(), map(abs, imp.h.tolist()),
@@ -480,7 +472,7 @@ def _fig_tdr(args, runner):
     s = network.scattering_sweep(net, 2 * math.pi * freqs)
     report = {}
     for port, label in ((0, "left"), (2, "right")):
-        sweep = tdr.FrequencySweep((port, port), freqs, s[:, port, port])
+        sweep = tdr.FrequencySweep(freqs, s[:, port, port])
         imp = tdr.impulse_response(sweep)
         est = tdr.locate_defect(imp, v)
         report[label] = {"cell": est.cell, "t_peak_ns": est.t_peak_ns,

@@ -26,13 +26,13 @@ applies, doubling alpha at equal amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .device import A_CELL
-from .errors import SectionMismatch, WrongPropagationSigns
+from .errors import WrongPropagationSigns
 from .matching import MatchPoint, ProcessKind
 
 N_X = 401       # envelope samples along the line, both ends included
@@ -40,57 +40,25 @@ N_X = 401       # envelope samples along the line, both ends included
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """Envelope problem definition.
+    """Envelope problem definition: one phase-matched point on a line of
+    length cells.
 
     pump_fw / pump_bw are complex reduced amplitudes of the pumps
     traveling along +x and -x.  The circulation process is driven by the
     pump counterpropagating with the signal (pump_bw for a forward
-    signal); the coupling process uses both.  ``sections`` optionally
-    splits the line at a defect into (start, end, pump_fw, pump_bw)
-    pieces tiling [0, length].
+    signal); the coupling process uses both.
     """
 
-    kind: ProcessKind
-    omega_p: float
-    omega_s: float
-    k_s: float      # signed, rad/cell (> 0, forward signal)
-    k_i: float      # signed, rad/cell (< 0, backward idler)
-    k_p: float      # magnitude, rad/cell
+    match: MatchPoint
     length: float   # cells
     pump_fw: complex = 0.0
     pump_bw: complex = 0.0
-    sections: tuple = None
 
     def __post_init__(self):
-        if self.k_s * self.k_i >= 0:
+        k_s, k_i = self.match.k_s, self.match.k_i
+        if k_s * k_i >= 0:
             raise WrongPropagationSigns(
-                f"k_s = {self.k_s:.4g} and k_i = {self.k_i:.4g} must "
-                "counterpropagate")
-        if self.sections is not None:
-            secs = tuple(tuple(s) for s in self.sections)
-            object.__setattr__(self, "sections", secs)
-            x = 0.0
-            for s in secs:
-                if not math.isclose(s[0], x, abs_tol=1e-9):
-                    raise SectionMismatch(
-                        f"section starts at {s[0]}, expected {x}")
-                x = s[1]
-            if not math.isclose(x, self.length, abs_tol=1e-9):
-                raise SectionMismatch(
-                    f"sections end at {x}, expected {self.length}")
-
-    @property
-    def omega_i(self) -> float:
-        if self.kind is ProcessKind.TunableCoupling:
-            return self.omega_s
-        return self.omega_s + 2.0 * self.omega_p
-
-
-def from_match_point(match: MatchPoint, length: float, pump_fw=0.0,
-                     pump_bw=0.0) -> ProcessConfig:
-    return ProcessConfig(match.kind, match.omega_p, match.omega_s,
-                         match.k_s, match.k_i, match.k_p, length,
-                         pump_fw, pump_bw)
+                f"k_s = {k_s:.4g} and k_i = {k_i:.4g} must counterpropagate")
 
 
 @dataclass(frozen=True)
@@ -100,7 +68,6 @@ class EnvelopeSolution:
     eps_i: np.ndarray
     alpha: float
     total_attenuation: complex
-    kappa: float
 
 
 def _pump_sq(config: ProcessConfig, pump_fw=None, pump_bw=None) -> complex:
@@ -111,28 +78,31 @@ def _pump_sq(config: ProcessConfig, pump_fw=None, pump_bw=None) -> complex:
     """
     fw = config.pump_fw if pump_fw is None else pump_fw
     bw = config.pump_bw if pump_bw is None else pump_bw
-    if config.kind is ProcessKind.TunableCoupling:
+    if config.match.kind is ProcessKind.TunableCoupling:
         return 2.0 * bw * np.conj(fw)
     return bw * bw
 
 
 def attenuation_constant(config: ProcessConfig) -> float:
     """alpha = (a^2/4) k_P^2 sqrt(-k_I k_S) |eps_P^2_eff|, 1/cell."""
-    return (0.25 * A_CELL ** 2 * config.k_p ** 2
-            * math.sqrt(-config.k_i * config.k_s) * abs(_pump_sq(config)))
+    m = config.match
+    return (0.25 * A_CELL ** 2 * m.k_p ** 2
+            * math.sqrt(-m.k_i * m.k_s) * abs(_pump_sq(config)))
 
 
-def bandwidth_estimate(config: ProcessConfig, match: MatchPoint) -> float:
+def bandwidth_estimate(config: ProcessConfig) -> float:
     """Gap bandwidth B = (a^2/2) k_P^2 |eps_P|^2 sqrt(omega_I omega_S),
     rad/s (the detuning range over which |kappa| <= 2 alpha)."""
-    return (0.5 * A_CELL ** 2 * match.k_p ** 2 * abs(_pump_sq(config))
-            * math.sqrt(match.omega_i * match.omega_s))
+    m = config.match
+    return (0.5 * A_CELL ** 2 * m.k_p ** 2 * abs(_pump_sq(config))
+            * math.sqrt(m.omega_i * m.omega_s))
 
 
 def _couplings(config: ProcessConfig, pump_fw=None, pump_bw=None):
+    m = config.match
     p2 = _pump_sq(config, pump_fw, pump_bw)
-    c_i = 0.25 * A_CELL ** 2 * np.conj(p2) * config.k_p ** 2 * config.k_i
-    c_s = 0.25 * A_CELL ** 2 * p2 * config.k_p ** 2 * config.k_s
+    c_i = 0.25 * A_CELL ** 2 * np.conj(p2) * m.k_p ** 2 * m.k_i
+    c_s = 0.25 * A_CELL ** 2 * p2 * m.k_p ** 2 * m.k_s
     return c_i, c_s
 
 
@@ -153,10 +123,11 @@ def solve_uniform(config: ProcessConfig, eps_s0: complex) -> EnvelopeSolution:
     eps_s = eps_s0 * (em + ep) / denom
     p2 = _pump_sq(config)
     phase = (p2 / abs(p2)) if p2 != 0 else 1.0
-    eps_i = (-1j * phase * eps_s0 * math.sqrt(config.k_s / -config.k_i)
+    eps_i = (-1j * phase * eps_s0
+             * math.sqrt(config.match.k_s / -config.match.k_i)
              * (em - ep) / denom)
     total = 2.0 * math.exp(-alpha * L) / denom
-    return EnvelopeSolution(x, eps_s, eps_i, alpha, complex(total), 0.0)
+    return EnvelopeSolution(x, eps_s, eps_i, alpha, complex(total))
 
 
 def solve_detuned(config: ProcessConfig, kappa: float,
@@ -182,49 +153,52 @@ def solve_detuned(config: ProcessConfig, kappa: float,
     u, v = prof[0], prof[1]
     eps_i = v * np.exp(1j * kappa * x)
     total = u[-1] / eps_s0 if eps_s0 != 0 else u[-1]
-    return EnvelopeSolution(x, u, eps_i, alpha, total, kappa)
+    return EnvelopeSolution(x, u, eps_i, alpha, total)
 
 
-def _section_propagator(config, sec):
-    """Phase-matched (kappa = 0) envelope propagator across one section."""
-    x0, x1, fw, bw = sec
-    c_i, c_s = _couplings(config, fw, bw)
-    return expm(_system_matrix(c_i, c_s, 0.0) * (x1 - x0))
-
-
-def solve_with_defect(config: ProcessConfig, defect_smatrix,
+def solve_with_defect(config: ProcessConfig, x_defect: float, defect_smatrix,
                       eps_s0: complex = 1.0) -> tuple[complex, complex]:
-    """Total signal attenuation across a two-section line with a defect.
+    """Total signal attenuation across a line with a defect at x_defect
+    (cells from the left end), which splits it into two sections.
 
     defect_smatrix(omega) must return the 4x4 linear scattering matrix of
-    the defect region with ports (Sigma-L, Delta-L, Sigma-R, Delta-R); the
-    envelopes couple through its Sigma-Sigma transmission sub-block at the
-    signal and idler frequencies.  Power scattered into reflection or the
-    Delta mode is treated as loss.  Returns (forward, backward) complex
-    amplitude transmission ratios.
+    the defect region with ports (Sigma-L, Delta-L, Sigma-R, Delta-R).  The
+    pump is config.pump_bw, launched from Delta-R: the defect transmits
+    |S[1, 3]| of it into the left section and reflects |S[3, 3]| into the
+    right one as a forward pump.  The envelopes couple through the
+    Sigma-Sigma transmission sub-block at the signal and idler
+    frequencies; power scattered into reflection or the Delta mode is
+    treated as loss.  Returns (forward, backward) complex amplitude
+    transmission ratios.  Raises ValueError for a nonzero pump_fw or a
+    defect outside [0, length].
     """
-    if config.sections is None or len(config.sections) != 2:
-        raise SectionMismatch("defect solve needs exactly two sections")
-    fwd = _defect_oneway(config, config.sections, defect_smatrix, eps_s0)
+    L = config.length
+    if config.pump_fw != 0:
+        raise ValueError("the defect model takes one pump, pump_bw, "
+                         "launched from Delta-R; pump_fw must be 0")
+    if not 0.0 <= x_defect <= L:
+        raise ValueError(f"defect at x = {x_defect} lies outside [0, {L}]")
+    s_p = np.asarray(defect_smatrix(config.match.omega_p))
+    eps, t_p, r_p = config.pump_bw, abs(s_p[1, 3]), abs(s_p[3, 3])
+    # sections as (width, pump_fw, pump_bw)
+    fwd = _defect_oneway(config, ((x_defect, 0.0, t_p * eps),
+                                  (L - x_defect, r_p * eps, eps)),
+                         defect_smatrix, eps_s0)
     # backward probe: mirror the coordinate; pumps swap direction, and the
     # defect transmissions are taken in the opposite direction
-    (a0, a1, f1, b1), (c0, c1, f2, b2) = config.sections
-    L = config.length
-    mirrored = replace(
-        config,
-        sections=((0.0, L - c0, b2, f2), (L - c0, L, b1, f1)),
-    )
-    bwd = _defect_oneway(mirrored, mirrored.sections, defect_smatrix, eps_s0,
-                         reverse=True)
+    x_mirror = L - x_defect
+    bwd = _defect_oneway(config, ((x_mirror, eps, r_p * eps),
+                                  (L - x_mirror, t_p * eps, 0.0)),
+                         defect_smatrix, eps_s0, reverse=True)
     return fwd, bwd
 
 
 def _defect_oneway(config, sections, defect_smatrix, eps_s0, reverse=False):
-    sec1, sec2 = sections
-    M1 = _section_propagator(config, sec1)
-    M2 = _section_propagator(config, sec2)
-    S_s = np.asarray(defect_smatrix(config.omega_s))
-    S_i = np.asarray(defect_smatrix(config.omega_i))
+    # phase-matched (kappa = 0) envelope propagator across each section
+    M1, M2 = (expm(_system_matrix(*_couplings(config, fw, bw), 0.0) * width)
+              for width, fw, bw in sections)
+    S_s = np.asarray(defect_smatrix(config.match.omega_s))
+    S_i = np.asarray(defect_smatrix(config.match.omega_i))
     if reverse:
         t_s, t_i = S_s[0, 2], S_i[2, 0]
     else:

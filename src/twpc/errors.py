@@ -51,11 +51,6 @@ class WrongPropagationSigns(TwpcError):
     """Signal and idler wavevectors must have opposite signs."""
 
 
-class SectionMismatch(TwpcError):
-    """Line sections do not tile the device length, or the defect position
-    is inconsistent with the section boundaries."""
-
-
 class SingularNetwork(TwpcError):
     """The nodal admittance matrix is singular at the requested frequency."""
 

@@ -201,9 +201,9 @@ def _chain_operators(net: ChainNetwork, sign=None) -> ChainOperators:
 
 def parity_sector(net: ChainNetwork, ports):
     """Electrode-parity sector of the chain's response to drives on ports:
-    their common PARITY (1 for none) when the electrodes are identical, so
-    that the chain commutes with swapping them; None (the nodes) else."""
-    parities = {PARITY[p] for p in ports} or {1}
+    their common PARITY when the electrodes are identical, so that the
+    chain commutes with swapping them; None (the nodes) else."""
+    parities = {PARITY[p] for p in ports}
     same = np.array_equal(net.l_table[:, 0], net.l_table[:, 1])
     return parities.pop() if same and len(parities) == 1 else None
 

@@ -33,7 +33,7 @@ import numpy as np
 from .device import PHI0_BAR
 from .dispersion import cutoff
 from .errors import NonConvergence, SingularNetwork, TruncationWarning
-from .harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES, PumpSolution,
+from .harmonic_balance import (Drive, HarmonicBasis, PumpSolution,
                                incident_amplitude, pump_harmonic_balance)
 from .network import (PARITY, PORTS, ChainNetwork, _solve,
                       add_channel_loads, channel_band, conversion_blocks,
@@ -76,26 +76,23 @@ class _PumpedLinearizer:
     truncation check reads the probe's own channel (n_sidebands, 0), so
     channels must include it."""
 
-    def __init__(self, net: ChainNetwork, pump: PumpSolution | None,
-                 channels, n_sidebands: int = 2):
+    def __init__(self, net: ChainNetwork, pump: PumpSolution, channels,
+                 n_sidebands: int = 2):
         self.net, self.n_sb = net, n_sidebands
-        self.omega_p = pump.omega_p if pump is not None else 0.0
+        self.omega_p = pump.omega_p
         self.harmonics = 2 * np.arange(-n_sidebands, n_sidebands + 1)
         nb = len(self.harmonics)
         self.probe = [tuple(c) for c in channels].index((n_sidebands, 0))
         self.chan = i, p = np.array(channels).T
         k = np.arange(len(channels))
-        drives = pump.drives if pump is not None else ()
-        if parity_sector(net, [d.port for d in drives]) is None:
+        if parity_sector(net, [d.port for d in pump.drives]) is None:
             sectors = {None: k}
         else:   # each channel in its port's sector
             parity = np.take(PARITY, p)
             sectors = {s: k[parity == s] for s in (1, -1) if s in parity}
         # the same branches in both parity sectors
         branches = net.sectors[next(iter(sectors))].branches
-        gamma = (pump.junction_gamma(branches) if pump is not None
-                 else np.tile(np.eye(1, K_SAMPLES, dtype=complex),  # cos 0
-                              (len(branches), 1)))
+        gamma = pump.junction_gamma(branches)
         q = np.subtract.outer(self.harmonics, self.harmonics) % gamma.shape[1]
         # per sector: its pump band and operators, the pump part of the
         # band's channel-load rows, and the plan of its channels: their
@@ -167,7 +164,7 @@ class _PumpedLinearizer:
         return freqs, s
 
 
-def signal_sidebands(net: ChainNetwork, pump: PumpSolution | None,
+def signal_sidebands(net: ChainNetwork, pump: PumpSolution,
                      omega_probe: float, n_sidebands: int = 2,
                      channels=None) -> SignalScattering:
     """Multi-frequency probe scattering around a converged pump orbit.

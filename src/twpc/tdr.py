@@ -21,7 +21,6 @@ from .errors import NonUniformGrid, NoPeakAboveThreshold
 class FrequencySweep:
     """Complex S-parameter trace on a uniform ascending grid (Hz)."""
 
-    ports: tuple          # (out, in) port indices
     f: np.ndarray         # Hz
     s: np.ndarray         # complex
 

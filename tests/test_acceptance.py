@@ -16,7 +16,7 @@ from test_coupled_mode import _rk_total
 
 from twpc import device, tdr
 from twpc.cli import main
-from twpc.coupled_mode import attenuation_constant, from_match_point, \
+from twpc.coupled_mode import ProcessConfig, attenuation_constant, \
     solve_uniform
 from twpc.device import PHI0_BAR, derive_constants
 from twpc.dispersion import Mode, amplitude_from_flux, cutoff, \
@@ -144,7 +144,7 @@ def test_attenuation_scaling_and_closed_form():
     alphas, alpha_l = [], []
     for eps in amplitudes:
         pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, eps, cell)[0]
-        cfg = from_match_point(pt, 400.0, pump_bw=eps)
+        cfg = ProcessConfig(pt, 400.0, pump_bw=eps)
         a = attenuation_constant(cfg)
         alphas.append(a)
         alpha_l.append(a * cfg.length)
@@ -179,7 +179,7 @@ def test_discrete_vs_analytic_dip_depth(fitted_net, f_p, fluxes, tol_db):
         pt = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps,
                              cell)[0]
         analytic = 20 * math.log10(abs(solve_uniform(
-            from_match_point(pt, 400.0, pump_bw=eps),
+            ProcessConfig(pt, 400.0, pump_bw=eps),
             1.0).total_attenuation))
         discrete = _forward_db(fitted_net, pump, pt.omega_s)
         assert abs(discrete - analytic) < tol_db, (f_p, flux)
@@ -195,7 +195,7 @@ def test_photon_flux_invariant():
         eps = rng.uniform(0.03, 0.3)
         length = rng.uniform(100.0, 800.0)
         pt = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps, cell)[0]
-        sol = solve_uniform(from_match_point(pt, length, pump_bw=eps),
+        sol = solve_uniform(ProcessConfig(pt, length, pump_bw=eps),
                             rng.normal() + 1j * rng.normal())
         inv = (pt.k_s * np.abs(sol.eps_s) ** 2
                + pt.k_i * np.abs(sol.eps_i) ** 2)
@@ -225,7 +225,7 @@ def test_tdr_localizes_defect(defect_net):
                   for f in freqs])
     estimates = {}
     for port in (0, 2):
-        sweep = tdr.FrequencySweep((port, port), freqs, s[:, port, port])
+        sweep = tdr.FrequencySweep(freqs, s[:, port, port])
         imp = tdr.impulse_response(sweep)
         assert imp.resolution_ns == pytest.approx(0.30, abs=0.01)
         estimates[port] = tdr.locate_defect(imp, v=93.6)

@@ -569,6 +569,8 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
     (["nld-map", "--pump-flux", "0.05", "--pump-ports", "9"], "arguments"),
     (["nld-map", "--pump-flux", "0.05", "--threads", "0"], "arguments"),
     (["isolate", "--f-pump", "4.63", "--eps-points", "0"], "arguments"),
+    # the envelope model splits the line at one defect only
+    (["isolate", "--f-pump", "4.63", "--spec", "TWO_DEFECTS"], "defects"),
     (["scatter", "--points", "abc"], "arguments"),
     (["scatter", "--no-such-flag"], "arguments"),
     (["tdr", "--input", "PROSE"], "input"),
@@ -582,15 +584,18 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
     (["tdr", "--input", "sweep.s4p", "--spec", "x.json"], "arguments"),
     (["reproduce-fig", "S6", "--seed", "3"], "arguments"),
 ], ids=["unknown-process", "harmonics-0", "sidebands-negative", "port-9",
-        "threads-0", "eps-points-0", "points-abc", "unknown-flag",
-        "tdr-prose", "tdr-columns", "tdr-port-4", "nld-sim-port-twice",
-        "nld-map-port-twice", "tdr-spec", "fig-seed"])
+        "threads-0", "eps-points-0", "isolate-two-defects", "points-abc",
+        "unknown-flag", "tdr-prose", "tdr-columns", "tdr-port-4",
+        "nld-sim-port-twice", "nld-map-port-twice", "tdr-spec", "fig-seed"])
 def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
     prose = tmp_path / "notes.md"      # text, not a sweep
     prose.write_text("# twpc\n\nA design toolkit, for two-mode lines.\n")
     columns = tmp_path / "sweep.csv"   # a CSV without the sweep columns
     columns.write_text("f,s\n1,2\n3,4\n")
-    files = {"PROSE": str(prose), "COLUMNS": str(columns)}
+    two = _spec_file(tmp_path, defects=((165, "open_junction"),
+                                        (300, "open_junction")))
+    files = {"PROSE": str(prose), "COLUMNS": str(columns),
+             "TWO_DEFECTS": str(two)}
     rc, err = _error_report(capsys, [files.get(a, a) for a in argv],
                             tmp_path)
     assert rc == 2 and err["error"] == "ConfigError"

@@ -7,11 +7,10 @@ from scipy.integrate import solve_ivp
 
 from twpc import coupled_mode, device
 from twpc.coupled_mode import (ProcessConfig, attenuation_constant,
-                               bandwidth_estimate, from_match_point,
-                               solve_detuned, solve_uniform,
-                               solve_with_defect)
-from twpc.errors import SectionMismatch, WrongPropagationSigns
-from twpc.matching import ProcessKind, solve_corrected
+                               bandwidth_estimate, solve_detuned,
+                               solve_uniform, solve_with_defect)
+from twpc.errors import WrongPropagationSigns
+from twpc.matching import MatchPoint, ProcessKind, solve_corrected
 
 GHZ = 2e9 * math.pi
 
@@ -20,7 +19,7 @@ def _config(eps=0.2, length=400.0, kind=ProcessKind.Circulation, **kw):
     pt = solve_corrected(kind, 3.0 * GHZ, eps, device.fitted_cell())[0]
     if kind is ProcessKind.TunableCoupling:
         kw.setdefault("pump_fw", eps)
-    return from_match_point(pt, length, pump_bw=eps, **kw)
+    return ProcessConfig(pt, length, pump_bw=eps, **kw)
 
 
 def _rk_total(cfg, kappa=0.0):
@@ -45,23 +44,26 @@ def _rk_total(cfg, kappa=0.0):
 
 def test_counterpropagation_enforced():
     with pytest.raises(WrongPropagationSigns):
-        ProcessConfig(ProcessKind.Circulation, GHZ, 2 * GHZ, 0.5, 0.4, 0.6,
-                      400.0)
+        ProcessConfig(MatchPoint(ProcessKind.Circulation, 2 * GHZ, 4 * GHZ,
+                                 GHZ, 0.5, 0.4, 0.6), 400.0)
 
 
-def test_sections_must_tile_the_line():
-    pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, 0.1,
-                         device.fitted_cell())[0]
-    with pytest.raises(SectionMismatch):
-        ProcessConfig(pt.kind, pt.omega_p, pt.omega_s, pt.k_s, pt.k_i,
-                      pt.k_p, 400.0,
-                      sections=((0.0, 100.0, 0, 0.1), (120.0, 400.0, 0, 0.1)))
+def test_defect_solve_rejects_forward_pump_and_outside_defect():
+    """The defect model launches its one pump, pump_bw, from Delta-R, and
+    its defect must lie on the line."""
+    with pytest.raises(ValueError, match="pump_fw"):
+        solve_with_defect(_config(eps=0.1, pump_fw=0.1), 165.0,
+                          _identity_smatrix)
+    for x in (-1.0, 401.0, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            solve_with_defect(_config(eps=0.1), x, _identity_smatrix)
 
 
 def test_attenuation_constant_formula():
     cfg = _config(eps=0.2)
     alpha = attenuation_constant(cfg)
-    expect = 0.25 * cfg.k_p ** 2 * math.sqrt(-cfg.k_i * cfg.k_s) * 0.2 ** 2
+    m = cfg.match
+    expect = 0.25 * m.k_p ** 2 * math.sqrt(-m.k_i * m.k_s) * 0.2 ** 2
     assert alpha == pytest.approx(expect, rel=1e-12)
     # quadratic in pump amplitude
     cfg2 = _config(eps=0.1)
@@ -74,6 +76,7 @@ def test_coupler_substitution_doubles_alpha():
     co = _config(eps=0.15, kind=ProcessKind.TunableCoupling)
     a_ci = attenuation_constant(ci)
     a_co = attenuation_constant(co)
+    co, ci = co.match, ci.match
     ratio = (a_co / (co.k_p ** 2 * math.sqrt(-co.k_i * co.k_s))) / \
             (a_ci / (ci.k_p ** 2 * math.sqrt(-ci.k_i * ci.k_s)))
     assert ratio == pytest.approx(2.0, rel=1e-12)
@@ -106,9 +109,9 @@ def test_idler_phase_convention():
     eps_p = 0.2 * np.exp(0.7j)
     pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, abs(eps_p),
                          device.fitted_cell())[0]
-    cfg = from_match_point(pt, 2000.0, pump_bw=eps_p)
+    cfg = ProcessConfig(pt, 2000.0, pump_bw=eps_p)
     sol = solve_uniform(cfg, 1.0)
-    expect = -1j * np.exp(2j * 0.7) * math.sqrt(cfg.k_s / -cfg.k_i)
+    expect = -1j * np.exp(2j * 0.7) * math.sqrt(pt.k_s / -pt.k_i)
     deep = sol.eps_i[0] / sol.eps_s[0]
     assert deep == pytest.approx(expect * math.tanh(sol.alpha * cfg.length),
                                  rel=1e-9)
@@ -162,8 +165,8 @@ def test_detuned_matches_rk_oracle():
 def test_bandwidth_estimate_scaling():
     pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, 0.1,
                          device.fitted_cell())[0]
-    b1 = bandwidth_estimate(from_match_point(pt, 400.0, pump_bw=0.1), pt)
-    b2 = bandwidth_estimate(from_match_point(pt, 400.0, pump_bw=0.2), pt)
+    b1 = bandwidth_estimate(ProcessConfig(pt, 400.0, pump_bw=0.1))
+    b2 = bandwidth_estimate(ProcessConfig(pt, 400.0, pump_bw=0.2))
     assert b2 / b1 == pytest.approx(4.0, rel=1e-12)
     assert b1 == pytest.approx(
         0.5 * pt.k_p ** 2 * 0.01 * math.sqrt(pt.omega_i * pt.omega_s),
@@ -180,12 +183,9 @@ def test_transparent_defect_recovers_uniform():
     eps = 0.2
     pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, eps,
                          device.fitted_cell())[0]
-    cfg = ProcessConfig(pt.kind, pt.omega_p, pt.omega_s, pt.k_s, pt.k_i,
-                        pt.k_p, 400.0,
-                        sections=((0.0, 165.0, 0.0, eps),
-                                  (165.0, 400.0, 0.0, eps)))
-    fw, bw = solve_with_defect(cfg, _identity_smatrix, 1.0)
-    ref = solve_uniform(from_match_point(pt, 400.0, pump_bw=eps), 1.0)
+    cfg = ProcessConfig(pt, 400.0, pump_bw=eps)
+    fw, bw = solve_with_defect(cfg, 165.0, _identity_smatrix, 1.0)
+    ref = solve_uniform(cfg, 1.0)
     assert abs(fw) == pytest.approx(abs(ref.total_attenuation), rel=1e-9)
     # the reverse probe co-propagates with the one-directional pump:
     # a transparent junction leaves it completely untouched
@@ -196,11 +196,9 @@ def test_opaque_defect_blocks_signal():
     eps = 0.05
     pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, eps,
                          device.fitted_cell())[0]
-    cfg = ProcessConfig(pt.kind, pt.omega_p, pt.omega_s, pt.k_s, pt.k_i,
-                        pt.k_p, 400.0,
-                        sections=((0.0, 165.0, 0.0, eps),
-                                  (165.0, 400.0, 0.0, eps)))
-    fw, _ = solve_with_defect(cfg, lambda w: np.zeros((4, 4), complex), 1.0)
+    cfg = ProcessConfig(pt, 400.0, pump_bw=eps)
+    fw, _ = solve_with_defect(cfg, 165.0,
+                              lambda w: np.zeros((4, 4), complex), 1.0)
     assert abs(fw) < 1e-12
 
 
@@ -209,9 +207,7 @@ def test_backward_untouched_without_pump_or_defect():
     coupling at all (ideal non-reciprocity)."""
     cfg = _config(eps=0.3)
     # reverse probe = same line with the pump co-propagating: pump_bw -> 0
-    rev = ProcessConfig(cfg.kind, cfg.omega_p, cfg.omega_s, cfg.k_s,
-                        cfg.k_i, cfg.k_p, cfg.length, pump_fw=0.3,
-                        pump_bw=0.0)
+    rev = ProcessConfig(cfg.match, cfg.length, pump_fw=0.3)
     sol = solve_uniform(rev, 1.0)
     assert abs(sol.total_attenuation) == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.abs(sol.eps_i) < 1e-12)

@@ -37,9 +37,22 @@ def pumped(fitted_net):
                                  HarmonicBasis(3)), eps
 
 
+def _zero_pump(net):
+    """The zero-amplitude 3 GHz pump from Delta-R, whose orbit is exactly
+    phi = 0; no sideband of a 5.7 or 7.1 GHz probe falls at zero
+    frequency."""
+    return pump_harmonic_balance(net, [Drive(3, 3 * GHZ, 0.0)],
+                                 HarmonicBasis(3))
+
+
 def test_zero_pump_reduces_to_linear(fitted_net):
     w = 5.7 * GHZ
-    sc = signal_sidebands(fitted_net, None, w, n_sidebands=2)
+    pump = _zero_pump(fitted_net)
+    # cos 0 = 1 on every junction: the sidebands decouple
+    np.testing.assert_array_equal(
+        pump.junction_gamma(),
+        np.tile(np.eye(1, K_SAMPLES), (len(fitted_net.ops.g), 1)))
+    sc = signal_sidebands(fitted_net, pump, w, n_sidebands=2)
     np.testing.assert_allclose(sc.s0(), linear_scattering(fitted_net, w),
                                atol=1e-10)
     c = sc.n_sidebands
@@ -49,7 +62,8 @@ def test_zero_pump_reduces_to_linear(fitted_net):
 
 
 def test_zero_pump_power_balance(fitted_net):
-    sc = signal_sidebands(fitted_net, None, 5.7 * GHZ, n_sidebands=1)
+    sc = signal_sidebands(fitted_net, _zero_pump(fitted_net), 5.7 * GHZ,
+                          n_sidebands=1)
     c = sc.n_sidebands
     power = np.sum(np.abs(sc.s[:, :, c, 0]) ** 2)
     assert power == pytest.approx(1.0, abs=1e-8)
@@ -162,12 +176,7 @@ def _reference_sidebands(net, pump, omega_probe, n_sb):
     ops, n = net.ops, net.n_nodes
     eye = sp.identity(n, format="csr")
     dmat = eye[ops.left + 2] - eye[ops.left]
-    omega_p = pump.omega_p if pump is not None else 0.0
-    if pump is not None:
-        gamma = pump.junction_gamma()
-    else:
-        gamma = np.zeros((len(ops.g), K_SAMPLES))
-        gamma[:, 0] = 1.0
+    omega_p, gamma = pump.omega_p, pump.junction_gamma()
     w = {}
     for q in range(0, 4 * n_sb + 1, 2):
         wq = PHI0_BAR * (dmat.T @ sp.diags(ops.g * gamma[:, q]) @ dmat)
@@ -240,7 +249,7 @@ def test_banded_sidebands_match_sparse_oracle(oracle_pumps, line, probe_ghz,
     net = pump.net
     w = _probe(pump, eps, probe_ghz)
     if not pumped:
-        pump = None
+        pump = _zero_pump(net)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         sc = signal_sidebands(net, pump, w, n_sidebands=n_sb)
@@ -383,8 +392,8 @@ def test_sector_band_only_where_electrodes_swap(oracle_pumps, fitted_net,
                                                 monkeypatch):
     """The electrode-parity sector band, (4 nb - 1, nb (n_cells + 1)), is
     solved on the fitted line pumped from Delta-R, both Delta ports, Sigma-L
-    or not at all, where a Sigma probe's Delta outputs are exactly 0; the
-    node band, (6 nb - 1, nb n_nodes), on the defect and disordered lines,
+    or at zero amplitude, where a Sigma probe's Delta outputs are exactly 0;
+    the node band, (6 nb - 1, nb n_nodes), on the defect and disordered lines,
     under the mixed Sigma-L + Delta-R pump and on the fitted line with one
     junction moved by one ulp."""
     shapes = []
@@ -401,7 +410,8 @@ def test_sector_band_only_where_electrodes_swap(oracle_pumps, fitted_net,
     nudged = dataclasses.replace(fitted_net, l_table=l_table)
     cases = [(oracle_pumps[k][0].net, oracle_pumps[k][0], sector)
              for k in ("fitted", "coupler", "sigma")]
-    cases += [(fitted_net, None, sector), (nudged, None, node)]
+    cases += [(fitted_net, _zero_pump(fitted_net), sector),
+              (nudged, _zero_pump(nudged), node)]
     cases += [(oracle_pumps[k][0].net, oracle_pumps[k][0], node)
               for k in ("defect", "disorder", "mixed")]
     for net, pump, shape in cases:

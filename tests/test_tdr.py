@@ -11,15 +11,14 @@ def _reflector_sweep(taus, gammas, f0=4e9, f1=8e9, n=801):
     f = np.linspace(f0, f1, n)
     s = sum(g * np.exp(-2j * math.pi * f * t * 1e-9)
             for g, t in zip(gammas, taus))
-    return FrequencySweep((0, 0), f, s)
+    return FrequencySweep(f, s)
 
 
 def test_grid_validation():
     with pytest.raises(NonUniformGrid):
-        FrequencySweep((0, 0), np.array([1e9, 2e9, 2.5e9, 4e9] * 5),
-                       np.ones(20))
+        FrequencySweep(np.array([1e9, 2e9, 2.5e9, 4e9] * 5), np.ones(20))
     with pytest.raises(NonUniformGrid):
-        FrequencySweep((0, 0), np.linspace(1e9, 2e9, 8), np.ones(8))
+        FrequencySweep(np.linspace(1e9, 2e9, 8), np.ones(8))
 
 
 def test_single_reflector_peak_location_and_magnitude():
@@ -65,7 +64,7 @@ def test_parseval_consistency():
 
 def test_shift_theorem():
     sweep = _reflector_sweep([3.0], [0.5])
-    shifted = FrequencySweep(sweep.ports, sweep.f,
+    shifted = FrequencySweep(sweep.f,
                              sweep.s * np.exp(-2j * math.pi * sweep.f
                                               * 0.8e-9))
     a = impulse_response(sweep)
@@ -104,7 +103,7 @@ def test_flat_trace_has_no_defect_peak():
     # a flat unit reflection is a peak at t = 0, not an internal defect:
     # after excluding it there is nothing above threshold
     sweep = _reflector_sweep([2.5], [0.0001])
-    sweep = FrequencySweep(sweep.ports, sweep.f, sweep.s * 0.0)
+    sweep = FrequencySweep(sweep.f, sweep.s * 0.0)
     imp = impulse_response(sweep)
     with pytest.raises(NoPeakAboveThreshold):
         locate_defect(imp, v=93.6)
