@@ -77,17 +77,17 @@ class Runner:
     def write_csv(self, name: str, header: list, rows) -> Path:
         p = self.path(name)
         floats = ",".join(["%.12e"] * len(header)) + "\n"
-        rows = map(tuple, rows)
+        rows = iter(rows)
         with open(p, "w") as fh:
             fh.write(",".join(header) + "\n")
             # blocks of 256 rows stream; a block of full rows of floats,
-            # none NaN, takes one template per row, others go cell by cell
+            # none NaN, takes one template per block, others go cell by cell
             while block := list(itertools.islice(rows, 256)):
                 cells = list(itertools.chain.from_iterable(block))
                 if (set(map(len, block)) == {len(header)}
                         and _FLOATS.issuperset(map(type, cells))
                         and not any(map(math.isnan, cells))):
-                    fh.writelines(map(floats.__mod__, block))
+                    fh.write((floats * len(block)) % tuple(cells))
                 else:
                     fh.writelines(",".join(map(_fmt, row)) + "\n"
                                   for row in block)
@@ -134,7 +134,9 @@ class Runner:
 # ---------------------------------------------------------------------------
 # shared option handling
 
-def _load_spec(args) -> device.LineSpec:
+def _load_spec(args, *unmodelled) -> device.LineSpec:
+    """The --spec line, re-seeded by --seed; each field in unmodelled, which
+    the command's model would silently drop, must be unset."""
     if args.spec:
         spec = device.load_spec(args.spec)
     else:
@@ -142,7 +144,12 @@ def _load_spec(args) -> device.LineSpec:
     if args.seed is not None:
         spec = device.LineSpec(spec.cell, spec.n_cells, spec.defects,
                                spec.disorder_halfwidth, args.seed)
-    return device.validate(spec)
+    spec = device.validate(spec)
+    bad = [(field, f"{args.command} cannot model {field}")
+           for field in unmodelled if getattr(spec, field)]
+    if bad:
+        raise ConfigError(bad)
+    return spec
 
 
 def _pump_amplitude(args, cell, default=None):
@@ -250,7 +257,7 @@ def cmd_gaps_map(args, runner):
 
 
 def cmd_envelope(args, runner):
-    spec = _load_spec(args)
+    spec = _load_spec(args, "defects", "disorder_halfwidth")
     omega_p = _omega(args)
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     kind = _KIND[args.process]
@@ -305,7 +312,7 @@ def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
 
 
 def cmd_isolate(args, runner):
-    spec = _load_spec(args)
+    spec = _load_spec(args, "disorder_halfwidth")
     omega_p = _omega(args)
     _check(args, ("eps_min", *_AMPLITUDE), ("eps_max", *_AMPLITUDE))
     amplitudes = np.linspace(args.eps_min, args.eps_max, args.eps_points)
@@ -407,14 +414,14 @@ def cmd_tdr(args, runner):
            ("beta", "Kaiser beta >= 0", lambda b: 0 <= b < math.inf))
     try:
         if args.input.endswith(".s4p"):
-            f, s, _ = touchstone.read_touchstone(args.input)
-            trace = s[:, args.port, args.port]
+            f, trace, _ = touchstone.read_touchstone(
+                args.input, entry=(args.port, args.port))
         else:
             data = np.genfromtxt(args.input, delimiter=",", names=True,
                                  ndmin=1)
             f = data["f_Hz"]
             trace = data["s_re"] + 1j * data["s_im"]
-    except ValueError as exc:     # unparsable numbers or missing columns
+    except (ValueError, ConfigError) as exc:    # also a malformed .s4p
         raise ConfigError([("input", f"unreadable sweep: {exc}")])
     sweep = tdr.FrequencySweep(f, trace)
     imp = tdr.impulse_response(sweep, args.window, args.beta)

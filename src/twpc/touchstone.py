@@ -10,7 +10,8 @@ digits and round-trip bit-exactly.
 
 from __future__ import annotations
 
-import itertools
+import array
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -33,45 +34,55 @@ def write_touchstone(path, f_hz, s, z_ref) -> None:
         for k, z in enumerate(z_ref):
             fh.write(f"! Z0[{k + 1}]={z:.17g}\n")
         fh.write(f"# Hz S RI R {z_ref[0]:.17g}\n")
-        fh.writelines(record % tuple(row) for row in rows.tolist())
+        for block in np.split(rows, range(256, len(rows), 256)):
+            fh.write((record * len(block)) % tuple(block.ravel().tolist()))
 
 
-def read_touchstone(path):
+def read_touchstone(path, entry=None):
     """Read a 4-port RI Touchstone file written by write_touchstone.
 
-    Returns (f_hz, s, z_ref); z_ref comes from the `! Z0[k]=` comments,
-    falling back to the option-line resistance for all ports.
+    Returns (f_hz, s, z_ref), s (nf, 4, 4) or, for entry=(q, p), only
+    S[:, q, p], the one S column parsed; z_ref comes from the `! Z0[k]=`
+    comments, falling back to the option-line resistance for all ports.
     """
-    z_ref = [None] * 4
-    opts = None
+    z_ref, opts = [None] * 4, None
 
-    def data_lines(fh):
+    def is_data(line):
         nonlocal opts
-        for line in fh:
-            line = line.strip()
-            if line.startswith("!"):
-                body = line[1:].strip()
-                if body.startswith("Z0["):
-                    k = int(body[3:body.index("]")]) - 1
-                    z_ref[k] = float(body.split("=", 1)[1])
-            elif line.startswith("#"):
-                opts = line[1:].split()
-            else:
-                yield line
+        line = line.strip()
+        if not line.startswith(("!", "#")):
+            return True
+        body = line[1:].strip()
+        if line[0] == "#":
+            opts = body.split()
+        elif body.startswith("Z0["):
+            k = int(body[3:body.index("]")])
+            if not 1 <= k <= 4:
+                raise ConfigError([("", f"Z0[{k}] names no port 1-4")])
+            z_ref[k - 1] = float(body.split("=", 1)[1])
+        return False
 
+    # 33 tokens per frequency, however the lines break: f, then the RI
+    # fields of S row by row, so S[q, p] starts at token 8 q + 2 p + 1;
+    # zip_longest pads a short last record with None
+    i = 1 if entry is None else 8 * entry[0] + 2 * entry[1] + 1
+    j = 33 if entry is None else i + 2
+    f, s = array.array("d"), array.array("d")
     with open(path) as fh:
-        numbers = np.fromiter(map(float, itertools.chain.from_iterable(
-            map(str.split, data_lines(fh)))), float)
+        tokens = chain.from_iterable(map(str.split, filter(is_data, fh)))
+        for record in zip_longest(*[tokens] * 33):
+            if record[-1] is None:
+                raise ConfigError([("", "malformed 4-port data block")])
+            f.append(float(record[0]))
+            s.extend(map(float, record[i:j]))
     if opts is None:
         raise ConfigError([("", "missing option line")])
     up = [o.upper() for o in opts]
-    if "HZ" not in up or "S" not in up or "RI" not in up:
+    if "HZ" not in up or "S" not in up or "RI" not in up or up[-1] == "R":
         raise ConfigError([("", f"unsupported option line: {' '.join(opts)}")])
     r_opt = float(opts[up.index("R") + 1]) if "R" in up else 50.0
     z_ref = [r_opt if z is None else z for z in z_ref]
 
-    if len(numbers) % 33:       # f and 32 RI fields per frequency
-        raise ConfigError([("", "malformed 4-port data block")])
-    data = numbers.reshape(-1, 33)
-    s = np.ascontiguousarray(data[:, 1:]).view(complex).reshape(-1, 4, 4)
-    return data[:, 0], s, np.array(z_ref)
+    s = np.frombuffer(s).view(complex)
+    s = s.reshape(-1, 4, 4) if entry is None else s
+    return np.frombuffer(f), s, np.array(z_ref)

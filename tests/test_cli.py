@@ -15,7 +15,7 @@ from twpc import cli, device, network, sidebands
 from twpc.cli import FLUX_Q, GHZ, Runner, build_parser, main
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.matching import ProcessKind, solve_corrected
-from twpc.touchstone import read_touchstone
+from twpc.touchstone import read_touchstone, write_touchstone
 
 
 def _run(args, out):
@@ -24,9 +24,9 @@ def _run(args, out):
     return out
 
 
-def _spec_file(tmp_path, **overrides):
+def _spec_file(tmp_path, name="spec.json", **overrides):
     spec = device.fitted_line(**overrides)
-    p = tmp_path / "spec.json"
+    p = tmp_path / name
     p.write_text(json.dumps(device.spec_to_json(spec)))
     return p
 
@@ -576,6 +576,17 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
     (["tdr", "--input", "PROSE"], "input"),
     (["tdr", "--input", "COLUMNS"], "input"),
     (["tdr", "--input", "sweep.s4p", "--port", "4"], "arguments"),
+    # reference comments that name no port, and an R with no value
+    (["tdr", "--input", "Z0_5"], "input"),
+    (["tdr", "--input", "Z0_0"], "input"),
+    (["tdr", "--input", "BARE_R"], "input"),
+    # the envelope model holds neither disorder nor (envelope) a defect
+    (["isolate", "--f-pump", "4.63", "--spec", "DISORDERED"],
+     "disorder_halfwidth"),
+    (["envelope", "--f-pump", "3", "--pump-eps", "0.2", "--spec",
+      "DISORDERED"], "disorder_halfwidth"),
+    (["envelope", "--f-pump", "3", "--pump-eps", "0.2", "--spec",
+      "ONE_DEFECT"], "defects"),
     (["nld-sim", "--f-pump", "3", "--f-probe", "7.1", "--pump-flux", "0.05",
       "--pump-ports", "3", "3"], "pump_ports"),
     (["nld-map", "--pump-flux", "0.05", "--pump-ports", "1", "3", "1"],
@@ -586,6 +597,8 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
 ], ids=["unknown-process", "harmonics-0", "sidebands-negative", "port-9",
         "threads-0", "eps-points-0", "isolate-two-defects", "points-abc",
         "unknown-flag", "tdr-prose", "tdr-columns", "tdr-port-4",
+        "tdr-z0-5", "tdr-z0-0", "tdr-bare-r", "isolate-disorder",
+        "envelope-disorder", "envelope-defect",
         "nld-sim-port-twice", "nld-map-port-twice", "tdr-spec", "fig-seed"])
 def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
     prose = tmp_path / "notes.md"      # text, not a sweep
@@ -595,7 +608,20 @@ def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
     two = _spec_file(tmp_path, defects=((165, "open_junction"),
                                         (300, "open_junction")))
     files = {"PROSE": str(prose), "COLUMNS": str(columns),
-             "TWO_DEFECTS": str(two)}
+             "TWO_DEFECTS": str(two),
+             "DISORDERED": str(_spec_file(tmp_path, "disorder.json",
+                                          disorder_halfwidth=0.05, seed=7)),
+             "ONE_DEFECT": str(_spec_file(tmp_path, "defect.json", defects=(
+                 (165, "open_junction"),)))}
+    s4p = tmp_path / "good.s4p"         # a valid 32-point sweep, then edits
+    write_touchstone(s4p, np.linspace(4e9, 8e9, 32),
+                     np.full((32, 4, 4), 0.1 + 0.2j), [88.0, 36.0, 88.0, 36.0])
+    good = s4p.read_text()
+    for key, old, new in [("Z0_5", "! Z0[4]=", "! Z0[5]="),
+                          ("Z0_0", "! Z0[1]=", "! Z0[0]="),
+                          ("BARE_R", "R 88\n", "R\n")]:
+        files[key] = str(tmp_path / f"{key}.s4p")
+        Path(files[key]).write_text(good.replace(old, new))
     rc, err = _error_report(capsys, [files.get(a, a) for a in argv],
                             tmp_path)
     assert rc == 2 and err["error"] == "ConfigError"

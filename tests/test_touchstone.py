@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -120,3 +121,53 @@ def test_round_trip_bit_exact_for_any_finite_values(tmp_path_factory, f,
     f2, s2, _ = read_touchstone(p)
     np.testing.assert_array_equal(f.view(np.int64), f2.view(np.int64))
     np.testing.assert_array_equal(s.view(np.int64), s2.view(np.int64))
+
+
+def _reflow(path, widths):
+    """The same file with its data tokens re-broken into lines of the given
+    widths (cycled) and a comment after the first data line: the reader
+    counts tokens, not lines."""
+    lines = path.read_text().splitlines()
+    head = [ln for ln in lines if ln.startswith(("!", "#"))]
+    tokens = " ".join(ln for ln in lines if ln not in head).split()
+    body, k = [], 0
+    for width in itertools.cycle(widths):
+        if k >= len(tokens):
+            break
+        body.append("\t".join(tokens[k:k + width]))
+        k += width
+    body.insert(1, "  ! a comment inside the data")
+    path.write_text("\n".join(head + body) + "\n")
+
+
+_any = st.one_of(st.sampled_from(_EXTREMES), st.floats(),
+                 st.floats(min_value=-1e-300, max_value=1e-300))
+
+
+@given(f=hnp.arrays(float, st.integers(1, 5), elements=_any),
+       re=hnp.arrays(float, 5 * 16, elements=_any),
+       im=hnp.arrays(float, 5 * 16, elements=_any),
+       widths=st.lists(st.integers(1, 40), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_one_entry_read_equals_full_read(tmp_path_factory, f, re, im,
+                                         widths):
+    s = np.empty((len(f), 4, 4), complex)   # parts set apart keep -0.0
+    s.real.flat, s.imag.flat = re[:s.size], im[:s.size]
+    p = tmp_path_factory.mktemp("entry") / "t.s4p"
+    write_touchstone(p, f, s, [50.0, 25.0, 50.0, 25.0])
+    f_full, s_full, z_full = read_touchstone(p)
+    _reflow(p, widths)
+    f_flow, s_flow, z_flow = read_touchstone(p)
+    np.testing.assert_array_equal(f_flow.view(np.int64),
+                                  f_full.view(np.int64))
+    np.testing.assert_array_equal(s_flow.view(np.int64),
+                                  s_full.view(np.int64))
+    np.testing.assert_array_equal(z_flow, z_full)
+    for q, port in itertools.product(range(4), repeat=2):
+        f_one, s_one, z_one = read_touchstone(p, entry=(q, port))
+        assert s_one.shape == (len(f),)
+        np.testing.assert_array_equal(f_one.view(np.int64),
+                                      f_full.view(np.int64))
+        np.testing.assert_array_equal(
+            s_one.view(np.int64), s_full[:, q, port].copy().view(np.int64))
+        np.testing.assert_array_equal(z_one, z_full)

@@ -1,10 +1,12 @@
-"""The benchmark tracer's view of a small pumped map and a small gap map.
+"""The benchmark tracer's view of a small pumped map, a small gap map and a
+small scatter read back by tdr.
 
 perfbench/tracing.py charges every LU metric to scipy's solve_banded, so
 the solvers must keep reaching LAPACK through it; this pins the counts and
 fills a one-pump nld-map reports.  The tracer wraps only plain public
 functions, so a layer function hidden behind a decorator reads as absent;
-the gap map pins the matching and dispersion call counts.
+the gap map pins the matching and dispersion call counts, and the scatter
+and tdr pair keeps the Touchstone metrics non-zero.
 """
 
 from pathlib import Path
@@ -53,4 +55,18 @@ def test_gaps_map_calls_each_layer_function_once_per_point(tracer,
     assert m["matching.solve_calls"] == 3 * 3
     assert m["dispersion.pump_wavevector_calls"] == 3 * 3
     assert m["dispersion.wavevector_calls"] > 0
+    assert tracer.absent == []
+
+
+def test_touchstone_metrics_flow_through_read_and_write(tracer, tmp_path):
+    # the benchmark times read_touchstone and write_touchstone by name, so
+    # tdr must reach the file through read_touchstone
+    assert main(["scatter", "--points", "32",
+                 "--out-dir", str(tmp_path / "s")]) == 0
+    s4p = tmp_path / "s" / "sweep.s4p"
+    assert main(["tdr", "--input", str(s4p), "--port", "2",
+                 "--out-dir", str(tmp_path / "t")]) == 0
+    m = {k: v.value for k, v in tracer.metrics(1.0).items()}
+    assert m["touchstone.read_ms"] > 0 and m["touchstone.write_ms"] > 0
+    assert m["touchstone.bytes"] == s4p.stat().st_size
     assert tracer.absent == []
