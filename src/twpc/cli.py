@@ -423,6 +423,8 @@ def cmd_tdr(args, runner):
             trace = data["s_re"] + 1j * data["s_im"]
     except (ValueError, ConfigError) as exc:    # also a malformed .s4p
         raise ConfigError([("input", f"unreadable sweep: {exc}")])
+    if not (np.isfinite(f).all() and np.isfinite(trace).all()):
+        raise ConfigError([("input", "non-finite frequency or S value")])
     sweep = tdr.FrequencySweep(f, trace)
     imp = tdr.impulse_response(sweep, args.window, args.beta)
     runner.write_csv("impulse.csv", ["t_ns", "magnitude", "phase_rad"],

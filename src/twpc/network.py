@@ -221,25 +221,21 @@ def bloch_impedance(mode: Mode, omega: float, cell: CellParams) -> complex:
 
 def port_impedances(net: ChainNetwork, omega) -> np.ndarray:
     """Reference impedance of each port at omega (always real): (4,), or
-    (len(omega), 4) for a 1-d array omega, one row per frequency in the
-    same scalar arithmetic."""
-    if np.ndim(omega):
-        return np.array([_port_row(net, w) for w in omega]).reshape(-1, 4)
-    return np.array(_port_row(net, omega))
-
-
-def _port_row(net: ChainNetwork, omega: float) -> tuple:
-    if isinstance(net.port_z, tuple):
-        return net.port_z
-    if net.port_z == "lowfreq":
-        z = (net.consts.z_sigma, net.consts.z_delta)
-    else:  # bloch, falling back to the low-frequency value above cutoff
-        z = []
-        for mode, zl in ((Mode.Sigma, net.consts.z_sigma),
-                         (Mode.Delta, net.consts.z_delta)):
-            zb = bloch_impedance(mode, omega, net.cell)
-            z.append(zb.real if abs(zb.imag) < 1e-9 * abs(zb) else zl)
-    return z[0], z[1], z[0], z[1]
+    (len(omega), 4) for a 1-d array omega.  The Bloch ones repeat
+    bloch_impedance on its nonzero parts, all real or imaginary below
+    cutoff; the low-frequency values stand in above (and at omega = 0)."""
+    w = np.asarray(omega, float)[..., None]
+    z = net.port_z
+    if not isinstance(z, tuple):
+        z = np.array([net.consts.z_sigma, net.consts.z_delta] * 2)
+    if net.port_z == "bloch":
+        cell = net.cell
+        y_sh = 0.5 * w * np.array([cell.c_g, cell.c_g + 2.0 * cell.c_i] * 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z_se = -1 / (-1 / (w * cell.l_j) + w * cell.c_j)
+            arg = z_se / (y_sh * (2.0 - z_se * y_sh))
+            z = np.where((0 < arg) & (arg < np.inf), np.sqrt(arg), z)
+    return np.broadcast_to(z, w.shape[:-1] + (4,)).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -340,37 +336,57 @@ def linear_scattering(net: ChainNetwork, omega: float) -> np.ndarray:
 
 def scattering_sweep(net: ChainNetwork, omegas) -> np.ndarray:
     """linear_scattering at each of omegas, (nf, 4, 4), in O(nf) memory, by
-    Gaussian elimination (Golub & Van Loan, sec. 4.5) of the 2 x 2 column
-    blocks from both loaded ends, vectorised over frequency.  The pivot
-    S = [[p, q], [q, r]] is the loaded part's input admittance: no pivoting."""
+    block Gaussian elimination of the columns from both loaded ends to the
+    middle column m, vectorised over frequency (README, "Linear network").
+    On its port drives E z^-1/2 each end carries the pivot S_k (the loaded
+    part's input admittance: no pivoting), the transfer T_k of the drives
+    onto column k and the LDL^T sum Z = sum_k<m T_k^T S_k^-1 T_k; then
+    S = 2 (Z_L + Z_R + T_m^T S_mid^-1 T_m) - 1."""
     w = np.asarray(omegas, float)
-    z = port_impedances(net, w).T                             # (4, nf)
-    ops, n = net.ops, net.n_nodes
-    # C, Gamma band rows 2-4, node order and reversed: i (w C - Gamma / w)
-    cg = np.stack([ops.c_band, ops.gamma_band])
-    cg = np.stack([cg[:, 2:], cg[:, 2::-1, ::-1]], -1)[..., None]
-    e = np.stack([ops.e, ops.e[::-1]], -1)[..., None]       # (n, 4, 2, 1)
-    p, q, r, ua, ub = 1.0, 0.0, 1.0, 0.0, 0.0   # U = i diag(ua, ub)
+    ops, ncol = net.ops, net.n_cells + 1
+    mid = ncol // 2
+    # (C, -Gamma) at (a, a), (b, b), (b, a), (a', a), (b', b) per column (a'
+    # on the next) and direction, from band rows 2-4 in node order and
+    # reversed: the 2 x 2 block entries are i (cg[k] @ (w, 1 / w))
+    cg = np.stack([ops.c_band, -ops.gamma_band])
+    cg = np.stack([cg[:, 2:], cg[:, 2::-1, ::-1]], -1)
+    cg = cg.reshape(2, 3, ncol, 2, 2)[:, [0, 0, 1, 2, 2], :, [0, 1, 0, 0, 1]]
+    cg = cg.transpose(2, 0, 3, 1).reshape(ncol, 10, 2)
+    # t = E z^-1/2 (node, port, direction) on each end's ports: loads t t^T
+    rz = np.sqrt(port_impedances(net, w).T).reshape(2, 2, -1).swapaxes(0, 1)
+    t = np.stack([ops.e[:2, :2], ops.e[:-3:-1, 2:]], -1)[..., None] / rz
+    c = [(t[i] * t[j]).sum(0) for i, j in ((0, 0), (0, 1), (1, 1))]
+    zz = np.zeros_like(c, complex)      # Z entries 00, 01 and 11
     with np.errstate(all="ignore"):     # a zero pivot leaves S non-finite
-        for k in range(0, n, 2):
+        wv = np.stack([w, 1 / w])
+        for k in range(mid):
+            if k == mid - 1:    # the reversed state at m, on an even count
+                back = t, c, zz.copy()
+            da, db, m, ua, ub = (cg[k] @ wv).reshape(5, 2, -1)
+            p, q, r = (1j * x + y for x, y in zip((da, m, db), c))
             f = 1 / (p * r - q * q)
-            (da, db), (m, _), u = cg[0, :, k:k + 2] * w - cg[1, :, k:k + 2] / w
-            # t: the start column's drives carried here, -U S^-1 each step
-            t = (-1j * ua * f * (r * t[0] - q * t[1]), -1j * ub * f * (
-                p * t[1] - q * t[0])) if k else np.eye(2)[..., None, None]
-            p, q, r = (1j * da + ua * ua * r * f, 1j * m - ua * ub * q * f,
-                       1j * db + ub * ub * p * f)
-            if k in (0, n - 2):     # an end column: port loads and drives
-                y = (e[k:k + 2, None] * e[k:k + 2] / z[:, None]).sum(2)
-                p, q, r = p + y[0, 0], q + y[0, 1], r + y[1, 1]
-                x = e[k:k + 2] * (2 / np.sqrt(z[:, None]))  # (2, 4, 2, nf)
-                x0 = x if k == 0 else x0
-            ua, ub = u
-        x = x + np.einsum("ijdf,jpdf->ipdf", np.array(t), x0)
-        v = np.array([r * x[0] - q * x[1], p * x[1] - q * x[0]])
-        # mode voltage at port q for drive p: the far end of each direction
-        s = np.einsum("iqd,ipdf->fqp", e[-2:, ..., 0], v / (p * r - q * q)) \
-            / np.sqrt(z.T)[:, :, None] - np.eye(4)
+            fp, fq, fr = f * p, f * q, f * r
+            v = fr * t[0] - fq * t[1], fp * t[1] - fq * t[0]   # S^-1 T
+            zz[:2] += t[0][0] * v[0] + t[1][0] * v[1]
+            zz[2] += t[0][1] * v[0][1] + t[1][1] * v[1][1]
+            t = -1j * ua * v[0], -1j * ub * v[1]
+            c = ua * ua * fr, -ua * ub * fq, ub * ub * fp       # U S^-1 U
+        # an even count leaves the reversed direction a column less to do;
+        # it sees column m's a and b swapped
+        t, c, zz = ([np.asarray(x)[..., 0, :], np.asarray(y)[..., 1, :]]
+                    for x, y in zip((t, c, zz), back if ncol % 2 == 0 else
+                                    (t, c, zz)))
+        da, db, m = 1j * (cg[mid, 0:6:2] @ wv)
+        p, q, r = (da + c[0][0] + c[1][2], m + c[0][1] + c[1][1],
+                   db + c[0][2] + c[1][0])
+        t = np.concatenate([t[0], t[1][::-1]], 1)   # (node, port, nf)
+        v = np.array([r * t[0] - q * t[1], p * t[1] - q * t[0]]) \
+            / (p * r - q * q)
+        s = np.einsum("iqf,ipf->fqp", t, v)
+        s[:, :2, :2] += zz[0][[0, 1, 1, 2]].T.reshape(-1, 2, 2)
+        s[:, 2:, 2:] += zz[1][[0, 1, 1, 2]].T.reshape(-1, 2, 2)
+        s *= 2
+        s -= np.eye(4)
     if not np.isfinite(s).all():
         raise SingularNetwork("non-finite scattering matrix")
     return s

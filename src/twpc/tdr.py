@@ -31,8 +31,10 @@ class FrequencySweep:
         if len(f) < 16:
             raise NonUniformGrid("need at least 16 frequency points")
         df = np.diff(f)
-        if np.any(df <= 0) or np.ptp(df) > 1e-6 * df[0]:
-            raise NonUniformGrid("frequency grid must be uniform ascending")
+        if not np.isfinite(f).all() or np.any(df <= 0) \
+                or np.ptp(df) > 1e-6 * df[0]:
+            raise NonUniformGrid(
+                "frequency grid must be finite, uniform and ascending")
 
     @property
     def df(self) -> float:

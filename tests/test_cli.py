@@ -594,12 +594,17 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
     # tdr and reproduce-fig build no line from --spec/--seed
     (["tdr", "--input", "sweep.s4p", "--spec", "x.json"], "arguments"),
     (["reproduce-fig", "S6", "--seed", "3"], "arguments"),
+    # a NaN frequency, a NaN S and an infinite S, from a CSV and a .s4p
+    *((["tdr", "--input", f"{key}_{kind}"], "input")
+      for key in ("NAN_F", "NAN_S", "INF_S") for kind in ("CSV", "S4P")),
 ], ids=["unknown-process", "harmonics-0", "sidebands-negative", "port-9",
         "threads-0", "eps-points-0", "isolate-two-defects", "points-abc",
         "unknown-flag", "tdr-prose", "tdr-columns", "tdr-port-4",
         "tdr-z0-5", "tdr-z0-0", "tdr-bare-r", "isolate-disorder",
         "envelope-disorder", "envelope-defect",
-        "nld-sim-port-twice", "nld-map-port-twice", "tdr-spec", "fig-seed"])
+        "nld-sim-port-twice", "nld-map-port-twice", "tdr-spec", "fig-seed",
+        *(f"tdr-{key}-{kind}" for key in ("nan-f", "nan-s", "inf-s")
+          for kind in ("csv", "s4p"))])
 def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
     prose = tmp_path / "notes.md"      # text, not a sweep
     prose.write_text("# twpc\n\nA design toolkit, for two-mode lines.\n")
@@ -622,11 +627,25 @@ def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
                           ("BARE_R", "R 88\n", "R\n")]:
         files[key] = str(tmp_path / f"{key}.s4p")
         Path(files[key]).write_text(good.replace(old, new))
+    f = np.linspace(4e9, 8e9, 64)       # 64-point sweeps, one bad value
+    for key, col, value in [("NAN_F", 0, math.nan), ("NAN_S", 1, math.nan),
+                            ("INF_S", 1, math.inf)]:
+        rows = np.column_stack([f, np.full(64, 0.1), np.full(64, 0.2)])
+        rows[20, col] = value
+        files[f"{key}_CSV"] = str(tmp_path / f"{key}.csv")
+        Path(files[f"{key}_CSV"]).write_text("f_Hz,s_re,s_im\n" + "".join(
+            f"{a!r},{b!r},{c!r}\n" for a, b, c in rows.tolist()))
+        s = np.full((64, 4, 4), 0.1 + 0.2j)
+        s[:, 0, 0] = rows[:, 1] + 0.2j
+        files[f"{key}_S4P"] = str(tmp_path / f"{key}.s4p")
+        write_touchstone(files[f"{key}_S4P"], rows[:, 0], s,
+                         [88.0, 36.0, 88.0, 36.0])
     rc, err = _error_report(capsys, [files.get(a, a) for a in argv],
                             tmp_path)
     assert rc == 2 and err["error"] == "ConfigError"
     assert err["violations"][0][0] == field
     assert not (tmp_path / "o" / "manifest.json").exists()
+    assert not (tmp_path / "o" / "impulse.csv").exists()
 
 
 @pytest.mark.parametrize("figure, files", [

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -154,22 +156,50 @@ def test_explicit_port_impedances():
                                [89.0, 28.0, 89.0, 28.0])
 
 
+def _port_row(net, omega):
+    """The ports' reference impedances at one frequency in complex scalar
+    arithmetic: the real part of bloch_impedance where it is real, the
+    low-frequency values elsewhere, at a cutoff (where the image impedance
+    divides by zero) included."""
+    if isinstance(net.port_z, tuple):
+        return net.port_z
+    z = [net.consts.z_sigma, net.consts.z_delta]
+    for i, mode in enumerate((Mode.Sigma, Mode.Delta)):
+        if net.port_z == "bloch":
+            try:
+                zb = bloch_impedance(mode, omega, net.cell)
+            except ZeroDivisionError:
+                continue
+            if abs(zb.imag) < 1e-9 * abs(zb):
+                z[i] = zb.real
+    return (*z, *z)
+
+
 @pytest.mark.parametrize("ports", ["bloch", "lowfreq", (89.0, 28.0, 89.0,
                                                          28.0)],
                          ids=["bloch", "lowfreq", "explicit"])
 def test_port_impedances_of_an_array_are_the_scalar_rows(ports):
     """An array of frequencies gives one row per frequency, each equal bit
-    for bit to the scalar call: below and above both cutoffs, at the
-    plasma frequency, and for an empty array."""
+    for bit to the scalar complex arithmetic of bloch_impedance: on a
+    dense grid below and above both cutoffs, at each cutoff and one ulp
+    either side, and at the plasma frequency.  A float gives the same
+    row, and an empty array no row."""
     cell = device.fitted_cell()
     net = build_chain(device.fitted_line(), ports)
-    omegas = np.array([0.3, 5.0, 9.2, 9.3, 22.0, 40.0]) * GHZ
-    omegas = np.append(omegas, cell.plasma_omega)
+    edges = [np.nextafter(w, [0, w, np.inf]) for w in (
+        cutoff(Mode.Sigma, cell), cutoff(Mode.Delta, cell),
+        cell.plasma_omega)]
+    omegas = np.concatenate([np.linspace(0.01, 60, 20001) * GHZ, *edges])
     rows = port_impedances(net, omegas)
     assert rows.shape == (len(omegas), 4)
-    for w, row in zip(omegas, rows):
+    np.testing.assert_array_equal(rows, [_port_row(net, w) for w in omegas])
+    for w, row in zip(omegas[-9:], rows[-9:]):
         assert np.array_equal(row, port_impedances(net, float(w)))
     assert port_impedances(net, np.array([])).shape == (0, 4)
+    # at zero frequency the Bloch ports take the low-frequency values
+    low = [net.consts.z_sigma, net.consts.z_delta] * 2
+    np.testing.assert_array_equal(port_impedances(net, 0.0), ports
+                                  if isinstance(ports, tuple) else low)
 
 
 def test_disorder_changes_scattering_deterministically():
@@ -294,6 +324,41 @@ def test_scattering_sweep_matches_banded_lu(case):
 
 def test_scattering_sweep_unitary_and_reciprocal(fitted_net):
     s = scattering_sweep(fitted_net, np.linspace(4, 8, 1601) * GHZ)
+    np.testing.assert_allclose(s.conj().transpose(0, 2, 1) @ s,
+                               np.broadcast_to(np.eye(4), s.shape), atol=1e-12)
+    np.testing.assert_allclose(s, s.transpose(0, 2, 1), rtol=0, atol=1e-12)
+
+
+@given(n_cells=st.integers(1, 12), disorder=st.floats(0, 0.05),
+       seed=st.integers(0, 2 ** 32 - 1), defect=st.none() | st.integers(0, 11),
+       ports=st.sampled_from(["bloch", "lowfreq"])
+       | st.tuples(*4 * [st.floats(4, 200)]),
+       f_ghz=st.lists(st.floats(0.05, 40), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_scattering_sweep_matches_banded_lu_on_short_lines(
+        n_cells, disorder, seed, defect, ports, f_ghz):
+    """Odd and even column counts (the middle column of the elimination is
+    an end column on one cell), disorder, an open junction and frequencies
+    above cutoff."""
+    defects = () if defect is None else ((defect % n_cells, "open_junction"),)
+    net = build_chain(device.fitted_line(n_cells, defects, disorder, seed),
+                      ports)
+    omegas = np.asarray(f_ghz) * GHZ
+    s = scattering_sweep(net, omegas)
+    np.testing.assert_allclose(
+        s, [linear_scattering(net, w) for w in omegas], rtol=0, atol=1e-11)
+    np.testing.assert_allclose(s, s.transpose(0, 2, 1), rtol=0, atol=1e-12)
+
+
+def test_scattering_sweep_even_column_count():
+    # 402 columns: the reversed direction eliminates one column fewer
+    spec = device.fitted_line(401, ((165, "open_junction"),), 0.05, 7)
+    net = build_chain(spec)
+    omegas = np.linspace(4, 8, 1601) * GHZ
+    s = scattering_sweep(net, omegas)
+    np.testing.assert_allclose(
+        s[::80], [linear_scattering(net, w) for w in omegas[::80]], rtol=0,
+        atol=1e-11)
     np.testing.assert_allclose(s.conj().transpose(0, 2, 1) @ s,
                                np.broadcast_to(np.eye(4), s.shape), atol=1e-12)
     np.testing.assert_allclose(s, s.transpose(0, 2, 1), rtol=0, atol=1e-12)

@@ -19,6 +19,13 @@ def test_grid_validation():
         FrequencySweep(np.array([1e9, 2e9, 2.5e9, 4e9] * 5), np.ones(20))
     with pytest.raises(NonUniformGrid):
         FrequencySweep(np.linspace(1e9, 2e9, 8), np.ones(8))
+    # NaN compares false with everything, so it would pass a test for a
+    # bad step; -inf at the start leaves a uniform spread of steps
+    for i, value in ((10, math.nan), (0, -math.inf), (63, math.inf)):
+        f = np.linspace(1e9, 2e9, 64)
+        f[i] = value
+        with pytest.raises(NonUniformGrid):
+            FrequencySweep(f, np.ones(64))
 
 
 def test_single_reflector_peak_location_and_magnitude():
