@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import concurrent.futures
 import ctypes
 import datetime
 import functools
@@ -144,7 +143,6 @@ def _load_spec(args, *unmodelled) -> device.LineSpec:
     if args.seed is not None:
         spec = device.LineSpec(spec.cell, spec.n_cells, spec.defects,
                                spec.disorder_halfwidth, args.seed)
-    spec = device.validate(spec)
     bad = [(field, f"{args.command} cannot model {field}")
            for field in unmodelled if getattr(spec, field)]
     if bad:
@@ -359,8 +357,7 @@ def cmd_nld_sim(args, runner):
         "port_powers_W": powers.tolist(),
     })
     c = args.n_sidebands      # only the Sigma-L and Sigma-R probe columns
-    sc = sidebands.signal_sidebands(net, pump, omega_s, c,
-                                    [(c, 0), (c, 2)])
+    sc = sidebands.signal_sidebands(pump, omega_s, c, [(c, 0), (c, 2)])
     s0 = sc.s0()
     rows = [(i - c, w / GHZ, q, abs(sc.s[i, q, c, 0]),
              bool(sc.propagating[i, q]))
@@ -383,20 +380,17 @@ def cmd_nld_map(args, runner):
     basis = HarmonicBasis(args.harmonics)
     eps = _pump_amplitude(args, spec.cell)
     ports = _pump_ports(args)
-
-    def one_row(wp):
-        return sidebands.transmission_map(
-            net, wp, probe, eps(wp), ports, basis, args.n_sidebands)
-
-    if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
-            results = list(pool.map(one_row, pump))
-    else:
-        results = [one_row(wp) for wp in pump]
-
     rows = []
     runner.failures = []
-    for wp, (fw, bw, failures) in zip(pump, results):
+    for wp in pump:     # --threads is accepted, the rows run serially
+        try:
+            amplitude = eps(wp)
+        except TwpcError as exc:    # no pump amplitude at wp: a blank row
+            fw = bw = np.full(len(probe), np.nan)
+            failures = [(None, str(exc))]
+        else:
+            fw, bw, failures = sidebands.transmission_map(
+                net, wp, probe, amplitude, ports, basis, args.n_sidebands)
         rows += [(wp / GHZ, wpr / GHZ, a, b)
                  for wpr, a, b in zip(probe, fw, bw)]
         runner.failures += [
@@ -637,10 +631,11 @@ def _keep_freed_heap():
     """Fix glibc's malloc thresholds at the ceilings of their dynamic rule:
     blocks up to 32 MiB come from the heap, which is trimmed only above
     64 MiB of free top.  Left dynamic, both follow the largest block freed
-    so far, and a Newton loop whose banded LU (scipy allocates two copies
-    of the band per call) frees more than twice that at every step returns
-    the memory to the system and faults it in again at the next step.  A
-    no-op where the C library has no mallopt."""
+    so far, and a Newton loop that builds its band anew (see
+    harmonic_balance._newton_step) and whose banded LU (scipy allocates two
+    copies of the band per call) frees more than twice that at every step
+    returns the memory to the system and faults it in again at the next
+    step.  A no-op where the C library has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
@@ -657,7 +652,6 @@ def main(argv=None) -> int:
                   if k not in ("func",) and not callable(v)}
         runner = Runner(args.out_dir, config,
                         args.seed if args.seed is not None else 0)
-        # also records warnings raised in --threads workers
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             args.func(args, runner)

@@ -112,7 +112,9 @@ def derive_constants(cell: CellParams) -> DerivedConstants:
 
 @dataclass(frozen=True)
 class LineSpec:
-    """Full chain description: cell, length, defects, disorder, seed."""
+    """Full chain description: cell, length, defects, disorder, seed.
+    Valid once built: a bad field raises ConfigError listing every
+    violation with its field path."""
 
     cell: CellParams
     n_cells: int = 400
@@ -132,27 +134,21 @@ class LineSpec:
                 idx, kind = d
                 norm.append((int(idx), str(kind)))
         object.__setattr__(self, "defects", tuple(norm))
-
-
-def validate(spec: LineSpec) -> LineSpec:
-    """Check all LineSpec invariants; raise ConfigError listing every
-    violation with its field path, or return the spec unchanged."""
-    errs = []
-    if not 1 <= spec.n_cells <= MAX_CELLS:
-        errs.append(("n_cells", f"must lie in [1, {MAX_CELLS}]"))
-    for i, (idx, kind) in enumerate(spec.defects):
-        if not 0 <= idx < spec.n_cells:
-            errs.append((f"defects[{i}].cell",
-                         f"index {idx} out of range [0, {spec.n_cells})"))
-        if kind not in DEFECT_KINDS:
-            errs.append((f"defects[{i}].kind", f"unknown kind {kind!r}"))
-    if not 0.0 <= spec.disorder_halfwidth < 0.5:
-        errs.append(("disorder_halfwidth", "must lie in [0, 0.5)"))
-    if spec.seed < 0:
-        errs.append(("seed", "must be >= 0"))
-    if errs:
-        raise ConfigError(errs)
-    return spec
+        errs = []
+        if not 1 <= self.n_cells <= MAX_CELLS:
+            errs.append(("n_cells", f"must lie in [1, {MAX_CELLS}]"))
+        for i, (idx, kind) in enumerate(self.defects):
+            if not 0 <= idx < self.n_cells:
+                errs.append((f"defects[{i}].cell",
+                             f"index {idx} out of range [0, {self.n_cells})"))
+            if kind not in DEFECT_KINDS:
+                errs.append((f"defects[{i}].kind", f"unknown kind {kind!r}"))
+        if not 0.0 <= self.disorder_halfwidth < 0.5:
+            errs.append(("disorder_halfwidth", "must lie in [0, 0.5)"))
+        if self.seed < 0:
+            errs.append(("seed", "must be >= 0"))
+        if errs:
+            raise ConfigError(errs)
 
 
 def sample_disorder(spec: LineSpec) -> np.ndarray:
@@ -163,7 +159,6 @@ def sample_disorder(spec: LineSpec) -> np.ndarray:
     for a given seed.  Open-junction defects are flagged with +inf on
     electrode 0 of the defect cell.
     """
-    validate(spec)
     lj, w = spec.cell.l_j, spec.disorder_halfwidth
     if w > 0:
         rng = np.random.default_rng(spec.seed)
@@ -229,7 +224,7 @@ def spec_from_json(doc: dict) -> LineSpec:
     if "c_j_fF" in doc:
         kwargs["c_j"] = doc["c_j_fF"] * 1e-15
     try:
-        spec = LineSpec(
+        return LineSpec(
             cell=CellParams(**kwargs),
             n_cells=int(doc.get("n_cells", 400)),
             defects=tuple(doc.get("defects", ())),
@@ -239,7 +234,6 @@ def spec_from_json(doc: dict) -> LineSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError([("defects", "need a list of {\"cell\": index, "
                             f"\"kind\": kind}} ({exc!r})")])
-    return validate(spec)
 
 
 def load_spec(path) -> LineSpec:
@@ -288,5 +282,5 @@ def design_cell() -> CellParams:
 
 def fitted_line(n_cells: int = 400, defects=(), disorder_halfwidth: float = 0.0,
                 seed: int = 0) -> LineSpec:
-    return validate(LineSpec(fitted_cell(), n_cells, tuple(defects),
-                             disorder_halfwidth, seed))
+    return LineSpec(fitted_cell(), n_cells, tuple(defects),
+                    disorder_halfwidth, seed)

@@ -141,20 +141,18 @@ def _load_blocks(loads: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(ops: ChainOperators, loads: np.ndarray, a: np.ndarray,
-                 cos_delta: np.ndarray, res: np.ndarray,
-                 work=None) -> np.ndarray:
+                 cos_delta: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Newton step dx (M, n) on the unknowns of ops, by one real banded
     LU of J dx = res: J is loads (see _load_blocks) plus, per branch, the
     derivative (2/k) sum_l cos(delta_l) a_l a_l^T of the harmonics of
-    sin(delta) by (Re d, Im d) (see _samples).  The band is built in work
-    when given: a loop that frees no band between steps keeps the heap
-    from shrinking and faulting in the LU's memory anew."""
+    sin(delta) by (Re d, Im d) (see _samples), in a band built anew at
+    each step (cli._keep_freed_heap keeps the freed one's pages)."""
     k, m2 = a.shape
     coupling = cos_delta @ (a[:, :, None] * a[:, None, :]).reshape(k, -1)
     blocks = conversion_blocks(ops, coupling.reshape(-1, m2, m2) * (2 / k))
     blocks += loads
     rhs = np.concatenate([res.real, res.imag]).T.ravel()
-    dx = _solve(channel_band(blocks, work), rhs).reshape(len(ops.e), 2, -1)
+    dx = _solve(channel_band(blocks), rhs).reshape(len(ops.e), 2, -1)
     return (dx[:, 0] + 1j * dx[:, 1]).T
 
 
@@ -221,10 +219,6 @@ def pump_harmonic_balance(net: ChainNetwork, drives,
         return res, delta, np.linalg.norm(res) / (np.linalg.norm(i_src)
                                                   or 1.0)
 
-    # the Newton band (kl = ku = 2 (w + 1) M - 1), refilled at every step
-    work = np.empty((4 * (ops.w + 1) * len(orders) - 1,
-                     2 * len(orders) * len(e)))
-
     def newton(phi, i_src):
         """(phi, or None unless converged, rnorm, it, history)."""
         history = []
@@ -233,7 +227,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives,
             history.append(rnorm)
             if rnorm < TOL or it == MAX_ITER:
                 break
-            step = _newton_step(ops, fixed, a, np.cos(delta), res, work)
+            step = _newton_step(ops, fixed, a, np.cos(delta), res)
             # backtracking line search on the residual norm
             for lam in 0.5 ** np.arange(12):
                 trial = phi - lam * step

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, solve_banded
 
 from .device import PHI0_BAR, CellParams, DerivedConstants, LineSpec, \
-    derive_constants, sample_disorder, validate
+    derive_constants, sample_disorder
 from .dispersion import Mode, wavevector
 from .errors import ConfigError, DecompositionIllConditioned, SingularNetwork
 
@@ -127,7 +127,6 @@ def build_chain(spec: LineSpec, port_z="bloch") -> ChainNetwork:
     for the constant long-wavelength values Z_Sigma/Z_Delta, or an
     explicit sequence of 4 ohm values in port order.
     """
-    validate(spec)
     if not isinstance(port_z, str):
         try:
             port_z = tuple(float(z) for z in port_z)
@@ -216,7 +215,10 @@ def bloch_impedance(mode: Mode, omega: float, cell: CellParams) -> complex:
     if y_se == 0:       # at the plasma frequency: the limit 1 / y_sh
         return 1.0 / y_sh
     z_se = 1.0 / y_se
-    return cmath.sqrt(z_se / (y_sh * (2.0 + z_se * y_sh)))
+    den = y_sh * (2.0 + z_se * y_sh)
+    if den == 0:        # at a cutoff: the limit, an infinite impedance
+        return complex(math.inf)
+    return cmath.sqrt(z_se / den)
 
 
 def port_impedances(net: ChainNetwork, omega) -> np.ndarray:
@@ -262,20 +264,17 @@ def conversion_blocks(ops: ChainOperators, coupling: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def channel_band(blocks: np.ndarray, out=None) -> np.ndarray:
-    """LAPACK band storage (kl = ku = (w + 1) nb - 1, index node * nb + c)
-    of the matrix held as channel blocks (2 w + 1, n, nb, nb) in node band
-    storage of node bandwidth w: 2 on the n_nodes of the node basis
-    (3 nb - 1), 1 on the n_cells + 1 columns of a sector (2 nb - 1).
-    Written into out when given."""
+def channel_band(blocks: np.ndarray) -> np.ndarray:
+    """LAPACK band storage (kl = ku = (w + 1) nb - 1, index node * nb + c),
+    a new array, of the matrix held as channel blocks (2 w + 1, n, nb, nb)
+    in node band storage of node bandwidth w: 2 on the n_nodes of the node
+    basis (3 nb - 1), 1 on the n_cells + 1 columns of a sector (2 nb - 1)."""
     rows, n, nb, _ = blocks.shape
     # node band row r holds node offset r - w, i.e. offset (r - w) nb + c - c'
     w = rows // 2
     ku = (w + 1) * nb - 1
     r, c, c2 = np.ogrid[:rows, :nb, :nb]
-    if out is None:
-        out = np.empty((2 * ku + 1, n * nb), blocks.dtype)
-    out.fill(0)
+    out = np.zeros((2 * ku + 1, n * nb), blocks.dtype)
     out.reshape(2 * ku + 1, n, nb)[ku + (r - w) * nb + c - c2, :, c2] = \
         np.moveaxis(blocks, 1, -1)
     return out

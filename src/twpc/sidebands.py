@@ -64,21 +64,22 @@ class SignalScattering:
 
 
 class _PumpedLinearizer:
-    """Solves probes around one pump orbit for one list of incident
-    (sideband, port) channels, index pairs as in SignalScattering.  It
-    builds the pump part of the conversion band once in each sector its
-    channels use: per electrode-parity sector where both electrodes see
-    the same cos(delta_P(t)) (see the module docstring), else in the node
-    basis, the one sector sign None.  A probe rewrites only the 2 w + 1
+    """Solves probes around one pump orbit, on the pump's own line
+    pump.net, for one list of incident (sideband, port) channels, index
+    pairs as in SignalScattering.  It builds the pump part of the
+    conversion band once in each sector its channels use: per
+    electrode-parity sector where both electrodes see the same
+    cos(delta_P(t)) (see the module docstring), else in the node basis,
+    the one sector sign None.  A probe rewrites only the 2 w + 1
     channel-load rows of each band.  LAPACK runs without scipy's finite
     check: the pump bands are checked once, and each probe checks its port
     impedances (which set its drives) and the load rows it writes.  The
     truncation check reads the probe's own channel (n_sidebands, 0), so
     channels must include it."""
 
-    def __init__(self, net: ChainNetwork, pump: PumpSolution, channels,
-                 n_sidebands: int = 2):
-        self.net, self.n_sb = net, n_sidebands
+    def __init__(self, pump: PumpSolution, channels, n_sidebands: int = 2):
+        self.net = net = pump.net
+        self.n_sb = n_sidebands
         self.omega_p = pump.omega_p
         self.harmonics = 2 * np.arange(-n_sidebands, n_sidebands + 1)
         nb = len(self.harmonics)
@@ -164,10 +165,10 @@ class _PumpedLinearizer:
         return freqs, s
 
 
-def signal_sidebands(net: ChainNetwork, pump: PumpSolution,
-                     omega_probe: float, n_sidebands: int = 2,
-                     channels=None) -> SignalScattering:
-    """Multi-frequency probe scattering around a converged pump orbit.
+def signal_sidebands(pump: PumpSolution, omega_probe: float,
+                     n_sidebands: int = 2, channels=None) -> SignalScattering:
+    """Multi-frequency probe scattering around a converged pump orbit, on
+    the line the pump was solved on (pump.net).
 
     channels lists the incident (sideband, port) pairs to solve, all of
     them by default; it must include the probe's Sigma-L channel
@@ -175,12 +176,13 @@ def signal_sidebands(net: ChainNetwork, pump: PumpSolution,
     nb = 2 * n_sidebands + 1
     if channels is None:
         channels = list(np.ndindex(nb, 4))
-    lin = _PumpedLinearizer(net, pump, channels, n_sidebands)
+    lin = _PumpedLinearizer(pump, channels, n_sidebands)
     freqs, s_in = lin.solve(omega_probe)
     s = np.full((nb, 4, nb, 4), np.nan, complex)
     i, p = np.array(channels).T
     s[:, :, i, p] = s_in
-    prop = np.abs(freqs)[:, None] < [cutoff(m, net.cell) for m, _ in PORTS]
+    prop = np.abs(freqs)[:, None] < [cutoff(m, pump.net.cell)
+                                     for m, _ in PORTS]
     return SignalScattering(omega_probe, lin.omega_p, n_sidebands, freqs, s,
                             prop)
 
@@ -205,7 +207,7 @@ def transmission_map(net: ChainNetwork, omega_p: float, probe_freqs,
                                                        epsilon_p))
                   for p in pump_ports]
         lin = _PumpedLinearizer(  # Sigma-L and Sigma-R probe columns only
-            net, pump_harmonic_balance(net, drives, basis),
+            pump_harmonic_balance(net, drives, basis),
             [(n_sidebands, 0), (n_sidebands, 2)], n_sidebands)
     except (NonConvergence, SingularNetwork) as exc:
         return s_fw, s_bw, [(None, str(exc))]

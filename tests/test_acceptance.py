@@ -45,21 +45,21 @@ def _pump(net, f_ghz, flux_quanta, ports, harmonics=3):
     return sol, eps
 
 
-def _forward_db(net, pump, omega):
+def _forward_db(pump, omega):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        s0 = signal_sidebands(net, pump, omega).s0()
+        s0 = signal_sidebands(pump, omega).s0()
     return 20 * math.log10(abs(s0[2, 0]))
 
 
-def _dip_offset_ghz(net, pump, omega_root, span_ghz=0.2, step_ghz=0.01):
+def _dip_offset_ghz(pump, omega_root, span_ghz=0.2, step_ghz=0.01):
     """Offset between the transmission minimum and a predicted gap center."""
     n = int(round(span_ghz / step_ghz))
     vals = []
     for m in range(-n, n + 1):
         w = omega_root + m * step_ghz * GHZ
         try:
-            vals.append((_forward_db(net, pump, w), m))
+            vals.append((_forward_db(pump, w), m))
         except Exception:
             continue
     depth, m = min(vals)
@@ -100,7 +100,7 @@ def test_gap_map_matches_discrete_model(fitted_net, f_p, flux_co):
     pump, eps = _pump(fitted_net, f_p, 0.05, (3,))
     root = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps,
                            cell)[0].omega_s
-    off, depth = _dip_offset_ghz(fitted_net, pump, root)
+    off, depth = _dip_offset_ghz(pump, root)
     assert abs(off) <= 0.1
     assert depth < -3.0
 
@@ -108,7 +108,7 @@ def test_gap_map_matches_discrete_model(fitted_net, f_p, flux_co):
     pump, eps = _pump(fitted_net, f_p, flux_co, (1, 3))
     root = solve_corrected(ProcessKind.TunableCoupling, f_p * GHZ, eps,
                            cell)[0].omega_s
-    off, depth = _dip_offset_ghz(fitted_net, pump, root)
+    off, depth = _dip_offset_ghz(pump, root)
     assert abs(off) <= 0.1
     assert depth < -2.0
 
@@ -129,8 +129,8 @@ def test_aliased_gap_appears_where_predicted(fitted_net):
     pump, eps = _pump(fitted_net, 5.0, 0.12, (1,), harmonics=2)
     root = solve_corrected(ProcessKind.CirculationAliased, 5.0 * GHZ, eps,
                            fitted_net.cell)[0].omega_s
-    assert _forward_db(fitted_net, pump, root) < -2.0
-    off, depth = _dip_offset_ghz(fitted_net, pump, root, span_ghz=0.6,
+    assert _forward_db(pump, root) < -2.0
+    off, depth = _dip_offset_ghz(pump, root, span_ghz=0.6,
                                  step_ghz=0.025)
     assert depth < -5.0
     assert -0.5 <= off < 0.0
@@ -181,7 +181,7 @@ def test_discrete_vs_analytic_dip_depth(fitted_net, f_p, fluxes, tol_db):
         analytic = 20 * math.log10(abs(solve_uniform(
             ProcessConfig(pt, 400.0, pump_bw=eps),
             1.0).total_attenuation))
-        discrete = _forward_db(fitted_net, pump, pt.omega_s)
+        discrete = _forward_db(pump, pt.omega_s)
         assert abs(discrete - analytic) < tol_db, (f_p, flux)
 
 
@@ -260,7 +260,7 @@ def test_forward_only_attenuation(fitted_net):
     pump, eps = _pump(fitted_net, 3.0, 0.06, (3,))
     root = solve_corrected(ProcessKind.Circulation, 3 * GHZ, eps,
                            fitted_net.cell)[0].omega_s
-    sc = signal_sidebands(fitted_net, pump, root)
+    sc = signal_sidebands(pump, root)
     fw = 20 * math.log10(abs(sc.s0()[2, 0]))
     bw = 20 * math.log10(abs(sc.s0()[0, 2]))
     assert fw < -10.0

@@ -278,21 +278,24 @@ import resource
 import numpy as np
 from twpc import cli, network
 cli._keep_freed_heap()
-ab = np.ones((35, 4812))        # the harmonic-balance Newton band
-ab[17] = 40.0
-network._solve(ab, np.ones(4812))
+def newton_band():     # the harmonic-balance band, built at every step
+    ab = np.ones((35, 4812))
+    ab[17] = 40.0
+    return ab
+network._solve(newton_band(), np.ones(4812))
 f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(10):
-    network._solve(ab, np.ones(4812))
+    network._solve(newton_band(), np.ones(4812))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
 """
 
 
 def test_repeated_banded_solves_reuse_the_heap():
-    """With the malloc thresholds main fixes, ten Newton-sized banded LUs
-    in a fresh process fault in fewer pages than one LU's two 2 MB band
-    copies hold (about 1000); with glibc's dynamic thresholds they refault
-    both copies at every call (about 9400 pages)."""
+    """With the malloc thresholds main fixes, ten Newton-sized banded LUs,
+    each on a band allocated anew, in a fresh process fault in fewer pages
+    than one LU's two 2 MB band copies hold (about 1000); with glibc's
+    dynamic thresholds they refault both copies at every call (about 9400
+    pages)."""
     src = str(Path(network.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _HEAP_LOOP],
                          env=dict(os.environ, PYTHONPATH=src),
@@ -302,7 +305,7 @@ def test_repeated_banded_solves_reuse_the_heap():
 
 def test_truncation_warning_recorded_in_manifest(tmp_path):
     # one sideband pair is too few at the Ci gap probe; the two identical
-    # pump rows, solved in two worker threads, raise the same warning
+    # pump rows raise the same warning
     cell = device.fitted_cell()
     w = 3 * GHZ
     eps = amplitude_from_flux(0.05 * FLUX_Q, pump_wavevector(cell, w, 0.0))
@@ -688,9 +691,10 @@ def test_every_subcommand_parses_threads_1():
         assert args.threads == 1
 
 
-def test_nld_map_threads_1_solves_on_main_thread(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2], ids=["threads-1", "threads-2"])
+def test_nld_map_solves_on_main_thread(tmp_path, monkeypatch, threads):
     # the benchmark's host-speed sampler runs in the main thread and reads
-    # low if the solves move to a worker
+    # low if the solves move to a worker; --threads changes no output
     on_main = []
     solve = sidebands.transmission_map
 
@@ -698,12 +702,35 @@ def test_nld_map_threads_1_solves_on_main_thread(tmp_path, monkeypatch):
         on_main.append(threading.current_thread() is threading.main_thread())
         return solve(*args, **kwargs)
 
+    argv = ["nld-map", "--pump-min", "3", "--pump-max", "3.5",
+            "--pump-points", "2", "--probe-min", "5", "--probe-max", "5",
+            "--probe-points", "1", "--pump-flux", "0.04", "--harmonics", "2",
+            "--n-sidebands", "1", "--threads"]
+    ref = _run(argv + ["1"], tmp_path / "ref") / "transmission_map.csv"
     monkeypatch.setattr(sidebands, "transmission_map", recorder)
-    _run(["nld-map", "--pump-min", "3", "--pump-max", "3.5",
-          "--pump-points", "2", "--probe-min", "5", "--probe-max", "5",
-          "--probe-points", "1", "--pump-flux", "0.04", "--harmonics", "2",
-          "--n-sidebands", "1", "--threads", "1"], tmp_path / "n")
+    out = _run(argv + [str(threads)], tmp_path / "n")
     assert on_main == [True, True]
+    assert (out / "transmission_map.csv").read_bytes() == ref.read_bytes()
+
+
+def test_nld_map_blanks_a_pump_row_without_an_amplitude(tmp_path):
+    """The 9.5 GHz pump lies above the 9.21 GHz Delta cutoff, so no
+    amplitude gives it a junction flux: its row is blank and listed as a
+    failed pump, and the other rows are still solved."""
+    spec = _spec_file(tmp_path, n_cells=20)
+    out = _run(["nld-map", "--spec", str(spec), "--pump-min", "8.5",
+                "--pump-max", "9.5", "--pump-points", "3", "--probe-min",
+                "4", "--probe-max", "6", "--probe-points", "3",
+                "--pump-flux", "0.05", "--harmonics", "2",
+                "--n-sidebands", "1"], tmp_path / "n")
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    above = [f for f in failures if f["f_pump_GHz"] == 9.5]
+    assert len(above) == 1 and above[0]["f_probe_GHz"] is None
+    assert "cutoff" in above[0]["reason"]
+    rows = (out / "transmission_map.csv").read_text().splitlines()[1:]
+    assert len(rows) == 9
+    assert all(row.endswith(",,") for row in rows[6:])
+    assert not any(row.endswith(",,") for row in rows[:3])
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):

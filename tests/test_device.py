@@ -11,7 +11,7 @@ from scipy import constants
 from twpc import device
 from twpc.device import (CellParams, LineSpec, PHI0_BAR, derive_constants,
                          design_cell, fitted_cell, load_spec, sample_disorder,
-                         spec_from_json, spec_to_json, validate)
+                         spec_from_json, spec_to_json)
 from twpc.dispersion import Mode, cutoff
 from twpc.errors import ConfigError
 
@@ -68,11 +68,10 @@ def test_derive_constants_is_pure():
 
 
 def test_validate_collects_all_violations():
-    spec = LineSpec(cell=fitted_cell(), n_cells=400,
-                    defects=((-3, "open_junction"), (165, "bogus")),
-                    disorder_halfwidth=0.7)
     with pytest.raises(ConfigError) as err:
-        validate(spec)
+        LineSpec(cell=fitted_cell(), n_cells=400,
+                 defects=((-3, "open_junction"), (165, "bogus")),
+                 disorder_halfwidth=0.7)
     paths = [p for p, _ in err.value.violations]
     assert any("defects[0]" in p for p in paths)
     assert any("defects[1]" in p for p in paths)

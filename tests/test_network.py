@@ -70,6 +70,21 @@ def test_bloch_impedance_at_plasma_frequency(fitted_net):
         [c.z_sigma, c.z_delta, c.z_sigma, c.z_delta])
 
 
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
+def test_bloch_impedance_at_cutoff(fitted_net, mode):
+    # 2 + z_se y_sh rounds to 0 at the cutoff itself: the image impedance
+    # takes its limit there, infinite, and that mode's ports keep their
+    # low-frequency value
+    cell, c = fitted_net.cell, fitted_net.consts
+    w = cutoff(mode, cell)
+    z = bloch_impedance(mode, w, cell)
+    assert math.isinf(z.real) and z.imag == 0
+    low = c.z_sigma if mode is Mode.Sigma else c.z_delta
+    ports = [0, 2] if mode is Mode.Sigma else [1, 3]
+    np.testing.assert_array_equal(port_impedances(fitted_net, w)[ports],
+                                  [low, low])
+
+
 def test_defect_scattering_fractions(defect_net):
     s = linear_scattering(defect_net, 5 * GHZ)
     p = np.abs(s) ** 2
@@ -160,17 +175,14 @@ def _port_row(net, omega):
     """The ports' reference impedances at one frequency in complex scalar
     arithmetic: the real part of bloch_impedance where it is real, the
     low-frequency values elsewhere, at a cutoff (where the image impedance
-    divides by zero) included."""
+    is infinite) included."""
     if isinstance(net.port_z, tuple):
         return net.port_z
     z = [net.consts.z_sigma, net.consts.z_delta]
     for i, mode in enumerate((Mode.Sigma, Mode.Delta)):
         if net.port_z == "bloch":
-            try:
-                zb = bloch_impedance(mode, omega, net.cell)
-            except ZeroDivisionError:
-                continue
-            if abs(zb.imag) < 1e-9 * abs(zb):
+            zb = bloch_impedance(mode, omega, net.cell)
+            if math.isfinite(abs(zb)) and abs(zb.imag) < 1e-9 * abs(zb):
                 z[i] = zb.real
     return (*z, *z)
 

@@ -52,7 +52,7 @@ def test_zero_pump_reduces_to_linear(fitted_net):
     np.testing.assert_array_equal(
         pump.junction_gamma(),
         np.tile(np.eye(1, K_SAMPLES), (len(fitted_net.ops.g), 1)))
-    sc = signal_sidebands(fitted_net, pump, w, n_sidebands=2)
+    sc = signal_sidebands(pump, w, n_sidebands=2)
     np.testing.assert_allclose(sc.s0(), linear_scattering(fitted_net, w),
                                atol=1e-10)
     c = sc.n_sidebands
@@ -62,8 +62,7 @@ def test_zero_pump_reduces_to_linear(fitted_net):
 
 
 def test_zero_pump_power_balance(fitted_net):
-    sc = signal_sidebands(fitted_net, _zero_pump(fitted_net), 5.7 * GHZ,
-                          n_sidebands=1)
+    sc = signal_sidebands(_zero_pump(fitted_net), 5.7 * GHZ, n_sidebands=1)
     c = sc.n_sidebands
     power = np.sum(np.abs(sc.s[:, :, c, 0]) ** 2)
     assert power == pytest.approx(1.0, abs=1e-8)
@@ -73,14 +72,14 @@ def test_circulation_dip_and_nonreciprocity(fitted_net, pumped):
     pump, eps = pumped
     pt = solve_corrected(ProcessKind.Circulation, pump.omega_p, eps,
                          fitted_net.cell)[0]
-    sc = signal_sidebands(fitted_net, pump, pt.omega_s)
+    sc = signal_sidebands(pump, pt.omega_s)
     s0 = sc.s0()
     fw = 20 * math.log10(abs(s0[2, 0]))
     bw = 20 * math.log10(abs(s0[0, 2]))
     assert fw < -10.0          # deep in-gap forward attenuation
     assert abs(bw) < 0.5       # backward direction untouched
     # off the gap the line is transparent again
-    s_off = signal_sidebands(fitted_net, pump, pt.omega_s + 1.0 * GHZ).s0()
+    s_off = signal_sidebands(pump, pt.omega_s + 1.0 * GHZ).s0()
     assert 20 * math.log10(abs(s_off[2, 0])) > -0.5
 
 
@@ -88,7 +87,7 @@ def test_attenuated_power_leaves_as_backward_idler(fitted_net, pumped):
     pump, eps = pumped
     pt = solve_corrected(ProcessKind.Circulation, pump.omega_p, eps,
                          fitted_net.cell)[0]
-    sc = signal_sidebands(fitted_net, pump, pt.omega_s)
+    sc = signal_sidebands(pump, pt.omega_s)
     c = sc.n_sidebands
     # idler channel: sideband n = +1 (omega_S + 2 omega_P), left Sigma port
     idler = np.abs(sc.s[c + 1, 0, c, 0]) ** 2
@@ -107,7 +106,7 @@ def test_truncation_stability(fitted_net, pumped):
     w = pt.omega_s + 0.2 * GHZ  # near, not in, the gap
     vals = []
     for ns in (2, 3):
-        s0 = signal_sidebands(fitted_net, pump, w, n_sidebands=ns).s0()
+        s0 = signal_sidebands(pump, w, n_sidebands=ns).s0()
         vals.append(20 * math.log10(abs(s0[2, 0])))
     assert abs(vals[1] - vals[0]) < 0.1
 
@@ -115,7 +114,7 @@ def test_truncation_stability(fitted_net, pumped):
 def test_commensurate_probe_rejected(fitted_net, pumped):
     pump, _ = pumped
     with pytest.raises(SingularNetwork):
-        signal_sidebands(fitted_net, pump, 2 * pump.omega_p, n_sidebands=1)
+        signal_sidebands(pump, 2 * pump.omega_p, n_sidebands=1)
 
 
 def test_outermost_sideband_warning(fitted_net):
@@ -128,7 +127,7 @@ def test_outermost_sideband_warning(fitted_net):
     pt = solve_corrected(ProcessKind.Circulation, w, eps,
                          fitted_net.cell)[0]
     with pytest.warns(TruncationWarning):
-        signal_sidebands(fitted_net, pump, pt.omega_s, n_sidebands=1)
+        signal_sidebands(pump, pt.omega_s, n_sidebands=1)
 
 
 def test_transmission_map_flat_without_pump(fitted_net):
@@ -165,7 +164,7 @@ def test_amplification_ridge_with_bidirectional_pumps(fitted_net):
     drives = [Drive(p, w, incident_amplitude(fitted_net, w, p, eps))
               for p in (1, 3)]
     pump = pump_harmonic_balance(fitted_net, drives, HarmonicBasis(3))
-    near = signal_sidebands(fitted_net, pump, w + 0.03 * GHZ).s0()
+    near = signal_sidebands(pump, w + 0.03 * GHZ).s0()
     gain = 20 * math.log10(abs(near[2, 0]))
     assert gain > 1.0
 
@@ -252,7 +251,7 @@ def test_banded_sidebands_match_sparse_oracle(oracle_pumps, line, probe_ghz,
         pump = _zero_pump(net)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        sc = signal_sidebands(net, pump, w, n_sidebands=n_sb)
+        sc = signal_sidebands(pump, w, n_sidebands=n_sb)
     if probe_ghz == 5.3:
         assert not sc.propagating[n_sb + 1, 1]
     if probe_ghz == 40.0:
@@ -272,7 +271,7 @@ def test_linearizer_gamma_rows_match_full_gamma(oracle_pumps, line, signs):
     junction_gamma() bit for bit."""
     pump, _ = oracle_pumps[line]
     full = pump.junction_gamma()
-    lin = _PumpedLinearizer(pump.net, pump, list(np.ndindex(5, 4)))
+    lin = _PumpedLinearizer(pump, list(np.ndindex(5, 4)))
     assert list(lin.sectors) == signs
     q = np.subtract.outer(lin.harmonics, lin.harmonics) % K_SAMPLES
     for band, ops, *_ in lin.sectors.values():
@@ -314,7 +313,7 @@ def test_sidebands_conserve_photon_number(oracle_pumps, fitted_net, line):
     for w in probes:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            sc = signal_sidebands(pump.net, pump, w)
+            sc = signal_sidebands(pump, w)
         ratio = sc.freqs / sc.freqs[:, None]       # [i, j] = omega_j/omega_i
         photons = np.einsum("iqjp,ij->jp", np.abs(sc.s) ** 2, ratio)
         assert np.max(np.abs(photons - 1.0)) <= 1e-10
@@ -349,7 +348,7 @@ def test_transmission_map_cells_match_full_scattering(oracle_pumps, line,
         warnings.simplefilter("ignore", TruncationWarning)
         fw, bw, failures = transmission_map(pump.net, pump.omega_p, [w],
                                             eps, n_sidebands=n_sb)
-        s0 = signal_sidebands(pump.net, pump, w, n_sidebands=n_sb).s0()
+        s0 = signal_sidebands(pump, w, n_sidebands=n_sb).s0()
     assert not failures
     assert abs(fw[0] - 20 * math.log10(abs(s0[2, 0]))) <= 1e-12
     assert abs(bw[0] - 20 * math.log10(abs(s0[0, 2]))) <= 1e-12
@@ -383,7 +382,7 @@ def test_sideband_solves_take_only_the_columns_read(oracle_pumps,
                              n_sidebands=n_sb)
             assert [shape[1] for k, shape in calls if k == kl] == [2] * 3
             calls.clear()
-            signal_sidebands(pump.net, pump, probes[0], n_sidebands=n_sb)
+            signal_sidebands(pump, probes[0], n_sidebands=n_sb)
         assert [s[1] for _, s in calls] == full
         assert {k for k, _ in calls} == {kl}
 
@@ -408,17 +407,16 @@ def test_sector_band_only_where_electrodes_swap(oracle_pumps, fitted_net,
     l_table = fitted_net.l_table.copy()
     l_table[200, 1] = np.nextafter(l_table[200, 1], np.inf)
     nudged = dataclasses.replace(fitted_net, l_table=l_table)
-    cases = [(oracle_pumps[k][0].net, oracle_pumps[k][0], sector)
+    cases = [(oracle_pumps[k][0], sector)
              for k in ("fitted", "coupler", "sigma")]
-    cases += [(fitted_net, _zero_pump(fitted_net), sector),
-              (nudged, _zero_pump(nudged), node)]
-    cases += [(oracle_pumps[k][0].net, oracle_pumps[k][0], node)
+    cases += [(_zero_pump(fitted_net), sector), (_zero_pump(nudged), node)]
+    cases += [(oracle_pumps[k][0], node)
               for k in ("defect", "disorder", "mixed")]
-    for net, pump, shape in cases:
+    for pump, shape in cases:
         shapes.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            s = _PumpedLinearizer(net, pump, [(2, 0), (2, 2)]).solve(
+            s = _PumpedLinearizer(pump, [(2, 0), (2, 2)]).solve(
                 7.1 * GHZ)[1]
         assert shapes == [shape]
         if shape == sector:
@@ -438,9 +436,9 @@ def test_map_builds_one_pump_band_per_row(tmp_path, monkeypatch, ports,
     built = []
     band = sidebands.channel_band
 
-    def recorder(b, out=None):
+    def recorder(b):
         built.append(b.shape)
-        return band(b, out)
+        return band(b)
 
     monkeypatch.setattr(sidebands, "channel_band", recorder)
     spec = tmp_path / "spec.json"
@@ -467,7 +465,7 @@ def test_probes_rewrite_only_the_load_rows(pumped, oracle_pumps):
     basis)."""
     channels = [(2, 0), (2, 2), (2, 3)]
     for pump, n_sectors in ((pumped[0], 2), (oracle_pumps["disorder"][0], 1)):
-        lin = _PumpedLinearizer(pump.net, pump, channels)
+        lin = _PumpedLinearizer(pump, channels)
         kept = [[x.copy() for x in (band, rows)]
                 for band, _, rows, _ in lin.sectors.values()]
         assert len(kept) == n_sectors
@@ -536,7 +534,7 @@ def test_refreshed_load_rows_match_rebuilt_band(oracle_pumps, line):
             ("cols", [(2, 0), (2, 2)], [1]),
             ("every", list(np.ndindex(5, 4)), [1, -1]),
             ("mix", [(1, 1), (2, 0), (2, 3), (4, 2)], [1, -1])):
-        lin = _PumpedLinearizer(pump.net, pump, channels)
+        lin = _PumpedLinearizer(pump, channels)
         assert list(lin.sectors) == ([None] if nodes else signs)
         lins[name] = lin, channels, {sign: sector[0].copy()
                                      for sign, sector in lin.sectors.items()}
@@ -580,8 +578,8 @@ def _nonfinite_pump_band(monkeypatch):
     where LAPACK would return a finite, wrong solution."""
     band = sidebands.channel_band
 
-    def poisoned(blocks, out=None):
-        ab = band(blocks, out)
+    def poisoned(blocks):
+        ab = band(blocks)
         ab[len(ab) // 2, 7] = np.inf
         return ab
     monkeypatch.setattr(sidebands, "channel_band", poisoned)
@@ -605,7 +603,7 @@ def test_non_finite_inputs_fail_loudly(oracle_pumps, monkeypatch, tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # nor any numpy warning
         with pytest.raises(SingularNetwork):
-            _PumpedLinearizer(pump.net, pump, [(2, 0), (2, 2)]).solve(
+            _PumpedLinearizer(pump, [(2, 0), (2, 2)]).solve(
                 7.1 * GHZ)
     common = ["--f-pump", "3", "--pump-flux", "0.02", "--harmonics", "2",
               "--n-sidebands", "1"]
@@ -635,7 +633,7 @@ def test_overflowing_channel_loads_fail_loudly(oracle_pumps, tmp_path,
     pump, _ = oracle_pumps["fitted"]
     with pytest.raises(SingularNetwork, match="channel loads"), \
             np.errstate(over="ignore"):
-        _PumpedLinearizer(pump.net, pump, [(2, 0), (2, 2)]).solve(1e300)
+        _PumpedLinearizer(pump, [(2, 0), (2, 2)]).solve(1e300)
     assert main(["nld-sim", "--f-pump", "3", "--f-probe", "1e290",
                  "--pump-flux", "0.02", "--harmonics", "2",
                  "--n-sidebands", "1", "--out-dir", str(tmp_path)]) == 3
