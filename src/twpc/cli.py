@@ -56,6 +56,58 @@ def _fmt(x) -> str:
     return f"{x:.12e}" if isinstance(x, (int, float)) else str(x)
 
 
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    """|z| as abs(complex) gives it, bit for bit, which np.abs does not."""
+    return np.hypot(z.real, z.imag)
+
+
+@functools.cache
+def _cell_words():
+    """Four-byte words "0000"..."9999", "0."..."-9." and "e-99"..."e+99"
+    that _fmt_rows puts together, and 10**0...10**22, exact in float64."""
+    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+    heads, exps = (np.array(w, "S4").view(np.uint32) for w in (
+        [f"{s}{d}." for s in ("", "-") for d in range(10)],
+        [f"e{e:+03d}" for e in range(-99, 100)]))
+    return (digits.astype(np.uint8).view(np.uint32)[:, 0], heads, exps,
+            np.array([float(10 ** k) for k in range(23)]))
+
+
+def _fmt_rows(block: np.ndarray) -> str:
+    """The CSV rows of a 2-D float64 array, each cell as _fmt writes it.
+
+    "%.12e" rounds the exact value to 13 digits, half to even.  Here |x| is
+    scaled by an exact 10**(12 - e), e = floor(log10|x|), then by 10 where
+    it left [1e12, 1e13) and e was off by one: two correctly rounded steps
+    at most, so the result is within 2.3e-3 of its exact value, and its
+    nearest integer (10**13 carrying into e) is exact unless it lies within
+    0.005 of a half.  Those cells, non-finite ones and those with
+    |12 - e| > 22 are formatted by _fmt."""
+    digits, heads, exps, tens = _cell_words()
+    v = block.ravel()
+    a, finite = np.abs(v), np.isfinite(v)
+    with np.errstate(all="ignore"):     # non-finite cells go to _fmt
+        e = np.floor(np.log10(np.where(finite & (a > 0), a, 1.0))).astype(int)
+        p = tens.take(np.minimum(abs(12 - e), 22))
+        x = np.where(e <= 12, a * p, a / p)
+        up, down = x >= 1e13, (x < 1e12) & (a > 0)
+        x = np.where(up, x / 10, np.where(down, x * 10, x))
+        e = e + up - down
+        slow = ~finite | (abs(12 - e) > 22) | (abs(x % 1 - 0.5) < 0.005)
+        n = np.rint(np.where(slow, 0.0, x)).astype(np.int64)
+    carry = n == 10 ** 13
+    n = np.where(carry, 10 ** 12, n)
+    cells = np.zeros((*block.shape, 24), np.uint8)  # zero bytes are dropped
+    words = cells.reshape(-1, 24).view(np.uint32)
+    words[:, 0] = heads[n // 10 ** 12 + 10 * np.signbit(v)]
+    words[:, 1:4] = digits[n[:, None] // [10 ** 8, 10 ** 4, 1] % 10 ** 4]
+    words[:, 4] = exps[np.clip(e + carry, -99, 99) + 99]
+    words.view("S24")[slow, 0] = [_fmt(x) for x in v[slow].tolist()]
+    cells[..., 23] = ord(",")                   # after _fmt's zero padding
+    cells[:, -1, 23] = ord("\n")
+    return cells[cells != 0].tobytes().decode()
+
+
 class Runner:
     """Collects outputs of one subcommand and writes the manifest."""
 
@@ -74,11 +126,19 @@ class Runner:
         return p
 
     def write_csv(self, name: str, header: list, rows) -> Path:
+        """Write header and rows, each cell as _fmt writes it.  rows is a
+        2-D float64 array, formatted by _fmt_rows 2048 rows at a time to
+        bound its memory, or an iterable of rows; both write the same
+        bytes."""
         p = self.path(name)
-        floats = ",".join(["%.12e"] * len(header)) + "\n"
-        rows = iter(rows)
         with open(p, "w") as fh:
             fh.write(",".join(header) + "\n")
+            if isinstance(rows, np.ndarray):
+                for i in range(0, len(rows), 2048):
+                    fh.write(_fmt_rows(rows[i:i + 2048]))
+                return p
+            floats = ",".join(["%.12e"] * len(header)) + "\n"
+            rows = iter(rows)
             # blocks of 256 rows stream; a block of full rows of floats,
             # none NaN, takes one template per block, others go cell by cell
             while block := list(itertools.islice(rows, 256)):
@@ -267,9 +327,8 @@ def cmd_envelope(args, runner):
     runner.write_csv(
         "envelope.csv",
         ["x_cell", "abs_eps_s", "abs_eps_i", "phase_s_rad", "phase_i_rad"],
-        zip(sol.x.tolist(), map(abs, sol.eps_s.tolist()),
-            map(abs, sol.eps_i.tolist()), np.angle(sol.eps_s).tolist(),
-            np.angle(sol.eps_i).tolist()))
+        np.column_stack([sol.x, _magnitude(sol.eps_s), _magnitude(sol.eps_i),
+                         np.angle(sol.eps_s), np.angle(sol.eps_i)]))
     runner.write_json("envelope_summary.json", {
         "f_s_GHz": pt.omega_s / GHZ, "f_i_GHz": pt.omega_i / GHZ,
         "alpha_per_cell": sol.alpha,
@@ -422,8 +481,8 @@ def cmd_tdr(args, runner):
     sweep = tdr.FrequencySweep(f, trace)
     imp = tdr.impulse_response(sweep, args.window, args.beta)
     runner.write_csv("impulse.csv", ["t_ns", "magnitude", "phase_rad"],
-                     zip(imp.t_ns.tolist(), map(abs, imp.h.tolist()),
-                         np.angle(imp.h).tolist()))
+                     np.column_stack([imp.t_ns, _magnitude(imp.h),
+                                      np.angle(imp.h)]))
     report = {"resolution_ns": imp.resolution_ns, "window": imp.window}
     try:
         est = tdr.locate_defect(imp, args.velocity, args.offset_ns)
@@ -456,15 +515,15 @@ def _fig_isolation(args, runner):
 def _fig_profile(args, runner):
     spec = device.fitted_line(defects=((165, "open_junction"),))
     net = network.build_chain(spec)
-    cols = [range(spec.n_cells)]
+    cols = [np.arange(spec.n_cells, dtype=float)]
     for port in (0, 3):                         # Sigma-L and Delta-R drives
         prof = network.wave_amplitude_profile(net, port, 5.0 * GHZ)
-        cols += [map(abs, a.tolist()) for mode in (Mode.Sigma, Mode.Delta)
+        cols += [_magnitude(a) for mode in (Mode.Sigma, Mode.Delta)
                  for a in prof[mode]]
     runner.write_csv("wave_profile.csv", ["cell"] + [
         f"drive_{drive}_{way}_{mode}" for drive in ("sigmaL", "deltaR")
         for mode in ("sigma", "delta") for way in ("fwd", "bwd")],
-        zip(*cols))
+        np.column_stack(cols))
 
 
 def _fig_tdr(args, runner):
@@ -481,7 +540,7 @@ def _fig_tdr(args, runner):
         report[label] = {"cell": est.cell, "t_peak_ns": est.t_peak_ns,
                          "uncertainty_cells": est.uncertainty_cells}
         runner.write_csv(f"tdr_{label}.csv", ["t_ns", "magnitude"],
-                         zip(imp.t_ns.tolist(), map(abs, imp.h.tolist())))
+                         np.column_stack([imp.t_ns, _magnitude(imp.h)]))
     report["resolution_ns"] = imp.resolution_ns     # the same for both ends
     runner.write_json("tdr_peaks.json", report)
 

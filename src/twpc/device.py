@@ -134,18 +134,22 @@ class LineSpec:
                 idx, kind = d
                 norm.append((int(idx), str(kind)))
         object.__setattr__(self, "defects", tuple(norm))
-        errs = []
-        if not 1 <= self.n_cells <= MAX_CELLS:
+        # n_cells and seed are range-checked only if they are integers
+        whole = [isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                 for v in (self.n_cells, self.seed)]
+        errs = [(k, "must be an integer")
+                for k, ok in zip(("n_cells", "seed"), whole) if not ok]
+        if whole[0] and not 1 <= self.n_cells <= MAX_CELLS:
             errs.append(("n_cells", f"must lie in [1, {MAX_CELLS}]"))
         for i, (idx, kind) in enumerate(self.defects):
-            if not 0 <= idx < self.n_cells:
+            if whole[0] and not 0 <= idx < self.n_cells:
                 errs.append((f"defects[{i}].cell",
                              f"index {idx} out of range [0, {self.n_cells})"))
             if kind not in DEFECT_KINDS:
                 errs.append((f"defects[{i}].kind", f"unknown kind {kind!r}"))
         if not 0.0 <= self.disorder_halfwidth < 0.5:
             errs.append(("disorder_halfwidth", "must lie in [0, 0.5)"))
-        if self.seed < 0:
+        if whole[1] and self.seed < 0:
             errs.append(("seed", "must be >= 0"))
         if errs:
             raise ConfigError(errs)

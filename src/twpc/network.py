@@ -210,6 +210,8 @@ def parity_sector(net: ChainNetwork, ports):
 def bloch_impedance(mode: Mode, omega: float, cell: CellParams) -> complex:
     """Image impedance of one symmetric pi-section (real below cutoff)."""
     c = cell.c_g if mode is Mode.Sigma else cell.c_g + 2.0 * cell.c_i
+    if omega == 0:      # the long-wavelength limit sqrt(L_J / c)
+        return complex(math.sqrt(cell.l_j / c))
     y_se = 1.0 / (1j * omega * cell.l_j) + 1j * omega * cell.c_j
     y_sh = 0.5j * omega * c
     if y_se == 0:       # at the plasma frequency: the limit 1 / y_sh

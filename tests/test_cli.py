@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
-from twpc import cli, device, network, sidebands
+from twpc import cli, device, network, sidebands, tdr
 from twpc.cli import FLUX_Q, GHZ, Runner, build_parser, main
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.matching import ProcessKind, solve_corrected
@@ -68,6 +71,12 @@ _SPECIAL_ROWS = [
     (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ()]
 
 
+def _float_table(seed, n):
+    """n rows of 3 floats, nearly all with exponents _fmt_rows scales."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-15, 30, (n, 3))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_csv_writer_matches_per_cell_oracle(tmp_path, seed):
     header = ["a", "b", "c"]
@@ -78,6 +87,89 @@ def test_csv_writer_matches_per_cell_oracle(tmp_path, seed):
         new = runner.write_csv(f"new{k}.csv", header, iter(rows))
         _write_csv_per_cell(tmp_path / f"old{k}.csv", header, rows)
         assert new.read_bytes() == (tmp_path / f"old{k}.csv").read_bytes()
+    # 2-D float64 arrays, formatted in blocks of 2048 rows
+    with_nan, with_inf = _float_table(seed, 300), _float_table(seed, 300)
+    with_nan[::7, 1] = math.nan
+    with_inf[::5, 2], with_inf[3, 0] = math.inf, -math.inf
+    arrays = [np.array(_float_rows(seed, 600)), np.empty((0, 3)), with_nan,
+              with_inf] + [_float_table(seed, n) for n in (1, 2047, 2048, 2049)]
+    for k, table in enumerate(arrays):
+        new = runner.write_csv(f"array{k}.csv", header, table)
+        _write_csv_per_cell(tmp_path / f"rows{k}.csv", header, table.tolist())
+        assert new.read_bytes() == (tmp_path / f"rows{k}.csv").read_bytes()
+
+
+def _percent_cells(values):
+    """The reference for _fmt_rows on one column: "%.12e", NaN blank."""
+    return ["" if math.isnan(x) else "%.12e" % x for x in values]
+
+
+def _column_cells(values):
+    return cli._fmt_rows(np.array(values, float).reshape(-1, 1)).split(
+        "\n")[:-1]
+
+
+_BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+# 14-digit decimals, whose 13-digit roundings lie at or near a tie
+_NEAR_TIES = st.builds(lambda m, k: m / 10 ** k, st.integers(10 ** 13,
+                       10 ** 14 - 1), st.integers(-10, 30))
+
+
+@given(st.lists(st.floats() | _BIT_PATTERNS | _NEAR_TIES, min_size=1,
+                max_size=64))
+@settings(deadline=None)
+def test_fmt_rows_matches_percent_format(values):
+    assert _column_cells(values) == _percent_cells(values)
+
+
+_EDGE_VALUES = [
+    2.0 ** -20, 3 * 2.0 ** -20, 12345678901235.0, 12345678901245.0,  # ties
+    9.9999999999995, 9.99999999999995, 9.99999999999996e-3,     # carries
+    0.99999999999996, 9.99999999999995e99, 9.9999999999999e22,
+    *(np.nextafter(float(f"1e{k}"), to) for k in range(-30, 31)
+      for to in (0.0, math.inf)),
+    1.5e100, -2.5e-150, 1e-100, -1e100, 1e-300, 1e308,       # 3 digits
+    0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e22, 1e23,
+    math.inf, -math.inf, math.nan]
+
+
+def test_fmt_rows_edge_values():
+    values = _EDGE_VALUES + [-x for x in _EDGE_VALUES]
+    assert _column_cells(values) == _percent_cells(values)
+    # as rows of three: the separators and the end of each row
+    table = np.array(values[:len(values) // 3 * 3]).reshape(-1, 3)
+    lines = cli._fmt_rows(table).split("\n")[:-1]
+    assert [line.split(",") for line in lines] == [
+        _percent_cells(row) for row in table.tolist()]
+
+
+@pytest.mark.parametrize("bias", [-0.01, 0.01])
+def test_fmt_rows_corrects_its_exponent(monkeypatch, bias):
+    # a log10 biased by 0.01 puts floor(log10|x|) one off within 2.3 % of
+    # each power of ten; the kernel must still find the exponent
+    values = [float(f"{m}e{k}") for k in range(-9, 30)
+              for m in (0.98, 0.99999, 1.0, 1.00001, 1.02, 3.0)]
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + bias)
+    assert _column_cells(values) == _percent_cells(values)
+
+
+def test_impulse_magnitudes_match_abs_of_complex(tmp_path):
+    # |h| from np.hypot equals abs(complex) bit for bit; np.abs does not,
+    # and would change printed digits
+    spec = _spec_file(tmp_path, n_cells=400, disorder_halfwidth=0.02,
+                      defects=((198, "open_junction"),))
+    s_out = _run(["scatter", "--spec", str(spec)], tmp_path / "sw")
+    t_out = _run(["tdr", "--input", str(s_out / "sweep.s4p")], tmp_path / "t")
+    f, trace, _ = read_touchstone(s_out / "sweep.s4p", entry=(0, 0))
+    imp = tdr.impulse_response(tdr.FrequencySweep(f, trace))
+    h = imp.h
+    assert (np.abs(h) != np.hypot(h.real, h.imag)).any()
+    old = Runner(str(tmp_path / "rows"), {}, 0).write_csv(
+        "impulse.csv", ["t_ns", "magnitude", "phase_rad"],
+        zip(imp.t_ns.tolist(), map(abs, h.tolist()), np.angle(h).tolist()))
+    assert (t_out / "impulse.csv").read_bytes() == old.read_bytes()
 
 
 def test_dispersion_outputs_and_manifest(tmp_path):

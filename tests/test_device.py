@@ -14,6 +14,7 @@ from twpc.device import (CellParams, LineSpec, PHI0_BAR, derive_constants,
                          spec_from_json, spec_to_json)
 from twpc.dispersion import Mode, cutoff
 from twpc.errors import ConfigError
+from twpc.network import build_chain
 
 
 def test_reduced_flux_quantum_matches_codata():
@@ -76,6 +77,21 @@ def test_validate_collects_all_violations():
     assert any("defects[0]" in p for p in paths)
     assert any("defects[1]" in p for p in paths)
     assert any("disorder" in p for p in paths)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_cells", 3.5), ("n_cells", True), ("n_cells", "400"),
+    ("seed", 1.5), ("seed", np.bool_(False)), ("seed", None)])
+def test_line_spec_rejects_non_integer_count_or_seed(field, value):
+    # as spec_from_json does, in the one error listing every violation
+    with pytest.raises(ConfigError) as err:
+        LineSpec(cell=fitted_cell(), disorder_halfwidth=0.7, **{field: value})
+    assert err.value.violations == [(field, "must be an integer"),
+                                    ("disorder_halfwidth",
+                                     "must lie in [0, 0.5)")]
+    spec = LineSpec(cell=fitted_cell(), n_cells=np.int64(10),
+                    seed=np.uint32(3))
+    assert build_chain(spec).n_cells == 10
 
 
 def test_disorder_is_seeded_and_bounded():

@@ -48,13 +48,17 @@ def test_transmission_phase_matches_dispersion(fitted_net):
         assert abs(err) < 1e-4 * spec.n_cells
 
 
-def test_bloch_impedance_low_frequency_limit():
+def test_bloch_impedance_low_frequency_limit(fitted_net):
     cell = device.fitted_cell()
     c = device.derive_constants(cell)
     z = bloch_impedance(Mode.Sigma, 0.05 * GHZ, cell)
     assert z.real == pytest.approx(c.z_sigma, rel=1e-3)
     z = bloch_impedance(Mode.Delta, 0.05 * GHZ, cell)
     assert z.real == pytest.approx(c.z_delta, rel=1e-3)
+    # at omega = 0 itself the limit, the value the ports take there
+    z0 = port_impedances(fitted_net, 0.0)
+    assert bloch_impedance(Mode.Sigma, 0.0, cell) == z0[0]
+    assert bloch_impedance(Mode.Delta, 0.0, cell) == z0[1]
 
 
 def test_bloch_impedance_at_plasma_frequency(fitted_net):
