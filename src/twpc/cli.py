@@ -296,9 +296,11 @@ def cmd_phase_match(args, runner):
 
 def cmd_gaps_map(args, runner):
     spec = _load_spec(args)
-    if not set(args.processes.split(",")) <= _KIND.keys():
-        raise ConfigError([("processes", "give a comma list of Ci, Co, Al")])
-    kinds = [_KIND[k] for k in args.processes.split(",")]
+    names = args.processes.split(",")
+    if not set(names) <= _KIND.keys() or len(set(names)) < len(names):
+        raise ConfigError([("processes",
+                            "give a comma list of Ci, Co, Al, each once")])
+    kinds = [_KIND[k] for k in names]
     pump = _grid(args.pump_min, args.pump_max, args.pump_points)
     eps = _pump_amplitude(args, spec.cell, default=0.0)
     curves, failures = matching.gap_map(kinds, pump, spec.cell, eps)
@@ -362,7 +364,7 @@ def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
             bw = 1.0
         else:
             fw, bw = coupled_mode.solve_with_defect(cfg, float(defect_cell),
-                                                    sm, 1.0)
+                                                    sm)
         rows.append((eps, 20 * math.log10(max(abs(fw), 1e-300)),
                      20 * math.log10(max(abs(bw), 1e-300))))
     return rows

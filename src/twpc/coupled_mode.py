@@ -21,12 +21,15 @@ forms
 For the tunable-coupling process (one photon absorbed from each of two
 counterpropagating pumps) the substitution eps_P^2 -> 2 eps_P,bw eps_P,fw*
 applies, doubling alpha at equal amplitudes.
+
+Every sectioned or detuned solve goes through one 2x2 propagator, expm(A x)
+of the constant-coefficient form, and sections chain as transfer matrices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -70,17 +73,15 @@ class EnvelopeSolution:
     total_attenuation: complex
 
 
-def _pump_sq(config: ProcessConfig, pump_fw=None, pump_bw=None) -> complex:
+def _pump_sq(config: ProcessConfig) -> complex:
     """Effective squared pump amplitude entering the coupling.
 
     eps_P^2 for circulation (the counterpropagating pump squared),
     2 eps_P,bw eps_P,fw* for the coupler.
     """
-    fw = config.pump_fw if pump_fw is None else pump_fw
-    bw = config.pump_bw if pump_bw is None else pump_bw
     if config.match.kind is ProcessKind.TunableCoupling:
-        return 2.0 * bw * np.conj(fw)
-    return bw * bw
+        return 2.0 * config.pump_bw * np.conj(config.pump_fw)
+    return config.pump_bw * config.pump_bw
 
 
 def attenuation_constant(config: ProcessConfig) -> float:
@@ -98,18 +99,23 @@ def bandwidth_estimate(config: ProcessConfig) -> float:
             * math.sqrt(m.omega_i * m.omega_s))
 
 
-def _couplings(config: ProcessConfig, pump_fw=None, pump_bw=None):
+def _couplings(config: ProcessConfig):
     m = config.match
-    p2 = _pump_sq(config, pump_fw, pump_bw)
+    p2 = _pump_sq(config)
     c_i = 0.25 * A_CELL ** 2 * np.conj(p2) * m.k_p ** 2 * m.k_i
     c_s = 0.25 * A_CELL ** 2 * p2 * m.k_p ** 2 * m.k_s
     return c_i, c_s
 
 
-def _system_matrix(c_i, c_s, kappa):
-    # in variables (u, v) = (eps_s, eps_i e^{-i kappa x}) the system is
-    # constant-coefficient:  u' = i c_i v,  v' = i c_s u - i kappa v
-    return np.array([[0.0, 1j * c_i], [1j * c_s, -1j * kappa]])
+def _propagator(config: ProcessConfig, kappa: float, x) -> np.ndarray:
+    """expm(A x) over the widths x (a scalar or a 1-D batch).
+
+    In (u, v) = (eps_s, eps_i e^{-i kappa x}) the system is
+    constant-coefficient:  u' = i c_i v,  v' = i c_s u - i kappa v.
+    """
+    c_i, c_s = _couplings(config)
+    a = np.array([[0.0, 1j * c_i], [1j * c_s, -1j * kappa]])
+    return expm(np.multiply.outer(x, a))
 
 
 def solve_uniform(config: ProcessConfig, eps_s0: complex) -> EnvelopeSolution:
@@ -138,26 +144,17 @@ def solve_detuned(config: ProcessConfig, kappa: float,
     evanescent for |kappa| < 2 alpha, oscillatory beyond (gap edge at
     |kappa| = 2 alpha).  Attenuation is even in kappa.
     """
-    c_i, c_s = _couplings(config)
-    alpha = attenuation_constant(config)
-    A = _system_matrix(c_i, c_s, kappa)
-    L = config.length
-    M = expm(A * L)
-    # boundary conditions u(0) = eps_s0, v(L) = 0
-    v0 = -M[1, 0] / M[1, 1] * eps_s0
-    x = np.linspace(0.0, L, N_X)
-    y0 = np.array([eps_s0, v0])
-    lam, P = np.linalg.eig(A)
-    c0 = np.linalg.solve(P, y0)
-    prof = P @ (c0[:, None] * np.exp(lam[:, None] * x[None, :]))
-    u, v = prof[0], prof[1]
-    eps_i = v * np.exp(1j * kappa * x)
-    total = u[-1] / eps_s0 if eps_s0 != 0 else u[-1]
-    return EnvelopeSolution(x, u, eps_i, alpha, total)
+    x = np.linspace(0.0, config.length, N_X)
+    m = _propagator(config, kappa, x)
+    # boundary conditions u(0) = 1, v(L) = 0, scaled by eps_s0 below
+    uv = m @ np.array([1.0, -m[-1, 1, 0] / m[-1, 1, 1]])
+    return EnvelopeSolution(x, eps_s0 * uv[:, 0],
+                            eps_s0 * uv[:, 1] * np.exp(1j * kappa * x),
+                            attenuation_constant(config), uv[-1, 0])
 
 
-def solve_with_defect(config: ProcessConfig, x_defect: float, defect_smatrix,
-                      eps_s0: complex = 1.0) -> tuple[complex, complex]:
+def solve_with_defect(config: ProcessConfig, x_defect: float,
+                      defect_smatrix) -> tuple[complex, complex]:
     """Total signal attenuation across a line with a defect at x_defect
     (cells from the left end), which splits it into two sections.
 
@@ -183,37 +180,26 @@ def solve_with_defect(config: ProcessConfig, x_defect: float, defect_smatrix,
     # sections as (width, pump_fw, pump_bw)
     fwd = _defect_oneway(config, ((x_defect, 0.0, t_p * eps),
                                   (L - x_defect, r_p * eps, eps)),
-                         defect_smatrix, eps_s0)
+                         defect_smatrix)
     # backward probe: mirror the coordinate; pumps swap direction, and the
     # defect transmissions are taken in the opposite direction
     x_mirror = L - x_defect
     bwd = _defect_oneway(config, ((x_mirror, eps, r_p * eps),
                                   (L - x_mirror, t_p * eps, 0.0)),
-                         defect_smatrix, eps_s0, reverse=True)
+                         defect_smatrix, reverse=True)
     return fwd, bwd
 
 
-def _defect_oneway(config, sections, defect_smatrix, eps_s0, reverse=False):
-    # phase-matched (kappa = 0) envelope propagator across each section
-    M1, M2 = (expm(_system_matrix(*_couplings(config, fw, bw), 0.0) * width)
-              for width, fw, bw in sections)
+def _defect_oneway(config, sections, defect_smatrix, reverse=False):
+    """u(L)/u(0) across two phase-matched sections joined by the defect."""
     S_s = np.asarray(defect_smatrix(config.match.omega_s))
     S_i = np.asarray(defect_smatrix(config.match.omega_i))
-    if reverse:
-        t_s, t_i = S_s[0, 2], S_i[2, 0]
-    else:
-        t_s, t_i = S_s[2, 0], S_i[0, 2]
-    # unknowns z = [v1(0), u1(xd), v1(xd), u2(xd), v2(xd)]
-    A = np.zeros((5, 5), complex)
-    b = np.zeros(5, complex)
-    # section-1 propagation from (eps_s0, v1(0))
-    A[0, 1] = 1.0; A[0, 0] = -M1[0, 1]; b[0] = M1[0, 0] * eps_s0
-    A[1, 2] = 1.0; A[1, 0] = -M1[1, 1]; b[1] = M1[1, 0] * eps_s0
-    # junction conditions: signal transmits L->R, idler transmits R->L
-    A[2, 3] = 1.0; A[2, 1] = -t_s
-    A[3, 2] = 1.0; A[3, 4] = -t_i
-    # idler boundary condition at the far end
-    A[4, 3] = M2[1, 0]; A[4, 4] = M2[1, 1]
-    z = np.linalg.solve(A, b)
-    u_L = M2[0, 0] * z[3] + M2[0, 1] * z[4]
-    return u_L / eps_s0
+    i, o = (2, 0) if reverse else (0, 2)    # the signal's in, out ports
+    t_s, t_i = S_s[o, i], S_i[i, o]
+    m1, m2 = (_propagator(replace(config, pump_fw=fw, pump_bw=bw), 0.0, w)
+              for w, fw, bw in sections)
+    # The signal transmits L->R and the idler R->L, so the line's transfer
+    # is T = m2 diag(t_s, 1/t_i) m1, with det T = t_s / t_i (det m_k = 1 at
+    # kappa = 0).  v(L) = 0 leaves u(L)/u(0) = det T / T_11, taken here of
+    # t_i T, which stays finite where the junction blocks the idler.
+    return t_s / (m2 @ np.diag([t_s * t_i, 1.0]) @ m1)[1, 1]

@@ -68,14 +68,12 @@ class CellParams:
         except (ZeroDivisionError, OverflowError):
             raise ConfigError([("cell.c_j", "c_j or plasma_omega leaves the "
                                             "floating-point range")])
-        errs = []
-        for name in ("l_j", "c_g", "c_i", "c_j"):
-            if not getattr(self, name) > 0:
-                errs.append((f"cell.{name}", "must be strictly positive"))
-        if not errs and not self.c_j < self.c_g:
-            errs.append(("cell.c_j", "must be below c_g (physical regime)"))
-        if errs:
-            raise ConfigError(errs)
+        # the given values passed above; a derived c_j can still underflow
+        if not self.c_j > 0:
+            raise ConfigError([("cell.c_j", "must be strictly positive")])
+        if not self.c_j < self.c_g:
+            raise ConfigError([("cell.c_j",
+                                "must be below c_g (physical regime)")])
 
     @property
     def mu(self) -> float:

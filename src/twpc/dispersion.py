@@ -126,20 +126,6 @@ def wavevector(mode: Mode, omega, cell: CellParams,
     return float(k) if np.isscalar(omega) else k
 
 
-def phase_velocity(mode: Mode, omega, cell: CellParams):
-    """omega / k(omega) of the unpumped line, cell/s."""
-    return omega / wavevector(mode, omega, cell)
-
-
-def group_velocity(mode: Mode, omega: float, cell: CellParams) -> float:
-    """d(omega)/dk of the unpumped line by central difference over
-    +-1 MHz (cell/s)."""
-    domega = 2 * math.pi * 1e6
-    k1 = wavevector(mode, omega - domega, cell)
-    k2 = wavevector(mode, omega + domega, cell)
-    return 2.0 * domega / (k2 - k1)
-
-
 def flux_from_amplitude(epsilon_p: float, k_p: float) -> float:
     """Peak junction flux Phi_JJ = 4 phi0 eps sin(k a / 2), in Wb."""
     return 4.0 * PHI0_BAR * epsilon_p * math.sin(0.5 * k_p * A_CELL)

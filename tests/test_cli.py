@@ -657,6 +657,8 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
 
 @pytest.mark.parametrize("argv, field", [
     (["gaps-map", "--processes", "Ci,Xx"], "processes"),
+    # a repeated process would solve and report each of its points twice
+    (["gaps-map", "--processes", "Ci,Ci"], "processes"),
     (["nld-sim", "--f-pump", "3", "--f-probe", "7.1", "--pump-flux", "0.05",
       "--harmonics", "0"], "arguments"),
     (["nld-sim", "--f-pump", "3", "--f-probe", "7.1", "--pump-flux", "0.05",
@@ -692,8 +694,9 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
     # a NaN frequency, a NaN S and an infinite S, from a CSV and a .s4p
     *((["tdr", "--input", f"{key}_{kind}"], "input")
       for key in ("NAN_F", "NAN_S", "INF_S") for kind in ("CSV", "S4P")),
-], ids=["unknown-process", "harmonics-0", "sidebands-negative", "port-9",
-        "threads-0", "eps-points-0", "isolate-two-defects", "points-abc",
+], ids=["unknown-process", "process-twice", "harmonics-0",
+        "sidebands-negative", "port-9", "threads-0", "eps-points-0",
+        "isolate-two-defects", "points-abc",
         "unknown-flag", "tdr-prose", "tdr-columns", "tdr-port-4",
         "tdr-z0-5", "tdr-z0-0", "tdr-bare-r", "isolate-disorder",
         "envelope-disorder", "envelope-defect",

@@ -22,8 +22,9 @@ def _config(eps=0.2, length=400.0, kind=ProcessKind.Circulation, **kw):
     return ProcessConfig(pt, length, pump_bw=eps, **kw)
 
 
-def _rk_total(cfg, kappa=0.0):
-    """Runge-Kutta two-point oracle via superposition of IVP solutions."""
+def _rk_transfer(cfg, width, kappa=0.0):
+    """Runge-Kutta transfer matrix of (eps_s, eps_i) across a section,
+    column by column: the state at x = width from (1, 0) and (0, 1)."""
     c_i, c_s = coupled_mode._couplings(cfg)
 
     def rhs(x, y):
@@ -32,14 +33,16 @@ def _rk_total(cfg, kappa=0.0):
         dv = 1j * c_s * u * np.exp(1j * kappa * x)
         return [du.real, du.imag, dv.real, dv.imag]
 
-    def prop(y0):
-        r = solve_ivp(rhs, (0.0, cfg.length), y0, rtol=1e-11, atol=1e-14)
-        return r.y[:, -1]
+    cols = [solve_ivp(rhs, (0.0, width), y0, rtol=1e-11, atol=1e-14).y[:, -1]
+            for y0 in ([1.0, 0, 0, 0], [0, 0, 1.0, 0])]
+    return np.array([[y[0] + 1j * y[1], y[2] + 1j * y[3]] for y in cols]).T
 
-    ya, yb = prop([1.0, 0, 0, 0]), prop([0, 0, 1.0, 0])
-    va, vb = ya[2] + 1j * ya[3], yb[2] + 1j * yb[3]
-    c = -va / vb
-    return (ya[0] + 1j * ya[1]) + c * (yb[0] + 1j * yb[1])
+
+def _rk_total(cfg, kappa=0.0):
+    """Runge-Kutta two-point oracle via superposition of IVP solutions:
+    eps_s(L) / eps_s(0) with eps_i(L) = 0."""
+    m = _rk_transfer(cfg, cfg.length, kappa)
+    return m[0, 0] - m[1, 0] / m[1, 1] * m[0, 1]
 
 
 def test_counterpropagation_enforced():
@@ -162,6 +165,16 @@ def test_detuned_matches_rk_oracle():
         assert abs(got) == pytest.approx(abs(_rk_total(cfg, kap)), rel=1e-7)
 
 
+def test_detuned_meets_far_boundary_condition_across_gap_edge():
+    """v(L) = 0 holds inside the gap, at its edge |kappa| = 2 alpha (where
+    the system matrix is defective) and outside it."""
+    cfg = _config(eps=0.2)
+    alpha = attenuation_constant(cfg)
+    for kap in (0.5 * alpha, 2.0 * alpha, 8.0 * alpha):
+        sol = solve_detuned(cfg, kap, 1.0)
+        assert abs(sol.eps_i[-1]) <= 1e-12 * np.max(np.abs(sol.eps_i))
+
+
 def test_bandwidth_estimate_scaling():
     pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, 0.1,
                          device.fitted_cell())[0]
@@ -180,16 +193,64 @@ def _identity_smatrix(_omega):
 
 
 def test_transparent_defect_recovers_uniform():
-    eps = 0.2
-    pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, eps,
+    """(4.63 GHz, 0.42) attenuates by -158 dB, where an elimination across
+    the junction loses digits that the transfer-matrix product keeps."""
+    for f_p, eps in ((3.0, 0.2), (4.63, 0.42)):
+        pt = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps,
+                             device.fitted_cell())[0]
+        cfg = ProcessConfig(pt, 400.0, pump_bw=eps)
+        fw, bw = solve_with_defect(cfg, 165.0, _identity_smatrix)
+        ref = solve_uniform(cfg, 1.0)
+        assert abs(fw) == pytest.approx(abs(ref.total_attenuation),
+                                        rel=1e-12, abs=0.0)
+        # the reverse probe co-propagates with the one-directional pump:
+        # a transparent junction leaves it completely untouched
+        assert abs(bw) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("f_p, eps", [(3.0, 0.2), (4.63, 0.42)])
+def test_idler_blocking_defect_splits_line(f_p, eps):
+    """A junction that passes the signal (t_s) and the pump but blocks the
+    idler decouples the sections: each is a uniform line whose idler
+    vanishes at the junction, so the total is t_s U(x_d) U(L - x_d)."""
+    t_s = 0.6 * np.exp(0.3j)
+
+    def smatrix(_omega):
+        s = np.zeros((4, 4), complex)
+        s[2, 0], s[1, 3] = t_s, 1.0
+        return s
+
+    pt = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps,
                          device.fitted_cell())[0]
-    cfg = ProcessConfig(pt, 400.0, pump_bw=eps)
-    fw, bw = solve_with_defect(cfg, 165.0, _identity_smatrix, 1.0)
-    ref = solve_uniform(cfg, 1.0)
-    assert abs(fw) == pytest.approx(abs(ref.total_attenuation), rel=1e-9)
-    # the reverse probe co-propagates with the one-directional pump:
-    # a transparent junction leaves it completely untouched
-    assert abs(bw) == pytest.approx(1.0, abs=1e-9)
+    x_d, length = 165.0, 400.0
+    fw, _ = solve_with_defect(ProcessConfig(pt, length, pump_bw=eps), x_d,
+                              smatrix)
+    u1, u2 = (solve_uniform(ProcessConfig(pt, w, pump_bw=eps),
+                            1.0).total_attenuation
+              for w in (x_d, length - x_d))
+    assert fw == pytest.approx(t_s * u1 * u2, rel=1e-12, abs=0.0)
+
+
+def test_defect_sections_chain_in_order():
+    """Sections whose pumps differ in phase do not commute, so the left one
+    must act first.  Oracle: shoot across both Runge-Kutta sections with the
+    junction conditions u -> t_s u and v_left = t_i v_right, and pick v(0)
+    so that v(L) = 0."""
+    t_s, t_i = 0.8 * np.exp(0.2j), 0.7 * np.exp(-0.4j)
+
+    def smatrix(_omega):
+        s = np.zeros((4, 4), complex)
+        s[2, 0], s[0, 2] = t_s, t_i
+        return s
+
+    cfg = _config(eps=0.1)
+    sections = ((165.0, 0.0, 0.1), (235.0, 0.0, 0.1 * np.exp(0.5j)))
+    got = coupled_mode._defect_oneway(cfg, sections, smatrix)
+    m1, m2 = (_rk_transfer(dataclasses.replace(cfg, pump_bw=bw), w)
+              for w, _, bw in sections)
+    a, b = (m2 @ np.diag([t_s, 1 / t_i]) @ m1 @ [1.0, v0] for v0 in (0, 1))
+    v0 = -a[1] / (b[1] - a[1])
+    assert got == pytest.approx(a[0] + v0 * (b[0] - a[0]), rel=1e-7)
 
 
 def test_opaque_defect_blocks_signal():
@@ -198,7 +259,7 @@ def test_opaque_defect_blocks_signal():
                          device.fitted_cell())[0]
     cfg = ProcessConfig(pt, 400.0, pump_bw=eps)
     fw, _ = solve_with_defect(cfg, 165.0,
-                              lambda w: np.zeros((4, 4), complex), 1.0)
+                              lambda w: np.zeros((4, 4), complex))
     assert abs(fw) < 1e-12
 
 
