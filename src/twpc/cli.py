@@ -325,7 +325,7 @@ def cmd_envelope(args, runner):
     fw = eps if kind is ProcessKind.TunableCoupling else 0.0
     cfg = coupled_mode.ProcessConfig(pt, spec.n_cells, pump_fw=fw,
                                      pump_bw=eps)
-    sol = coupled_mode.solve_uniform(cfg, 1.0)
+    sol = coupled_mode.solve_uniform(cfg)
     runner.write_csv(
         "envelope.csv",
         ["x_cell", "abs_eps_s", "abs_eps_i", "phase_s_rad", "phase_i_rad"],
@@ -360,7 +360,7 @@ def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
                                       eps, spec.cell)[0]
         cfg = coupled_mode.ProcessConfig(pt, spec.n_cells, pump_bw=eps)
         if defect_cell is None:
-            fw = coupled_mode.solve_uniform(cfg, 1.0).total_attenuation
+            fw = coupled_mode.solve_uniform(cfg).total_attenuation
             bw = 1.0
         else:
             fw, bw = coupled_mode.solve_with_defect(cfg, float(defect_cell),

@@ -118,27 +118,25 @@ def _propagator(config: ProcessConfig, kappa: float, x) -> np.ndarray:
     return expm(np.multiply.outer(x, a))
 
 
-def solve_uniform(config: ProcessConfig, eps_s0: complex) -> EnvelopeSolution:
+def solve_uniform(config: ProcessConfig) -> EnvelopeSolution:
     """Matched closed-form envelopes on a uniform single-section line,
-    sampled at N_X points."""
+    sampled at N_X points, for eps_s(0) = 1."""
     alpha = attenuation_constant(config)
     L = config.length
     x = np.linspace(0.0, L, N_X)
     denom = 1.0 + math.exp(-2.0 * alpha * L)
     em, ep = np.exp(-alpha * x), np.exp(-alpha * (2.0 * L - x))
-    eps_s = eps_s0 * (em + ep) / denom
+    eps_s = (em + ep) / denom
     p2 = _pump_sq(config)
     phase = (p2 / abs(p2)) if p2 != 0 else 1.0
-    eps_i = (-1j * phase * eps_s0
-             * math.sqrt(config.match.k_s / -config.match.k_i)
+    eps_i = (-1j * phase * math.sqrt(config.match.k_s / -config.match.k_i)
              * (em - ep) / denom)
     total = 2.0 * math.exp(-alpha * L) / denom
     return EnvelopeSolution(x, eps_s, eps_i, alpha, complex(total))
 
 
-def solve_detuned(config: ProcessConfig, kappa: float,
-                  eps_s0: complex) -> EnvelopeSolution:
-    """Two-point solve of the detuned linear system.
+def solve_detuned(config: ProcessConfig, kappa: float) -> EnvelopeSolution:
+    """Two-point solve of the detuned linear system, for eps_s(0) = 1.
 
     Exact matrix-exponential propagation of the constant-coefficient form;
     evanescent for |kappa| < 2 alpha, oscillatory beyond (gap edge at
@@ -146,10 +144,9 @@ def solve_detuned(config: ProcessConfig, kappa: float,
     """
     x = np.linspace(0.0, config.length, N_X)
     m = _propagator(config, kappa, x)
-    # boundary conditions u(0) = 1, v(L) = 0, scaled by eps_s0 below
+    # boundary conditions u(0) = 1, v(L) = 0
     uv = m @ np.array([1.0, -m[-1, 1, 0] / m[-1, 1, 1]])
-    return EnvelopeSolution(x, eps_s0 * uv[:, 0],
-                            eps_s0 * uv[:, 1] * np.exp(1j * kappa * x),
+    return EnvelopeSolution(x, uv[:, 0], uv[:, 1] * np.exp(1j * kappa * x),
                             attenuation_constant(config), uv[-1, 0])
 
 

@@ -121,16 +121,19 @@ class LineSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # normalize defects to a tuple of (int, str)
+        # normalize defects to (int, str), keeping a non-integer cell (an error)
         norm = []
         for d in self.defects:
             if isinstance(d, dict):
-                norm.append((int(d["cell"]), d.get("kind", "open_junction")))
+                idx, kind = d["cell"], d.get("kind", "open_junction")
             elif isinstance(d, (int, np.integer)):
-                norm.append((int(d), "open_junction"))
+                idx, kind = d, "open_junction"
             else:
                 idx, kind = d
-                norm.append((int(idx), str(kind)))
+                kind = str(kind)
+            integral = isinstance(idx, float) and idx.is_integer() or \
+                isinstance(idx, (int, np.integer)) and not isinstance(idx, bool)
+            norm.append((int(idx) if integral else idx, kind))
         object.__setattr__(self, "defects", tuple(norm))
         # n_cells and seed are range-checked only if they are integers
         whole = [isinstance(v, (int, np.integer)) and not isinstance(v, bool)
@@ -140,7 +143,9 @@ class LineSpec:
         if whole[0] and not 1 <= self.n_cells <= MAX_CELLS:
             errs.append(("n_cells", f"must lie in [1, {MAX_CELLS}]"))
         for i, (idx, kind) in enumerate(self.defects):
-            if whole[0] and not 0 <= idx < self.n_cells:
+            if type(idx) is not int:
+                errs.append((f"defects[{i}].cell", "must be an integer"))
+            elif whole[0] and not 0 <= idx < self.n_cells:
                 errs.append((f"defects[{i}].cell",
                              f"index {idx} out of range [0, {self.n_cells})"))
             if kind not in DEFECT_KINDS:

@@ -27,9 +27,8 @@ import numpy as np
 from .device import PHI0_BAR
 from .dispersion import spm_factor
 from .errors import NonConvergence, TruncationWarning
-from .network import (ChainNetwork, ChainOperators, _solve, band_to_sparse,
-                      channel_band, conversion_blocks, parity_sector,
-                      port_impedances)
+from .network import (ChainNetwork, ChainOperators, _solve, channel_band,
+                      conversion_blocks, parity_sector, port_impedances)
 
 K_SAMPLES = 128  # FFT oversampling of the orbit outside the Newton loop
 TOL = 1e-10      # Newton converges below this residual norm / drive norm
@@ -140,6 +139,20 @@ def _load_blocks(loads: np.ndarray) -> np.ndarray:
     return np.block([[diag.real, -diag.imag], [diag.imag, diag.real]])
 
 
+def _apply_loads(loads: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The harmonics' load bands (2 w + 1, n, M) applied to x (M, n), as
+    a C-contiguous (M, n) array with the bits of scipy's CSR product: real
+    products, each row summed over ascending columns from zero."""
+    w, (m, n) = len(loads) // 2, x.shape
+    ab, out = loads.transpose(0, 2, 1), np.zeros((m, n, 2))
+    prod = np.zeros((2 * w + 1, m, n + 2 * w, 2))
+    prod[:, :, w:n + w, 0] = ab.real * x.real - ab.imag * x.imag
+    prod[:, :, w:n + w, 1] = ab.real * x.imag + ab.imag * x.real
+    for k in range(-w, w + 1):      # A[i, i + k] = ab[w - k, i + k]
+        out += prod[w - k, :, w + k:w + k + n]
+    return out.view(complex)[..., 0]
+
+
 def _newton_step(ops: ChainOperators, loads: np.ndarray, a: np.ndarray,
                  cos_delta: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Newton step dx (M, n) on the unknowns of ops, by one real banded
@@ -203,7 +216,6 @@ def pump_harmonic_balance(net: ChainNetwork, drives,
     # pump-frequency reference impedances at every harmonic
     w_m = omega_p * np.array(orders)
     loads = ops.admittance(w_m, [z] * len(w_m), False) * (1j * PHI0_BAR * w_m)
-    lin = [band_to_sparse(loads[:, :, h]) for h in range(len(orders))]
     fixed = _load_blocks(loads)
 
     def residual(phi, i_src):
@@ -212,7 +224,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives,
         s = np.sin(delta) @ a / len(a)
         i_nl = (PHI0_BAR / ops.scale * g) * (s[:, :len(orders)]
                                              + 1j * s[:, len(orders):]).T
-        res = np.array([op @ p for op, p in zip(lin, phi)])
+        res = _apply_loads(loads, phi)
         res[:, right] += i_nl
         res[:, left] -= i_nl
         res[0] -= i_src

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, solve_banded
 
 from .device import PHI0_BAR, CellParams, DerivedConstants, LineSpec, \
@@ -245,11 +244,10 @@ def port_impedances(net: ChainNetwork, omega) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Y(omega) = i omega C + Gamma/(i omega) + G_loads, in band storage
 
-def admittance_matrix(net: ChainNetwork, omega: float, z,
-                      inductive: bool = True) -> np.ndarray:
+def admittance_matrix(net: ChainNetwork, omega: float, z) -> np.ndarray:
     """Band storage (kl = ku = 2) of the nodal admittance at omega with
     port reference impedances z (see ChainOperators.admittance)."""
-    return net.ops.admittance([omega], [z], inductive)[..., 0]
+    return net.ops.admittance([omega], [z])[..., 0]
 
 
 def conversion_blocks(ops: ChainOperators, coupling: np.ndarray) -> np.ndarray:
@@ -295,13 +293,6 @@ def add_channel_loads(rows: np.ndarray, ops: ChainOperators, omegas, z,
     loads *= 1j * PHI0_BAR * np.asarray(omegas)
     return np.add(rows, loads, out=out.reshape(len(out), -1, nb)[
         ku - ops.w * nb:ku + ops.w * nb + 1:nb])
-
-
-def band_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
-    """The matrix held in LAPACK band storage ab with kl = ku = w,
-    ab[w + i - j, j] = A[i, j], as a sparse matrix."""
-    w, n = len(ab) // 2, ab.shape[1]
-    return sp.dia_matrix((ab, range(w, -w - 1, -1)), shape=(n, n)).tocsr()
 
 
 def _solve(ab, b, check_finite=True):

@@ -59,7 +59,7 @@ def read_touchstone(path, entry=None):
             k = int(body[3:body.index("]")])
             if not 1 <= k <= 4:
                 raise ConfigError([("", f"Z0[{k}] names no port 1-4")])
-            z_ref[k - 1] = float(body.split("=", 1)[1])
+            z_ref[k - 1] = float(body.partition("=")[2])
         return False
 
     # 33 tokens per frequency, however the lines break: f, then the RI

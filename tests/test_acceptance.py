@@ -148,7 +148,7 @@ def test_attenuation_scaling_and_closed_form():
         a = attenuation_constant(cfg)
         alphas.append(a)
         alpha_l.append(a * cfg.length)
-        closed = solve_uniform(cfg, 1.0).total_attenuation
+        closed = solve_uniform(cfg).total_attenuation
         oracle = _rk_total(cfg)
         diff = 20 * abs(math.log10(abs(closed) / abs(oracle)))
         assert diff < 0.5
@@ -179,8 +179,7 @@ def test_discrete_vs_analytic_dip_depth(fitted_net, f_p, fluxes, tol_db):
         pt = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps,
                              cell)[0]
         analytic = 20 * math.log10(abs(solve_uniform(
-            ProcessConfig(pt, 400.0, pump_bw=eps),
-            1.0).total_attenuation))
+            ProcessConfig(pt, 400.0, pump_bw=eps)).total_attenuation))
         discrete = _forward_db(pump, pt.omega_s)
         assert abs(discrete - analytic) < tol_db, (f_p, flux)
 
@@ -195,11 +194,11 @@ def test_photon_flux_invariant():
         eps = rng.uniform(0.03, 0.3)
         length = rng.uniform(100.0, 800.0)
         pt = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps, cell)[0]
-        sol = solve_uniform(ProcessConfig(pt, length, pump_bw=eps),
-                            rng.normal() + 1j * rng.normal())
-        inv = (pt.k_s * np.abs(sol.eps_s) ** 2
-               + pt.k_i * np.abs(sol.eps_i) ** 2)
-        scale = pt.k_s * np.abs(sol.eps_s[0]) ** 2
+        sol = solve_uniform(ProcessConfig(pt, length, pump_bw=eps))
+        eps_s0 = rng.normal() + 1j * rng.normal()
+        eps_s, eps_i = eps_s0 * sol.eps_s, eps_s0 * sol.eps_i
+        inv = pt.k_s * np.abs(eps_s) ** 2 + pt.k_i * np.abs(eps_i) ** 2
+        scale = pt.k_s * np.abs(eps_s[0]) ** 2
         assert np.ptp(inv) / scale < 1e-9
 
 

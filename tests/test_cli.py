@@ -493,7 +493,11 @@ def test_config_error_exit_code(tmp_path, capsys):
             ("n_cells", dict(good, n_cells=1e300)),
             ("seed", dict(good, seed=-1, disorder_halfwidth=0.05)),
             ("defects[0].celll", dict(good, defects=[
-                {"cell": 3, "kind": "open_junction", "celll": 5}]))]:
+                {"cell": 3, "kind": "open_junction", "celll": 5}])),
+            # not truncated: 5.7 and true would name cells 5 and 1
+            ("defects[0].cell", dict(good, defects=[{"cell": 5.7}])),
+            ("defects[0].cell", dict(good, defects=[{"cell": True}])),
+            ("defects[0].cell", dict(good, defects=[{"cell": "5"}]))]:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         rc = main(["dispersion", "--spec", str(bad),
@@ -673,9 +677,11 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
     (["tdr", "--input", "PROSE"], "input"),
     (["tdr", "--input", "COLUMNS"], "input"),
     (["tdr", "--input", "sweep.s4p", "--port", "4"], "arguments"),
-    # reference comments that name no port, and an R with no value
+    # reference comments that name no port or give no value, and an R
+    # with no value
     (["tdr", "--input", "Z0_5"], "input"),
     (["tdr", "--input", "Z0_0"], "input"),
+    (["tdr", "--input", "Z0_NO_VALUE"], "input"),
     (["tdr", "--input", "BARE_R"], "input"),
     # the envelope model holds neither disorder nor (envelope) a defect
     (["isolate", "--f-pump", "4.63", "--spec", "DISORDERED"],
@@ -698,7 +704,8 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
         "sidebands-negative", "port-9", "threads-0", "eps-points-0",
         "isolate-two-defects", "points-abc",
         "unknown-flag", "tdr-prose", "tdr-columns", "tdr-port-4",
-        "tdr-z0-5", "tdr-z0-0", "tdr-bare-r", "isolate-disorder",
+        "tdr-z0-5", "tdr-z0-0", "tdr-z0-no-value", "tdr-bare-r",
+        "isolate-disorder",
         "envelope-disorder", "envelope-defect",
         "nld-sim-port-twice", "nld-map-port-twice", "tdr-spec", "fig-seed",
         *(f"tdr-{key}-{kind}" for key in ("nan-f", "nan-s", "inf-s")
@@ -722,7 +729,8 @@ def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
     good = s4p.read_text()
     for key, old, new in [("Z0_5", "! Z0[4]=", "! Z0[5]="),
                           ("Z0_0", "! Z0[1]=", "! Z0[0]="),
-                          ("BARE_R", "R 88\n", "R\n")]:
+                          ("BARE_R", "R 88\n", "R\n"),
+                          ("Z0_NO_VALUE", "! Z0[2]=36\n", "! Z0[2]\n")]:
         files[key] = str(tmp_path / f"{key}.s4p")
         Path(files[key]).write_text(good.replace(old, new))
     f = np.linspace(4e9, 8e9, 64)       # 64-point sweeps, one bad value

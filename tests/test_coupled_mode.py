@@ -87,8 +87,8 @@ def test_coupler_substitution_doubles_alpha():
 
 def test_uniform_closed_form_boundary_conditions():
     cfg = _config(eps=0.25)
-    sol = solve_uniform(cfg, 1.0 + 0.5j)
-    assert sol.eps_s[0] == pytest.approx(1.0 + 0.5j, rel=1e-12)
+    sol = solve_uniform(cfg)
+    assert sol.eps_s[0] == pytest.approx(1.0, rel=1e-12)
     assert abs(sol.eps_i[-1]) < 1e-12
     assert abs(sol.total_attenuation) == pytest.approx(
         2 * math.exp(-sol.alpha * cfg.length)
@@ -101,7 +101,7 @@ def test_specific_attenuation_value():
     cfg = _config(eps=0.25)
     alpha = attenuation_constant(cfg)
     cfg = dataclasses.replace(cfg, length=math.log(10.0) / 2.0 / alpha)
-    sol = solve_uniform(cfg, 1.0)
+    sol = solve_uniform(cfg)
     assert abs(sol.total_attenuation) == pytest.approx(
         2 * math.sqrt(10) / 11, rel=1e-12)
 
@@ -113,7 +113,7 @@ def test_idler_phase_convention():
     pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, abs(eps_p),
                          device.fitted_cell())[0]
     cfg = ProcessConfig(pt, 2000.0, pump_bw=eps_p)
-    sol = solve_uniform(cfg, 1.0)
+    sol = solve_uniform(cfg)
     expect = -1j * np.exp(2j * 0.7) * math.sqrt(pt.k_s / -pt.k_i)
     deep = sol.eps_i[0] / sol.eps_s[0]
     assert deep == pytest.approx(expect * math.tanh(sol.alpha * cfg.length),
@@ -121,7 +121,7 @@ def test_idler_phase_convention():
 
 
 def test_total_attenuation_monotone_in_alpha_l():
-    totals = [abs(solve_uniform(_config(eps=e), 1.0).total_attenuation)
+    totals = [abs(solve_uniform(_config(eps=e)).total_attenuation)
               for e in (0.05, 0.1, 0.2, 0.3)]
     assert np.all(np.diff(totals) < 0)
 
@@ -129,15 +129,15 @@ def test_total_attenuation_monotone_in_alpha_l():
 def test_closed_form_matches_rk_oracle():
     for eps in (0.1, 0.2, 0.3):
         cfg = _config(eps=eps)
-        sol = solve_uniform(cfg, 1.0)
+        sol = solve_uniform(cfg)
         assert abs(sol.total_attenuation) == pytest.approx(abs(_rk_total(cfg)),
                                                            rel=1e-8)
 
 
 def test_detuned_reduces_to_uniform_at_zero_kappa():
     cfg = _config(eps=0.22)
-    a = solve_uniform(cfg, 1.0)
-    b = solve_detuned(cfg, 0.0, 1.0)
+    a = solve_uniform(cfg)
+    b = solve_detuned(cfg, 0.0)
     assert b.total_attenuation == pytest.approx(a.total_attenuation,
                                                 rel=1e-10)
     np.testing.assert_allclose(np.abs(b.eps_s), np.abs(a.eps_s), rtol=1e-9,
@@ -148,11 +148,11 @@ def test_detuned_attenuation_even_in_kappa_and_gap_edge():
     cfg = _config(eps=0.2)
     alpha = attenuation_constant(cfg)
     for kap in (0.3 * alpha, 1.2 * alpha):
-        p = solve_detuned(cfg, +kap, 1.0).total_attenuation
-        m = solve_detuned(cfg, -kap, 1.0).total_attenuation
+        p = solve_detuned(cfg, +kap).total_attenuation
+        m = solve_detuned(cfg, -kap).total_attenuation
         assert abs(p) == pytest.approx(abs(m), rel=1e-9)
-    inside = abs(solve_detuned(cfg, 0.5 * alpha, 1.0).total_attenuation)
-    outside = abs(solve_detuned(cfg, 8.0 * alpha, 1.0).total_attenuation)
+    inside = abs(solve_detuned(cfg, 0.5 * alpha).total_attenuation)
+    outside = abs(solve_detuned(cfg, 8.0 * alpha).total_attenuation)
     assert inside < outside  # evanescent inside the gap, oscillatory outside
     assert outside > 0.9
 
@@ -161,7 +161,7 @@ def test_detuned_matches_rk_oracle():
     cfg = _config(eps=0.2)
     alpha = attenuation_constant(cfg)
     for kap in (0.7 * alpha, 3.0 * alpha):
-        got = solve_detuned(cfg, kap, 1.0).total_attenuation
+        got = solve_detuned(cfg, kap).total_attenuation
         assert abs(got) == pytest.approx(abs(_rk_total(cfg, kap)), rel=1e-7)
 
 
@@ -171,7 +171,7 @@ def test_detuned_meets_far_boundary_condition_across_gap_edge():
     cfg = _config(eps=0.2)
     alpha = attenuation_constant(cfg)
     for kap in (0.5 * alpha, 2.0 * alpha, 8.0 * alpha):
-        sol = solve_detuned(cfg, kap, 1.0)
+        sol = solve_detuned(cfg, kap)
         assert abs(sol.eps_i[-1]) <= 1e-12 * np.max(np.abs(sol.eps_i))
 
 
@@ -200,7 +200,7 @@ def test_transparent_defect_recovers_uniform():
                              device.fitted_cell())[0]
         cfg = ProcessConfig(pt, 400.0, pump_bw=eps)
         fw, bw = solve_with_defect(cfg, 165.0, _identity_smatrix)
-        ref = solve_uniform(cfg, 1.0)
+        ref = solve_uniform(cfg)
         assert abs(fw) == pytest.approx(abs(ref.total_attenuation),
                                         rel=1e-12, abs=0.0)
         # the reverse probe co-propagates with the one-directional pump:
@@ -225,8 +225,8 @@ def test_idler_blocking_defect_splits_line(f_p, eps):
     x_d, length = 165.0, 400.0
     fw, _ = solve_with_defect(ProcessConfig(pt, length, pump_bw=eps), x_d,
                               smatrix)
-    u1, u2 = (solve_uniform(ProcessConfig(pt, w, pump_bw=eps),
-                            1.0).total_attenuation
+    u1, u2 = (solve_uniform(ProcessConfig(pt, w, pump_bw=eps))
+              .total_attenuation
               for w in (x_d, length - x_d))
     assert fw == pytest.approx(t_s * u1 * u2, rel=1e-12, abs=0.0)
 
@@ -269,6 +269,6 @@ def test_backward_untouched_without_pump_or_defect():
     cfg = _config(eps=0.3)
     # reverse probe = same line with the pump co-propagating: pump_bw -> 0
     rev = ProcessConfig(cfg.match, cfg.length, pump_fw=0.3)
-    sol = solve_uniform(rev, 1.0)
+    sol = solve_uniform(rev)
     assert abs(sol.total_attenuation) == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.abs(sol.eps_i) < 1e-12)

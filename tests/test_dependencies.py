@@ -1,7 +1,7 @@
 """The package imports nothing but the standard library, numpy and scipy,
 the two runtime dependencies pyproject.toml declares, no module of the
 package or its tests imports a name it never uses, and the CLI runs
-without importing scipy.optimize."""
+without importing scipy.optimize or scipy.sparse."""
 
 import ast
 import os
@@ -80,13 +80,15 @@ runs = [
 ]
 for i, argv in enumerate(runs):
     assert main(argv + ["--out-dir", f"{sys.argv[1]}/{i}"]) == 0, argv
-print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy.optimize", "scipy.sparse"))))
 """
 
 
-def test_cli_runs_without_scipy_optimize(tmp_path):
+def test_cli_runs_without_scipy_optimize_or_sparse(tmp_path):
     """Importing scipy.optimize costs about 0.2 s of every start-up; the
-    package solves its roots in-house, so no CLI path may import it."""
+    package solves its roots in-house, and its banded operators need no
+    sparse matrices, so no CLI path may import either."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", _CLI_RUNS, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)

@@ -94,6 +94,22 @@ def test_line_spec_rejects_non_integer_count_or_seed(field, value):
     assert build_chain(spec).n_cells == 10
 
 
+@pytest.mark.parametrize("cell", [165.7, True, "165", np.bool_(True)])
+def test_line_spec_rejects_non_integer_defect_cell(cell):
+    # not truncated to a cell: listed with the other violations, while an
+    # integral float, as JSON may write one, names its cell
+    with pytest.raises(ConfigError) as err:
+        LineSpec(cell=fitted_cell(), defects=({"cell": cell},
+                                              (cell, "open_junction")),
+                 disorder_halfwidth=0.7)
+    assert err.value.violations == [
+        ("defects[0].cell", "must be an integer"),
+        ("defects[1].cell", "must be an integer"),
+        ("disorder_halfwidth", "must lie in [0, 0.5)")]
+    spec = LineSpec(cell=fitted_cell(), defects=({"cell": 165.0},))
+    assert spec.defects == ((165, "open_junction"),)
+
+
 def test_disorder_is_seeded_and_bounded():
     spec = dataclasses.replace(device.fitted_line(), disorder_halfwidth=0.05,
                                seed=7)

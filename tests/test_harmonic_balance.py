@@ -12,13 +12,12 @@ from twpc.device import PHI0_BAR
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.errors import NonConvergence, TruncationWarning
 from twpc.harmonic_balance import (K_SAMPLES, Drive, HarmonicBasis,
-                                   _load_blocks, _newton_step, _orbit,
-                                   _sample_count, _samples,
+                                   _apply_loads, _load_blocks, _newton_step,
+                                   _orbit, _sample_count, _samples,
                                    incident_amplitude,
                                    pump_harmonic_balance,
                                    pump_harmonics_at_ports)
-from twpc.network import (admittance_matrix, band_to_sparse, drive_solution,
-                          port_impedances)
+from twpc.network import drive_solution, port_impedances
 
 GHZ = 2e9 * math.pi
 FLUX_Q = 2 * math.pi * PHI0_BAR
@@ -154,6 +153,56 @@ def test_lossless_line_conserves_pump_power(fitted_net, f_ghz):
     assert abs(p.sum() - a ** 2) <= 1e-10 * a ** 2
 
 
+def _band_csr(ab):
+    """The matrix held in band storage ab, ab[w + i - j, j] = A[i, j],
+    as a CSR matrix."""
+    w, n = len(ab) // 2, ab.shape[1]
+    return sp.dia_matrix((ab, range(w, -w - 1, -1)), shape=(n, n)).tocsr()
+
+
+def _csr_loads(loads, x):
+    """The harmonics' load bands (2 w + 1, n, M) applied to x (M, n) by
+    scipy's CSR product, one harmonic at a time."""
+    return np.array([_band_csr(loads[:, :, h]) @ p for h, p in enumerate(x)])
+
+
+@pytest.mark.parametrize("w, m", [(1, 3), (1, 5), (2, 3), (2, 5)])
+def test_load_product_has_the_csr_products_bits(w, m):
+    """The residual's load product against scipy's CSR product, bit for
+    bit, on random complex bands with zeros inside the band and values in
+    the corners that lie outside the matrix; the result is C-contiguous,
+    as np.linalg.norm's summation order depends on the layout."""
+    rng = np.random.default_rng(10 * w + m)
+    shape, n = (2 * w + 1, 40, m), 40
+    loads = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    loads[rng.random(shape) < 0.2] = 0.0
+    x = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    out = _apply_loads(loads, x)
+    assert out.flags.c_contiguous and out.shape == (m, n)
+    assert out.tobytes() == _csr_loads(loads, x).tobytes()
+
+
+@pytest.mark.parametrize("ports, disorder", [
+    ((3,), 0.0),                # Delta sector
+    ((0,), 0.0),                # Sigma sector
+    ((3,), 0.02),               # 2 % disorder: the node basis
+])
+def test_solve_with_csr_load_product_has_the_same_bits(fitted_spec,
+                                                       monkeypatch, ports,
+                                                       disorder):
+    """Harmonic balance on a 20-cell line gives the same bits of phi and
+    of the residual history when its load product is scipy's CSR product."""
+    net = network.build_chain(dataclasses.replace(
+        fitted_spec, n_cells=20, disorder_halfwidth=disorder, seed=3))
+    drives = _flux_drives(net, 3.0, 0.08, ports)
+    sol = pump_harmonic_balance(net, drives, HarmonicBasis(3))
+    monkeypatch.setattr(harmonic_balance, "_apply_loads", _csr_loads)
+    ref = pump_harmonic_balance(net, drives, HarmonicBasis(3))
+    assert len(sol.residual_history) > 2
+    assert sol.phi.tobytes() == ref.phi.tobytes()
+    assert sol.residual_history == ref.residual_history
+
+
 def _reference_newton_step(net, omega_p, orders, z, delta, res):
     """Newton step from the real 2x2-block Jacobian assembled block by
     block as sparse matrices and solved by splu: the reference for the
@@ -173,8 +222,8 @@ def _reference_newton_step(net, omega_p, orders, z, delta, res):
         for m2 in orders:
             p, q = conversion(m - m2), conversion(m + m2)
             if m == m2:
-                p = p + band_to_sparse(
-                    admittance_matrix(net, m * omega_p, z, inductive=False)
+                p = p + _band_csr(
+                    ops.admittance([m * omega_p], [z], False)[..., 0]
                     * (1j * m * omega_p * PHI0_BAR))
             row.append(sp.bmat([[(p + q).real, -(p - q).imag],
                                 [(p + q).imag, (p - q).real]]))

@@ -17,8 +17,7 @@ from twpc.errors import SingularNetwork, TruncationWarning
 from twpc.harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES,
                                    incident_amplitude, pump_harmonic_balance)
 from twpc.matching import ProcessKind, solve_corrected
-from twpc.network import (PARITY, admittance_matrix, band_to_sparse,
-                          linear_scattering, port_impedances)
+from twpc.network import PARITY, linear_scattering, port_impedances
 from twpc.sidebands import (_PumpedLinearizer, signal_sidebands,
                             transmission_map)
 
@@ -187,9 +186,9 @@ def _reference_sidebands(net, pump, omega_probe, n_sb):
     blocks = [[w[2 * (ns[i] - ns[j])] for j in range(nb)] for i in range(nb)]
     rhs = np.zeros((nb * n, nb * 4), complex)
     for i, f in enumerate(freqs):
-        blocks[i][i] = blocks[i][i] + band_to_sparse(
-            admittance_matrix(net, f, z[i], inductive=False)
-            * (1j * f * PHI0_BAR))
+        blocks[i][i] = blocks[i][i] + sp.dia_matrix(
+            (ops.admittance([f], [z[i]], False)[..., 0] * (1j * f * PHI0_BAR),
+             range(2, -3, -1)), shape=(n, n))
         rhs[i * n:(i + 1) * n, 4 * i:4 * i + 4] = ops.e * 2.0 / np.sqrt(z[i])
     sol = spla.splu(sp.bmat(blocks).tocsc()).solve(rhs)
     s = np.zeros((nb, 4, nb, 4), complex)
