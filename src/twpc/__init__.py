@@ -4,12 +4,10 @@ lines mixing counterpropagating waves through a slow pump."""
 from .device import (CellParams, DerivedConstants, LineSpec, derive_constants,
                      design_cell, fitted_cell, fitted_line, load_spec,
                      sample_disorder, spec_from_json, spec_to_json)
-from .dispersion import (Mode, amplitude_from_flux, cutoff,
-                         flux_from_amplitude, pump_wavevector, spm_inductance,
-                         wavevector, xpm_inductance)
-from .matching import (Direction, MatchPoint, ProcessKind,
-                       circulation_point_lowfreq, coupler_point_lowfreq,
-                       gap_map, solve_corrected)
+from .dispersion import (Mode, amplitude_from_flux, cutoff, pump_wavevector,
+                         spm_inductance, wavevector, xpm_inductance)
+from .matching import (Direction, MatchPoint, ProcessKind, gap_map,
+                       solve_corrected)
 from .coupled_mode import (EnvelopeSolution, ProcessConfig,
                            attenuation_constant, bandwidth_estimate,
                            solve_detuned, solve_uniform, solve_with_defect)

@@ -445,13 +445,11 @@ def cmd_nld_map(args, runner):
     runner.failures = []
     for wp in pump:     # --threads is accepted, the rows run serially
         try:
-            amplitude = eps(wp)
-        except TwpcError as exc:    # no pump amplitude at wp: a blank row
+            fw, bw, failures = sidebands.transmission_map(
+                net, wp, probe, eps(wp), ports, basis, args.n_sidebands)
+        except TwpcError as exc:    # no pump amplitude or orbit: a blank row
             fw = bw = np.full(len(probe), np.nan)
             failures = [(None, str(exc))]
-        else:
-            fw, bw, failures = sidebands.transmission_map(
-                net, wp, probe, amplitude, ports, basis, args.n_sidebands)
         rows += [(wp / GHZ, wpr / GHZ, a, b)
                  for wpr, a, b in zip(probe, fw, bw)]
         runner.failures += [
@@ -717,28 +715,21 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             args.func(args, runner)
         runner.finish(caught)
-    except ConfigError as exc:
-        json.dump({"error": "ConfigError",
-                   "violations": exc.violations}, sys.stderr)
+    except (TwpcError, OSError) as exc:
+        code = 2 if isinstance(exc, ConfigError) else \
+            4 if isinstance(exc, OSError) else 3
+        report = {"error": "IOError" if code == 4 else type(exc).__name__}
+        if code == 2:
+            report["violations"] = exc.violations
+        else:
+            report["message"] = str(exc)
+        if isinstance(exc, NonConvergence):
+            # a non-finite residual is no JSON number
+            report.update(iterations=exc.iterations, residual=exc.residual
+                          if math.isfinite(exc.residual) else None)
+        json.dump(report, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except NonConvergence as exc:
-        json.dump({"error": "NonConvergence", "message": str(exc),
-                   "iterations": exc.iterations,
-                   # a non-finite residual is no JSON number
-                   "residual": exc.residual if math.isfinite(exc.residual)
-                   else None}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
-    except OSError as exc:
-        json.dump({"error": "IOError", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 4
-    except TwpcError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        return code
     return 0
 
 

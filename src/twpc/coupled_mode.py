@@ -140,12 +140,14 @@ def solve_detuned(config: ProcessConfig, kappa: float) -> EnvelopeSolution:
 
     Exact matrix-exponential propagation of the constant-coefficient form;
     evanescent for |kappa| < 2 alpha, oscillatory beyond (gap edge at
-    |kappa| = 2 alpha).  Attenuation is even in kappa.
+    |kappa| = 2 alpha).  Attenuation is even in kappa.  Propagating back
+    from x = L, where v(L) = 0, makes each value one product, with no
+    cancellation deep in the gap.
     """
     x = np.linspace(0.0, config.length, N_X)
-    m = _propagator(config, kappa, x)
+    m = _propagator(config, kappa, x - config.length)
     # boundary conditions u(0) = 1, v(L) = 0
-    uv = m @ np.array([1.0, -m[-1, 1, 0] / m[-1, 1, 1]])
+    uv = m[:, :, 0] / m[0, 0, 0]
     return EnvelopeSolution(x, uv[:, 0], uv[:, 1] * np.exp(1j * kappa * x),
                             attenuation_constant(config), uv[-1, 0])
 

@@ -75,11 +75,6 @@ class CellParams:
             raise ConfigError([("cell.c_j",
                                 "must be below c_g (physical regime)")])
 
-    @property
-    def mu(self) -> float:
-        """Mode asymmetry mu = 1 + 2 C_i / C_g = (v_Sigma/v_Delta)^2."""
-        return 1.0 + 2.0 * self.c_i / self.c_g
-
 
 @dataclass(frozen=True)
 class DerivedConstants:
@@ -121,20 +116,6 @@ class LineSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # normalize defects to (int, str), keeping a non-integer cell (an error)
-        norm = []
-        for d in self.defects:
-            if isinstance(d, dict):
-                idx, kind = d["cell"], d.get("kind", "open_junction")
-            elif isinstance(d, (int, np.integer)):
-                idx, kind = d, "open_junction"
-            else:
-                idx, kind = d
-                kind = str(kind)
-            integral = isinstance(idx, float) and idx.is_integer() or \
-                isinstance(idx, (int, np.integer)) and not isinstance(idx, bool)
-            norm.append((int(idx) if integral else idx, kind))
-        object.__setattr__(self, "defects", tuple(norm))
         # n_cells and seed are range-checked only if they are integers
         whole = [isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                  for v in (self.n_cells, self.seed)]
@@ -142,14 +123,33 @@ class LineSpec:
                 for k, ok in zip(("n_cells", "seed"), whole) if not ok]
         if whole[0] and not 1 <= self.n_cells <= MAX_CELLS:
             errs.append(("n_cells", f"must lie in [1, {MAX_CELLS}]"))
-        for i, (idx, kind) in enumerate(self.defects):
-            if type(idx) is not int:
+        # normalize defects to (int, str), keeping a non-integer cell (an
+        # error); a bare number is read as {"cell": number}
+        norm = []
+        for i, d in enumerate(self.defects):
+            if isinstance(d, dict):
+                idx, kind = d["cell"], d.get("kind", "open_junction")
+            elif isinstance(d, (int, float, np.integer, np.floating)):
+                idx, kind = d, "open_junction"
+            elif isinstance(d, (tuple, list)) and len(d) == 2:
+                idx, kind = d[0], str(d[1])
+            else:
+                errs.append((f"defects[{i}]",
+                             "need a cell index or a (cell, kind) pair"))
+                continue
+            if isinstance(idx, float) and idx.is_integer() or \
+                    isinstance(idx, (int, np.integer)) and \
+                    not isinstance(idx, bool):
+                idx = int(idx)
+                if whole[0] and not 0 <= idx < self.n_cells:
+                    errs.append((f"defects[{i}].cell", f"index {idx} out of "
+                                 f"range [0, {self.n_cells})"))
+            else:
                 errs.append((f"defects[{i}].cell", "must be an integer"))
-            elif whole[0] and not 0 <= idx < self.n_cells:
-                errs.append((f"defects[{i}].cell",
-                             f"index {idx} out of range [0, {self.n_cells})"))
             if kind not in DEFECT_KINDS:
                 errs.append((f"defects[{i}].kind", f"unknown kind {kind!r}"))
+            norm.append((idx, kind))
+        object.__setattr__(self, "defects", tuple(norm))
         if not 0.0 <= self.disorder_halfwidth < 0.5:
             errs.append(("disorder_halfwidth", "must lie in [0, 0.5)"))
         if whole[1] and self.seed < 0:

@@ -126,14 +126,10 @@ def wavevector(mode: Mode, omega, cell: CellParams,
     return float(k) if np.isscalar(omega) else k
 
 
-def flux_from_amplitude(epsilon_p: float, k_p: float) -> float:
-    """Peak junction flux Phi_JJ = 4 phi0 eps sin(k a / 2), in Wb."""
-    return 4.0 * PHI0_BAR * epsilon_p * math.sin(0.5 * k_p * A_CELL)
-
-
 def amplitude_from_flux(phi_jj: float, k_p: float) -> float:
-    """Inverse of flux_from_amplitude; a pump whose junctions see no flux
-    drop (sin(k a / 2) = 0) raises AmplitudeOutOfRange."""
+    """Reduced amplitude eps of a pump whose peak junction flux is phi_jj
+    (Wb), by Phi_JJ = 4 phi0 eps sin(k a / 2); a pump whose junctions see
+    no flux drop (sin(k a / 2) = 0) raises AmplitudeOutOfRange."""
     s = math.sin(0.5 * k_p * A_CELL)
     if s == 0.0:
         raise AmplitudeOutOfRange(f"no pump amplitude gives a junction flux "

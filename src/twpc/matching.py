@@ -118,29 +118,6 @@ class MatchPoint:
     delta: float = 0.0
 
 
-def circulation_point_lowfreq(omega_p: float, v_sigma: float,
-                              v_delta: float) -> tuple[float, float]:
-    """Dispersionless circulation frequencies.
-
-    General velocity form with signal forward on Sigma, idler backward on
-    Sigma, pump backward on Delta:
-
-        omega_S = 2 omega_P (1/v_I - 1/v_P) / (1/v_S - 1/v_I)
-
-    which simplifies to omega_S = omega_P (v_Sigma/v_Delta - 1).
-    Returns (omega_S, omega_I) with omega_I = omega_S + 2 omega_P.
-    """
-    v_s, v_i, v_p = v_sigma, -v_sigma, -v_delta
-    omega_s = 2.0 * omega_p * (1.0 / v_i - 1.0 / v_p) / (1.0 / v_s - 1.0 / v_i)
-    return omega_s, omega_s + 2.0 * omega_p
-
-
-def coupler_point_lowfreq(omega_p: float, v_sigma: float,
-                          v_delta: float) -> float:
-    """Dispersionless tunable-coupling frequency omega_S = omega_P v_S/v_D."""
-    return omega_p * abs(v_sigma / v_delta)
-
-
 def _residual_fn(kind: ProcessKind, omega_p: float, k_p: float,
                  cell: CellParams, l_eff: float):
     """Momentum residual as a function of signal frequency (rad/cell), with

@@ -32,7 +32,7 @@ import numpy as np
 
 from .device import PHI0_BAR
 from .dispersion import cutoff
-from .errors import NonConvergence, SingularNetwork, TruncationWarning
+from .errors import SingularNetwork, TruncationWarning
 from .harmonic_balance import (Drive, HarmonicBasis, PumpSolution,
                                incident_amplitude, pump_harmonic_balance)
 from .network import (PARITY, PORTS, ChainNetwork, _solve,
@@ -197,20 +197,16 @@ def transmission_map(net: ChainNetwork, omega_p: float, probe_freqs,
     epsilon_p is the reduced amplitude of the pump launched from each of
     pump_ports.  Returns (s_fw_dB, s_bw_dB, failures): arrays of shape
     (len(probe_freqs),), forward = L to R and NaN where not solved, and a
-    list of (j, reason) for probe j that failed, with j = None when the
-    pump itself failed.
+    list of (j, reason) for probe j that failed.  A pump with no orbit
+    (NonConvergence, or SingularNetwork from its band) raises.
     """
+    drives = [Drive(p, omega_p, incident_amplitude(net, omega_p, p, epsilon_p))
+              for p in pump_ports]
+    lin = _PumpedLinearizer(  # Sigma-L and Sigma-R probe columns only
+        pump_harmonic_balance(net, drives, basis),
+        [(n_sidebands, 0), (n_sidebands, 2)], n_sidebands)
     s_fw = np.full(len(probe_freqs), np.nan)
     s_bw = np.full_like(s_fw, np.nan)
-    try:
-        drives = [Drive(p, omega_p, incident_amplitude(net, omega_p, p,
-                                                       epsilon_p))
-                  for p in pump_ports]
-        lin = _PumpedLinearizer(  # Sigma-L and Sigma-R probe columns only
-            pump_harmonic_balance(net, drives, basis),
-            [(n_sidebands, 0), (n_sidebands, 2)], n_sidebands)
-    except (NonConvergence, SingularNetwork) as exc:
-        return s_fw, s_bw, [(None, str(exc))]
     failures = []
     z = lin.impedances(probe_freqs)
     for j, wpr in enumerate(probe_freqs):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import array
 from itertools import chain, zip_longest
+from math import inf
 
 import numpy as np
 
@@ -81,6 +82,10 @@ def read_touchstone(path, entry=None):
     if "HZ" not in up or "S" not in up or "RI" not in up or up[-1] == "R":
         raise ConfigError([("", f"unsupported option line: {' '.join(opts)}")])
     r_opt = float(opts[up.index("R") + 1]) if "R" in up else 50.0
+    bad = [z for z in (r_opt, *z_ref) if z is not None and not 0 < z < inf]
+    if bad:     # also NaN
+        raise ConfigError([("", f"reference impedance {bad[0]!r} is not "
+                                "finite and positive")])
     z_ref = [r_opt if z is None else z for z in z_ref]
 
     s = np.frombuffer(s).view(complex)

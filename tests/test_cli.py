@@ -17,6 +17,7 @@ from scipy.linalg import LinAlgError
 from twpc import cli, device, network, sidebands, tdr
 from twpc.cli import FLUX_Q, GHZ, Runner, build_parser, main
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
+from twpc.errors import NonConvergence
 from twpc.matching import ProcessKind, solve_corrected
 from twpc.touchstone import read_touchstone, write_touchstone
 
@@ -683,6 +684,9 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
     (["tdr", "--input", "Z0_0"], "input"),
     (["tdr", "--input", "Z0_NO_VALUE"], "input"),
     (["tdr", "--input", "BARE_R"], "input"),
+    # reference impedances that are not finite and positive
+    *((["tdr", "--input", f"Z0_{key}"], "input")
+      for key in ("NAN", "NEGATIVE", "ZERO", "INF", "R_ZERO", "R_NAN")),
     # the envelope model holds neither disorder nor (envelope) a defect
     (["isolate", "--f-pump", "4.63", "--spec", "DISORDERED"],
      "disorder_halfwidth"),
@@ -705,6 +709,8 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
         "isolate-two-defects", "points-abc",
         "unknown-flag", "tdr-prose", "tdr-columns", "tdr-port-4",
         "tdr-z0-5", "tdr-z0-0", "tdr-z0-no-value", "tdr-bare-r",
+        *(f"tdr-z0-{key}" for key in ("nan", "negative", "zero", "inf",
+                                      "r-zero", "r-nan")),
         "isolate-disorder",
         "envelope-disorder", "envelope-defect",
         "nld-sim-port-twice", "nld-map-port-twice", "tdr-spec", "fig-seed",
@@ -730,7 +736,12 @@ def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
     for key, old, new in [("Z0_5", "! Z0[4]=", "! Z0[5]="),
                           ("Z0_0", "! Z0[1]=", "! Z0[0]="),
                           ("BARE_R", "R 88\n", "R\n"),
-                          ("Z0_NO_VALUE", "! Z0[2]=36\n", "! Z0[2]\n")]:
+                          ("Z0_NO_VALUE", "! Z0[2]=36\n", "! Z0[2]\n"),
+                          *((f"Z0_{key}", "! Z0[2]=36\n", f"! Z0[2]={z}\n")
+                            for key, z in (("NAN", "nan"), ("NEGATIVE", "-5"),
+                                           ("ZERO", "0"), ("INF", "inf"))),
+                          ("Z0_R_ZERO", "R 88\n", "R 0\n"),
+                          ("Z0_R_NAN", "R 88\n", "R nan\n")]:
         files[key] = str(tmp_path / f"{key}.s4p")
         Path(files[key]).write_text(good.replace(old, new))
     f = np.linspace(4e9, 8e9, 64)       # 64-point sweeps, one bad value
@@ -834,6 +845,62 @@ def test_nld_map_blanks_a_pump_row_without_an_amplitude(tmp_path):
     assert len(rows) == 9
     assert all(row.endswith(",,") for row in rows[6:])
     assert not any(row.endswith(",,") for row in rows[:3])
+
+
+def test_nld_map_blanks_a_pump_row_without_an_orbit(tmp_path, monkeypatch):
+    """A pump whose harmonic balance does not converge leaves its row
+    blank and is listed as a failed pump; the other rows are solved."""
+    solve = sidebands.pump_harmonic_balance
+
+    def stall_at_4_ghz(net, drives, basis):
+        if drives[0].omega_p == 4 * GHZ:
+            raise NonConvergence(12, 3.5e-4)
+        return solve(net, drives, basis)
+
+    monkeypatch.setattr(sidebands, "pump_harmonic_balance", stall_at_4_ghz)
+    spec = _spec_file(tmp_path, n_cells=20)
+    out = _run(["nld-map", "--spec", str(spec), "--pump-min", "3",
+                "--pump-max", "4", "--pump-points", "2", "--probe-min", "5",
+                "--probe-max", "5.5", "--probe-points", "2", "--pump-eps",
+                "0.05", "--harmonics", "2", "--n-sidebands", "1"],
+               tmp_path / "n")
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [{"f_pump_GHz": 4.0, "f_probe_GHz": None,
+                         "reason": str(NonConvergence(12, 3.5e-4))}]
+    rows = (out / "transmission_map.csv").read_text().splitlines()[1:]
+    assert [row.endswith(",,") for row in rows] == [False] * 2 + [True] * 2
+
+
+@pytest.mark.parametrize("residual, shown", [(7.5e-7, "7.5e-07"),
+                                             (math.inf, "null")])
+def test_error_report_bytes_on_every_exit_path(tmp_path, capsys, monkeypatch,
+                                               residual, shown):
+    """stderr is one JSON line: "error", then "violations" (exit 2) or
+    "message", then a NonConvergence's "iterations" and "residual" (a
+    non-finite residual as null)."""
+    def run(*argv):
+        rc = main([*argv, "--out-dir", str(tmp_path / "o")])
+        return rc, capsys.readouterr().err
+
+    assert run("gaps-map", "--processes", "Ci,Xx") == (2, (
+        '{"error": "ConfigError", "violations": [["processes", '
+        '"give a comma list of Ci, Co, Al, each once"]]}\n'))
+    def stall(*args):
+        raise NonConvergence(96, residual)
+
+    monkeypatch.setattr(cli, "pump_harmonic_balance", stall)
+    assert run("nld-sim", "--f-pump", "3", "--f-probe", "7.1",
+               "--pump-flux", "0.05") == (3, (
+        '{"error": "NonConvergence", "message": "harmonic balance did not '
+        f'converge after 96 iterations (residual {residual:.3e})", '
+        f'"iterations": 96, "residual": {shown}}}\n'))
+    assert run("phase-match", "--f-pump", "11", "--pump-eps", "0.1") == (3, (
+        '{"error": "PumpAboveCutoff", "message": "Delta mode: omega = '
+        '6.9115e+10 rad/s is at or above cutoff 5.78874e+10 rad/s"}\n'))
+    missing = tmp_path / "missing.s4p"
+    assert run("tdr", "--input", str(missing)) == (4, (
+        '{"error": "IOError", "message": "[Errno 2] No such file or '
+        f"directory: '{missing}'\"}}\n"))
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):

@@ -144,6 +144,21 @@ def test_detuned_reduces_to_uniform_at_zero_kappa():
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("f_p,eps", [(4.63, 0.42), (3.0, 0.2)])
+def test_detuned_keeps_its_digits_deep_in_the_gap(f_p, eps):
+    """At 4.63 GHz and 0.42 the line attenuates by -158 dB; a solve that
+    subtracts two terms of size e^{alpha L} loses the total and the
+    profiles there."""
+    pt = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps,
+                         device.fitted_cell())[0]
+    cfg = ProcessConfig(pt, 400.0, pump_bw=eps)
+    a, b = solve_uniform(cfg), solve_detuned(cfg, 0.0)
+    assert b.total_attenuation == pytest.approx(a.total_attenuation,
+                                                rel=1e-12, abs=0)
+    np.testing.assert_allclose(b.eps_s, a.eps_s, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(b.eps_i, a.eps_i, rtol=1e-12, atol=0)
+
+
 def test_detuned_attenuation_even_in_kappa_and_gap_edge():
     cfg = _config(eps=0.2)
     alpha = attenuation_constant(cfg)

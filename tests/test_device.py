@@ -49,8 +49,8 @@ def test_cell_rejects_nonpositive_and_large_c_j():
 def test_velocity_ratio_is_sqrt_mu_exactly():
     cell = fitted_cell()
     c = derive_constants(cell)
-    assert c.v_sigma0 / c.v_delta0 == pytest.approx(math.sqrt(cell.mu),
-                                                    rel=1e-14)
+    mu = 1 + 2 * cell.c_i / cell.c_g        # mode asymmetry
+    assert c.v_sigma0 / c.v_delta0 == pytest.approx(math.sqrt(mu), rel=1e-14)
 
 
 def test_impedance_product_identity():
@@ -108,6 +108,23 @@ def test_line_spec_rejects_non_integer_defect_cell(cell):
         ("disorder_halfwidth", "must lie in [0, 0.5)")]
     spec = LineSpec(cell=fitted_cell(), defects=({"cell": 165.0},))
     assert spec.defects == ((165, "open_junction"),)
+
+
+def test_line_spec_reads_a_bare_number_and_lists_a_malformed_defect():
+    # a bare number is read as {"cell": number}; any other entry that is
+    # not a (cell, kind) pair is one violation, not a raw exception
+    spec = LineSpec(cell=fitted_cell(), defects=(165.0,))
+    assert spec.defects == ((165, "open_junction"),)
+    with pytest.raises(ConfigError) as err:
+        LineSpec(cell=fitted_cell(), defects=(165.7, True, None, "165",
+                                              (1, "open_junction", 2)),
+                 disorder_halfwidth=0.7)
+    assert err.value.violations == [
+        ("defects[0].cell", "must be an integer"),
+        ("defects[1].cell", "must be an integer"),
+        *((f"defects[{i}]", "need a cell index or a (cell, kind) pair")
+          for i in (2, 3, 4)),
+        ("disorder_halfwidth", "must lie in [0, 0.5)")]
 
 
 def test_disorder_is_seeded_and_bounded():

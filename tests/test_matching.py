@@ -11,8 +11,7 @@ from twpc.dispersion import (Mode, pump_wavevector, wavevector,
 from twpc.cli import main
 from twpc.errors import (AmplitudeOutOfRange, NoSolutionInBand, NonConvergence,
                          PumpAboveCutoff)
-from twpc.matching import (Direction, ProcessKind, circulation_point_lowfreq,
-                           coupler_point_lowfreq, gap_map, solve_corrected)
+from twpc.matching import Direction, ProcessKind, gap_map, solve_corrected
 
 GHZ = 2e9 * math.pi
 
@@ -25,10 +24,12 @@ def cell():
 def test_circulation_lowfreq_closed_form(cell):
     c = device.derive_constants(cell)
     wp = 3.0 * GHZ
-    ws, wi = circulation_point_lowfreq(wp, c.v_sigma0, c.v_delta0)
-    # dispersionless solution: omega_S = omega_P (v_S/v_D - 1)
+    # general velocity form, signal forward and idler backward on Sigma,
+    # pump backward on Delta: omega_S = 2 omega_P (1/v_I - 1/v_P)
+    # / (1/v_S - 1/v_I), which simplifies to omega_P (v_S/v_D - 1)
+    v_s, v_i, v_p = c.v_sigma0, -c.v_sigma0, -c.v_delta0
+    ws = 2 * wp * (1 / v_i - 1 / v_p) / (1 / v_s - 1 / v_i)
     assert ws == pytest.approx(wp * (c.v_sigma0 / c.v_delta0 - 1), rel=1e-12)
-    assert wi == pytest.approx(ws + 2 * wp, rel=1e-12)
     # published operating point: 3 GHz pump -> 6.31 GHz signal
     assert ws / GHZ == pytest.approx(6.312, abs=5e-3)
 
@@ -36,8 +37,7 @@ def test_circulation_lowfreq_closed_form(cell):
 def test_coupler_lowfreq_closed_form(cell):
     c = device.derive_constants(cell)
     wp = 2.6 * GHZ
-    ws = coupler_point_lowfreq(wp, c.v_sigma0, c.v_delta0)
-    assert ws == pytest.approx(wp * c.v_sigma0 / c.v_delta0, rel=1e-12)
+    ws = wp * c.v_sigma0 / c.v_delta0
     # published operating point: 2.6 GHz pump -> 8.07 GHz probe
     assert ws / GHZ == pytest.approx(8.07, abs=0.01)
 
@@ -45,10 +45,10 @@ def test_coupler_lowfreq_closed_form(cell):
 def test_corrected_matches_lowfreq_at_low_pump(cell):
     c = device.derive_constants(cell)
     wp = 0.2 * GHZ
-    ws_lf, _ = circulation_point_lowfreq(wp, c.v_sigma0, c.v_delta0)
+    ws_lf = wp * (c.v_sigma0 / c.v_delta0 - 1)
     pt = solve_corrected(ProcessKind.Circulation, wp, 0.0, cell)[0]
     assert pt.omega_s == pytest.approx(ws_lf, rel=2e-3)
-    ws_co = coupler_point_lowfreq(wp, c.v_sigma0, c.v_delta0)
+    ws_co = wp * c.v_sigma0 / c.v_delta0
     pt = solve_corrected(ProcessKind.TunableCoupling, wp, 0.0, cell)[0]
     assert pt.omega_s == pytest.approx(ws_co, rel=2e-3)
 
@@ -81,7 +81,7 @@ def test_dispersion_pulls_circulation_point_down(cell):
     relative to the dispersionless estimate at practical pump settings."""
     c = device.derive_constants(cell)
     wp = 3.0 * GHZ
-    ws_lf, _ = circulation_point_lowfreq(wp, c.v_sigma0, c.v_delta0)
+    ws_lf = wp * (c.v_sigma0 / c.v_delta0 - 1)
     pt = solve_corrected(ProcessKind.Circulation, wp, 0.0, cell)[0]
     assert pt.omega_s < ws_lf
 
