@@ -127,6 +127,9 @@ class LineSpec:
         # error); a bare number is read as {"cell": number}
         norm = []
         for i, d in enumerate(self.defects):
+            if isinstance(d, dict) and "cell" not in d:
+                errs.append((f"defects[{i}].cell", "missing"))
+                continue
             if isinstance(d, dict):
                 idx, kind = d["cell"], d.get("kind", "open_junction")
             elif isinstance(d, (int, float, np.integer, np.floating)):
@@ -238,7 +241,7 @@ def spec_from_json(doc: dict) -> LineSpec:
             disorder_halfwidth=float(doc.get("disorder_halfwidth", 0.0)),
             seed=int(doc.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError([("defects", "need a list of {\"cell\": index, "
                             f"\"kind\": kind}} ({exc!r})")])
 

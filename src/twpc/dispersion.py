@@ -29,7 +29,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .device import A_CELL, PHI0_BAR, CellParams
 from .errors import AboveCutoff, AmplitudeOutOfRange, PumpAboveCutoff
@@ -52,39 +51,70 @@ X_MAX_SPM = 2.215089367724233     # 2 J1(x)/x = 0.5, x in [1, 3]
 X_MAX_XPM = 1.5211440576687651    # J0(x) = 0.5, x in [0.5, 2.4]
 
 
-def _junction_x(epsilon: float, ka: float) -> float:
+# J0 and J1 on |x| <= 5 by Cephes's rational approximations (Moshier 1989;
+# j0.c, j1.c): Horner's rule in Cephes's order gives scipy.special's bits.
+_J0 = (-4.794432209782018e9, 1.9561749194655657e12, -2.4924834436096772e14,
+       9.708622510473064e15, 4.99563147152651e2, 1.737854016763747e5,
+       4.844096583399621e7, 1.1185553704535683e10, 2.112775201154892e12,
+       3.1051822985742256e14, 3.1812195594320496e16, 1.7108629408104315e18)
+_J1 = (-8.999712257055594e8, 4.5222829799819403e11, -7.274942452218183e13,
+       3.682957328638529e15, 6.208364781180543e2, 2.5698725675774884e5,
+       8.351467914319493e7, 2.215115954797925e10, 4.749141220799914e12,
+       7.843696078762359e14, 8.952223361846274e16, 5.322786203326801e18)
+
+
+def _rational(x, c):
+    if abs(x) > 5.0 if isinstance(x, float) else np.any(np.abs(x) > 5.0):
+        raise AmplitudeOutOfRange("|x| beyond 5, the range of J0 and J1")
+    z = x * x
+    num, den = ((c[0] * z + c[1]) * z + c[2]) * z + c[3], z + c[4]
+    for a in c[5:]:
+        den = den * z + a
+    return z, num, den
+
+
+def _j0(x):
+    z, num, den = _rational(x, _J0)
+    j = (z - 5.783185962946784) * (z - 30.471262343662087) * num / den
+    if isinstance(x, float):
+        return 1.0 - z / 4.0 if abs(x) < 1e-5 else j
+    return np.where(abs(x) < 1e-5, 1.0 - z / 4.0, j)
+
+
+def _j1(x):
+    z, num, den = _rational(x, _J1)
+    return num / den * x * (z - 14.681970642123893) * (z - 49.2184563216946)
+
+
+def _junction_x(epsilon: float, ka: float, bound: float, name: str) -> float:
     if epsilon < 0:
         raise AmplitudeOutOfRange("epsilon_p must be >= 0")
-    return 4.0 * epsilon * math.sin(0.5 * ka)
+    x = 4.0 * epsilon * math.sin(0.5 * ka)
+    if abs(x) > bound:
+        raise AmplitudeOutOfRange(
+            f"|x| = {abs(x):.4f} beyond {name} validity bound {bound:.4f}")
+    return x
 
 
 def spm_inductance(l_j: float, epsilon: float, ka: float) -> float:
     """Junction inductance seen by a strong wave of reduced amplitude
     epsilon and wavevector ka (self-phase modulation)."""
-    x = _junction_x(epsilon, ka)
-    if abs(x) > X_MAX_SPM:
-        raise AmplitudeOutOfRange(
-            f"|x| = {abs(x):.4f} beyond SPM validity bound {X_MAX_SPM:.4f}")
-    if x == 0.0:
-        return l_j
-    return l_j * x / (2.0 * j1(x))
+    x = _junction_x(epsilon, ka, X_MAX_SPM, "SPM")
+    return l_j * x / (2.0 * _j1(x)) if x else l_j
 
 
 def spm_factor(x) -> np.ndarray:
     """L_J / L_spm = 2 J1(x)/x at drop amplitudes x, clipped at X_MAX_SPM."""
     x = np.minimum(x, X_MAX_SPM)
-    return np.divide(2.0 * j1(x), x, out=np.ones_like(x), where=x != 0)
+    return np.divide(2.0 * _j1(x), x, out=np.ones_like(x), where=x != 0)
 
 
 def xpm_inductance(l_j: float, epsilon: float, ka: float) -> float:
     """Junction inductance seen by a weak wave in the presence of a strong
     wave of reduced amplitude epsilon and wavevector ka (cross-phase
     modulation; twice the SPM shift at leading order)."""
-    x = _junction_x(epsilon, ka)
-    if abs(x) > X_MAX_XPM:
-        raise AmplitudeOutOfRange(
-            f"|x| = {abs(x):.4f} beyond XPM validity bound {X_MAX_XPM:.4f}")
-    return l_j / j0(x)
+    x = _junction_x(epsilon, ka, X_MAX_XPM, "XPM")
+    return l_j / _j0(x)
 
 
 def cutoff(mode: Mode, cell: CellParams, l_eff: float | None = None) -> float:
@@ -156,16 +186,13 @@ def _pump_fixed_point(cell: CellParams, omega_p: float,
                       epsilon_p: float) -> float:
     try:
         k = wavevector(Mode.Delta, omega_p, cell)
+        for _ in range(200):
+            l_spm = spm_inductance(cell.l_j, epsilon_p, k * A_CELL)
+            k_new = wavevector(Mode.Delta, omega_p, cell, l_spm)
+            if abs(k_new - k) < 1e-13:
+                return k_new
+            k = k_new
     except AboveCutoff as e:
         raise PumpAboveCutoff(str(e))
-    for _ in range(200):
-        l_spm = spm_inductance(cell.l_j, epsilon_p, k * A_CELL)
-        try:
-            k_new = wavevector(Mode.Delta, omega_p, cell, l_spm)
-        except AboveCutoff as e:
-            raise PumpAboveCutoff(str(e))
-        if abs(k_new - k) < 1e-13:
-            return k_new
-        k = k_new
     raise PumpAboveCutoff(
         f"pump wavevector fixed point did not converge at omega_p={omega_p:.4g}")

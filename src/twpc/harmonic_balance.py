@@ -104,11 +104,11 @@ class PumpSolution:
         return np.fft.fft(np.cos(delta), axis=1) / K_SAMPLES
 
     def peak_junction_flux(self) -> float:
-        """max_t max_j |delta_j(t)| * phi0, in Wb."""
-        if not len(self.d):
-            return 0.0
+        """max_j |delta_j(t)| * phi0, in Wb, over the K_SAMPLES = 128
+        samples of one pump period: a lower bound on the orbit's peak (at
+        3 GHz/7.1 GHz/0.05 Phi0, 1.8e-4 relative below 512 samples)."""
         delta = _orbit(self.d, _samples(self.basis.orders, K_SAMPLES))
-        return float(np.max(np.abs(delta))) * PHI0_BAR
+        return float(np.max(np.abs(delta), initial=0.0)) * PHI0_BAR
 
 
 def _sample_count(h_max: int) -> int:

@@ -488,7 +488,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     for field, doc in [
             ("cell.l_j", dict(good, l_j_nH=-1)),
             ("l_j_nH", dict(good, l_j_nH="x")),
-            ("defects", dict(good, defects=[{"kind": "open_junction"}])),
+            ("defects[0].cell",
+             dict(good, defects=[{"kind": "open_junction"}])),
             ("n_cels", dict(good, n_cels=10)),
             ("n_cells", dict(good, n_cells=10.5)),
             ("n_cells", dict(good, n_cells=1e300)),

@@ -1,7 +1,7 @@
 """The package imports nothing but the standard library, numpy and scipy,
 the two runtime dependencies pyproject.toml declares, no module of the
 package or its tests imports a name it never uses, and the CLI runs
-without importing scipy.optimize or scipy.sparse."""
+without importing scipy.optimize, scipy.sparse or scipy.special."""
 
 import ast
 import os
@@ -37,14 +37,14 @@ def test_src_imports_only_stdlib_numpy_scipy():
     assert sorted(imp for imp in found if imp[1] not in ALLOWED) == []
 
 
-def test_only_dispersion_imports_scipy_special():
-    """The junction's Bessel functions come from dispersion alone
-    (harmonic balance takes its describing function from there), so an
-    in-package J0/J1 would replace scipy.special in one module."""
+def test_src_imports_no_scipy_special():
+    """The junction's Bessel functions J0 and J1 are computed in
+    dispersion (harmonic balance takes its describing function from
+    there), so no module imports scipy.special."""
     found = {name for path in sorted(SRC.glob("*.py"))
              for name, module in _imports(path)
              if (module + ".").startswith("scipy.special.")}
-    assert found == {"dispersion.py"}
+    assert found == set()
 
 
 def _unused_imports(path):
@@ -81,14 +81,17 @@ runs = [
 for i, argv in enumerate(runs):
     assert main(argv + ["--out-dir", f"{sys.argv[1]}/{i}"]) == 0, argv
 print(sorted(m for m in sys.modules
-             if m.startswith(("scipy.optimize", "scipy.sparse"))))
+             if m.startswith(("scipy.optimize", "scipy.sparse",
+                              "scipy.special"))))
 """
 
 
-def test_cli_runs_without_scipy_optimize_or_sparse(tmp_path):
-    """Importing scipy.optimize costs about 0.2 s of every start-up; the
-    package solves its roots in-house, and its banded operators need no
-    sparse matrices, so no CLI path may import either."""
+def test_cli_runs_without_scipy_optimize_sparse_or_special(tmp_path):
+    """Importing scipy.optimize costs about 0.2 s of every start-up and
+    scipy.special about 0.05 s over scipy.linalg; the package solves its
+    roots and its Bessel functions in-house, and its banded operators
+    need no sparse matrices, so no CLI path may import any of the
+    three."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", _CLI_RUNS, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)

@@ -127,6 +127,16 @@ def test_line_spec_reads_a_bare_number_and_lists_a_malformed_defect():
         ("disorder_halfwidth", "must lie in [0, 0.5)")]
 
 
+def test_line_spec_names_a_defect_without_a_cell():
+    # a dict entry with no "cell" is one violation, not a raw KeyError
+    with pytest.raises(ConfigError) as err:
+        LineSpec(fitted_cell(), defects=({"kind": "open_junction"},
+                                         {"cell": 3}, {}), seed=-1)
+    assert err.value.violations == [("defects[0].cell", "missing"),
+                                    ("defects[2].cell", "missing"),
+                                    ("seed", "must be >= 0")]
+
+
 def test_disorder_is_seeded_and_bounded():
     spec = dataclasses.replace(device.fitted_line(), disorder_halfwidth=0.05,
                                seed=7)

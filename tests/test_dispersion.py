@@ -10,9 +10,10 @@ from scipy.special import j0, j1
 
 from twpc import device
 from twpc.device import CellParams
-from twpc.dispersion import (Mode, X_MAX_SPM, X_MAX_XPM, amplitude_from_flux,
-                             cutoff, pump_wavevector, spm_factor,
-                             spm_inductance, wavevector, xpm_inductance)
+from twpc.dispersion import (Mode, X_MAX_SPM, X_MAX_XPM, _j0, _j1,
+                             amplitude_from_flux, cutoff, pump_wavevector,
+                             spm_factor, spm_inductance, wavevector,
+                             xpm_inductance)
 from twpc.errors import AboveCutoff, AmplitudeOutOfRange, PumpAboveCutoff
 
 GHZ = 2e9 * math.pi
@@ -157,6 +158,50 @@ def test_spm_factor_is_the_describing_function_gain():
         spm_inductance(1e-9, 1.7 / (4 * math.sin(0.35)), 0.7), rel=1e-14)
     assert got[4:].tolist() == [got[4]] * 3
     assert got[4] == pytest.approx(0.5, abs=1e-12)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, X_MAX_SPM), (-2.3, 0.0),
+                                    (0.0, 1e-4), (2.3, 5.0)])
+def test_bessel_pair_is_scipy_bit_for_bit(lo, hi):
+    """The in-package Cephes J0/J1 return scipy.special's floats exactly,
+    on arrays and on scalars; [0, 1e-4] covers J0's 1 - x^2/4 branch."""
+    x = np.linspace(lo, hi, 260_001)
+    for ours, ref in ((_j0, j0), (_j1, j1)):
+        np.testing.assert_array_equal(_bits(ours(x)), _bits(ref(x)))
+        xs = x[::97].tolist()
+        np.testing.assert_array_equal(_bits([ours(v) for v in xs]),
+                                      _bits(ref(xs)))
+
+
+def test_bessel_pair_keeps_the_input_type():
+    assert type(_j0(0.5)) is float and type(_j1(0.5)) is float
+    for shape in ((1,), (3,), (2, 3)):
+        x = np.full(shape, 0.5)
+        for ours in (_j0, _j1):
+            assert isinstance(ours(x), np.ndarray) and ours(x).shape == shape
+
+
+@given(x=st.floats(-5.0, 5.0))
+@settings(max_examples=300, deadline=None)
+def test_bessel_pair_property(x):
+    for ours, ref in ((_j0, j0), (_j1, j1)):
+        assert _bits(ours(x)) == _bits(ref(x))
+        assert _bits(ours(np.array([x]))) == _bits(ref(np.array([x])))
+
+
+def test_bessel_pair_passes_nan_and_raises_beyond_five():
+    for ours, ref in ((_j0, j0), (_j1, j1)):
+        assert math.isnan(ours(math.nan))
+        got = ours(np.array([math.nan, 0.5]))
+        assert math.isnan(got[0]) and got[1] == ref(0.5)
+        for x in (5.0000001, -5.0000001, math.inf, -math.inf, 1e300):
+            for arg in (x, np.array([0.5, x])):
+                with pytest.raises(AmplitudeOutOfRange):
+                    ours(arg)
 
 
 def test_renormalization_bounds_enforced():
