@@ -36,9 +36,6 @@ from .matching import ProcessKind
 GHZ = 2e9 * math.pi
 FLUX_Q = 2 * math.pi * PHI0_BAR
 
-#: CSV cell types that the "%.12e" row template writes as _fmt would
-_FLOATS = {float, np.float64}
-
 #: requirement and test of an amplitude flag (see _check)
 _AMPLITUDE = ("amplitude >= 0", lambda x: 0 <= x < math.inf)
 
@@ -49,11 +46,14 @@ _KIND = {"Ci": ProcessKind.Circulation, "Co": ProcessKind.TunableCoupling,
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _fmt(x) -> str:
-    """One CSV cell: numbers as %.12e, None and NaN blank, others as str."""
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return f"{x:.12e}" if isinstance(x, (int, float)) else str(x)
+def _fmt(x: float) -> str:
+    """One CSV cell: %.12e, NaN blank."""
+    return "" if math.isnan(x) else f"{x:.12e}"
+
+
+def _db(x) -> float:
+    """20 log10 |x|, floored at -6000 dB (|x| = 1e-300)."""
+    return 20 * math.log10(max(abs(x), 1e-300))
 
 
 def _magnitude(z: np.ndarray) -> np.ndarray:
@@ -108,6 +108,13 @@ def _fmt_rows(block: np.ndarray) -> str:
     return cells[cells != 0].tobytes().decode()
 
 
+def _write_json(path: Path, doc) -> Path:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 class Runner:
     """Collects outputs of one subcommand and writes the manifest."""
 
@@ -128,8 +135,9 @@ class Runner:
     def write_csv(self, name: str, header: list, rows) -> Path:
         """Write header and rows, each cell as _fmt writes it.  rows is a
         2-D float64 array, formatted by _fmt_rows 2048 rows at a time to
-        bound its memory, or an iterable of rows; both write the same
-        bytes."""
+        bound its memory, or an iterable of rows of len(header) numbers
+        (else ValueError or TypeError), formatted by one "%.12e" template
+        per 256 rows; both write the same bytes."""
         p = self.path(name)
         with open(p, "w") as fh:
             fh.write(",".join(header) + "\n")
@@ -137,27 +145,19 @@ class Runner:
                 for i in range(0, len(rows), 2048):
                     fh.write(_fmt_rows(rows[i:i + 2048]))
                 return p
-            floats = ",".join(["%.12e"] * len(header)) + "\n"
+            template = ",".join(["%.12e"] * len(header)) + "\n"
             rows = iter(rows)
-            # blocks of 256 rows stream; a block of full rows of floats,
-            # none NaN, takes one template per block, others go cell by cell
             while block := list(itertools.islice(rows, 256)):
-                cells = list(itertools.chain.from_iterable(block))
-                if (set(map(len, block)) == {len(header)}
-                        and _FLOATS.issuperset(map(type, cells))
-                        and not any(map(math.isnan, cells))):
-                    fh.write((floats * len(block)) % tuple(cells))
-                else:
-                    fh.writelines(",".join(map(_fmt, row)) + "\n"
-                                  for row in block)
+                if any(len(row) != len(header) for row in block):
+                    raise ValueError(f"{name}: a row is not "
+                                     f"{len(header)} cells long")
+                # "%.12e" writes every NaN as "nan", and no number else
+                cells = tuple(itertools.chain.from_iterable(block))
+                fh.write(((template * len(block)) % cells).replace("nan", ""))
         return p
 
     def write_json(self, name: str, doc) -> Path:
-        p = self.path(name)
-        with open(p, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return p
+        return _write_json(self.path(name), doc)
 
     def finish(self, caught) -> Path:
         """Write manifest.json; caught are the warnings the run raised."""
@@ -183,11 +183,7 @@ class Runner:
         }
         if self.failures is not None:
             manifest["failures"] = self.failures
-        p = self.out / "manifest.json"
-        with open(p, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return p
+        return _write_json(self.out / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +268,7 @@ def cmd_dispersion(args, runner):
                 k = dispersion.wavevector(mode, w, cell)
                 row += [k, w / k]
             except TwpcError:
-                row += [None, None]
+                row += [math.nan, math.nan]
         rows.append((row[0], row[1], row[3], row[2], row[4]))
     runner.write_csv("dispersion.csv",
                      ["f_GHz", "k_sigma_rad_per_cell", "k_delta_rad_per_cell",
@@ -334,8 +330,7 @@ def cmd_envelope(args, runner):
     runner.write_json("envelope_summary.json", {
         "f_s_GHz": pt.omega_s / GHZ, "f_i_GHz": pt.omega_i / GHZ,
         "alpha_per_cell": sol.alpha,
-        "total_attenuation_dB":
-            20 * math.log10(abs(sol.total_attenuation)),
+        "total_attenuation_dB": _db(sol.total_attenuation),
     })
 
 
@@ -365,8 +360,7 @@ def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
         else:
             fw, bw = coupled_mode.solve_with_defect(cfg, float(defect_cell),
                                                     sm)
-        rows.append((eps, 20 * math.log10(max(abs(fw), 1e-300)),
-                     20 * math.log10(max(abs(bw), 1e-300))))
+        rows.append((eps, _db(fw), _db(bw)))
     return rows
 
 
@@ -428,8 +422,8 @@ def cmd_nld_sim(args, runner):
                       "propagating"], rows)
     runner.write_json("scattering_summary.json", {
         "f_probe_GHz": args.f_probe,
-        "S_fw_dB": 20 * math.log10(max(abs(s0[2, 0]), 1e-300)),
-        "S_bw_dB": 20 * math.log10(max(abs(s0[0, 2]), 1e-300)),
+        "S_fw_dB": _db(s0[2, 0]),
+        "S_bw_dB": _db(s0[0, 2]),
     })
 
 

@@ -195,10 +195,13 @@ def _defect_oneway(config, sections, defect_smatrix, reverse=False):
     S_i = np.asarray(defect_smatrix(config.match.omega_i))
     i, o = (2, 0) if reverse else (0, 2)    # the signal's in, out ports
     t_s, t_i = S_s[o, i], S_i[i, o]
-    m1, m2 = (_propagator(replace(config, pump_fw=fw, pump_bw=bw), 0.0, w)
-              for w, fw, bw in sections)
     # The signal transmits L->R and the idler R->L, so the line's transfer
     # is T = m2 diag(t_s, 1/t_i) m1, with det T = t_s / t_i (det m_k = 1 at
     # kappa = 0).  v(L) = 0 leaves u(L)/u(0) = det T / T_11, taken here of
     # t_i T, which stays finite where the junction blocks the idler.
-    return t_s / (m2 @ np.diag([t_s * t_i, 1.0]) @ m1)[1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1, m2 = (_propagator(replace(config, pump_fw=fw, pump_bw=bw), 0.0, w)
+                  for w, fw, bw in sections)
+        t11 = (m2 @ np.diag([t_s * t_i, 1.0]) @ m1)[1, 1]
+    # a product past 1.8e308 leaves |t_s / t11| < 5.6e-309, as |t_s| <= 1
+    return t_s / t11 if np.isfinite(t11) else 0j

@@ -14,11 +14,8 @@ class ConfigError(TwpcError):
     """
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [("", violations)]
         self.violations = list(violations)
-        msg = "; ".join(f"{path}: {m}" if path else m for path, m in self.violations)
-        super().__init__(msg)
+        super().__init__("; ".join(f"{p}: {m}" for p, m in self.violations))
 
 
 class AboveCutoff(TwpcError):

@@ -36,18 +36,13 @@ def _spec_file(tmp_path, name="spec.json", **overrides):
 
 
 def _write_csv_per_cell(path, header, rows):
-    """Reference writer: one format call per cell, one write per row."""
-    def fmt(x):
-        if x is None or (isinstance(x, float) and math.isnan(x)):
-            return ""
-        return f"{x:.12e}"
-
+    """Reference writer: every number as %.12e, NaN blank; one format call
+    per cell, one write per row."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(
-                fmt(x) if x is None or isinstance(x, (int, float))
-                else str(x) for x in row) + "\n")
+            fh.write(",".join("" if math.isnan(x) else f"{float(x):.12e}"
+                              for x in row) + "\n")
 
 
 def _float_rows(seed, n):
@@ -62,14 +57,12 @@ def _float_rows(seed, n):
     return rows
 
 
-# each is appended to a table of floats, which then has to be written a
-# cell at a time
+# each is appended to a table of floats
 _SPECIAL_ROWS = [
-    (math.inf, -math.inf, 1.0), (math.nan, 1.0, 2.0), (None, 1.0, 2.0),
+    (math.inf, -math.inf, 1.0), (math.nan, 1.0, 2.0),
     (np.float64("nan"),) * 3, (1, True, False), (2 ** 60, -7, 0),
-    ("Ci", "fw", 1.5), (np.int64(3), np.float32(0.1), np.bool_(True)),
-    (np.float32(0.1), np.float32(2.0), np.float32(-1.5)),
-    (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ()]
+    (np.int64(3), np.float32(0.1), np.bool_(True)),
+    (np.float32(0.1), np.float32(2.0), np.float32(-1.5))]
 
 
 def _float_table(seed, n):
@@ -98,6 +91,22 @@ def test_csv_writer_matches_per_cell_oracle(tmp_path, seed):
         new = runner.write_csv(f"array{k}.csv", header, table)
         _write_csv_per_cell(tmp_path / f"rows{k}.csv", header, table.tolist())
         assert new.read_bytes() == (tmp_path / f"rows{k}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("row", [(None, 1.0, 2.0), ("Ci", "fw", 1.5)])
+def test_csv_writer_rejects_a_cell_that_is_no_number(tmp_path, row):
+    runner = Runner(str(tmp_path), {}, 0)
+    with pytest.raises(TypeError):
+        runner.write_csv("t.csv", ["a", "b", "c"], _float_rows(0, 100) + [row])
+
+
+@pytest.mark.parametrize("extra", [
+    [(1.0, 2.0)], [(1.0, 2.0, 3.0, 4.0)], [()],
+    [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)]])     # 6 cells, as two full rows
+def test_csv_writer_rejects_a_ragged_row(tmp_path, extra):
+    runner = Runner(str(tmp_path), {}, 0)
+    with pytest.raises(ValueError):
+        runner.write_csv("t.csv", ["a", "b", "c"], _float_rows(0, 100) + extra)
 
 
 def _percent_cells(values):
@@ -270,6 +279,34 @@ def test_isolate_with_defect_spec(tmp_path):
     assert rows["forward_dB"][-1] < rows["forward_dB"][0] < 0
     assert rows["backward_dB"][-1] < rows["backward_dB"][0] < 0
     assert rows["forward_dB"][-1] < rows["backward_dB"][-1]
+
+
+def test_envelope_floors_an_underflowed_attenuation(tmp_path):
+    """On 1e5 cells the closed-form total underflows to 0; its dB reads
+    the -6000 dB floor instead of a math domain error."""
+    spec = _spec_file(tmp_path, n_cells=100000)
+    out = _run(["envelope", "--spec", str(spec), "--process", "Ci",
+                "--f-pump", "4.63", "--pump-eps", "0.3"], tmp_path / "e")
+    summary = json.loads((out / "envelope_summary.json").read_text())
+    assert summary["total_attenuation_dB"] == -6000.0
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == []
+
+
+def test_isolate_floors_an_overflowed_defect_product(tmp_path):
+    """On 1e5 cells the section product of the defect model overflows at
+    high pump; the transmission, below 1e-300, reads -6000 dB, not blank."""
+    spec = _spec_file(tmp_path, n_cells=100000,
+                      defects=((50000, "open_junction"),))
+    out = _run(["isolate", "--spec", str(spec), "--f-pump", "4.63"],
+               tmp_path / "i")
+    lines = (out / "isolation.csv").read_text().splitlines()
+    assert not any(cell == "" for line in lines for cell in line.split(","))
+    rows = np.genfromtxt(out / "isolation.csv", delimiter=",", names=True)
+    assert rows["forward_dB"][-9:].tolist() == [-6000.0] * 9
+    assert rows["backward_dB"][-5:].tolist() == [-6000.0] * 5
+    assert (rows["forward_dB"][:-9] > -6000).all()
+    assert (rows["backward_dB"][:-5] > -6000).all()
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == []
 
 
 def test_nld_sim_summary(tmp_path):
