@@ -135,13 +135,15 @@ class Runner:
     def write_csv(self, name: str, header: list, rows) -> Path:
         """Write header and rows, each cell as _fmt writes it.  rows is a
         2-D float64 array, formatted by _fmt_rows 2048 rows at a time to
-        bound its memory, or an iterable of rows of len(header) numbers
-        (else ValueError or TypeError), formatted by one "%.12e" template
-        per 256 rows; both write the same bytes."""
+        bound its memory, or an iterable of rows, formatted by one "%.12e"
+        template per 256 rows; both write the same bytes.  A row not of
+        len(header) numbers raises ValueError or TypeError."""
         p = self.path(name)
         with open(p, "w") as fh:
             fh.write(",".join(header) + "\n")
             if isinstance(rows, np.ndarray):
+                if rows.ndim != 2 or rows.shape[1] != len(header):
+                    raise ValueError(f"{name}: not {len(header)} columns")
                 for i in range(0, len(rows), 2048):
                     fh.write(_fmt_rows(rows[i:i + 2048]))
                 return p
@@ -391,6 +393,13 @@ def cmd_scatter(args, runner):
                                 freqs / (2 * math.pi), s, z)
 
 
+def _pump(net, omega_p, eps, ports, basis):
+    """The orbit of a pump of reduced amplitude eps from each of ports."""
+    return pump_harmonic_balance(net, [
+        Drive(p, omega_p, incident_amplitude(net, omega_p, p, eps))
+        for p in ports], basis)
+
+
 def cmd_nld_sim(args, runner):
     spec = _load_spec(args)
     ports = _pump_ports(args)
@@ -398,9 +407,7 @@ def cmd_nld_sim(args, runner):
     omega_p, omega_s = _omega(args), _omega(args, "f_probe")
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     basis = HarmonicBasis(args.harmonics)
-    drives = [Drive(p, omega_p, incident_amplitude(net, omega_p, p, eps))
-              for p in ports]
-    pump = pump_harmonic_balance(net, drives, basis)
+    pump = _pump(net, omega_p, eps, ports, basis)
     powers = pump_harmonics_at_ports(pump)
     runner.write_json("pump_solution.json", {
         "f_pump_GHz": args.f_pump,
@@ -440,11 +447,11 @@ def cmd_nld_map(args, runner):
     for wp in pump:     # --threads is accepted, the rows run serially
         try:
             fw, bw, failures = sidebands.transmission_map(
-                net, wp, probe, eps(wp), ports, basis, args.n_sidebands)
-        except TwpcError as exc:    # no pump amplitude or orbit: a blank row
+                _pump(net, wp, eps(wp), ports, basis), probe, args.n_sidebands)
+        except TwpcError as exc:    # no pump amplitude, orbit or band
             fw = bw = np.full(len(probe), np.nan)
             failures = [(None, str(exc))]
-        rows += [(wp / GHZ, wpr / GHZ, a, b)
+        rows += [(wp / GHZ, wpr / GHZ, _db(a), _db(b))
                  for wpr, a, b in zip(probe, fw, bw)]
         runner.failures += [
             {"f_pump_GHz": wp / GHZ,
@@ -709,7 +716,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             args.func(args, runner)
         runner.finish(caught)
-    except (TwpcError, OSError) as exc:
+    except (TwpcError, OSError, MemoryError) as exc:
         code = 2 if isinstance(exc, ConfigError) else \
             4 if isinstance(exc, OSError) else 3
         report = {"error": "IOError" if code == 4 else type(exc).__name__}

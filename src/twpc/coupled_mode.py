@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .device import A_CELL
 from .errors import WrongPropagationSigns
 from .matching import MatchPoint, ProcessKind
 
@@ -87,7 +86,7 @@ def _pump_sq(config: ProcessConfig) -> complex:
 def attenuation_constant(config: ProcessConfig) -> float:
     """alpha = (a^2/4) k_P^2 sqrt(-k_I k_S) |eps_P^2_eff|, 1/cell."""
     m = config.match
-    return (0.25 * A_CELL ** 2 * m.k_p ** 2
+    return (0.25 * m.k_p ** 2
             * math.sqrt(-m.k_i * m.k_s) * abs(_pump_sq(config)))
 
 
@@ -95,15 +94,15 @@ def bandwidth_estimate(config: ProcessConfig) -> float:
     """Gap bandwidth B = (a^2/2) k_P^2 |eps_P|^2 sqrt(omega_I omega_S),
     rad/s (the detuning range over which |kappa| <= 2 alpha)."""
     m = config.match
-    return (0.5 * A_CELL ** 2 * m.k_p ** 2 * abs(_pump_sq(config))
+    return (0.5 * m.k_p ** 2 * abs(_pump_sq(config))
             * math.sqrt(m.omega_i * m.omega_s))
 
 
 def _couplings(config: ProcessConfig):
     m = config.match
     p2 = _pump_sq(config)
-    c_i = 0.25 * A_CELL ** 2 * np.conj(p2) * m.k_p ** 2 * m.k_i
-    c_s = 0.25 * A_CELL ** 2 * p2 * m.k_p ** 2 * m.k_s
+    c_i = 0.25 * np.conj(p2) * m.k_p ** 2 * m.k_i
+    c_s = 0.25 * p2 * m.k_p ** 2 * m.k_s
     return c_i, c_s
 
 

@@ -24,8 +24,6 @@ from .errors import ConfigError
 # Reduced flux quantum phi0 = hbar / 2e  (Wb/rad); Phi0 = 2*pi*phi0.
 PHI0_BAR = 3.2910597841613324e-16
 
-A_CELL = 1.0  # cell length, fixed
-
 DEFECT_KINDS = ("open_junction",)
 
 #: upper bound on n_cells: 250 times the 400-cell device
@@ -96,8 +94,8 @@ def derive_constants(cell: CellParams) -> DerivedConstants:
     lj, cg = cell.l_j, cell.c_g
     cd = cg + 2.0 * cell.c_i
     return DerivedConstants(
-        v_sigma0=A_CELL / math.sqrt(lj * cg),
-        v_delta0=A_CELL / math.sqrt(lj * cd),
+        v_sigma0=1 / math.sqrt(lj * cg),
+        v_delta0=1 / math.sqrt(lj * cd),
         z_sigma=math.sqrt(lj / cg),
         z_delta=math.sqrt(lj / cd),
     )

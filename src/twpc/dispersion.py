@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .device import A_CELL, PHI0_BAR, CellParams
+from .device import PHI0_BAR, CellParams
 from .errors import AboveCutoff, AmplitudeOutOfRange, PumpAboveCutoff
 
 
@@ -144,7 +144,7 @@ def wavevector(mode: Mode, omega, cell: CellParams,
         arg = 1.0 + c * l_eff * w2 / den if den else math.inf
         if arg < -1.0 or arg > 1.0:
             raise AboveCutoff(mode.name, omega, cutoff(mode, cell, l_eff))
-        return float(np.arccos(arg)) / A_CELL
+        return float(np.arccos(arg))
     w2 = np.square(np.asarray(omega, dtype=float))
     # a zero denominator (the plasma frequency) gives inf: above cutoff
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -152,7 +152,7 @@ def wavevector(mode: Mode, omega, cell: CellParams,
     if np.any(arg < -1.0) or np.any(arg > 1.0):
         om = np.max(omega)
         raise AboveCutoff(mode.name, float(om), cutoff(mode, cell, l_eff))
-    k = np.arccos(arg) / A_CELL
+    k = np.arccos(arg)
     return float(k) if np.isscalar(omega) else k
 
 
@@ -160,7 +160,7 @@ def amplitude_from_flux(phi_jj: float, k_p: float) -> float:
     """Reduced amplitude eps of a pump whose peak junction flux is phi_jj
     (Wb), by Phi_JJ = 4 phi0 eps sin(k a / 2); a pump whose junctions see
     no flux drop (sin(k a / 2) = 0) raises AmplitudeOutOfRange."""
-    s = math.sin(0.5 * k_p * A_CELL)
+    s = math.sin(0.5 * k_p)
     if s == 0.0:
         raise AmplitudeOutOfRange(f"no pump amplitude gives a junction flux "
                                   f"at k_p = {k_p:.3g} rad/cell")
@@ -187,7 +187,7 @@ def _pump_fixed_point(cell: CellParams, omega_p: float,
     try:
         k = wavevector(Mode.Delta, omega_p, cell)
         for _ in range(200):
-            l_spm = spm_inductance(cell.l_j, epsilon_p, k * A_CELL)
+            l_spm = spm_inductance(cell.l_j, epsilon_p, k)
             k_new = wavevector(Mode.Delta, omega_p, cell, l_spm)
             if abs(k_new - k) < 1e-13:
                 return k_new

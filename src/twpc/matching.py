@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import A_CELL, CellParams
+from .device import CellParams
 from .dispersion import (Mode, cutoff, pump_wavevector, wavevector,
                          xpm_inductance)
 from .errors import NoSolutionInBand, NonConvergence, TwpcError
@@ -134,7 +134,7 @@ def _residual_fn(kind: ProcessKind, omega_p: float, k_p: float,
         def res(w):
             return (wavevector(Mode.Sigma, w, cell, l_eff)
                     + wavevector(Mode.Sigma, w + 2.0 * omega_p, cell, l_eff)
-                    + 2.0 * k_p - 2.0 * math.pi / A_CELL)
+                    + 2.0 * k_p - 2.0 * math.pi)
     return res
 
 
@@ -149,7 +149,7 @@ def solve_corrected(kind: ProcessKind, omega_p: float, epsilon_p: float,
     NoSolutionInBand when none.
     """
     k_p = pump_wavevector(cell, omega_p, epsilon_p)
-    l_eff = xpm_inductance(cell.l_j, epsilon_p, k_p * A_CELL) \
+    l_eff = xpm_inductance(cell.l_j, epsilon_p, k_p) \
         if epsilon_p > 0 else cell.l_j
     co_sigma = cutoff(Mode.Sigma, cell, l_eff)
 

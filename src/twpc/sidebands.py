@@ -18,8 +18,8 @@ channel is then solved in its port's sector, a sector no channel uses
 gets no band, and outputs in the other sector are exactly 0.  At zero
 pump the channels decouple and the n = 0 block reduces to the linear
 S-matrix.
-transmission_map solves one pump row of a map: one harmonic-balance orbit
-(from its describing-function start), then each probe on its band.
+transmission_map solves one pump row of a map around an orbit the caller
+has solved, each probe on its band, and returns complex amplitudes.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ import numpy as np
 from .device import PHI0_BAR
 from .dispersion import cutoff
 from .errors import SingularNetwork, TruncationWarning
-from .harmonic_balance import (Drive, HarmonicBasis, PumpSolution,
-                               incident_amplitude, pump_harmonic_balance)
-from .network import (PARITY, PORTS, ChainNetwork, _solve,
+from .harmonic_balance import PumpSolution
+from .network import (PARITY, PORTS, _solve,
                       add_channel_loads, channel_band, conversion_blocks,
                       parity_sector, port_impedances)
 
@@ -187,26 +186,16 @@ def signal_sidebands(pump: PumpSolution, omega_probe: float,
                             prop)
 
 
-def transmission_map(net: ChainNetwork, omega_p: float, probe_freqs,
-                     epsilon_p: float, pump_ports=(3,),
-                     basis: HarmonicBasis = HarmonicBasis(3),
-                     n_sidebands: int = 2):
-    """One pump row of the |S| map of the pumped line: Sigma-mode
-    transmission in dB versus probe frequency at pump frequency omega_p.
-
-    epsilon_p is the reduced amplitude of the pump launched from each of
-    pump_ports.  Returns (s_fw_dB, s_bw_dB, failures): arrays of shape
-    (len(probe_freqs),), forward = L to R and NaN where not solved, and a
-    list of (j, reason) for probe j that failed.  A pump with no orbit
-    (NonConvergence, or SingularNetwork from its band) raises.
-    """
-    drives = [Drive(p, omega_p, incident_amplitude(net, omega_p, p, epsilon_p))
-              for p in pump_ports]
+def transmission_map(pump: PumpSolution, probe_freqs, n_sidebands: int = 2):
+    """One pump row of a map: the Sigma-mode transmissions around the
+    solved orbit pump, on its line pump.net.  Returns (s_fw, s_bw,
+    failures): complex arrays of shape (len(probe_freqs),), forward = L to
+    R and NaN where not solved, and a list of (j, reason) for probe j that
+    failed; a non-finite pump band raises SingularNetwork."""
     lin = _PumpedLinearizer(  # Sigma-L and Sigma-R probe columns only
-        pump_harmonic_balance(net, drives, basis),
-        [(n_sidebands, 0), (n_sidebands, 2)], n_sidebands)
-    s_fw = np.full(len(probe_freqs), np.nan)
-    s_bw = np.full_like(s_fw, np.nan)
+        pump, [(n_sidebands, 0), (n_sidebands, 2)], n_sidebands)
+    s_fw = np.full(len(probe_freqs), np.nan, complex)
+    s_bw = s_fw.copy()
     failures = []
     z = lin.impedances(probe_freqs)
     for j, wpr in enumerate(probe_freqs):
@@ -215,6 +204,5 @@ def transmission_map(net: ChainNetwork, omega_p: float, probe_freqs,
         except SingularNetwork as exc:
             failures.append((j, str(exc)))
             continue
-        s_fw[j], s_bw[j] = (20.0 * math.log10(max(abs(x), 1e-300))
-                            for x in s[n_sidebands, [2, 0], [0, 1]])
+        s_fw[j], s_bw[j] = s[n_sidebands, [2, 0], [0, 1]]
     return s_fw, s_bw, failures

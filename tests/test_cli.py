@@ -102,11 +102,14 @@ def test_csv_writer_rejects_a_cell_that_is_no_number(tmp_path, row):
 
 @pytest.mark.parametrize("extra", [
     [(1.0, 2.0)], [(1.0, 2.0, 3.0, 4.0)], [()],
-    [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)]])     # 6 cells, as two full rows
+    [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)],     # 6 cells, as two full rows
+    np.ones((2, 4)), np.ones(3)])   # arrays: too wide, and 1-D
 def test_csv_writer_rejects_a_ragged_row(tmp_path, extra):
     runner = Runner(str(tmp_path), {}, 0)
+    rows = extra if isinstance(extra, np.ndarray) else \
+        _float_rows(0, 100) + extra
     with pytest.raises(ValueError):
-        runner.write_csv("t.csv", ["a", "b", "c"], _float_rows(0, 100) + extra)
+        runner.write_csv("t.csv", ["a", "b", "c"], rows)
 
 
 def _percent_cells(values):
@@ -320,6 +323,22 @@ def test_nld_sim_summary(tmp_path):
     assert summary["S_fw_dB"] < 0.1
     rows = np.genfromtxt(out / "sidebands.csv", delimiter=",", names=True)
     assert len(rows) == 4 * 3  # sidebands -1..1 at four ports
+
+
+def test_nld_sim_and_nld_map_agree_on_a_shared_cell(tmp_path):
+    """nld-sim and a one-cell nld-map solve the same pump orbit and probe
+    and write the same dB values, bit for bit."""
+    flux = ["--pump-flux", "0.05"]
+    sim = _run(["nld-sim", "--f-pump", "3", "--f-probe", "7.1", *flux],
+               tmp_path / "sim")
+    out = _run(["nld-map", "--pump-min", "3", "--pump-max", "3",
+                "--pump-points", "1", "--probe-min", "7.1", "--probe-max",
+                "7.1", "--probe-points", "1", *flux], tmp_path / "map")
+    summary = json.loads((sim / "scattering_summary.json").read_text())
+    cell = "%.12e,%.12e" % (summary["S_fw_dB"], summary["S_bw_dB"])
+    assert cell == "-5.998445063306e-03,-9.140549664441e-04"
+    row = (out / "transmission_map.csv").read_text().splitlines()[1]
+    assert row == "3.000000000000e+00,7.100000000000e+00," + cell
 
 
 @pytest.mark.parametrize("amp", [["--pump-flux", "0"], ["--pump-eps", "0"]])
@@ -621,6 +640,17 @@ def test_bad_grid_exit_code(tmp_path, capsys, argv):
     assert rc == 2 and err["violations"][0][0] == "grid"
 
 
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--points", "100000000000000000"],
+    ["nld-map", "--probe-points", "100000000000000000", "--pump-flux",
+     "0.05"]], ids=["dispersion", "nld-map"])
+def test_unallocatable_count_exit_code(tmp_path, capsys, argv):
+    # numpy refuses the 711 PiB grid, beyond any address space, before it
+    # allocates any of it (numpy names its error MemoryError)
+    rc, err = _error_report(capsys, argv, tmp_path)
+    assert rc == 3 and err["error"] == "MemoryError" and err["message"]
+
+
 def test_singular_network_exit_code(tmp_path, capsys, monkeypatch):
     # the single-frequency banded LU still serves isolate's defect
     # neighbourhood
@@ -888,14 +918,14 @@ def test_nld_map_blanks_a_pump_row_without_an_amplitude(tmp_path):
 def test_nld_map_blanks_a_pump_row_without_an_orbit(tmp_path, monkeypatch):
     """A pump whose harmonic balance does not converge leaves its row
     blank and is listed as a failed pump; the other rows are solved."""
-    solve = sidebands.pump_harmonic_balance
+    solve = cli.pump_harmonic_balance
 
     def stall_at_4_ghz(net, drives, basis):
         if drives[0].omega_p == 4 * GHZ:
             raise NonConvergence(12, 3.5e-4)
         return solve(net, drives, basis)
 
-    monkeypatch.setattr(sidebands, "pump_harmonic_balance", stall_at_4_ghz)
+    monkeypatch.setattr(cli, "pump_harmonic_balance", stall_at_4_ghz)
     spec = _spec_file(tmp_path, n_cells=20)
     out = _run(["nld-map", "--spec", str(spec), "--pump-min", "3",
                 "--pump-max", "4", "--pump-points", "2", "--probe-min", "5",

@@ -77,6 +77,9 @@ runs = [
     ["envelope", "--f-pump", "3", "--pump-flux", "0.05"],
     ["scatter", "--points", "3"],
     ["nld-sim", "--f-pump", "3", "--f-probe", "7.1", "--pump-flux", "0.05"],
+    ["nld-map", "--pump-points", "1", "--pump-flux", "0.05"],
+    ["dispersion"],
+    ["isolate", "--f-pump", "4.63", "--eps-points", "2"],
 ]
 for i, argv in enumerate(runs):
     assert main(argv + ["--out-dir", f"{sys.argv[1]}/{i}"]) == 0, argv

@@ -129,13 +129,20 @@ def test_outermost_sideband_warning(fitted_net):
         signal_sidebands(pump, pt.omega_s, n_sidebands=1)
 
 
+def _db(s):
+    """20 log10 |s| of map amplitudes."""
+    return 20 * np.log10(np.abs(s))
+
+
 def test_transmission_map_flat_without_pump(fitted_net):
     probes = np.array([5.0, 6.0, 7.0]) * GHZ
-    fw, bw, failures = transmission_map(fitted_net, 2.2 * GHZ, probes,
-                                        epsilon_p=1e-6)
+    w = 2.2 * GHZ
+    pump = pump_harmonic_balance(fitted_net, [Drive(
+        3, w, incident_amplitude(fitted_net, w, 3, 1e-6))], HarmonicBasis(3))
+    fw, bw, failures = transmission_map(pump, probes)
     assert not failures
-    np.testing.assert_allclose(fw, 0.0, atol=1e-3)
-    np.testing.assert_allclose(bw, 0.0, atol=1e-3)
+    np.testing.assert_allclose(_db(fw), 0.0, atol=1e-3)
+    np.testing.assert_allclose(_db(bw), 0.0, atol=1e-3)
 
 
 def test_transmission_map_shows_gap_and_records_failures(fitted_net):
@@ -145,9 +152,12 @@ def test_transmission_map_shows_gap_and_records_failures(fitted_net):
     pt = solve_corrected(ProcessKind.Circulation, w, eps,
                          fitted_net.cell)[0]
     probes = np.array([pt.omega_s, pt.omega_s + GHZ, 2 * w])
+    pump = pump_harmonic_balance(fitted_net, [Drive(
+        3, w, incident_amplitude(fitted_net, w, 3, eps))], HarmonicBasis(3))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        fw, bw, failures = transmission_map(fitted_net, w, probes, eps)
+        fw, bw, failures = transmission_map(pump, probes)
+    fw, bw = _db(fw), _db(bw)
     assert fw[0] < -10 and fw[1] > -1
     assert np.all(np.abs(bw[:2]) < 0.5)
     # the probe colliding with an even pump harmonic is a recorded failure
@@ -345,10 +355,10 @@ def test_transmission_map_cells_match_full_scattering(oracle_pumps, line,
     w = _probe(pump, eps, probe_ghz)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        fw, bw, failures = transmission_map(pump.net, pump.omega_p, [w],
-                                            eps, n_sidebands=n_sb)
+        fw, bw, failures = transmission_map(pump, [w], n_sidebands=n_sb)
         s0 = signal_sidebands(pump, w, n_sidebands=n_sb).s0()
     assert not failures
+    fw, bw = _db(fw), _db(bw)
     assert abs(fw[0] - 20 * math.log10(abs(s0[2, 0]))) <= 1e-12
     assert abs(bw[0] - 20 * math.log10(abs(s0[0, 2]))) <= 1e-12
 
@@ -373,12 +383,11 @@ def test_sideband_solves_take_only_the_columns_read(oracle_pumps,
     # the full sideband scattering
     for line, kl, full in (("fitted", 2 * nb - 1, [2 * nb] * 2),
                            ("disorder", 3 * nb - 1, [4 * nb])):
-        pump, eps = oracle_pumps[line]
+        pump, _ = oracle_pumps[line]
         calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            transmission_map(pump.net, pump.omega_p, probes, eps,
-                             n_sidebands=n_sb)
+            transmission_map(pump, probes, n_sidebands=n_sb)
             assert [shape[1] for k, shape in calls if k == kl] == [2] * 3
             calls.clear()
             signal_sidebands(pump, probes[0], n_sidebands=n_sb)
@@ -452,8 +461,7 @@ def test_map_builds_one_pump_band_per_row(tmp_path, monkeypatch, ports,
 def test_transmission_map_warns_on_truncation(oracle_pumps):
     pump, eps = oracle_pumps["fitted"]
     with pytest.warns(TruncationWarning):
-        transmission_map(pump.net, pump.omega_p,
-                         [_probe(pump, eps, "gap")], eps, n_sidebands=1)
+        transmission_map(pump, [_probe(pump, eps, "gap")], n_sidebands=1)
 
 
 def test_probes_rewrite_only_the_load_rows(pumped, oracle_pumps):
@@ -564,11 +572,10 @@ def test_map_row_takes_its_sideband_impedances_in_one_call(oracle_pumps,
         return port_impedances(net, omega)
 
     monkeypatch.setattr(sidebands, "port_impedances", recorder)
-    pump, eps = oracle_pumps["fitted"]
+    pump, _ = oracle_pumps["fitted"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        transmission_map(pump.net, pump.omega_p,
-                         np.array([6.5, 7.1, 9.0]) * GHZ, eps)
+        transmission_map(pump, np.array([6.5, 7.1, 9.0]) * GHZ)
     assert calls == [(3 * 5,)]      # 3 probes x 5 sidebands
 
 
