@@ -415,7 +415,7 @@ def cmd_nld_sim(args, runner):
         "harmonics": list(basis.orders),
         "iterations": pump.iterations,
         "residual": pump.residual,
-        "peak_junction_flux_quanta": pump.peak_junction_flux() / FLUX_Q,
+        "peak_junction_flux_quanta": pump.peak_junction_flux / FLUX_Q,
         "port_powers_W": powers.tolist(),
     })
     c = args.n_sidebands      # only the Sigma-L and Sigma-R probe columns

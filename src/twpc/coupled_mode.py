@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import WrongPropagationSigns
 from .matching import MatchPoint, ProcessKind
@@ -112,6 +111,7 @@ def _propagator(config: ProcessConfig, kappa: float, x) -> np.ndarray:
     In (u, v) = (eps_s, eps_i e^{-i kappa x}) the system is
     constant-coefficient:  u' = i c_i v,  v' = i c_s u - i kappa v.
     """
+    from scipy.linalg import expm  # loaded at first use
     c_i, c_s = _couplings(config)
     a = np.array([[0.0, 1j * c_i], [1j * c_s, -1j * kappa]])
     return expm(np.multiply.outer(x, a))

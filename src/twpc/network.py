@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from .device import PHI0_BAR, CellParams, DerivedConstants, LineSpec, \
     derive_constants, sample_disorder
@@ -301,11 +300,12 @@ def _solve(ab, b, check_finite=True):
     the check for non-finite entries of ab and b to the caller, as the
     sideband probes do (see sidebands._PumpedLinearizer): LAPACK may
     return a finite, wrong solution for a band that holds an inf."""
+    from scipy.linalg import solve_banded  # loaded at first use
     kl = (ab.shape[0] - 1) // 2
     try:
         x = solve_banded((kl, kl), ab, b, overwrite_ab=False,
                          check_finite=check_finite)
-    except (LinAlgError, ValueError) as exc:   # singular or non-finite
+    except (np.linalg.LinAlgError, ValueError) as exc:  # singular, non-finite
         raise SingularNetwork(str(exc))
     if not np.isfinite(x).all():
         raise SingularNetwork("non-finite nodal solution")

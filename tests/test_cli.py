@@ -656,7 +656,7 @@ def test_singular_network_exit_code(tmp_path, capsys, monkeypatch):
     # neighbourhood
     def singular(*args, **kwargs):
         raise LinAlgError("singular matrix")
-    monkeypatch.setattr(network, "solve_banded", singular)
+    monkeypatch.setattr("scipy.linalg.solve_banded", singular)
     spec = _spec_file(tmp_path, defects=((165, "open_junction"),))
     rc, err = _error_report(capsys, ["isolate", "--spec", str(spec),
                                      "--f-pump", "4.63", "--eps-points", "1"],
@@ -689,7 +689,7 @@ def test_scatter_solves_in_one_sweep(tmp_path, monkeypatch):
         impedances.append(np.shape(omega))
         return port_impedances(net, omega)
 
-    monkeypatch.setattr(network, "solve_banded",
+    monkeypatch.setattr("scipy.linalg.solve_banded",
                         lambda *args, **kwargs: lu_calls.append(args))
     monkeypatch.setattr(network, "scattering_sweep", recorder)
     monkeypatch.setattr(network, "port_impedances", z_recorder)

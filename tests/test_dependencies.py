@@ -1,7 +1,8 @@
 """The package imports nothing but the standard library, numpy and scipy,
 the two runtime dependencies pyproject.toml declares, no module of the
 package or its tests imports a name it never uses, and the CLI runs
-without importing scipy.optimize, scipy.sparse or scipy.special."""
+without importing scipy.optimize, scipy.sparse or scipy.special, and its
+commands that solve no banded system without scipy.linalg."""
 
 import ast
 import os
@@ -99,3 +100,42 @@ def test_cli_runs_without_scipy_optimize_sparse_or_special(tmp_path):
     out = subprocess.run([sys.executable, "-c", _CLI_RUNS, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_DESIGN_RUNS = """
+import sys
+out = sys.argv[1]
+import twpc.cli
+loaded = ["scipy.linalg" in sys.modules]
+runs = [
+    ["dispersion"],
+    ["phase-match", "--process", "Ci", "--f-pump", "3", "--pump-flux", "0.06"],
+    ["gaps-map"],
+    ["envelope", "--f-pump", "3", "--pump-flux", "0.05"],
+    ["isolate", "--f-pump", "4.63", "--eps-points", "2"],
+    ["scatter", "--points", "16"],
+    ["tdr", "--input", f"{out}/5/sweep.s4p"],
+    ["reproduce-fig", "2"],
+    ["reproduce-fig", "S4"],
+]
+for i, argv in enumerate(runs):
+    assert twpc.cli.main(argv + ["--out-dir", f"{out}/{i}"]) == 0, argv
+    loaded.append("scipy.linalg" in sys.modules)
+assert twpc.cli.main(["nld-sim", "--f-pump", "3", "--f-probe", "7.1",
+                      "--pump-flux", "0.05", "--out-dir", f"{out}/sim"]) == 0
+loaded.append("scipy.linalg" in sys.modules)
+print(loaded)
+"""
+
+
+def test_design_commands_run_without_scipy_linalg(tmp_path):
+    """scipy.linalg is most of a command's start-up (import twpc.cli
+    loads 556 modules with it, 238 without), and only banded solves
+    (network._solve) and envelope sections (coupled_mode._propagator)
+    need it: importing the CLI, the design commands, isolate on the
+    defect-free line, scatter, tdr and figures 2 and S4 leave it
+    unloaded, and the first nld-sim loads it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _DESIGN_RUNS, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str([False] * 10 + [True])

@@ -376,7 +376,7 @@ def test_sideband_solves_take_only_the_columns_read(oracle_pumps,
         calls.append((l_and_u[0], np.shape(b)))
         return solve_banded(l_and_u, ab, b, *args, **kwargs)
 
-    monkeypatch.setattr(network, "solve_banded", recorder)
+    monkeypatch.setattr("scipy.linalg.solve_banded", recorder)
     nb = 2 * n_sb + 1
     probes = np.array([6.5, 7.1, 9.0]) * GHZ
     # the sideband band's kl (HB's is 17) and the columns of each solve of
@@ -409,7 +409,7 @@ def test_sector_band_only_where_electrodes_swap(oracle_pumps, fitted_net,
         shapes.append(np.shape(ab))
         return solve_banded(l_and_u, ab, b, *args, **kwargs)
 
-    monkeypatch.setattr(network, "solve_banded", recorder)
+    monkeypatch.setattr("scipy.linalg.solve_banded", recorder)
     nb, n = 5, fitted_net.n_cells + 1
     sector, node = (4 * nb - 1, nb * n), (6 * nb - 1, 2 * nb * n)
     l_table = fitted_net.l_table.copy()

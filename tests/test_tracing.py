@@ -2,11 +2,14 @@
 small scatter read back by tdr.
 
 perfbench/tracing.py charges every LU metric to scipy's solve_banded, so
-the solvers must keep reaching LAPACK through it; this pins the counts and
-fills a one-pump nld-map reports.  The tracer wraps only plain public
-functions, so a layer function hidden behind a decorator reads as absent;
-the gap map pins the matching and dispersion call counts, and the scatter
-and tdr pair keeps the Touchstone metrics non-zero.
+the solvers must keep reaching LAPACK through it: network._solve reads it
+from the scipy.linalg module each time it runs, where Tracer.install
+patches it, so the first banded solve, not import twpc.cli, loads
+scipy.linalg.  This pins the counts and fills a one-pump nld-map reports.
+The tracer wraps only plain public functions, so a layer function hidden
+behind a decorator reads as absent; the gap map pins the matching and
+dispersion call counts, and the scatter and tdr pair keeps the Touchstone
+metrics non-zero.
 """
 
 from pathlib import Path
