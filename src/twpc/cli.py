@@ -194,10 +194,7 @@ class Runner:
 def _load_spec(args, *unmodelled) -> device.LineSpec:
     """The --spec line, re-seeded by --seed; each field in unmodelled, which
     the command's model would silently drop, must be unset."""
-    if args.spec:
-        spec = device.load_spec(args.spec)
-    else:
-        spec = device.fitted_line()
+    spec = device.load_spec(args.spec) if args.spec else device.fitted_line()
     if args.seed is not None:
         spec = device.LineSpec(spec.cell, spec.n_cells, spec.defects,
                                spec.disorder_halfwidth, args.seed)
@@ -336,21 +333,13 @@ def cmd_envelope(args, runner):
     })
 
 
-def _local_defect_smatrix(spec):
-    """Scattering of the defect neighbourhood alone, cached per omega: a
-    41-cell sub-chain with the defect at its center and image-matched
-    ports."""
-    sub = device.LineSpec(spec.cell, 41, ((20, "open_junction"),), 0.0,
-                          spec.seed)
-    return functools.cache(functools.partial(network.linear_scattering,
-                                             network.build_chain(sub)))
-
-
 def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
     """Forward/backward attenuation (dB) of the circulation process vs
-    pump amplitude, with optional defect and pump scattering."""
+    pump amplitude, with optional defect and pump scattering.  The defect
+    scatters as a 41-cell sub-chain centred on it, with image-matched ports."""
     if defect_cell is not None:
-        sm = _local_defect_smatrix(spec)
+        sub = network.build_chain(device.LineSpec(
+            spec.cell, 41, ((20, "open_junction"),), 0.0, spec.seed))
     rows = []
     for eps in amplitudes:
         pt = matching.solve_corrected(ProcessKind.Circulation, omega_p,
@@ -360,8 +349,9 @@ def _isolation_curves(spec, omega_p, amplitudes, defect_cell):
             fw = coupled_mode.solve_uniform(cfg).total_attenuation
             bw = 1.0
         else:
-            fw, bw = coupled_mode.solve_with_defect(cfg, float(defect_cell),
-                                                    sm)
+            s = network.scattering_sweep(
+                sub, [omega_p, pt.omega_s, pt.omega_i])
+            fw, bw = coupled_mode.solve_with_defect(cfg, float(defect_cell), s)
         rows.append((eps, _db(fw), _db(bw)))
     return rows
 
@@ -467,7 +457,7 @@ def cmd_tdr(args, runner):
            ("offset_ns", "offset (ns)", math.isfinite),
            ("beta", "Kaiser beta >= 0", lambda b: 0 <= b < math.inf))
     try:
-        if args.input.endswith(".s4p"):
+        if args.input.lower().endswith(".s4p"):
             f, trace, _ = touchstone.read_touchstone(
                 args.input, entry=(args.port, args.port))
         else:
@@ -476,7 +466,8 @@ def cmd_tdr(args, runner):
             f = data["f_Hz"]
             trace = data["s_re"] + 1j * data["s_im"]
     except (ValueError, ConfigError) as exc:    # also a malformed .s4p
-        raise ConfigError([("input", f"unreadable sweep: {exc}")])
+        head = "\n".join(str(exc).splitlines()[:2])  # numpy lists all bad rows
+        raise ConfigError([("input", f"unreadable sweep: {head}")])
     if not (np.isfinite(f).all() and np.isfinite(trace).all()):
         raise ConfigError([("input", "non-finite frequency or S value")])
     sweep = tdr.FrequencySweep(f, trace)

@@ -22,8 +22,9 @@ For the tunable-coupling process (one photon absorbed from each of two
 counterpropagating pumps) the substitution eps_P^2 -> 2 eps_P,bw eps_P,fw*
 applies, doubling alpha at equal amplitudes.
 
-Every sectioned or detuned solve goes through one 2x2 propagator, expm(A x)
-of the constant-coefficient form, and sections chain as transfer matrices.
+Every sectioned or detuned solve goes through one closed-form 2x2 propagator,
+exp(A x), and sections chain as transfer matrices; a defect joins two through
+its S-matrices at the pump, signal and idler, which the caller computes.
 """
 
 from __future__ import annotations
@@ -106,15 +107,20 @@ def _couplings(config: ProcessConfig):
 
 
 def _propagator(config: ProcessConfig, kappa: float, x) -> np.ndarray:
-    """expm(A x) over the widths x (a scalar or a 1-D batch).
+    """exp(A x) over the widths x (a scalar or a 1-D batch).
 
     In (u, v) = (eps_s, eps_i e^{-i kappa x}) the system is
-    constant-coefficient:  u' = i c_i v,  v' = i c_s u - i kappa v.
+    constant-coefficient:  u' = i c_i v,  v' = i c_s u - i kappa v.  As
+    B = A + (i kappa/2) I squares to s^2 I, s^2 = -c_i c_s - kappa^2/4,
+    exp(A x) = e^{-i kappa x/2} (cosh(s x) I + sinh(s x)/s B) (Putzer), with
+    x for sinh(s x)/s at s = 0 (no pump, or the gap edge |kappa| = 2 alpha).
     """
-    from scipy.linalg import expm  # loaded at first use
     c_i, c_s = _couplings(config)
-    a = np.array([[0.0, 1j * c_i], [1j * c_s, -1j * kappa]])
-    return expm(np.multiply.outer(x, a))
+    b = np.array([[0.5j * kappa, 1j * c_i], [1j * c_s, -0.5j * kappa]])
+    s = np.sqrt(complex(-c_i * c_s - 0.25 * kappa ** 2))
+    x = np.asarray(x, float)[..., None, None]
+    sh = np.sinh(s * x) / s if s else x
+    return np.exp(-0.5j * kappa * x) * (np.cosh(s * x) * np.eye(2) + sh * b)
 
 
 def solve_uniform(config: ProcessConfig) -> EnvelopeSolution:
@@ -152,16 +158,16 @@ def solve_detuned(config: ProcessConfig, kappa: float) -> EnvelopeSolution:
 
 
 def solve_with_defect(config: ProcessConfig, x_defect: float,
-                      defect_smatrix) -> tuple[complex, complex]:
+                      s_defect) -> tuple[complex, complex]:
     """Total signal attenuation across a line with a defect at x_defect
     (cells from the left end), which splits it into two sections.
 
-    defect_smatrix(omega) must return the 4x4 linear scattering matrix of
-    the defect region with ports (Sigma-L, Delta-L, Sigma-R, Delta-R).  The
-    pump is config.pump_bw, launched from Delta-R: the defect transmits
-    |S[1, 3]| of it into the left section and reflects |S[3, 3]| into the
-    right one as a forward pump.  The envelopes couple through the
-    Sigma-Sigma transmission sub-block at the signal and idler
+    s_defect is the (3, 4, 4) linear scattering of the defect region at
+    (omega_p, omega_s, omega_i), with ports (Sigma-L, Delta-L, Sigma-R,
+    Delta-R).  The pump is config.pump_bw, launched from Delta-R: the
+    defect transmits |S_p[1, 3]| of it into the left section and reflects
+    |S_p[3, 3]| into the right one as a forward pump.  The envelopes couple
+    through the Sigma-Sigma transmission sub-block at the signal and idler
     frequencies; power scattered into reflection or the Delta mode is
     treated as loss.  Returns (forward, backward) complex amplitude
     transmission ratios.  Raises ValueError for a nonzero pump_fw or a
@@ -173,25 +179,20 @@ def solve_with_defect(config: ProcessConfig, x_defect: float,
                          "launched from Delta-R; pump_fw must be 0")
     if not 0.0 <= x_defect <= L:
         raise ValueError(f"defect at x = {x_defect} lies outside [0, {L}]")
-    s_p = np.asarray(defect_smatrix(config.match.omega_p))
-    eps, t_p, r_p = config.pump_bw, abs(s_p[1, 3]), abs(s_p[3, 3])
+    S_p, S_s, S_i = s_defect
+    eps, t_p, r_p = config.pump_bw, abs(S_p[1, 3]), abs(S_p[3, 3])
     # sections as (width, pump_fw, pump_bw)
     fwd = _defect_oneway(config, ((x_defect, 0.0, t_p * eps),
-                                  (L - x_defect, r_p * eps, eps)),
-                         defect_smatrix)
+                                  (L - x_defect, r_p * eps, eps)), S_s, S_i)
     # backward probe: mirror the coordinate; pumps swap direction, and the
     # defect transmissions are taken in the opposite direction
-    x_mirror = L - x_defect
-    bwd = _defect_oneway(config, ((x_mirror, eps, r_p * eps),
-                                  (L - x_mirror, t_p * eps, 0.0)),
-                         defect_smatrix, reverse=True)
+    bwd = _defect_oneway(config, ((L - x_defect, eps, r_p * eps),
+                                  (x_defect, t_p * eps, 0.0)), S_s, S_i, True)
     return fwd, bwd
 
 
-def _defect_oneway(config, sections, defect_smatrix, reverse=False):
+def _defect_oneway(config, sections, S_s, S_i, reverse=False):
     """u(L)/u(0) across two phase-matched sections joined by the defect."""
-    S_s = np.asarray(defect_smatrix(config.match.omega_s))
-    S_i = np.asarray(defect_smatrix(config.match.omega_i))
     i, o = (2, 0) if reverse else (0, 2)    # the signal's in, out ports
     t_s, t_i = S_s[o, i], S_i[i, o]
     # The signal transmits L->R and the idler R->L, so the line's transfer

@@ -522,6 +522,25 @@ def test_tdr_pipeline_roundtrip(tmp_path):
     assert abs(peaks["cell"] - 165) < 28 + peaks["uncertainty_cells"]
 
 
+def test_tdr_reads_upper_case_s4p_and_caps_csv_errors(tmp_path, capsys):
+    """VNA exports often name a Touchstone file .S4P: tdr reads it as it
+    reads .s4p.  A malformed CSV is reported by the first two lines of
+    numpy's message, not by one line per bad row."""
+    s4p = _run(["scatter", "--points", "64"], tmp_path / "sw") / "sweep.s4p"
+    for name in ("SWEEP.S4P", "sweep.csv"):
+        (tmp_path / name).write_bytes(s4p.read_bytes())
+    lower, upper = ((_run(["tdr", "--input", str(path)], tmp_path / out)
+                     / "peaks.json").read_bytes()
+                    for path, out in ((s4p, "lo"), (tmp_path / "SWEEP.S4P",
+                                                    "up")))
+    assert upper == lower
+    rc, err = _error_report(capsys, ["tdr", "--input",
+                                     str(tmp_path / "sweep.csv")], tmp_path)
+    assert rc == 2 and err["error"] == "ConfigError"
+    ((field, message),) = err["violations"]
+    assert field == "input" and len(message) < 300
+
+
 def test_outputs_byte_identical_between_runs(tmp_path):
     args = ["nld-sim", "--f-pump", "3", "--f-probe", "7.1",
             "--pump-flux", "0.05", "--harmonics", "2", "--n-sidebands", "1"]
@@ -652,26 +671,28 @@ def test_unallocatable_count_exit_code(tmp_path, capsys, argv):
 
 
 def test_singular_network_exit_code(tmp_path, capsys, monkeypatch):
-    # the single-frequency banded LU still serves isolate's defect
-    # neighbourhood
+    # the single-frequency banded LU still serves figure S6's drive
+    # profiles, the one unpumped command that factors a band
     def singular(*args, **kwargs):
         raise LinAlgError("singular matrix")
     monkeypatch.setattr("scipy.linalg.solve_banded", singular)
-    spec = _spec_file(tmp_path, defects=((165, "open_junction"),))
-    rc, err = _error_report(capsys, ["isolate", "--spec", str(spec),
-                                     "--f-pump", "4.63", "--eps-points", "1"],
-                            tmp_path)
+    rc, err = _error_report(capsys, ["reproduce-fig", "S6"], tmp_path)
     assert rc == 3 and err["error"] == "SingularNetwork"
 
 
 @pytest.mark.parametrize("z", [0.0, math.nan], ids=["zero", "nan"])
 def test_singular_sweep_exit_code(tmp_path, capsys, monkeypatch, z):
-    # infinite or NaN port loads leave the swept S non-finite
+    # infinite or NaN port loads leave the swept S non-finite: scatter's
+    # grid, and the defect neighbourhood whose S isolate sweeps
     monkeypatch.setattr(network, "port_impedances",
                         lambda net, omega: np.full(np.shape(omega) + (4,),
                                                    z))
-    rc, err = _error_report(capsys, ["scatter", "--points", "3"], tmp_path)
-    assert rc == 3 and err["error"] == "SingularNetwork"
+    spec = _spec_file(tmp_path, defects=((165, "open_junction"),))
+    for argv in (["scatter", "--points", "3"],
+                 ["isolate", "--spec", str(spec), "--f-pump", "4.63",
+                  "--eps-points", "1"]):
+        rc, err = _error_report(capsys, argv, tmp_path)
+        assert rc == 3 and err["error"] == "SingularNetwork", argv
 
 
 def test_scatter_solves_in_one_sweep(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from twpc import coupled_mode, device
 from twpc.coupled_mode import (ProcessConfig, attenuation_constant,
@@ -56,10 +57,10 @@ def test_defect_solve_rejects_forward_pump_and_outside_defect():
     its defect must lie on the line."""
     with pytest.raises(ValueError, match="pump_fw"):
         solve_with_defect(_config(eps=0.1, pump_fw=0.1), 165.0,
-                          _identity_smatrix)
+                          _IDENTITY_S)
     for x in (-1.0, 401.0, math.nan):
         with pytest.raises(ValueError, match="outside"):
-            solve_with_defect(_config(eps=0.1), x, _identity_smatrix)
+            solve_with_defect(_config(eps=0.1), x, _IDENTITY_S)
 
 
 def test_attenuation_constant_formula():
@@ -190,6 +191,31 @@ def test_detuned_meets_far_boundary_condition_across_gap_edge():
         assert abs(sol.eps_i[-1]) <= 1e-12 * np.max(np.abs(sol.eps_i))
 
 
+def _assert_matches_expm(cfg, kappa, widths):
+    c_i, c_s = coupled_mode._couplings(cfg)
+    a = np.array([[0.0, 1j * c_i], [1j * c_s, -1j * kappa]])
+    ref = np.array([expm(a * w) for w in widths])
+    err = np.abs(coupled_mode._propagator(cfg, kappa, widths) - ref)
+    assert np.all(err.max(axis=(1, 2))
+                  <= 1e-13 * np.abs(ref).max(axis=(1, 2))), kappa
+
+
+@pytest.mark.parametrize("f_p, eps", [(3.0, 0.2), (4.63, 0.42)])
+def test_propagator_matches_expm(f_p, eps):
+    """The closed-form exp(A x) against scipy's Pade expm under a complex
+    pump, over widths of both signs: inside the gap, at its edge
+    |kappa| = 2 alpha (where A is defective) and outside it; and with no
+    pump, where s = 0."""
+    pt = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps,
+                         device.fitted_cell())[0]
+    cfg = ProcessConfig(pt, 400.0, pump_bw=eps * np.exp(0.3j))
+    alpha = attenuation_constant(cfg)
+    widths = np.linspace(-400.0, 400.0, 81)
+    for ratio in (0.0, 0.5, -0.5, 2.0, 8.0):
+        _assert_matches_expm(cfg, ratio * alpha, widths)
+    _assert_matches_expm(dataclasses.replace(cfg, pump_bw=0.0), 0.0, widths)
+
+
 def test_bandwidth_estimate_scaling():
     pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, 0.1,
                          device.fitted_cell())[0]
@@ -201,10 +227,17 @@ def test_bandwidth_estimate_scaling():
         rel=1e-12)
 
 
-def _identity_smatrix(_omega):
-    s = np.zeros((4, 4), complex)
-    s[0, 2] = s[2, 0] = s[1, 3] = s[3, 1] = 1.0
+def _smatrices(entries):
+    """One 4x4 S at the pump, signal and idler, as solve_with_defect takes
+    them, (3, 4, 4): the {(row, column): value} entries, zeros elsewhere."""
+    s = np.zeros((3, 4, 4), complex)
+    for (row, col), value in entries.items():
+        s[:, row, col] = value
     return s
+
+
+_IDENTITY_S = _smatrices({(0, 2): 1.0, (2, 0): 1.0, (1, 3): 1.0,
+                          (3, 1): 1.0})
 
 
 def test_transparent_defect_recovers_uniform():
@@ -214,7 +247,7 @@ def test_transparent_defect_recovers_uniform():
         pt = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps,
                              device.fitted_cell())[0]
         cfg = ProcessConfig(pt, 400.0, pump_bw=eps)
-        fw, bw = solve_with_defect(cfg, 165.0, _identity_smatrix)
+        fw, bw = solve_with_defect(cfg, 165.0, _IDENTITY_S)
         ref = solve_uniform(cfg)
         assert abs(fw) == pytest.approx(abs(ref.total_attenuation),
                                         rel=1e-12, abs=0.0)
@@ -229,12 +262,7 @@ def test_idler_blocking_defect_splits_line(f_p, eps):
     idler decouples the sections: each is a uniform line whose idler
     vanishes at the junction, so the total is t_s U(x_d) U(L - x_d)."""
     t_s = 0.6 * np.exp(0.3j)
-
-    def smatrix(_omega):
-        s = np.zeros((4, 4), complex)
-        s[2, 0], s[1, 3] = t_s, 1.0
-        return s
-
+    smatrix = _smatrices({(2, 0): t_s, (1, 3): 1.0})
     pt = solve_corrected(ProcessKind.Circulation, f_p * GHZ, eps,
                          device.fitted_cell())[0]
     x_d, length = 165.0, 400.0
@@ -252,15 +280,10 @@ def test_defect_sections_chain_in_order():
     junction conditions u -> t_s u and v_left = t_i v_right, and pick v(0)
     so that v(L) = 0."""
     t_s, t_i = 0.8 * np.exp(0.2j), 0.7 * np.exp(-0.4j)
-
-    def smatrix(_omega):
-        s = np.zeros((4, 4), complex)
-        s[2, 0], s[0, 2] = t_s, t_i
-        return s
-
+    _, S_s, S_i = _smatrices({(2, 0): t_s, (0, 2): t_i})
     cfg = _config(eps=0.1)
     sections = ((165.0, 0.0, 0.1), (235.0, 0.0, 0.1 * np.exp(0.5j)))
-    got = coupled_mode._defect_oneway(cfg, sections, smatrix)
+    got = coupled_mode._defect_oneway(cfg, sections, S_s, S_i)
     m1, m2 = (_rk_transfer(dataclasses.replace(cfg, pump_bw=bw), w)
               for w, _, bw in sections)
     a, b = (m2 @ np.diag([t_s, 1 / t_i]) @ m1 @ [1.0, v0] for v0 in (0, 1))
@@ -273,8 +296,7 @@ def test_opaque_defect_blocks_signal():
     pt = solve_corrected(ProcessKind.Circulation, 3 * GHZ, eps,
                          device.fitted_cell())[0]
     cfg = ProcessConfig(pt, 400.0, pump_bw=eps)
-    fw, _ = solve_with_defect(cfg, 165.0,
-                              lambda w: np.zeros((4, 4), complex))
+    fw, _ = solve_with_defect(cfg, 165.0, np.zeros((3, 4, 4), complex))
     assert abs(fw) < 1e-12
 
 

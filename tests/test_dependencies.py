@@ -103,9 +103,14 @@ def test_cli_runs_without_scipy_optimize_sparse_or_special(tmp_path):
 
 
 _DESIGN_RUNS = """
-import sys
+import json, sys
 out = sys.argv[1]
 import twpc.cli
+from twpc import device
+spec = f"{out}/defect.json"
+with open(spec, "w") as fh:
+    json.dump(device.spec_to_json(device.fitted_line(
+        defects=((165, "open_junction"),))), fh)
 loaded = ["scipy.linalg" in sys.modules]
 runs = [
     ["dispersion"],
@@ -113,9 +118,11 @@ runs = [
     ["gaps-map"],
     ["envelope", "--f-pump", "3", "--pump-flux", "0.05"],
     ["isolate", "--f-pump", "4.63", "--eps-points", "2"],
+    ["isolate", "--spec", spec, "--f-pump", "4.63", "--eps-points", "2"],
     ["scatter", "--points", "16"],
-    ["tdr", "--input", f"{out}/5/sweep.s4p"],
+    ["tdr", "--input", f"{out}/6/sweep.s4p"],
     ["reproduce-fig", "2"],
+    ["reproduce-fig", "3b"],
     ["reproduce-fig", "S4"],
 ]
 for i, argv in enumerate(runs):
@@ -131,11 +138,12 @@ print(loaded)
 def test_design_commands_run_without_scipy_linalg(tmp_path):
     """scipy.linalg is most of a command's start-up (import twpc.cli
     loads 556 modules with it, 238 without), and only banded solves
-    (network._solve) and envelope sections (coupled_mode._propagator)
-    need it: importing the CLI, the design commands, isolate on the
-    defect-free line, scatter, tdr and figures 2 and S4 leave it
-    unloaded, and the first nld-sim loads it."""
+    (network._solve) need it: importing the CLI, the design commands,
+    isolate on the defect-free line and on an open junction at cell 165
+    (whose S-matrices come from scattering_sweep), scatter, tdr and
+    figures 2, 3b and S4 leave it unloaded, and the first nld-sim loads
+    it."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", _DESIGN_RUNS, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == str([False] * 10 + [True])
+    assert out.stdout.strip() == str([False] * 12 + [True])

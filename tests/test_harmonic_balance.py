@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from twpc import harmonic_balance, network
+from twpc import device, harmonic_balance, network
 from twpc.device import PHI0_BAR
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.errors import NonConvergence, TruncationWarning
@@ -151,6 +151,53 @@ def test_lossless_line_conserves_pump_power(fitted_net, f_ghz):
                                 HarmonicBasis(3))
     p = pump_harmonics_at_ports(sol)
     assert abs(p.sum() - a ** 2) <= 1e-10 * a ** 2
+
+
+def _power_imbalance(sol, drives):
+    """|outgoing - incident| / incident power of an orbit, incident power
+    being the sum of |a_d|^2 over drives."""
+    incident = sum(d.amplitude ** 2 for d in drives)
+    return abs(pump_harmonics_at_ports(sol).sum() - incident) / incident
+
+
+# (f GHz, flux quanta, ports): Delta-R, a strong Delta-R, the coupler's
+# two Delta ports and Sigma-L
+_BALANCE_DRIVES = [(3.0, 0.05, (3,)), (4.0, 0.08, (3,)),
+                   (3.5, 0.03, (1, 3)), (2.5, 0.05, (0,))]
+
+
+@pytest.fixture(scope="module")
+def short_net():
+    return network.build_chain(device.fitted_line(20))
+
+
+@pytest.fixture(scope="module")
+def disorder2_net():
+    return network.build_chain(device.fitted_line(disorder_halfwidth=0.02,
+                                                  seed=3))
+
+
+@pytest.mark.parametrize("line", ["short", "fitted", "defect", "disorder2"])
+def test_pump_power_balance(request, line):
+    """On a lossless line every orbit sends out, over all ports and
+    harmonics, the power its drives send in: the fitted 20- and 400-cell
+    lines, the open junction at cell 165 and 2 % disorder."""
+    net = request.getfixturevalue(f"{line}_net")
+    for f_ghz, flux, ports in _BALANCE_DRIVES:
+        drives = _flux_drives(net, f_ghz, flux, ports)
+        sol = pump_harmonic_balance(net, drives, HarmonicBasis(3))
+        assert _power_imbalance(sol, drives) <= 1e-9, (f_ghz, ports)
+
+
+def test_pump_power_balance_sees_a_one_percent_source_error(short_net):
+    """Drives 1 % stronger than the incident power booked for them break
+    the balance by about 2 %, far past its 1e-9 bound."""
+    for f_ghz, flux, ports in _BALANCE_DRIVES:
+        drives = _flux_drives(short_net, f_ghz, flux, ports)
+        sol = pump_harmonic_balance(short_net, [
+            dataclasses.replace(d, amplitude=1.01 * d.amplitude)
+            for d in drives], HarmonicBasis(3))
+        assert _power_imbalance(sol, drives) > 1e-2
 
 
 def _band_csr(ab):
