@@ -52,6 +52,15 @@ def _runs(work: Path):
     yield "nld-sim", sim + ["3"]
     # harmonic balance stalls near a third-harmonic resonance: exit 3
     yield "nld-sim-stall", sim + ["3.025064555251"]
+    # pumps on two ports: the coupler (both Delta ports), as a point and a
+    # small map, and a mixed Sigma + Delta pump off the parity sectors
+    coupler = ["--pump-flux", "0.03", "--pump-ports", "1", "3"]
+    yield "nld-sim-coupler", ["nld-sim", "--f-pump", "3.5", "--f-probe",
+                              "6.54", *coupler]
+    yield "nld-map-coupler", ["nld-map", "--pump-points", "2",
+                              "--probe-points", "9", *coupler]
+    yield "nld-sim-mixed", ["nld-sim", "--f-pump", "2.5", "--f-probe", "7.1",
+                            "--pump-flux", "0.05", "--pump-ports", "0", "3"]
     yield "gaps-map", ["gaps-map", "--pump-flux", "0.12"]
     yield "dispersion", ["dispersion"]
     yield "envelope", ["envelope", "--process", "Ci", "--f-pump", "3",
