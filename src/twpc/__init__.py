@@ -13,9 +13,8 @@ from .coupled_mode import (EnvelopeSolution, ProcessConfig,
                            solve_detuned, solve_uniform, solve_with_defect)
 from .network import (ChainNetwork, bloch_impedance, build_chain,
                       linear_scattering, wave_amplitude_profile)
-from .harmonic_balance import (Drive, HarmonicBasis, PumpSolution,
-                               incident_amplitude, pump_harmonic_balance,
-                               pump_harmonics_at_ports)
+from .harmonic_balance import (HarmonicBasis, PumpSolution, incident_amplitude,
+                               pump_harmonic_balance, pump_harmonics_at_ports)
 from .sidebands import SignalScattering, signal_sidebands, transmission_map
 from .tdr import (DefectEstimate, FrequencySweep, ImpulseResponse,
                   impulse_response, locate_defect)

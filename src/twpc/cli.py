@@ -26,15 +26,14 @@ import numpy as np
 
 from . import __version__, coupled_mode, device, dispersion, matching, \
     network, sidebands, tdr, touchstone
-from .device import PHI0_BAR
+from .device import FLUX_Q
 from .dispersion import Mode
 from .errors import ConfigError, NonConvergence, TwpcError
-from .harmonic_balance import Drive, HarmonicBasis, incident_amplitude, \
-    pump_harmonic_balance, pump_harmonics_at_ports
+from .harmonic_balance import HarmonicBasis, pump_harmonic_balance, \
+    pump_harmonics_at_ports
 from .matching import ProcessKind
 
 GHZ = 2e9 * math.pi
-FLUX_Q = 2 * math.pi * PHI0_BAR
 
 #: requirement and test of an amplitude flag (see _check)
 _AMPLITUDE = ("amplitude >= 0", lambda x: 0 <= x < math.inf)
@@ -383,13 +382,6 @@ def cmd_scatter(args, runner):
                                 freqs / (2 * math.pi), s, z)
 
 
-def _pump(net, omega_p, eps, ports, basis):
-    """The orbit of a pump of reduced amplitude eps from each of ports."""
-    return pump_harmonic_balance(net, [
-        Drive(p, omega_p, incident_amplitude(net, omega_p, p, eps))
-        for p in ports], basis)
-
-
 def cmd_nld_sim(args, runner):
     spec = _load_spec(args)
     ports = _pump_ports(args)
@@ -397,7 +389,7 @@ def cmd_nld_sim(args, runner):
     omega_p, omega_s = _omega(args), _omega(args, "f_probe")
     eps = _pump_amplitude(args, spec.cell)(omega_p)
     basis = HarmonicBasis(args.harmonics)
-    pump = _pump(net, omega_p, eps, ports, basis)
+    pump = pump_harmonic_balance(net, omega_p, eps, ports, basis)
     powers = pump_harmonics_at_ports(pump)
     runner.write_json("pump_solution.json", {
         "f_pump_GHz": args.f_pump,
@@ -437,7 +429,8 @@ def cmd_nld_map(args, runner):
     for wp in pump:     # --threads is accepted, the rows run serially
         try:
             fw, bw, failures = sidebands.transmission_map(
-                _pump(net, wp, eps(wp), ports, basis), probe, args.n_sidebands)
+                pump_harmonic_balance(net, wp, eps(wp), ports, basis), probe,
+                args.n_sidebands)
         except TwpcError as exc:    # no pump amplitude, orbit or band
             fw = bw = np.full(len(probe), np.nan)
             failures = [(None, str(exc))]
@@ -453,9 +446,11 @@ def cmd_nld_map(args, runner):
 
 
 def cmd_tdr(args, runner):
-    _check(args, ("velocity", "velocity > 0", lambda v: 0 < v < math.inf),
-           ("offset_ns", "offset (ns)", math.isfinite),
-           ("beta", "Kaiser beta >= 0", lambda b: 0 <= b < math.inf))
+    with np.errstate(over="ignore"):    # I0(beta) is inf past beta 709.78
+        _check(args, ("velocity", "velocity > 0", lambda v: 0 < v < math.inf),
+               ("offset_ns", "offset (ns)", math.isfinite),
+               ("beta", "Kaiser window, beta >= 0",
+                lambda b: 0 <= b < math.inf and np.isfinite(np.i0(b))))
     try:
         if args.input.lower().endswith(".s4p"):
             f, trace, _ = touchstone.read_touchstone(
@@ -699,8 +694,7 @@ def main(argv=None) -> int:
     _keep_freed_heap()
     try:
         args = build_parser().parse_args(argv)
-        config = {k: v for k, v in sorted(vars(args).items())
-                  if k not in ("func",) and not callable(v)}
+        config = {k: v for k, v in vars(args).items() if not callable(v)}
         runner = Runner(args.out_dir, config,
                         args.seed if args.seed is not None else 0)
         with warnings.catch_warnings(record=True) as caught:

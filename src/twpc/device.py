@@ -23,6 +23,7 @@ from .errors import ConfigError
 
 # Reduced flux quantum phi0 = hbar / 2e  (Wb/rad); Phi0 = 2*pi*phi0.
 PHI0_BAR = 3.2910597841613324e-16
+FLUX_Q = 2 * math.pi * PHI0_BAR
 
 DEFECT_KINDS = ("open_junction",)
 

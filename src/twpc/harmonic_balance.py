@@ -1,10 +1,11 @@
 """Frequency-domain Newton solve of the pumped chain's periodic steady state.
 
-Unknowns are the reduced flux phasors phi_m (phi/phi0, convention
+One pump (omega_p, reduced amplitude eps) is incident on one or more
+ports.  Unknowns are the reduced flux phasors phi_m (phi/phi0, convention
 x(t) = X e^{i m w t} + c.c.) at odd pump harmonics m in {1, 3, ..., 2M-1};
 even harmonics cannot be generated by the quartic junction nonlinearity on
-a symmetric line.  On identical electrodes with all drives on Sigma ports
-or all on Delta ports, the orbit lies in that electrode-parity sector and
+a symmetric line.  On identical electrodes pumped on Sigma ports only or
+on Delta ports only, the orbit lies in that electrode-parity sector and
 the unknowns are (sign phi_a + phi_b)/sqrt(2) per column
 (network.parity_sector), else the node fluxes; norms agree in both, and
 the solution is returned on the nodes.  Each junction carries the full
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .device import PHI0_BAR
+from .device import FLUX_Q, PHI0_BAR
 from .dispersion import spm_factor
 from .errors import NonConvergence, TruncationWarning
 from .network import (ChainNetwork, ChainOperators, _solve, channel_band,
@@ -61,16 +62,6 @@ class HarmonicBasis:
         return tuple(range(1, 2 * self.m, 2))
 
 
-@dataclass(frozen=True)
-class Drive:
-    """Incident pump wave: port index, angular frequency and real
-    power-wave amplitude (sqrt(W))."""
-
-    port: int
-    omega_p: float
-    amplitude: float
-
-
 def incident_amplitude(net: ChainNetwork, omega: float, port: int,
                        epsilon: float) -> float:
     """Power-wave amplitude (sqrt W) launching a traveling wave of reduced
@@ -85,12 +76,15 @@ def incident_amplitude(net: ChainNetwork, omega: float, port: int,
 
 @dataclass(frozen=True)
 class PumpSolution:
+    """The orbit pump_harmonic_balance solved, with its Newton record."""
+
     net: ChainNetwork
     basis: HarmonicBasis
     omega_p: float
     phi: np.ndarray        # (M, n_nodes) reduced node-flux phasors
     d: np.ndarray          # (M, n_branches) junction flux drops
-    drives: tuple
+    eps: float             # reduced pump amplitude launched at each port
+    ports: tuple           # the pumped ports
     residual: float
     iterations: int
     residual_history: tuple
@@ -192,35 +186,32 @@ def _predict(ops: ChainOperators, loads: np.ndarray, i_src) -> np.ndarray:
     return phi
 
 
-def pump_harmonic_balance(net: ChainNetwork, drives,
-                          basis: HarmonicBasis) -> PumpSolution:
+def pump_harmonic_balance(net: ChainNetwork, omega_p: float, eps: float,
+                          ports, basis: HarmonicBasis) -> PumpSolution:
     """Newton harmonic balance of the pump steady state.
 
-    drives: iterable of Drive, all at the same omega_p; simultaneous
-    drives from both Delta ports realize the coupler configuration.  The
-    drive is applied by adaptive amplitude continuation whose first step is
-    the full drive: on failure the step is halved, and each step starts
-    from the last converged state rescaled, else from _predict's orbit,
-    until the step falls below 2 % of the drive and NonConvergence is
-    raised with the Newton steps of all attempts and the last residual.
-    The residual is relative to the drive, absolute for a zero drive,
-    whose orbit phi = 0 converges at once.
+    A pump wave of reduced amplitude eps (see incident_amplitude) at
+    omega_p is incident on each of ports; both Delta ports pumped together
+    realize the coupler configuration.  The drive is applied by adaptive
+    amplitude continuation whose first step is the full drive: on failure
+    the step is halved, and each step starts from the last converged state
+    rescaled, else from _predict's orbit, until the step falls below 2 %
+    of the drive and NonConvergence is raised with the Newton steps of all
+    attempts and the last residual.  The residual is relative to the
+    drive, absolute for a zero drive, whose orbit phi = 0 converges at once.
     """
-    drives = tuple(drives)
-    if not drives:
-        raise ValueError("need at least one drive")
-    omega_p = drives[0].omega_p
-    if any(abs(d.omega_p - omega_p) > 1e-6 for d in drives):
-        raise ValueError("all drives must share one pump frequency")
+    ports = tuple(ports)
+    if not ports:
+        raise ValueError("need at least one pump port")
 
     orders = basis.orders
     a = _samples(orders, _sample_count(max(orders)))
-    ops = net.sectors[parity_sector(net, [d.port for d in drives])]
+    ops = net.sectors[parity_sector(net, ports)]
     left, right, g, e = ops.left, ops.left + ops.w, ops.g, ops.e
     z = port_impedances(net, omega_p)
 
-    full_src = sum(e[:, d.port] * 2.0 / math.sqrt(z[d.port]) * d.amplitude
-                   for d in drives)
+    full_src = sum(e[:, p] * 2.0 / math.sqrt(z[p])
+                   * incident_amplitude(net, omega_p, p, eps) for p in ports)
 
     # linear operator per harmonic on reduced flux; its loads keep the
     # pump-frequency reference impedances at every harmonic
@@ -278,10 +269,10 @@ def pump_harmonic_balance(net: ChainNetwork, drives,
     d_br = phi[:, net.ops.left + 2] - phi[:, net.ops.left]
     rnorm, it, history = out[1:]
 
-    sol = PumpSolution(net, basis, omega_p, phi, d_br, drives, rnorm, it,
+    sol = PumpSolution(net, basis, omega_p, phi, d_br, eps, ports, rnorm, it,
                        tuple(history))
     f_p = f"f_P = {omega_p/2e9/math.pi:.4f} GHz"
-    peak = sol.peak_junction_flux / (2.0 * math.pi * PHI0_BAR)
+    peak = sol.peak_junction_flux / FLUX_Q
     if peak > FLUX_CEILING:
         warnings.warn(
             f"peak junction flux {peak:.3f} flux quanta exceeds the "
@@ -300,7 +291,7 @@ def pump_harmonic_balance(net: ChainNetwork, drives,
 def pump_harmonics_at_ports(pump: PumpSolution) -> np.ndarray:
     """Outgoing power |b|^2 (W) at each (port, harmonic).
 
-    Shape (4, M); the incident drive is subtracted at the driven port so
+    Shape (4, M); the incident pump is subtracted at the pumped ports so
     entries are outgoing waves only.  Every harmonic is referenced to the
     pump-frequency impedances that terminate it in the solve.
     """
@@ -308,6 +299,6 @@ def pump_harmonics_at_ports(pump: PumpSolution) -> np.ndarray:
     omegas = pump.omega_p * np.array(pump.basis.orders)
     v_ports = pump.net.ops.e.T @ (1j * PHI0_BAR * omegas[:, None] * pump.phi).T
     b = v_ports / np.sqrt(z)[:, None]
-    for d in pump.drives:       # the fundamental comes first
-        b[d.port, 0] -= d.amplitude
+    for p in pump.ports:        # the fundamental comes first
+        b[p, 0] -= incident_amplitude(pump.net, pump.omega_p, p, pump.eps)
     return np.abs(b) ** 2

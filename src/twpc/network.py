@@ -125,6 +125,8 @@ def build_chain(spec: LineSpec, port_z="bloch") -> ChainNetwork:
     for the constant long-wavelength values Z_Sigma/Z_Delta, or an
     explicit sequence of 4 ohm values in port order.
     """
+    if isinstance(port_z, str) and port_z not in ("bloch", "lowfreq"):
+        raise ConfigError([("ports", f"unknown port impedances {port_z!r}")])
     if not isinstance(port_z, str):
         try:
             port_z = tuple(float(z) for z in port_z)

@@ -85,7 +85,7 @@ class _PumpedLinearizer:
         self.probe = [tuple(c) for c in channels].index((n_sidebands, 0))
         self.chan = i, p = np.array(channels).T
         k = np.arange(len(channels))
-        if parity_sector(net, [d.port for d in pump.drives]) is None:
+        if parity_sector(net, pump.ports) is None:
             sectors = {None: k}
         else:   # each channel in its port's sector
             parity = np.take(PARITY, p)

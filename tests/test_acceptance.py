@@ -22,8 +22,8 @@ from twpc.device import PHI0_BAR, derive_constants
 from twpc.dispersion import Mode, amplitude_from_flux, cutoff, \
     pump_wavevector
 from twpc.errors import NoSolutionInBand, TruncationWarning
-from twpc.harmonic_balance import Drive, HarmonicBasis, incident_amplitude, \
-    pump_harmonic_balance, pump_harmonics_at_ports
+from twpc.harmonic_balance import HarmonicBasis, pump_harmonic_balance, \
+    pump_harmonics_at_ports
 from twpc.matching import ProcessKind, solve_corrected
 from twpc.network import linear_scattering
 from twpc.sidebands import signal_sidebands
@@ -37,11 +37,10 @@ def _pump(net, f_ghz, flux_quanta, ports, harmonics=3):
     w = f_ghz * GHZ
     k_p = pump_wavevector(net.cell, w, 0.0)
     eps = amplitude_from_flux(flux_quanta * FLUX_Q, k_p)
-    drives = [Drive(p, w, incident_amplitude(net, w, p, eps))
-              for p in ports]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        sol = pump_harmonic_balance(net, drives, HarmonicBasis(harmonics))
+        sol = pump_harmonic_balance(net, w, eps, ports,
+                                    HarmonicBasis(harmonics))
     return sol, eps
 
 
@@ -239,15 +238,13 @@ def test_pump_harmonic_scaling(fitted_net):
     amplitudes = np.geomspace(0.004, 0.04, 5)
     p3 = []
     for eps in amplitudes:
-        a = incident_amplitude(fitted_net, w, 3, eps)
-        sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
+        sol = pump_harmonic_balance(fitted_net, w, eps, [3],
                                     HarmonicBasis(3))
         p3.append(pump_harmonics_at_ports(sol)[:, 1].sum())
     slope = np.polyfit(np.log(amplitudes), np.log(p3), 1)[0]
     assert slope == pytest.approx(6.0, abs=0.3)
     # even harmonics are symmetry-forbidden on the uniform line
-    a = incident_amplitude(fitted_net, w, 3, 0.04)
-    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
+    sol = pump_harmonic_balance(fitted_net, w, 0.04, [3],
                                 HarmonicBasis(4, include_even=True))
     tot = pump_harmonics_at_ports(sol).sum(axis=0)  # orders 1..4
     assert tot[1] < 1e-6 * tot[2]

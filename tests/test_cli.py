@@ -609,19 +609,25 @@ def test_tdr_short_csv_sweep_exit_code(tmp_path, capsys, n_rows):
     assert rc == 3 and err["error"] == "NonUniformGrid"
 
 
+def _tdr_csv(tmp_path):
+    """A 64-point reflection sweep in tdr's CSV form."""
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("f_Hz,s_re,s_im\n" + "".join(
+        f"{4e9 + 1e7 * i},{0.1 * math.cos(0.3 * i)},0.2\n"
+        for i in range(64)))
+    return sweep
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--velocity", "nan", "velocity"), ("--velocity", "-5", "velocity"),
     ("--velocity", "0", "velocity"), ("--velocity", "inf", "velocity"),
     ("--offset-ns", "inf", "offset_ns"), ("--offset-ns", "nan", "offset_ns"),
     ("--beta", "nan", "beta"), ("--beta", "-1", "beta"),
-    ("--beta", "inf", "beta")])
+    ("--beta", "inf", "beta"), ("--beta", "800", "beta")])
 def test_tdr_bad_flag_exit_code(tmp_path, capsys, flag, value, field):
     """A TDR flag that would write NaN, infinite or negative cells exits 2
     and names the flag, before any output is written."""
-    sweep = tmp_path / "sweep.csv"
-    sweep.write_text("f_Hz,s_re,s_im\n" + "".join(
-        f"{4e9 + 1e7 * i},{0.1 * math.cos(0.3 * i)},0.2\n"
-        for i in range(64)))
+    sweep = _tdr_csv(tmp_path)
     argv = ["tdr", "--input", str(sweep), "--offset-ns", "-1.5", "--beta",
             "0"]
     _run(argv, tmp_path / "ok")       # finite offsets and beta 0 are fine
@@ -629,6 +635,18 @@ def test_tdr_bad_flag_exit_code(tmp_path, capsys, flag, value, field):
     assert rc == 2 and err["error"] == "ConfigError"
     assert [f for f, _ in err["violations"]] == [field]
     assert not any((tmp_path / "o").iterdir())
+
+
+def test_tdr_largest_finite_kaiser_beta_is_accepted(tmp_path):
+    """Kaiser windows up to beta 709.78, where I0(beta) is still finite,
+    write a finite impulse response."""
+    sweep = _tdr_csv(tmp_path)
+    for beta in ("700", "709.78"):
+        out = _run(["tdr", "--input", str(sweep), "--beta", beta],
+                   tmp_path / beta)
+        rows = (out / "impulse.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(c)) for row in rows
+                            for c in row.split(","))
 
 
 def test_missing_input_exit_code(tmp_path):
@@ -941,10 +959,10 @@ def test_nld_map_blanks_a_pump_row_without_an_orbit(tmp_path, monkeypatch):
     blank and is listed as a failed pump; the other rows are solved."""
     solve = cli.pump_harmonic_balance
 
-    def stall_at_4_ghz(net, drives, basis):
-        if drives[0].omega_p == 4 * GHZ:
+    def stall_at_4_ghz(net, omega_p, *args):
+        if omega_p == 4 * GHZ:
             raise NonConvergence(12, 3.5e-4)
-        return solve(net, drives, basis)
+        return solve(net, omega_p, *args)
 
     monkeypatch.setattr(cli, "pump_harmonic_balance", stall_at_4_ghz)
     spec = _spec_file(tmp_path, n_cells=20)

@@ -11,7 +11,7 @@ from twpc import device, harmonic_balance, network
 from twpc.device import PHI0_BAR
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.errors import NonConvergence, TruncationWarning
-from twpc.harmonic_balance import (K_SAMPLES, Drive, HarmonicBasis,
+from twpc.harmonic_balance import (K_SAMPLES, HarmonicBasis,
                                    _apply_loads, _load_blocks, _newton_step,
                                    _orbit, _sample_count, _samples,
                                    incident_amplitude,
@@ -36,8 +36,7 @@ def test_linear_limit_matches_linear_solver(fitted_net):
     w = 3 * GHZ
     eps = 1e-5
     a = incident_amplitude(fitted_net, w, 3, eps)
-    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
-                                HarmonicBasis(3))
+    sol = pump_harmonic_balance(fitted_net, w, eps, [3], HarmonicBasis(3))
     v_lin = drive_solution(fitted_net, 3, w) * a
     v_hb = 1j * w * PHI0_BAR * sol.phi[0]
     np.testing.assert_allclose(v_hb, v_lin, rtol=1e-4)
@@ -49,9 +48,7 @@ def test_linear_limit_matches_linear_solver(fitted_net):
 def test_quadratic_newton_contraction(fitted_net):
     w = 3 * GHZ
     eps = 0.25
-    a = incident_amplitude(fitted_net, w, 3, eps)
-    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
-                                HarmonicBasis(3))
+    sol = pump_harmonic_balance(fitted_net, w, eps, [3], HarmonicBasis(3))
     assert sol.residual < 1e-10
     h = [r for r in sol.residual_history if r > 1e-14]
     # final step roughly squares the previous residual (Newton)
@@ -62,9 +59,7 @@ def test_peak_flux_tracks_launched_wave(fitted_net):
     w = 3 * GHZ
     kp = pump_wavevector(fitted_net.cell, w, 0.0)
     eps = amplitude_from_flux(0.05 * FLUX_Q, kp)
-    a = incident_amplitude(fitted_net, w, 3, eps)
-    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
-                                HarmonicBasis(3))
+    sol = pump_harmonic_balance(fitted_net, w, eps, [3], HarmonicBasis(3))
     assert sol.peak_junction_flux / FLUX_Q == pytest.approx(0.05, rel=0.05)
 
 
@@ -72,9 +67,7 @@ def test_strong_drive_converges_via_continuation(fitted_net):
     w = 5 * GHZ
     kp = pump_wavevector(fitted_net.cell, w, 0.0)
     eps = amplitude_from_flux(0.12 * FLUX_Q, kp)
-    a = incident_amplitude(fitted_net, w, 3, eps)
-    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
-                                HarmonicBasis(2))
+    sol = pump_harmonic_balance(fitted_net, w, eps, [3], HarmonicBasis(2))
     assert sol.residual < 1e-10
 
 
@@ -83,25 +76,19 @@ def test_flux_ceiling_warns(fitted_net, monkeypatch):
     w = 3 * GHZ
     kp = pump_wavevector(fitted_net.cell, w, 0.0)
     eps = amplitude_from_flux(0.1 * FLUX_Q, kp)
-    a = incident_amplitude(fitted_net, w, 3, eps)
     with pytest.warns(TruncationWarning):
-        pump_harmonic_balance(fitted_net, [Drive(3, w, a)], HarmonicBasis(3))
+        pump_harmonic_balance(fitted_net, w, eps, [3], HarmonicBasis(3))
 
 
 def test_mismatched_drive_frequencies_rejected(fitted_net):
     with pytest.raises(ValueError):
-        pump_harmonic_balance(fitted_net,
-                              [Drive(1, 3 * GHZ, 1e-7),
-                               Drive(3, 4 * GHZ, 1e-7)], HarmonicBasis(2))
-    with pytest.raises(ValueError):
-        pump_harmonic_balance(fitted_net, [], HarmonicBasis(2))
+        pump_harmonic_balance(fitted_net, 3 * GHZ, 1e-7, [], HarmonicBasis(2))
 
 
 def test_uniform_line_keeps_harmonics_off_sigma_ports(fitted_net):
     w = 2 * GHZ
     a = incident_amplitude(fitted_net, w, 3, 0.05)
-    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
-                                HarmonicBasis(3))
+    sol = pump_harmonic_balance(fitted_net, w, 0.05, [3], HarmonicBasis(3))
     p = pump_harmonics_at_ports(sol)
     drive_power = a ** 2
     # symmetric line: nothing leaks to the Sigma ports at any harmonic
@@ -111,8 +98,7 @@ def test_uniform_line_keeps_harmonics_off_sigma_ports(fitted_net):
 
 def test_even_harmonics_vanish_on_symmetric_line(fitted_net):
     w = 2 * GHZ
-    a = incident_amplitude(fitted_net, w, 3, 0.05)
-    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
+    sol = pump_harmonic_balance(fitted_net, w, 0.05, [3],
                                 HarmonicBasis(4, include_even=True))
     tot = pump_harmonics_at_ports(sol).sum(axis=0)  # orders 1..4
     assert tot[1] < 1e-6 * tot[2]  # 2nd harmonic far below 3rd
@@ -125,8 +111,7 @@ def test_defect_pump_transmission_about_five_percent(defect_net):
     w = 4.63 * GHZ
     eps = 0.05
     a = incident_amplitude(defect_net, w, 3, eps)
-    sol = pump_harmonic_balance(defect_net, [Drive(3, w, a)],
-                                HarmonicBasis(2))
+    sol = pump_harmonic_balance(defect_net, w, eps, [3], HarmonicBasis(2))
     p = pump_harmonics_at_ports(sol)
     t_delta = p[1, 0] / a ** 2
     assert t_delta == pytest.approx(0.05, abs=0.05)
@@ -147,16 +132,16 @@ def test_lossless_line_conserves_pump_power(fitted_net, f_ghz):
     power: every harmonic leaves through the loads that terminate it."""
     w = f_ghz * GHZ
     a = incident_amplitude(fitted_net, w, 3, 0.25)
-    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
-                                HarmonicBasis(3))
+    sol = pump_harmonic_balance(fitted_net, w, 0.25, [3], HarmonicBasis(3))
     p = pump_harmonics_at_ports(sol)
     assert abs(p.sum() - a ** 2) <= 1e-10 * a ** 2
 
 
-def _power_imbalance(sol, drives):
+def _power_imbalance(sol, eps):
     """|outgoing - incident| / incident power of an orbit, incident power
-    being the sum of |a_d|^2 over drives."""
-    incident = sum(d.amplitude ** 2 for d in drives)
+    being the sum of |a_p|^2 of a wave eps on each of its ports p."""
+    incident = sum(incident_amplitude(sol.net, sol.omega_p, p, eps) ** 2
+                   for p in sol.ports)
     return abs(pump_harmonics_at_ports(sol).sum() - incident) / incident
 
 
@@ -184,20 +169,19 @@ def test_pump_power_balance(request, line):
     lines, the open junction at cell 165 and 2 % disorder."""
     net = request.getfixturevalue(f"{line}_net")
     for f_ghz, flux, ports in _BALANCE_DRIVES:
-        drives = _flux_drives(net, f_ghz, flux, ports)
-        sol = pump_harmonic_balance(net, drives, HarmonicBasis(3))
-        assert _power_imbalance(sol, drives) <= 1e-9, (f_ghz, ports)
+        w, eps, ports = _flux_drives(net, f_ghz, flux, ports)
+        sol = pump_harmonic_balance(net, w, eps, ports, HarmonicBasis(3))
+        assert _power_imbalance(sol, eps) <= 1e-9, (f_ghz, ports)
 
 
 def test_pump_power_balance_sees_a_one_percent_source_error(short_net):
-    """Drives 1 % stronger than the incident power booked for them break
+    """A pump 1 % stronger than the incident power booked for it breaks
     the balance by about 2 %, far past its 1e-9 bound."""
     for f_ghz, flux, ports in _BALANCE_DRIVES:
-        drives = _flux_drives(short_net, f_ghz, flux, ports)
-        sol = pump_harmonic_balance(short_net, [
-            dataclasses.replace(d, amplitude=1.01 * d.amplitude)
-            for d in drives], HarmonicBasis(3))
-        assert _power_imbalance(sol, drives) > 1e-2
+        w, eps, ports = _flux_drives(short_net, f_ghz, flux, ports)
+        sol = pump_harmonic_balance(short_net, w, 1.01 * eps, ports,
+                                    HarmonicBasis(3))
+        assert _power_imbalance(sol, eps) > 1e-2
 
 
 def _band_csr(ab):
@@ -241,10 +225,10 @@ def test_solve_with_csr_load_product_has_the_same_bits(fitted_spec,
     of the residual history when its load product is scipy's CSR product."""
     net = network.build_chain(dataclasses.replace(
         fitted_spec, n_cells=20, disorder_halfwidth=disorder, seed=3))
-    drives = _flux_drives(net, 3.0, 0.08, ports)
-    sol = pump_harmonic_balance(net, drives, HarmonicBasis(3))
+    pump = _flux_drives(net, 3.0, 0.08, ports)
+    sol = pump_harmonic_balance(net, *pump, HarmonicBasis(3))
     monkeypatch.setattr(harmonic_balance, "_apply_loads", _csr_loads)
-    ref = pump_harmonic_balance(net, drives, HarmonicBasis(3))
+    ref = pump_harmonic_balance(net, *pump, HarmonicBasis(3))
     assert len(sol.residual_history) > 2
     assert sol.phi.tobytes() == ref.phi.tobytes()
     assert sol.residual_history == ref.residual_history
@@ -283,12 +267,11 @@ def _reference_newton_step(net, omega_p, orders, z, delta, res):
 
 def _step_and_oracle(sol, seed):
     """The Newton step about the orbit of sol, on the unknowns
-    pump_harmonic_balance picks for its drives and mapped back to the
+    pump_harmonic_balance picks for its ports and mapped back to the
     nodes, and the oracle's step, for a random right-hand side in that
     basis."""
     net, orders, w = sol.net, sol.basis.orders, sol.omega_p
-    ops = net.sectors[network.parity_sector(net,
-                                            [d.port for d in sol.drives])]
+    ops = net.sectors[network.parity_sector(net, sol.ports)]
     a = _samples(orders, K_SAMPLES)
     delta = _orbit(sol.d, a)
     z = port_impedances(net, w)
@@ -310,17 +293,17 @@ def test_newton_step_matches_real_block_oracle(fitted_net, basis):
     banded LU in the Delta sector, against the real-block Jacobian on the
     nodes solved by splu."""
     w = 3 * GHZ
-    a = incident_amplitude(fitted_net, w, 3, 0.25)
-    sol = pump_harmonic_balance(fitted_net, [Drive(3, w, a)], basis)
+    sol = pump_harmonic_balance(fitted_net, w, 0.25, [3], basis)
     step, ref = _step_and_oracle(sol, 0)
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def _flux_drives(net, f_ghz, flux, ports=(3,)):
-    """Drives at f_ghz launching a wave of flux quanta flux per port."""
+    """(omega_p, eps, ports) of a pump at f_ghz launching a wave of flux
+    quanta flux on each of ports."""
     w = f_ghz * GHZ
     eps = amplitude_from_flux(flux * FLUX_Q, pump_wavevector(net.cell, w, 0.0))
-    return [Drive(p, w, incident_amplitude(net, w, p, eps)) for p in ports]
+    return w, eps, ports
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +322,7 @@ def disorder_net(fitted_spec):
 def test_newton_step_matches_oracle_at_hard_cases(request, line, f_ghz,
                                                   ports, basis):
     net = request.getfixturevalue(f"{line}_net")
-    sol = pump_harmonic_balance(net, _flux_drives(net, f_ghz, 0.06, ports),
+    sol = pump_harmonic_balance(net, *_flux_drives(net, f_ghz, 0.06, ports),
                                 basis)
     step, ref = _step_and_oracle(sol, 1)
     assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -367,8 +350,8 @@ def _newton_solves(net, monkeypatch, ports):
         return solve_banded(l_and_u, ab, b, *args, **kwargs)
 
     monkeypatch.setattr("scipy.linalg.solve_banded", recorder)
-    drives = _flux_drives(net, 2.0, 0.04, ports)
-    return pump_harmonic_balance(net, drives, HarmonicBasis(3)).iterations, \
+    pump = _flux_drives(net, 2.0, 0.04, ports)
+    return pump_harmonic_balance(net, *pump, HarmonicBasis(3)).iterations, \
         calls
 
 
@@ -407,11 +390,11 @@ def test_sector_orbit_matches_node_orbit(fitted_net, monkeypatch, f_ghz,
                                          flux, basis):
     """The Delta-sector solve, mapped back to the nodes, against the same
     Newton loop on the nodes."""
-    drives = _flux_drives(fitted_net, f_ghz, flux)
-    sol = pump_harmonic_balance(fitted_net, drives, basis)
+    pump = _flux_drives(fitted_net, f_ghz, flux)
+    sol = pump_harmonic_balance(fitted_net, *pump, basis)
     monkeypatch.setattr(harmonic_balance, "parity_sector",
                         lambda net, ports: None)
-    ref = pump_harmonic_balance(fitted_net, drives, basis)
+    ref = pump_harmonic_balance(fitted_net, *pump, basis)
     assert sol.residual < 1e-10 and ref.residual < 1e-10
     assert np.max(np.abs(sol.phi - ref.phi)) <= 1e-10 * np.max(np.abs(ref.phi))
     assert np.max(np.abs(sol.d - ref.d)) <= 1e-10 * np.max(np.abs(ref.d))
@@ -431,10 +414,10 @@ def test_newton_sample_count_rule():
 ])
 def test_newton_samples_match_oversampled_orbit(fitted_net, monkeypatch,
                                                 f_ghz, flux, basis):
-    drives = _flux_drives(fitted_net, f_ghz, flux)
-    sol = pump_harmonic_balance(fitted_net, drives, basis)
+    pump = _flux_drives(fitted_net, f_ghz, flux)
+    sol = pump_harmonic_balance(fitted_net, *pump, basis)
     monkeypatch.setattr(harmonic_balance, "_sample_count", lambda h_max: 128)
-    ref = pump_harmonic_balance(fitted_net, drives, basis)
+    ref = pump_harmonic_balance(fitted_net, *pump, basis)
     assert np.max(np.abs(sol.phi - ref.phi)) <= 1e-11 * np.max(np.abs(ref.phi))
 
 
@@ -446,7 +429,7 @@ def test_nonconvergence_reports_every_attempts_newton_steps(fitted_spec,
     of its last attempt."""
     net = network.build_chain(dataclasses.replace(fitted_spec, n_cells=20))
     w = 3 * GHZ
-    drives = [Drive(3, w, incident_amplitude(net, w, 3, 0.02))]
+    pump = w, 0.02, [3]
     steps = []
 
     def counted(*args, **kwargs):
@@ -454,13 +437,13 @@ def test_nonconvergence_reports_every_attempts_newton_steps(fitted_spec,
         return _newton_step(*args, **kwargs)
 
     monkeypatch.setattr(harmonic_balance, "_newton_step", counted)
-    sol = pump_harmonic_balance(net, drives, HarmonicBasis(2))
+    sol = pump_harmonic_balance(net, *pump, HarmonicBasis(2))
     assert sol.iterations == len(steps) > 0     # one attempt, the full drive
     steps.clear()
     monkeypatch.setattr(harmonic_balance, "TOL", 0.0)  # nothing converges
     monkeypatch.setattr(harmonic_balance, "MAX_ITER", 3)
     with pytest.raises(NonConvergence) as exc:
-        pump_harmonic_balance(net, drives, HarmonicBasis(2))
+        pump_harmonic_balance(net, *pump, HarmonicBasis(2))
     # attempts at drive steps 1, 1/2, ..., 1/32 of at most 3 steps each
     assert harmonic_balance.MAX_ITER < exc.value.iterations == len(steps)
     assert len(steps) <= 6 * 3
@@ -483,8 +466,8 @@ def test_pump_sweep_drives_converge_in_one_attempt(fitted_net, monkeypatch,
         return _newton_step(*args, **kwargs)
 
     monkeypatch.setattr(harmonic_balance, "_newton_step", counted)
-    sol = pump_harmonic_balance(fitted_net, _flux_drives(fitted_net, f_ghz,
-                                                         flux),
+    sol = pump_harmonic_balance(fitted_net, *_flux_drives(fitted_net, f_ghz,
+                                                          flux),
                                 HarmonicBasis(3))
     assert sol.residual < 1e-10
     assert sol.iterations == len(steps) <= 8    # one attempt
@@ -500,8 +483,8 @@ def test_start_selects_between_coexisting_orbits(fitted_net, monkeypatch):
     function start converges to the one continuous with its 3.024 and
     3.026 GHz neighbours; a start from rest converges to a second orbit
     with three times the third harmonic."""
-    sols = [pump_harmonic_balance(fitted_net, _flux_drives(fitted_net, f,
-                                                           0.05),
+    sols = [pump_harmonic_balance(fitted_net, *_flux_drives(fitted_net, f,
+                                                            0.05),
                                   HarmonicBasis(3))
             for f in (3.024, 3.025, 3.026)]
     ratios = [_h3_over_h1(sol) for sol in sols]
@@ -510,6 +493,7 @@ def test_start_selects_between_coexisting_orbits(fitted_net, monkeypatch):
     monkeypatch.setattr(harmonic_balance, "_predict",
                         lambda ops, loads, i_src: np.zeros(
                             (loads.shape[2], loads.shape[1]), complex))
-    rest = pump_harmonic_balance(fitted_net, sols[1].drives, HarmonicBasis(3))
+    rest = pump_harmonic_balance(fitted_net, sols[1].omega_p, sols[1].eps,
+                                 sols[1].ports, HarmonicBasis(3))
     assert sols[1].residual < 1e-10 and rest.residual < 1e-10
     assert _h3_over_h1(rest) == pytest.approx(0.126, abs=2e-3)

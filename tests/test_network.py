@@ -11,7 +11,8 @@ import scipy.sparse.linalg as spla
 
 from twpc import device, network
 from twpc.dispersion import Mode, cutoff, wavevector
-from twpc.errors import DecompositionIllConditioned, SingularNetwork
+from twpc.errors import (ConfigError, DecompositionIllConditioned,
+                         SingularNetwork)
 from twpc.network import (bloch_impedance, build_chain, linear_scattering,
                           port_impedances, scattering_sweep,
                           wave_amplitude_profile)
@@ -173,6 +174,19 @@ def test_explicit_port_impedances():
     net = build_chain(spec, (89.0, 28.0, 89.0, 28.0))
     np.testing.assert_allclose(port_impedances(net, 5 * GHZ),
                                [89.0, 28.0, 89.0, 28.0])
+
+
+@pytest.mark.parametrize("name", ["Bloch", "blcoh"])
+def test_unknown_port_impedance_name_raises(name):
+    """A misspelt port-impedance name is a ConfigError naming ports, not a
+    silent fall-back to the low-frequency values; both names still build."""
+    spec = device.fitted_line(20)
+    with pytest.raises(ConfigError) as exc:
+        build_chain(spec, name)
+    assert [field for field, _ in exc.value.violations] == ["ports"]
+    z = [port_impedances(build_chain(spec, ok), 6 * GHZ)[:2]
+         for ok in ("bloch", "lowfreq")]
+    np.testing.assert_allclose(z, [[88.32, 36.08], [85.0, 27.38]], atol=0.01)
 
 
 def _port_row(net, omega):

@@ -14,8 +14,8 @@ from twpc.cli import main
 from twpc.device import PHI0_BAR
 from twpc.dispersion import Mode, amplitude_from_flux, cutoff, pump_wavevector
 from twpc.errors import SingularNetwork, TruncationWarning
-from twpc.harmonic_balance import (Drive, HarmonicBasis, K_SAMPLES,
-                                   incident_amplitude, pump_harmonic_balance)
+from twpc.harmonic_balance import (HarmonicBasis, K_SAMPLES,
+                                   pump_harmonic_balance)
 from twpc.matching import ProcessKind, solve_corrected
 from twpc.network import PARITY, linear_scattering, port_impedances
 from twpc.sidebands import (_PumpedLinearizer, signal_sidebands,
@@ -31,8 +31,7 @@ def pumped(fitted_net):
     w = 3 * GHZ
     kp = pump_wavevector(fitted_net.cell, w, 0.0)
     eps = amplitude_from_flux(0.06 * FLUX_Q, kp)
-    a = incident_amplitude(fitted_net, w, 3, eps)
-    return pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
+    return pump_harmonic_balance(fitted_net, w, eps, [3],
                                  HarmonicBasis(3)), eps
 
 
@@ -40,8 +39,7 @@ def _zero_pump(net):
     """The zero-amplitude 3 GHz pump from Delta-R, whose orbit is exactly
     phi = 0; no sideband of a 5.7 or 7.1 GHz probe falls at zero
     frequency."""
-    return pump_harmonic_balance(net, [Drive(3, 3 * GHZ, 0.0)],
-                                 HarmonicBasis(3))
+    return pump_harmonic_balance(net, 3 * GHZ, 0.0, [3], HarmonicBasis(3))
 
 
 def test_zero_pump_reduces_to_linear(fitted_net):
@@ -120,9 +118,7 @@ def test_outermost_sideband_warning(fitted_net):
     w = 3 * GHZ
     kp = pump_wavevector(fitted_net.cell, w, 0.0)
     eps = amplitude_from_flux(0.08 * FLUX_Q, kp)
-    a = incident_amplitude(fitted_net, w, 3, eps)
-    pump = pump_harmonic_balance(fitted_net, [Drive(3, w, a)],
-                                 HarmonicBasis(3))
+    pump = pump_harmonic_balance(fitted_net, w, eps, [3], HarmonicBasis(3))
     pt = solve_corrected(ProcessKind.Circulation, w, eps,
                          fitted_net.cell)[0]
     with pytest.warns(TruncationWarning):
@@ -137,8 +133,7 @@ def _db(s):
 def test_transmission_map_flat_without_pump(fitted_net):
     probes = np.array([5.0, 6.0, 7.0]) * GHZ
     w = 2.2 * GHZ
-    pump = pump_harmonic_balance(fitted_net, [Drive(
-        3, w, incident_amplitude(fitted_net, w, 3, 1e-6))], HarmonicBasis(3))
+    pump = pump_harmonic_balance(fitted_net, w, 1e-6, [3], HarmonicBasis(3))
     fw, bw, failures = transmission_map(pump, probes)
     assert not failures
     np.testing.assert_allclose(_db(fw), 0.0, atol=1e-3)
@@ -152,8 +147,7 @@ def test_transmission_map_shows_gap_and_records_failures(fitted_net):
     pt = solve_corrected(ProcessKind.Circulation, w, eps,
                          fitted_net.cell)[0]
     probes = np.array([pt.omega_s, pt.omega_s + GHZ, 2 * w])
-    pump = pump_harmonic_balance(fitted_net, [Drive(
-        3, w, incident_amplitude(fitted_net, w, 3, eps))], HarmonicBasis(3))
+    pump = pump_harmonic_balance(fitted_net, w, eps, [3], HarmonicBasis(3))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         fw, bw, failures = transmission_map(pump, probes)
@@ -170,9 +164,7 @@ def test_amplification_ridge_with_bidirectional_pumps(fitted_net):
     w = 3 * GHZ
     kp = pump_wavevector(fitted_net.cell, w, 0.0)
     eps = amplitude_from_flux(0.06 * FLUX_Q, kp)
-    drives = [Drive(p, w, incident_amplitude(fitted_net, w, p, eps))
-              for p in (1, 3)]
-    pump = pump_harmonic_balance(fitted_net, drives, HarmonicBasis(3))
+    pump = pump_harmonic_balance(fitted_net, w, eps, (1, 3), HarmonicBasis(3))
     near = signal_sidebands(pump, w + 0.03 * GHZ).s0()
     gain = 20 * math.log10(abs(near[2, 0]))
     assert gain > 1.0
@@ -230,9 +222,8 @@ def oracle_pumps(fitted_spec, fitted_net, defect_net):
             ("disorder2", disorder2_net, (3,)),
             ("coupler", fitted_net, (1, 3)), ("sigma", fitted_net, (0,)),
             ("mixed", fitted_net, (0, 3))):
-        drives = [Drive(p, w, incident_amplitude(net, w, p, eps))
-                  for p in ports]
-        out[name] = pump_harmonic_balance(net, drives, HarmonicBasis(3)), eps
+        out[name] = pump_harmonic_balance(net, w, eps, ports,
+                                          HarmonicBasis(3)), eps
     return out
 
 
@@ -311,9 +302,8 @@ def test_sidebands_conserve_photon_number(oracle_pumps, fitted_net, line):
         w = f_ghz * GHZ
         eps = amplitude_from_flux(flux * FLUX_Q,
                                   pump_wavevector(fitted_net.cell, w, 0.0))
-        pump = pump_harmonic_balance(
-            fitted_net, [Drive(p, w, incident_amplitude(fitted_net, w, p, eps))
-                         for p in ports], HarmonicBasis(3))
+        pump = pump_harmonic_balance(fitted_net, w, eps, ports,
+                                     HarmonicBasis(3))
     else:
         pump, _ = oracle_pumps[line]
     top = cutoff(Mode.Sigma, pump.net.cell)
