@@ -60,18 +60,6 @@ def _magnitude(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-@functools.cache
-def _cell_words():
-    """Four-byte words "0000"..."9999", "0."..."-9." and "e-99"..."e+99"
-    that _fmt_rows puts together, and 10**0...10**22, exact in float64."""
-    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
-    heads, exps = (np.array(w, "S4").view(np.uint32) for w in (
-        [f"{s}{d}." for s in ("", "-") for d in range(10)],
-        [f"e{e:+03d}" for e in range(-99, 100)]))
-    return (digits.astype(np.uint8).view(np.uint32)[:, 0], heads, exps,
-            np.array([float(10 ** k) for k in range(23)]))
-
-
 def _fmt_rows(block: np.ndarray) -> str:
     """The CSV rows of a 2-D float64 array, each cell as _fmt writes it.
 
@@ -82,7 +70,7 @@ def _fmt_rows(block: np.ndarray) -> str:
     nearest integer (10**13 carrying into e) is exact unless it lies within
     0.005 of a half.  Those cells, non-finite ones and those with
     |12 - e| > 22 are formatted by _fmt."""
-    digits, heads, exps, tens = _cell_words()
+    digits, heads, exps, tens = touchstone._cell_words()
     v = block.ravel()
     a, finite = np.abs(v), np.isfinite(v)
     with np.errstate(all="ignore"):     # non-finite cells go to _fmt

@@ -191,7 +191,8 @@ def pump_harmonic_balance(net: ChainNetwork, omega_p: float, eps: float,
     """Newton harmonic balance of the pump steady state.
 
     A pump wave of reduced amplitude eps (see incident_amplitude) at
-    omega_p is incident on each of ports; both Delta ports pumped together
+    omega_p is incident on each of ports, distinct ints 0-3 (ValueError
+    otherwise, or if there are none); both Delta ports pumped together
     realize the coupler configuration.  The drive is applied by adaptive
     amplitude continuation whose first step is the full drive: on failure
     the step is halved, and each step starts from the last converged state
@@ -201,8 +202,9 @@ def pump_harmonic_balance(net: ChainNetwork, omega_p: float, eps: float,
     drive, absolute for a zero drive, whose orbit phi = 0 converges at once.
     """
     ports = tuple(ports)
-    if not ports:
-        raise ValueError("need at least one pump port")
+    if not (ports and all(isinstance(p, (int, np.integer)) and 0 <= p <= 3
+                          for p in ports) and len(set(ports)) == len(ports)):
+        raise ValueError(f"need one or more distinct pump ports 0-3: {ports}")
 
     orders = basis.orders
     a = _samples(orders, _sample_count(max(orders)))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from twpc import _g17
 from twpc.errors import ConfigError
 from twpc.touchstone import read_touchstone, write_touchstone
 
@@ -171,3 +173,183 @@ def test_one_entry_read_equals_full_read(tmp_path_factory, f, re, im,
         np.testing.assert_array_equal(
             s_one.view(np.int64), s_full[:, q, port].copy().view(np.int64))
         np.testing.assert_array_equal(z_one, z_full)
+
+
+@pytest.mark.parametrize("z_ref", [[50.0] * 5, [50.0] * 3, [0, 50, 50, 50],
+                                   [-50, 50, 50, 50], [math.nan, 50, 50, 50],
+                                   [50, 50, 50, math.inf]],
+                         ids=["five", "three", "zero", "negative", "nan",
+                              "inf"])
+def test_writer_rejects_references_its_reader_rejects(tmp_path, z_ref):
+    # five wrote a Z0[5] comment and three were padded from the option
+    # line; the rest were written, then refused by read_touchstone
+    p = tmp_path / "t.s4p"
+    with pytest.raises(ConfigError, match="z_ref"):
+        write_touchstone(p, [5e9], np.eye(4)[None], z_ref)
+    assert not p.exists()
+
+
+def test_reader_names_a_non_number_it_parses(tmp_path):
+    p = tmp_path / "t.s4p"
+    write_touchstone(p, [5e9, 6e9], np.zeros((2, 4, 4)), [50.0] * 4)
+    lines = p.read_text().splitlines()
+    tokens = " ".join(lines[6:]).split()
+    tokens[8 * 3 + 2 * 3 + 1] = "xyz"       # Re S44 of the first record
+    p.write_text("\n".join(lines[:6] + [" ".join(tokens)]) + "\n")
+    with pytest.raises(ConfigError, match="xyz"):
+        read_touchstone(p)
+    # a one-entry read parses f and its own column only
+    f, s, _ = read_touchstone(p, entry=(0, 0))
+    assert f.tolist() == [5e9, 6e9] and s.tolist() == [0j, 0j]
+    tokens[0] = "abc"                       # the first frequency
+    p.write_text("\n".join(lines[:6] + [" ".join(tokens)]) + "\n")
+    with pytest.raises(ConfigError, match="abc"):
+        read_touchstone(p, entry=(0, 0))
+    lines[2] = "! Z0[2]=q50"                # and a reference impedance
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="q50"):
+        read_touchstone(p, entry=(0, 0))
+
+
+def _percent_records(rows):
+    """The reference for _g17.records: one "%.17g" template per record."""
+    line = " ".join(["%.17g"] * 8) + "\n"
+    record = "%.17g " + line + (" " + line) * 3
+    return (record * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _records_of(values):
+    """values cycled into whole 33-field records."""
+    values = np.array(values, float)
+    return np.resize(values, (-(-len(values) // 33), 33))
+
+
+_bits = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+
+
+@pytest.mark.parametrize("exact", [True, False],
+                         ids=["long-double", "percent-only"])
+@given(values=st.lists(st.floats() | st.floats(-1e17, 1e17) | _bits,
+                       min_size=1, max_size=99))
+@settings(max_examples=100, deadline=None)
+def test_records_match_percent_format(exact, values):
+    rows = _records_of(values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_g17, "_EXACT", exact)
+        assert _g17.records(rows) == _percent_records(rows)
+
+
+def test_records_match_percent_format_on_sweep_like_blocks():
+    # every exponent the long-double path takes, 256 records a block
+    rng = np.random.default_rng(3)
+    for scale in (rng.integers(-13, 18, (256, 33)), np.full((256, 33), -2)):
+        rows = rng.normal(size=(256, 33)) * 10.0 ** scale
+        rows[:, 0] = np.linspace(4e9, 8e9, 256) + rng.uniform(0, 1, 256)
+        assert _g17.records(rows) == _percent_records(rows)
+
+
+_EDGES = [0.0, math.inf, math.nan, 5e-324, 2.225073858507201e-308,
+          2.2250738585072014e-308,          # largest subnormal, least normal
+          1234567890123456.25,              # a tie, rounded to even
+          0.2826205769921646, 15567.887634073672, 84279.10602700361,
+          6174576404.461171,                # 17 digits within 0.01 of a tie
+          *[np.nextafter(p, q) for p in (1e-4, 1e16, 1e17, 1e-11, 1e-12)
+            for q in (0, math.inf)], 1e-4, 1e16, 1e17, 1e-11, 1e-12,
+          *[float(f"{m}e{k}") for k in range(-13, 19)
+            for m in (0.98, 0.99999, 1.0, 1.00001, 1.02, 3.0)]]
+
+
+@pytest.mark.parametrize("exact", [True, False],
+                         ids=["long-double", "percent-only"])
+@pytest.mark.parametrize("bias", [0.0, 0.01, -0.01])
+def test_records_edge_values(monkeypatch, exact, bias):
+    # a log10 biased by 0.01 puts floor(log10|x|) one off within 2.3 % of
+    # each power of ten
+    rows = _records_of(_EDGES + [-x for x in _EDGES])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + bias)
+    monkeypatch.setattr(_g17, "_EXACT", exact)
+    assert _g17.records(rows) == _percent_records(rows)
+
+
+def _read_touchstone_streaming(path, entry=None):
+    """Reference reader: the line-streaming reader read_touchstone replaced;
+    a non-number it parses raised ValueError."""
+    z_ref, opts = [None] * 4, None
+
+    def is_data(line):
+        nonlocal opts
+        line = line.strip()
+        if not line.startswith(("!", "#")):
+            return True
+        body = line[1:].strip()
+        if line[0] == "#":
+            opts = body.split()
+        elif body.startswith("Z0["):
+            k = int(body[3:body.index("]")])
+            if not 1 <= k <= 4:
+                raise ConfigError([("", f"Z0[{k}] names no port 1-4")])
+            z_ref[k - 1] = float(body.partition("=")[2])
+        return False
+
+    i = 1 if entry is None else 8 * entry[0] + 2 * entry[1] + 1
+    j = 33 if entry is None else i + 2
+    f, s = [], []
+    with open(path) as fh:
+        tokens = itertools.chain.from_iterable(
+            map(str.split, filter(is_data, fh)))
+        for record in itertools.zip_longest(*[tokens] * 33):
+            if record[-1] is None:
+                raise ConfigError([("", "malformed 4-port data block")])
+            f.append(float(record[0]))
+            s.extend(map(float, record[i:j]))
+    if opts is None:
+        raise ConfigError([("", "missing option line")])
+    up = [o.upper() for o in opts]
+    if "HZ" not in up or "S" not in up or "RI" not in up or up[-1] == "R":
+        raise ConfigError([("", "unsupported option line")])
+    r_opt = float(opts[up.index("R") + 1]) if "R" in up else 50.0
+    if any(z is not None and not 0 < z < math.inf for z in (r_opt, *z_ref)):
+        raise ConfigError([("", "reference impedance")])
+    s = np.array(s, float).view(complex)
+    return (np.array(f, float), s.reshape(-1, 4, 4) if entry is None else s,
+            np.array([r_opt if z is None else z for z in z_ref]))
+
+
+_LINES = ["\t! a comment", "\t# Hz S RI R 42", " \t# hz s ri", "", " \t",
+          "\t! Z0[0]=50", "! Z0[5]=50", "\t ! Z0[2]=33.5"]
+
+
+@given(nf=st.integers(1, 3),
+       inserts=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(_LINES)),
+                        max_size=4),
+       bang=st.none() | st.integers(0, 30), short=st.integers(0, 7),
+       crlf=st.booleans(),
+       entry=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3)))
+@settings(max_examples=60, deadline=None)
+def test_reader_matches_streaming_reader(tmp_path_factory, nf, inserts, bang,
+                                         short, crlf, entry):
+    # comment and option lines between records, blank lines, CRLF, a "!"
+    # inside a line and a short last record: the same bits, or ConfigError
+    rng = np.random.default_rng(nf)
+    p = tmp_path_factory.mktemp("rewrite") / "t.s4p"
+    write_touchstone(p, np.linspace(4e9, 8e9, nf),
+                     rng.normal(size=(nf, 4, 4)) - 1e-7j, [50, 25, 50, 25])
+    lines = p.read_text().splitlines()
+    if short:
+        lines[-1] = " ".join(lines[-1].split()[:-short])
+    if bang is not None:
+        lines[bang % len(lines)] += " ! not a comment"
+    for at, line in inserts:
+        lines.insert(at % (len(lines) + 1), line)
+    p.write_bytes(("\r\n" if crlf else "\n").join(lines).encode() + b"\n")
+    try:
+        want = _read_touchstone_streaming(p, entry)
+    except (ConfigError, ValueError):   # now ConfigError, whatever the fault
+        with pytest.raises(ConfigError):
+            read_touchstone(p, entry)
+        return
+    for w, g in zip(want, read_touchstone(p, entry)):
+        assert w.shape == g.shape
+        np.testing.assert_array_equal(w.view(np.int64), g.view(np.int64))
