@@ -1,7 +1,5 @@
-"""The "%.17g" text of Touchstone data records at array speed.
-
-touchstone.write_touchstone imports this module at its first call, so
-commands that write no Touchstone file do not compile it at start-up.
+"""The "%.17g" text of Touchstone data records at array speed, imported at
+touchstone.write_touchstone's first call rather than compiled at start-up.
 """
 
 from __future__ import annotations
@@ -47,14 +45,13 @@ def records(rows: np.ndarray) -> str:
     """The data lines of rows (nf, 33), each field as "%.17g" writes it.
 
     "%.17g" rounds the exact value to 17 digits, half to even.  With
-    e = floor(log10|x|) clipped to [-11, 16], 10**(16 - e) is exact in a
-    64-bit-mantissa long double, so x = |x| 10**(16 - e) is one rounding,
-    within 0.004 of its exact value.  Its nearest integer n is then the 17
-    digits unless x < 1e16 (e one too high), n >= 1e17 or x lies within
-    0.01 of a half; those fields, zeros and non-finite ones among them, are
-    formatted by %.  A field is six 8-byte words (head, digits 2-17 behind
-    point slots, exponent and separator) masked to the bytes it shows, and
-    the zero bytes are dropped."""
+    e = floor(log10|x|) clipped to [-11, 16], x = |x| 10**(16 - e) is one
+    rounding in a 64-bit-mantissa long double, within 0.004 of its exact
+    value, so its nearest integer n is the 17 digits unless x < 1e16 (e one
+    too high), n >= 1e17 or x lies within 0.01 of a half.  Those fields,
+    zeros and non-finite ones among them, go to %.  A field is six 8-byte
+    words (head, digits 2-17 behind point slots, exponent and separator)
+    masked to the bytes it shows; the zero bytes are dropped."""
     heads, spaced, exps, lasts, keep, seps = _field_words()
     v = rows.ravel()
     a, finite = np.abs(v), np.isfinite(v)

@@ -202,7 +202,8 @@ def pump_harmonic_balance(net: ChainNetwork, omega_p: float, eps: float,
     drive, absolute for a zero drive, whose orbit phi = 0 converges at once.
     """
     ports = tuple(ports)
-    if not (ports and all(isinstance(p, (int, np.integer)) and 0 <= p <= 3
+    if not (ports and all(isinstance(p, (int, np.integer))
+                          and not isinstance(p, bool) and 0 <= p <= 3
                           for p in ports) and len(set(ports)) == len(ports)):
         raise ValueError(f"need one or more distinct pump ports 0-3: {ports}")
 

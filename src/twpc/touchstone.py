@@ -53,27 +53,6 @@ def write_touchstone(path, f_hz, s, z_ref) -> None:
             fh.write(records(rows[i:i + 64]))
 
 
-def _data(fh, head):
-    """fh's data in pieces of whole lines, about 16 KiB each, a lone CR read
-    as a line end; a "!" or "#" with only blanks before it on its line
-    starts a comment or option line, which goes to head(mark, body)."""
-    while lines := fh.readlines(1 << 14):
-        text, start = b"".join(lines).replace(b"\r", b"\n") + b"\n", 0
-        marks = {m: text.find(m) for m in b"!#"}
-        while (p := min([q for q in marks.values() if q >= 0], default=-1)
-               ) >= 0:
-            line, end = text.rfind(b"\n", 0, p) + 1, text.find(b"\n", p)
-            if text[line:p].strip():        # a mark inside a data line
-                end = p + 1
-            else:
-                yield text[start:line]
-                start = end
-                head(chr(text[p]), text[p + 1:end].decode().strip())
-            marks = {m: text.find(m, end) if 0 <= q < end else q
-                     for m, q in marks.items()}
-        yield text[start:]
-
-
 def read_touchstone(path, entry=None):
     """Read a 4-port RI Touchstone file written by write_touchstone.
 
@@ -83,15 +62,20 @@ def read_touchstone(path, entry=None):
     """
     z_ref, opts, rest = [None] * 4, None, []
 
-    def head(mark, body):
+    def is_data(line):
         nonlocal opts
-        if mark == "#":
+        line = line.decode().strip()
+        if not line.startswith(("!", "#")):
+            return True
+        body = line[1:].strip()
+        if line[0] == "#":
             opts = body.split()
         elif body.startswith("Z0["):
             k = int(body[3:body.index("]")])
             if not 1 <= k <= 4:
                 raise ConfigError([("", f"Z0[{k}] names no port 1-4")])
             z_ref[k - 1] = float(body.partition("=")[2])
+        return False
 
     # 33 tokens per frequency, however the lines break: f, then the RI
     # fields of S row by row, so S[q, p] starts at token 8 q + 2 p + 1
@@ -100,7 +84,10 @@ def read_touchstone(path, entry=None):
     f, s = array.array("d"), array.array("d")
     try:
         with open(path, "rb") as fh:
-            for piece in _data(fh, head):
+            while lines := fh.readlines(1 << 14):   # ~16 KiB of lines
+                piece = b"".join(lines)
+                if b"!" in piece or b"#" in piece:  # comment or option lines
+                    piece = b" ".join(filter(is_data, piece.splitlines()))
                 tok = rest + piece.split()
                 cut = len(tok) - len(tok) % 33
                 tok, rest = tok[:cut], tok[cut:]

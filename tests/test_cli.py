@@ -1015,6 +1015,9 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
     --pump-ports parses and records what a fresh parser gives."""
     base = ["nld-sim", "--f-pump", "3", "--f-probe", "7.1",
             "--pump-flux", "0.04", "--harmonics", "2", "--n-sidebands", "1"]
+    # a parser kept from an earlier test holds the cmd_* functions of its
+    # time, which a tracer installed then had wrapped
+    build_parser.cache_clear()
     fresh = build_parser.__wrapped__().parse_args(
         base + ["--out-dir", str(tmp_path / "1")])
     seen = []

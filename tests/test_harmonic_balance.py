@@ -85,11 +85,13 @@ def test_mismatched_drive_frequencies_rejected(fitted_net):
         pump_harmonic_balance(fitted_net, 3 * GHZ, 1e-7, [], HarmonicBasis(2))
 
 
-@pytest.mark.parametrize("ports", [[3, 3], [-1], [7], [1.0]],
-                         ids=["repeated", "negative", "past-3", "float"])
+@pytest.mark.parametrize("ports", [[3, 3], [-1], [7], [1.0], [True]],
+                         ids=["repeated", "negative", "past-3", "float",
+                              "bool"])
 def test_pump_ports_are_distinct_ints_0_to_3(fitted_net, ports):
     # [3, 3] pumped port 3 twice (the orbit of eps 0.04 recorded as 0.02),
-    # [-1] pumped port 3, [7] and [1.0] raised IndexError and TypeError
+    # [-1] pumped port 3, [7], [1.0] and [True] raised IndexError and
+    # TypeError
     with pytest.raises(ValueError, match="distinct pump ports"):
         pump_harmonic_balance(fitted_net, 3 * GHZ, 0.02, ports,
                               HarmonicBasis(2))

@@ -325,13 +325,14 @@ _LINES = ["\t! a comment", "\t# Hz S RI R 42", " \t# hz s ri", "", " \t",
        inserts=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(_LINES)),
                         max_size=4),
        bang=st.none() | st.integers(0, 30), short=st.integers(0, 7),
-       crlf=st.booleans(),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]),
        entry=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3)))
 @settings(max_examples=60, deadline=None)
 def test_reader_matches_streaming_reader(tmp_path_factory, nf, inserts, bang,
-                                         short, crlf, entry):
-    # comment and option lines between records, blank lines, CRLF, a "!"
-    # inside a line and a short last record: the same bits, or ConfigError
+                                         short, newline, entry):
+    # comment and option lines between records, blank lines, CRLF or CR
+    # line ends, a "!" inside a line and a short last record: the same
+    # bits, or ConfigError
     rng = np.random.default_rng(nf)
     p = tmp_path_factory.mktemp("rewrite") / "t.s4p"
     write_touchstone(p, np.linspace(4e9, 8e9, nf),
@@ -343,7 +344,7 @@ def test_reader_matches_streaming_reader(tmp_path_factory, nf, inserts, bang,
         lines[bang % len(lines)] += " ! not a comment"
     for at, line in inserts:
         lines.insert(at % (len(lines) + 1), line)
-    p.write_bytes(("\r\n" if crlf else "\n").join(lines).encode() + b"\n")
+    p.write_bytes((newline.join(lines) + newline).encode())
     try:
         want = _read_touchstone_streaming(p, entry)
     except (ConfigError, ValueError):   # now ConfigError, whatever the fault
@@ -353,3 +354,22 @@ def test_reader_matches_streaming_reader(tmp_path_factory, nf, inserts, bang,
     for w, g in zip(want, read_touchstone(p, entry)):
         assert w.shape == g.shape
         np.testing.assert_array_equal(w.view(np.int64), g.view(np.int64))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=repr)
+def test_reader_matches_streaming_reader_across_pieces(tmp_path, newline):
+    # 100 records fill pieces of about 16 KiB; comment and option lines and
+    # records split across a piece boundary land in later pieces
+    rng = np.random.default_rng(5)
+    p = tmp_path / "t.s4p"
+    write_touchstone(p, np.linspace(4e9, 8e9, 100),
+                     rng.normal(size=(100, 4, 4)) + 1j, [50, 25, 50, 25])
+    lines = p.read_text().splitlines()
+    for at in (390, 230, 97):
+        lines[at:at] = ["\t! Z0[2]=33.5", " # Hz S RI R 42", ""]
+    p.write_bytes((newline.join(lines) + newline).encode())
+    assert p.stat().st_size > 2 * (1 << 14)
+    for entry in (None, (1, 2)):
+        want = _read_touchstone_streaming(p, entry)
+        for w, g in zip(want, read_touchstone(p, entry)):
+            np.testing.assert_array_equal(w.view(np.int64), g.view(np.int64))
