@@ -9,8 +9,8 @@ from .dispersion import (Mode, amplitude_from_flux, cutoff, pump_wavevector,
 from .matching import (Direction, MatchPoint, ProcessKind, gap_map,
                        solve_corrected)
 from .coupled_mode import (EnvelopeSolution, ProcessConfig,
-                           attenuation_constant, bandwidth_estimate,
-                           solve_detuned, solve_uniform, solve_with_defect)
+                           attenuation_constant, solve_uniform,
+                           solve_with_defect)
 from .network import (ChainNetwork, bloch_impedance, build_chain,
                       linear_scattering, wave_amplitude_profile)
 from .harmonic_balance import (HarmonicBasis, PumpSolution, incident_amplitude,

@@ -1,14 +1,13 @@
 """Analytical sideband model: coupled signal/idler envelope equations.
 
 A forward signal envelope eps_S(x) on the Sigma mode couples to a
-counterpropagating idler envelope eps_I(x) through the pump:
+counterpropagating idler envelope eps_I(x) through a phase-matched pump:
 
-    eps_S' = i (a^2/4) eps_P*^2 k_P^2 k_I eps_I e^{-i kappa x}
-    eps_I' = i (a^2/4) eps_P^2  k_P^2 k_S eps_S e^{+i kappa x}
+    eps_S' = i (a^2/4) eps_P*^2 k_P^2 k_I eps_I
+    eps_I' = i (a^2/4) eps_P^2  k_P^2 k_S eps_S
 
-with signed wavevectors (k_S > 0 > k_I) and kappa the residual momentum
-mismatch.  At kappa = 0 the matched solution decays with attenuation
-constant
+with signed wavevectors (k_S > 0 > k_I).  The solution decays with
+attenuation constant
 
     alpha = (a^2/4) k_P^2 sqrt(-k_I k_S) |eps_P|^2,
 
@@ -22,9 +21,9 @@ For the tunable-coupling process (one photon absorbed from each of two
 counterpropagating pumps) the substitution eps_P^2 -> 2 eps_P,bw eps_P,fw*
 applies, doubling alpha at equal amplitudes.
 
-Every sectioned or detuned solve goes through one closed-form 2x2 propagator,
-exp(A x), and sections chain as transfer matrices; a defect joins two through
-its S-matrices at the pump, signal and idler, which the caller computes.
+Only the matched point is modelled (gap widths come from the circuit).
+Sections chain as transfer matrices of the closed-form propagator exp(A x);
+a defect joins two through its S-matrices, which the caller computes.
 """
 
 from __future__ import annotations
@@ -90,14 +89,6 @@ def attenuation_constant(config: ProcessConfig) -> float:
             * math.sqrt(-m.k_i * m.k_s) * abs(_pump_sq(config)))
 
 
-def bandwidth_estimate(config: ProcessConfig) -> float:
-    """Gap bandwidth B = (a^2/2) k_P^2 |eps_P|^2 sqrt(omega_I omega_S),
-    rad/s (the detuning range over which |kappa| <= 2 alpha)."""
-    m = config.match
-    return (0.5 * m.k_p ** 2 * abs(_pump_sq(config))
-            * math.sqrt(m.omega_i * m.omega_s))
-
-
 def _couplings(config: ProcessConfig):
     m = config.match
     p2 = _pump_sq(config)
@@ -106,21 +97,18 @@ def _couplings(config: ProcessConfig):
     return c_i, c_s
 
 
-def _propagator(config: ProcessConfig, kappa: float, x) -> np.ndarray:
-    """exp(A x) over the widths x (a scalar or a 1-D batch).
-
-    In (u, v) = (eps_s, eps_i e^{-i kappa x}) the system is
-    constant-coefficient:  u' = i c_i v,  v' = i c_s u - i kappa v.  As
-    B = A + (i kappa/2) I squares to s^2 I, s^2 = -c_i c_s - kappa^2/4,
-    exp(A x) = e^{-i kappa x/2} (cosh(s x) I + sinh(s x)/s B) (Putzer), with
-    x for sinh(s x)/s at s = 0 (no pump, or the gap edge |kappa| = 2 alpha).
+def _propagator(config: ProcessConfig, x) -> np.ndarray:
+    """exp(A x) over the widths x (a scalar or a 1-D batch) of the matched
+    system u' = i c_i v, v' = i c_s u in (u, v) = (eps_s, eps_i).  A squares
+    to s^2 I, s^2 = -c_i c_s, so exp(A x) = cosh(s x) I + sinh(s x)/s A
+    (Putzer), with x for sinh(s x)/s at s = 0 (no pump).
     """
     c_i, c_s = _couplings(config)
-    b = np.array([[0.5j * kappa, 1j * c_i], [1j * c_s, -0.5j * kappa]])
-    s = np.sqrt(complex(-c_i * c_s - 0.25 * kappa ** 2))
+    a = np.array([[0.0, 1j * c_i], [1j * c_s, 0.0]])
+    s = np.sqrt(complex(-c_i * c_s))
     x = np.asarray(x, float)[..., None, None]
     sh = np.sinh(s * x) / s if s else x
-    return np.exp(-0.5j * kappa * x) * (np.cosh(s * x) * np.eye(2) + sh * b)
+    return np.cosh(s * x) * np.eye(2) + sh * a
 
 
 def solve_uniform(config: ProcessConfig) -> EnvelopeSolution:
@@ -138,23 +126,6 @@ def solve_uniform(config: ProcessConfig) -> EnvelopeSolution:
              * (em - ep) / denom)
     total = 2.0 * math.exp(-alpha * L) / denom
     return EnvelopeSolution(x, eps_s, eps_i, alpha, complex(total))
-
-
-def solve_detuned(config: ProcessConfig, kappa: float) -> EnvelopeSolution:
-    """Two-point solve of the detuned linear system, for eps_s(0) = 1.
-
-    Exact matrix-exponential propagation of the constant-coefficient form;
-    evanescent for |kappa| < 2 alpha, oscillatory beyond (gap edge at
-    |kappa| = 2 alpha).  Attenuation is even in kappa.  Propagating back
-    from x = L, where v(L) = 0, makes each value one product, with no
-    cancellation deep in the gap.
-    """
-    x = np.linspace(0.0, config.length, N_X)
-    m = _propagator(config, kappa, x - config.length)
-    # boundary conditions u(0) = 1, v(L) = 0
-    uv = m[:, :, 0] / m[0, 0, 0]
-    return EnvelopeSolution(x, uv[:, 0], uv[:, 1] * np.exp(1j * kappa * x),
-                            attenuation_constant(config), uv[-1, 0])
 
 
 def solve_with_defect(config: ProcessConfig, x_defect: float,
@@ -196,11 +167,11 @@ def _defect_oneway(config, sections, S_s, S_i, reverse=False):
     i, o = (2, 0) if reverse else (0, 2)    # the signal's in, out ports
     t_s, t_i = S_s[o, i], S_i[i, o]
     # The signal transmits L->R and the idler R->L, so the line's transfer
-    # is T = m2 diag(t_s, 1/t_i) m1, with det T = t_s / t_i (det m_k = 1 at
-    # kappa = 0).  v(L) = 0 leaves u(L)/u(0) = det T / T_11, taken here of
-    # t_i T, which stays finite where the junction blocks the idler.
+    # is T = m2 diag(t_s, 1/t_i) m1, with det T = t_s / t_i (det m_k = 1).
+    # v(L) = 0 leaves u(L)/u(0) = det T / T_11, taken here of t_i T, which
+    # stays finite where the junction blocks the idler.
     with np.errstate(over="ignore", invalid="ignore"):
-        m1, m2 = (_propagator(replace(config, pump_fw=fw, pump_bw=bw), 0.0, w)
+        m1, m2 = (_propagator(replace(config, pump_fw=fw, pump_bw=bw), w)
                   for w, fw, bw in sections)
         t11 = (m2 @ np.diag([t_s * t_i, 1.0]) @ m1)[1, 1]
     # a product past 1.8e308 leaves |t_s / t11| < 5.6e-309, as |t_s| <= 1

@@ -142,13 +142,16 @@ def wavevector(mode: Mode, omega, cell: CellParams,
         w2 = omega * omega
         den = -2.0 + 2.0 * cell.c_j * l_eff * w2
         arg = 1.0 + c * l_eff * w2 / den if den else math.inf
-        if arg < -1.0 or arg > 1.0:
+        if arg < -1.0 or arg > 1.0 or w2 == math.inf:
             raise AboveCutoff(mode.name, omega, cutoff(mode, cell, l_eff))
         return float(np.arccos(arg))
-    w2 = np.square(np.asarray(omega, dtype=float))
-    # a zero denominator (the plasma frequency) gives inf: above cutoff
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = 1.0 + c * l_eff * w2 / (-2.0 + 2.0 * cell.c_j * l_eff * w2)
+    # above cutoff: den = 0 (inf) and omega^2 = inf (overflow or inf / inf)
+    try:
+        with np.errstate(over="raise", divide="ignore", invalid="raise"):
+            w2 = np.square(np.asarray(omega, dtype=float))
+            arg = 1.0 + c * l_eff * w2 / (-2.0 + 2.0 * cell.c_j * l_eff * w2)
+    except FloatingPointError:
+        arg = np.inf
     if np.any(arg < -1.0) or np.any(arg > 1.0):
         om = np.max(omega)
         raise AboveCutoff(mode.name, float(om), cutoff(mode, cell, l_eff))

@@ -52,8 +52,9 @@ class HarmonicBasis:
     include_even: bool = False
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("need at least one harmonic")
+        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1
+                and not isinstance(self.m, bool)):
+            raise ValueError(f"harmonics must be an int >= 1: {self.m!r}")
 
     @property
     def orders(self) -> tuple:

@@ -102,9 +102,9 @@ class MatchPoint:
     """One solution of the energy/momentum conservation system.
 
     Frequencies in rad/s, wavevectors signed in rad/cell (positive =
-    forward).  kappa is the residual momentum mismatch of the conservation
-    equation at this point, delta the energy detuning; both vanish (to
-    solver tolerance) for points returned by the solvers.
+    forward).  kappa, the residual momentum mismatch, vanishes to solver
+    tolerance at points the solvers return; delta, the energy detuning, is
+    never set and stays 0.0 (the delta_rad_per_s column of match_points.csv).
     """
 
     kind: ProcessKind

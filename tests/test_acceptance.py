@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from test_coupled_mode import _rk_total
+from envelope_oracles import rk_total
 
 from twpc import device, tdr
 from twpc.cli import main
@@ -148,7 +148,7 @@ def test_attenuation_scaling_and_closed_form():
         alphas.append(a)
         alpha_l.append(a * cfg.length)
         closed = solve_uniform(cfg).total_attenuation
-        oracle = _rk_total(cfg)
+        oracle = rk_total(cfg)
         diff = 20 * abs(math.log10(abs(closed) / abs(oracle)))
         assert diff < 0.5
     slope = np.polyfit(np.log(amplitudes), np.log(alphas), 1)[0]

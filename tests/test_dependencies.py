@@ -111,7 +111,9 @@ spec = f"{out}/defect.json"
 with open(spec, "w") as fh:
     json.dump(device.spec_to_json(device.fitted_line(
         defects=((165, "open_junction"),))), fh)
-loaded = ["scipy.linalg" in sys.modules]
+def state():
+    return ("scipy.linalg" in sys.modules, "twpc._g17" in sys.modules)
+loaded = [state()]
 runs = [
     ["dispersion"],
     ["phase-match", "--process", "Ci", "--f-pump", "3", "--pump-flux", "0.06"],
@@ -127,10 +129,10 @@ runs = [
 ]
 for i, argv in enumerate(runs):
     assert twpc.cli.main(argv + ["--out-dir", f"{out}/{i}"]) == 0, argv
-    loaded.append("scipy.linalg" in sys.modules)
+    loaded.append(state())
 assert twpc.cli.main(["nld-sim", "--f-pump", "3", "--f-probe", "7.1",
                       "--pump-flux", "0.05", "--out-dir", f"{out}/sim"]) == 0
-loaded.append("scipy.linalg" in sys.modules)
+loaded.append(state())
 print(loaded)
 """
 
@@ -142,8 +144,10 @@ def test_design_commands_run_without_scipy_linalg(tmp_path):
     isolate on the defect-free line and on an open junction at cell 165
     (whose S-matrices come from scattering_sweep), scatter, tdr and
     figures 2, 3b and S4 leave it unloaded, and the first nld-sim loads
-    it."""
+    it.  The Touchstone field kernel twpc._g17 stays unloaded until
+    scatter, the first command that writes a Touchstone file."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", _DESIGN_RUNS, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == str([False] * 12 + [True])
+    assert out.stdout.strip() == str([(False, False)] * 7
+                                     + [(False, True)] * 5 + [(True, True)])

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -68,8 +69,9 @@ def test_wavevector_accepts_arrays():
                 for scalar in (x, float(x)):
                     got = wavevector(mode, scalar, cell, l_eff)
                     assert type(got) is float and got.hex() == k.hex()
+            # omega^2 overflows past 1.34e154 rad/s, which is above cutoff
             for x in (co * 1.001, 0.5 * (co + cell.plasma_omega),
-                      2.0 * cell.plasma_omega):
+                      2.0 * cell.plasma_omega, 1e155, 1e300, math.inf):
                 with pytest.raises(AboveCutoff) as from_scalar:
                     wavevector(mode, x, cell, l_eff)
                 with pytest.raises(AboveCutoff) as from_array:
@@ -78,6 +80,10 @@ def test_wavevector_accepts_arrays():
             assert math.isnan(wavevector(mode, math.nan, cell, l_eff))
             assert np.isnan(wavevector(mode, np.array([math.nan]), cell,
                                        l_eff)).all()
+    co = re.escape(f"cutoff {cutoff(Mode.Delta, cell):.6g} rad/s")
+    for x in (1e155, 1e300, math.inf):
+        with pytest.raises(PumpAboveCutoff, match=co):
+            pump_wavevector(cell, x, 0.3)
 
 
 @pytest.mark.parametrize("mode", list(Mode))

@@ -29,6 +29,15 @@ def test_basis_orders():
     assert HarmonicBasis(4, include_even=True).orders == (1, 2, 3, 4)
     with pytest.raises(ValueError):
         HarmonicBasis(0)
+    assert HarmonicBasis(np.int64(2)).orders == (1, 3)
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, True, "3", 0])
+def test_basis_takes_an_int_count_of_harmonics(m):
+    # 2.5 and 3.0 were accepted and then .orders raised TypeError, True
+    # meant one harmonic, "3" raised TypeError from the comparison
+    with pytest.raises(ValueError, match="harmonics must be an int"):
+        HarmonicBasis(m)
 
 
 def test_linear_limit_matches_linear_solver(fitted_net):
