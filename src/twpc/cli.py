@@ -273,7 +273,7 @@ def cmd_phase_match(args, runner):
          "k_i_rad_per_cell", "k_p_rad_per_cell", "kappa_rad_per_cell",
          "delta_rad_per_s"],
         [(p.omega_s / GHZ, p.omega_i / GHZ, p.omega_p / GHZ,
-          p.k_s, p.k_i, p.k_p, p.kappa, p.delta) for p in pts])
+          p.k_s, p.k_i, p.k_p, p.kappa, 0.0) for p in pts])
 
 
 def cmd_gaps_map(args, runner):

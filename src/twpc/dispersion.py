@@ -92,7 +92,7 @@ def _junction_x(epsilon: float, ka: float, bound: float, name: str) -> float:
     x = 4.0 * epsilon * math.sin(0.5 * ka)
     if abs(x) > bound:
         raise AmplitudeOutOfRange(
-            f"|x| = {abs(x):.4f} beyond {name} validity bound {bound:.4f}")
+            f"|x| = {abs(x):#.5g} beyond {name} validity bound {bound:.4f}")
     return x
 
 
@@ -153,8 +153,9 @@ def wavevector(mode: Mode, omega, cell: CellParams,
     except FloatingPointError:
         arg = np.inf
     if np.any(arg < -1.0) or np.any(arg > 1.0):
-        om = np.max(omega)
-        raise AboveCutoff(mode.name, float(om), cutoff(mode, cell, l_eff))
+        om = np.ravel(omega).astype(float)  # the scalar path raises at the
+        for w in om[np.argsort(-np.abs(om))]:   # largest |omega| that fails
+            wavevector(mode, float(w), cell, l_eff)
     k = np.arccos(arg)
     return float(k) if np.isscalar(omega) else k
 

@@ -2,17 +2,18 @@
 
 One pump (omega_p, reduced amplitude eps) is incident on one or more
 ports.  Unknowns are the reduced flux phasors phi_m (phi/phi0, convention
-x(t) = X e^{i m w t} + c.c.) at odd pump harmonics m in {1, 3, ..., 2M-1};
-even harmonics cannot be generated by the quartic junction nonlinearity on
-a symmetric line.  On identical electrodes pumped on Sigma ports only or
-on Delta ports only, the orbit lies in that electrode-parity sector and
-the unknowns are (sign phi_a + phi_b)/sqrt(2) per column
-(network.parity_sector), else the node fluxes; norms agree in both, and
-the solution is returned on the nodes.  Each junction carries the full
-current phi0 sin(delta)/L, whose harmonics are a real DFT of the sampled
-orbit, exact for multi-harmonic flux drops.  The Newton Jacobian, their
-exact derivative, is the conversion matrix of cos(delta(t)) on the blocks
-the sideband solver also uses, solved in real arithmetic on (Re, Im) of
+x(t) = X e^{i m w t} + c.c.) at odd pump harmonics m in {1, 3, ..., 2M-1}:
+sin(delta) is odd, so phi(t) -> -phi(t + T/2) maps orbits to orbits on any
+line, and the orbit keeps that symmetry, which no even harmonic has.  On
+identical electrodes pumped on Sigma ports only or on Delta ports only,
+the orbit lies in that electrode-parity sector and the unknowns are
+(sign phi_a + phi_b)/sqrt(2) per column (network.parity_sector), else the
+node fluxes; norms agree in both, and the solution is returned on the
+nodes.  Each junction carries the full current phi0 sin(delta)/L, whose
+harmonics are a real DFT of the sampled orbit, exact for multi-harmonic
+flux drops.  The Newton Jacobian, their exact derivative, is the
+conversion matrix of cos(delta(t)) in the band the sideband solver also
+uses (network.conversion_band), solved in real arithmetic on (Re, Im) of
 each harmonic by one banded LU.  It starts at the full drive from the
 describing-function orbit; amplitude continuation takes over on failure.
 """
@@ -29,8 +30,8 @@ import numpy as np
 from .device import FLUX_Q, PHI0_BAR
 from .dispersion import spm_factor
 from .errors import NonConvergence, TruncationWarning
-from .network import (ChainNetwork, ChainOperators, _solve, channel_band,
-                      conversion_blocks, parity_sector, port_impedances)
+from .network import (ChainNetwork, ChainOperators, _solve, conversion_band,
+                      parity_sector, port_impedances)
 
 K_SAMPLES = 128  # FFT oversampling of the orbit outside the Newton loop
 TOL = 1e-10      # Newton converges below this residual norm / drive norm
@@ -40,16 +41,11 @@ FLUX_CEILING = 0.3  # peak junction flux (flux quanta) above which to warn
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """Retained pump harmonics: odd orders {1, 3, ..., 2M-1} by default.
-
-    Even orders cannot be excited on a symmetric line, so excluding them
-    is exact there; ``include_even`` retains {1, 2, ..., M} instead,
-    useful to verify that even harmonics indeed stay at the numerical
-    floor, or for deliberately asymmetric networks.
-    """
+    """Retained pump harmonics: the odd orders {1, 3, ..., 2M-1}.  A one-tone
+    pump on the odd junction current sin(delta) keeps the orbit's half-wave
+    symmetry phi(t) = -phi(t + T/2) on any line, so its even orders vanish."""
 
     m: int = 3
-    include_even: bool = False
 
     def __post_init__(self):
         if not (isinstance(self.m, (int, np.integer)) and self.m >= 1
@@ -58,8 +54,6 @@ class HarmonicBasis:
 
     @property
     def orders(self) -> tuple:
-        if self.include_even:
-            return tuple(range(1, self.m + 1))
         return tuple(range(1, 2 * self.m, 2))
 
 
@@ -167,10 +161,9 @@ def _newton_step(ops: ChainOperators, loads: np.ndarray, a: np.ndarray,
     each step (cli._keep_freed_heap keeps the freed one's pages)."""
     k, m2 = a.shape
     coupling = cos_delta @ (a[:, :, None] * a[:, None, :]).reshape(k, -1)
-    blocks = conversion_blocks(ops, coupling.reshape(-1, m2, m2) * (2 / k))
-    blocks += loads
+    band = conversion_band(ops, coupling.reshape(-1, m2, m2) * (2 / k), loads)
     rhs = np.concatenate([res.real, res.imag]).T.ravel()
-    dx = _solve(channel_band(blocks), rhs).reshape(len(ops.e), 2, -1)
+    dx = _solve(band, rhs).reshape(len(ops.e), 2, -1)
     return (dx[:, 0] + 1j * dx[:, 1]).T
 
 
@@ -180,8 +173,8 @@ def _predict(ops: ChainOperators, loads: np.ndarray, i_src) -> np.ndarray:
     plus linear junctions, then at the SPM inductance of the drops found."""
     phi, gain = np.zeros(loads.shape[:0:-1], complex), np.ones(len(ops.g))
     for _ in range(2):          # junction inductances 1/(g gain)
-        band = conversion_blocks(ops, gain[:, None, None])[..., 0, 0]
-        phi[0] = _solve(loads[:, :, 0] + band, i_src)
+        phi[0] = _solve(conversion_band(ops, gain[:, None, None],
+                                        loads[:, :, :1, None]), i_src)
         d = phi[0, ops.left + ops.w] - phi[0, ops.left]
         gain = spm_factor(2 * ops.scale * abs(d))
     return phi

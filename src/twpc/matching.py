@@ -103,8 +103,7 @@ class MatchPoint:
 
     Frequencies in rad/s, wavevectors signed in rad/cell (positive =
     forward).  kappa, the residual momentum mismatch, vanishes to solver
-    tolerance at points the solvers return; delta, the energy detuning, is
-    never set and stays 0.0 (the delta_rad_per_s column of match_points.csv).
+    tolerance at points the solvers return.
     """
 
     kind: ProcessKind
@@ -115,7 +114,6 @@ class MatchPoint:
     k_i: float
     k_p: float
     kappa: float = 0.0
-    delta: float = 0.0
 
 
 def _residual_fn(kind: ProcessKind, omega_p: float, k_p: float,

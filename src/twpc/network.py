@@ -251,49 +251,48 @@ def admittance_matrix(net: ChainNetwork, omega: float, z) -> np.ndarray:
     return net.ops.admittance([omega], [z])[..., 0]
 
 
-def conversion_blocks(ops: ChainOperators, coupling: np.ndarray) -> np.ndarray:
-    """Node band (as ChainOperators.admittance) of nb x nb channel blocks
-    (2 w + 1, n, nb, nb) of the chain linearized about a pump orbit:
+def conversion_band(ops: ChainOperators, coupling: np.ndarray,
+                    fixed=None) -> np.ndarray:
+    """LAPACK band storage (kl = ku = (w + 1) nb - 1, index node * nb + c)
+    on the unknowns of ops of the chain linearized about a pump orbit:
     channel c' drives c through phi0 D^T diag(g coupling[:, c, c']) D, with
     coupling (branches of ops, nb, nb) from the Fourier coefficients of
-    cos(delta(t)) per junction.  In a sector the two electrodes' halves
-    add up to one whole stamp (current weight times drop scale is 1)."""
-    blocks = np.zeros((2 * ops.w + 1, len(ops.e)) + coupling.shape[1:],
-                      coupling.dtype)
+    cos(delta(t)) per junction (in a sector the two electrodes' halves add
+    up to one whole stamp: current weight times drop scale is 1), plus
+    fixed, channel blocks (2 w + 1, n, nb, nb) in node band storage."""
+    w, n, nb = ops.w, len(ops.e), coupling.shape[-1]
+    blocks = np.zeros((2 * w + 1, n, nb, nb), coupling.dtype if fixed is None
+                      else np.result_type(coupling, fixed))
     _stamp_branches(blocks, ops.left,
-                    PHI0_BAR * ops.g[:, None, None] * coupling, ops.w)
-    return blocks
-
-
-def channel_band(blocks: np.ndarray) -> np.ndarray:
-    """LAPACK band storage (kl = ku = (w + 1) nb - 1, index node * nb + c),
-    a new array, of the matrix held as channel blocks (2 w + 1, n, nb, nb)
-    in node band storage of node bandwidth w: 2 on the n_nodes of the node
-    basis (3 nb - 1), 1 on the n_cells + 1 columns of a sector (2 nb - 1)."""
-    rows, n, nb, _ = blocks.shape
+                    PHI0_BAR * ops.g[:, None, None] * coupling, w)
+    if fixed is not None:
+        blocks += fixed
     # node band row r holds node offset r - w, i.e. offset (r - w) nb + c - c'
-    w = rows // 2
     ku = (w + 1) * nb - 1
-    r, c, c2 = np.ogrid[:rows, :nb, :nb]
+    r, c, c2 = np.ogrid[:2 * w + 1, :nb, :nb]
     out = np.zeros((2 * ku + 1, n * nb), blocks.dtype)
     out.reshape(2 * ku + 1, n, nb)[ku + (r - w) * nb + c - c2, :, c2] = \
         np.moveaxis(blocks, 1, -1)
     return out
 
 
+def _load_rows(band: np.ndarray, w: int, nb: int) -> np.ndarray:
+    """The rows of a channel band holding its diagonal blocks, as a view
+    (2 w + 1, n, nb): the channels' loads."""
+    ku = (len(band) - 1) // 2
+    return band.reshape(len(band), -1, nb)[ku - w * nb:ku + w * nb + 1:nb]
+
+
 def add_channel_loads(rows: np.ndarray, ops: ChainOperators, omegas, z,
                       out: np.ndarray) -> np.ndarray:
-    """Write rows, the pump part (2 w + 1, n, nb) of the channels' diagonal
-    blocks on the unknowns of ops, plus i omega_c phi0 Y_c without the
-    junction inductances, at the signed frequency omegas[c] with port
-    impedances z[c], into the 2 w + 1 band rows of out, a channel band,
-    that hold those blocks; its other rows stay as they are.  Returns the
-    rows written, as a view (2 w + 1, n, nb) of out."""
-    nb, ku = len(z), (len(out) - 1) // 2
+    """Write rows, the pump part of the load rows (see _load_rows) on the
+    unknowns of ops, plus i omega_c phi0 Y_c without the junction
+    inductances, at the signed frequency omegas[c] with port impedances
+    z[c], into the load rows of out, a channel band, and return them; its
+    other rows stay as they are."""
     loads = ops.admittance(omegas, z, inductive=False)
     loads *= 1j * PHI0_BAR * np.asarray(omegas)
-    return np.add(rows, loads, out=out.reshape(len(out), -1, nb)[
-        ku - ops.w * nb:ku + ops.w * nb + 1:nb])
+    return np.add(rows, loads, out=_load_rows(out, ops.w, len(z)))
 
 
 def _solve(ab, b, check_finite=True):

@@ -34,9 +34,8 @@ from .device import PHI0_BAR
 from .dispersion import cutoff
 from .errors import SingularNetwork, TruncationWarning
 from .harmonic_balance import PumpSolution
-from .network import (PARITY, PORTS, _solve,
-                      add_channel_loads, channel_band, conversion_blocks,
-                      parity_sector, port_impedances)
+from .network import (PARITY, PORTS, _load_rows, _solve, add_channel_loads,
+                      conversion_band, parity_sector, port_impedances)
 
 
 @dataclass(frozen=True)
@@ -102,14 +101,13 @@ class _PumpedLinearizer:
         self.sectors = {}
         for sign, cols in sectors.items():
             ops = net.sectors[sign]
-            blocks = conversion_blocks(ops, gamma[:, q])
-            band = channel_band(blocks)
+            band = conversion_band(ops, gamma[:, q])
             if not np.isfinite(band).all():
                 raise SingularNetwork("non-finite pump band")
             node = np.flatnonzero(ops.e.any(1))[:, None]
             e = ops.e[node[:, 0]]
             self.sectors[sign] = (
-                band, ops, np.diagonal(blocks, 0, 2, 3).copy(),
+                band, ops, _load_rows(band, ops.w, nb).copy(),
                 (cols, (i[cols], p[cols]),
                  (node * nb + i[cols], np.arange(len(cols))), e[:, p[cols]],
                  (node * nb + np.arange(nb)).ravel(), e.T))

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 from envelope_oracles import rk_total
+from pump_bases import AllOrders
 
 from twpc import device, tdr
 from twpc.cli import main
@@ -245,7 +246,7 @@ def test_pump_harmonic_scaling(fitted_net):
     assert slope == pytest.approx(6.0, abs=0.3)
     # even harmonics are symmetry-forbidden on the uniform line
     sol = pump_harmonic_balance(fitted_net, w, 0.04, [3],
-                                HarmonicBasis(4, include_even=True))
+                                AllOrders(4))
     tot = pump_harmonics_at_ports(sol).sum(axis=0)  # orders 1..4
     assert tot[1] < 1e-6 * tot[2]
 

@@ -80,6 +80,15 @@ def test_wavevector_accepts_arrays():
             assert math.isnan(wavevector(mode, math.nan, cell, l_eff))
             assert np.isnan(wavevector(mode, np.array([math.nan]), cell,
                                        l_eff)).all()
+    # an array names its failing frequency of largest magnitude, as the
+    # scalar path does: neither a NaN nor a frequency below cutoff
+    for w, culprit in (([math.nan, 2e11], 2e11), ([-2e11, 1e9], -2e11)):
+        with pytest.raises(AboveCutoff) as from_scalar:
+            wavevector(Mode.Sigma, culprit, cell)
+        with pytest.raises(AboveCutoff) as from_array:
+            wavevector(Mode.Sigma, np.array(w), cell)
+        assert from_array.value.omega == culprit
+        assert str(from_array.value) == str(from_scalar.value)
     co = re.escape(f"cutoff {cutoff(Mode.Delta, cell):.6g} rad/s")
     for x in (1e155, 1e300, math.inf):
         with pytest.raises(PumpAboveCutoff, match=co):
@@ -149,6 +158,20 @@ def test_bessel_renormalization_against_scipy():
                                                          rel=1e-14)
     # quoted operating point: XPM factor 1/J0(x) at x = 0.28284
     assert 1.0 / j0(0.28284) == pytest.approx(1.0203, abs=5e-4)
+
+
+def test_out_of_range_amplitude_names_a_short_x():
+    """|x| has five significant digits: four decimals below 10, as the
+    validity bounds, and an exponent, not 300 integer digits, at 1e300."""
+    l_j = device.fitted_cell().l_j
+    for fn, name in ((spm_inductance, "SPM"), (xpm_inductance, "XPM")):
+        with pytest.raises(AmplitudeOutOfRange) as big:
+            fn(l_j, 1e300, 1.0)
+        assert str(big.value).startswith(f"|x| = 1.9177e+300 beyond {name}")
+        assert len(str(big.value)) < 60
+        with pytest.raises(AmplitudeOutOfRange, match=re.escape(
+                f"|x| = 2.5000 beyond {name} validity bound")):
+            fn(l_j, 0.625, math.pi)
 
 
 def test_spm_factor_is_the_describing_function_gain():

@@ -13,6 +13,9 @@ Rewrite the table, and list each moved file with its largest relative
 change and the reason in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before it writes, the rewrite prints the runs it adds or removes and, per
+kept run, what moved: its exit code, stderr, failures or an output's digest.
 """
 
 import contextlib
@@ -48,6 +51,10 @@ def _runs(work: Path):
     yield "nld-map", ["nld-map", "--pump-flux", "0.05"]
     yield "scatter", ["scatter"]
     yield "tdr", ["tdr", "--input", str(work / "scatter" / "sweep.s4p")]
+    # constant port references, which a renormalised Bloch file must not move
+    for key, ports in (("lowfreq", "lowfreq"), ("z0", "50,30,50,30")):
+        yield f"scatter-{key}", ["scatter", "--ports", ports, "--points",
+                                 "201"]
     sim = ["nld-sim", "--f-probe", "7.1", "--pump-flux", "0.05", "--f-pump"]
     yield "nld-sim", sim + ["3"]
     # harmonic balance stalls near a third-harmonic resonance: exit 3
@@ -277,9 +284,29 @@ def test_known_failures_are_pinned(runs):
         assert ratio == pytest.approx(round(ratio / 2) * 2, abs=1e-9)
 
 
+def _moved(old: dict, new: dict) -> list:
+    """Lines naming the runs new adds to or removes from old and, for each
+    run both hold, its exit code, stderr, failures and outputs that moved."""
+    lines = [f"added run {k}" for k in new if k not in old]
+    lines += [f"removed run {k}" for k in old if k not in new]
+    for key in (k for k in new if k in old):
+        was, now = old[key], new[key]
+        moved = [f for f in ("exit", "stderr", "failures")
+                 if was.get(f) != now.get(f)]
+        outs = was.get("outputs", {}), now.get("outputs", {})
+        moved += [name for name in {**outs[0], **outs[1]}
+                  if outs[0].get(name) != outs[1].get(name)]
+        lines += [f"{key}: {what} moved" for what in moved]
+    return lines
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"fingerprint": _fingerprint(), "runs": _run_all(Path(tmp))}
+    if doc["fingerprint"] != TABLE["fingerprint"]:
+        print("the host fingerprint moved", file=sys.stderr)
+    for line in _moved(TABLE["runs"], doc["runs"]) or ["nothing moved"]:
+        print(line, file=sys.stderr)
     with open(TABLE_PATH, "w") as fh:    # one line per run
         fh.write(f'{{"fingerprint": {json.dumps(doc["fingerprint"])},\n'
                  ' "runs": {\n' + ",\n".join(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from pump_bases import AllOrders
 from scipy.linalg import solve_banded
 
 from twpc import device, harmonic_balance, network
@@ -26,7 +27,6 @@ FLUX_Q = 2 * math.pi * PHI0_BAR
 def test_basis_orders():
     assert HarmonicBasis(1).orders == (1,)
     assert HarmonicBasis(3).orders == (1, 3, 5)
-    assert HarmonicBasis(4, include_even=True).orders == (1, 2, 3, 4)
     with pytest.raises(ValueError):
         HarmonicBasis(0)
     assert HarmonicBasis(np.int64(2)).orders == (1, 3)
@@ -120,7 +120,7 @@ def test_uniform_line_keeps_harmonics_off_sigma_ports(fitted_net):
 def test_even_harmonics_vanish_on_symmetric_line(fitted_net):
     w = 2 * GHZ
     sol = pump_harmonic_balance(fitted_net, w, 0.05, [3],
-                                HarmonicBasis(4, include_even=True))
+                                AllOrders(4))
     tot = pump_harmonics_at_ports(sol).sum(axis=0)  # orders 1..4
     assert tot[1] < 1e-6 * tot[2]  # 2nd harmonic far below 3rd
     assert tot[3] < 1e-6 * tot[2]
@@ -308,7 +308,7 @@ def _step_and_oracle(sol, seed):
 
 
 @pytest.mark.parametrize("basis", [HarmonicBasis(3),
-                                   HarmonicBasis(4, include_even=True)])
+                                   AllOrders(4)])
 def test_newton_step_matches_real_block_oracle(fitted_net, basis):
     """One Newton step about a strongly pumped orbit, solved by the real
     banded LU in the Delta sector, against the real-block Jacobian on the
@@ -337,7 +337,7 @@ def disorder_net(fitted_spec):
     ("defect", 4.63, (3,), HarmonicBasis(3)),       # open junction
     ("disorder", 3.0, (3,), HarmonicBasis(3)),      # 5 % disorder
     ("fitted", 3.0, (1, 3), HarmonicBasis(3)),      # counterpropagating
-    ("fitted", 2.0, (3,), HarmonicBasis(4, include_even=True)),
+    ("fitted", 2.0, (3,), AllOrders(4)),
     ("fitted", 3.0, (0, 3), HarmonicBasis(3)),      # Sigma + Delta: nodes
 ])
 def test_newton_step_matches_oracle_at_hard_cases(request, line, f_ghz,
@@ -431,7 +431,7 @@ def test_newton_sample_count_rule():
 @pytest.mark.parametrize("f_ghz, flux, basis", [
     (3.0, 0.06, HarmonicBasis(3)),
     (5.0, 0.12, HarmonicBasis(2)),
-    (2.0, 0.05, HarmonicBasis(4, include_even=True)),
+    (2.0, 0.05, AllOrders(4)),
 ])
 def test_newton_samples_match_oversampled_orbit(fitted_net, monkeypatch,
                                                 f_ghz, flux, basis):

@@ -278,8 +278,8 @@ def test_linearizer_gamma_rows_match_full_gamma(oracle_pumps, line, signs):
         rows = pump.junction_gamma(ops.branches)
         assert rows.shape == (len(ops.branches), K_SAMPLES)
         assert np.array_equal(rows, full[ops.branches])
-        assert np.array_equal(band, network.channel_band(
-            network.conversion_blocks(ops, full[ops.branches][:, q])))
+        assert np.array_equal(band, network.conversion_band(
+            ops, full[ops.branches][:, q]))
 
 
 # pumps that oracle_pumps does not hold: (ports, f_p in GHz, flux quanta)
@@ -422,23 +422,25 @@ def test_sector_band_only_where_electrodes_swap(oracle_pumps, fitted_net,
 
 
 @pytest.mark.parametrize("ports, line, blocks", [
-    ((3,), {}, (3, 401, 5, 5)),         # the even sector only
-    ((1, 3), {}, (3, 401, 5, 5)),
-    ((3,), {"defects": ((165, "open_junction"),)}, (5, 802, 5, 5)),
-    ((3,), {"disorder_halfwidth": 0.02, "seed": 11}, (5, 802, 5, 5))])
+    ((3,), {}, (19, 2005)),             # the even sector only
+    ((1, 3), {}, (19, 2005)),
+    ((3,), {"defects": ((165, "open_junction"),)}, (29, 4010)),
+    ((3,), {"disorder_halfwidth": 0.02, "seed": 11}, (29, 4010))])
 def test_map_builds_one_pump_band_per_row(tmp_path, monkeypatch, ports,
                                           line, blocks):
     """nld-map reads only the Sigma probe columns, so each pump row builds
     one pump band: the even sector's on the fitted line pumped from Delta
-    ports, the node band on lines without electrode symmetry."""
+    ports, the node band on lines without electrode symmetry.  blocks is
+    the band's shape, (2 (w + 1) nb - 1, n nb) for nb = 5 channels."""
     built = []
-    band = sidebands.channel_band
+    band = sidebands.conversion_band
 
-    def recorder(b):
+    def recorder(ops, coupling):
+        b = band(ops, coupling)
         built.append(b.shape)
-        return band(b)
+        return b
 
-    monkeypatch.setattr(sidebands, "channel_band", recorder)
+    monkeypatch.setattr(sidebands, "conversion_band", recorder)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(device.spec_to_json(device.fitted_line(
         **line))))
@@ -572,13 +574,13 @@ def test_map_row_takes_its_sideband_impedances_in_one_call(oracle_pumps,
 def _nonfinite_pump_band(monkeypatch):
     """Make the pump band of every linearizer hold an inf on its diagonal,
     where LAPACK would return a finite, wrong solution."""
-    band = sidebands.channel_band
+    band = sidebands.conversion_band
 
-    def poisoned(blocks):
-        ab = band(blocks)
+    def poisoned(ops, coupling):
+        ab = band(ops, coupling)
         ab[len(ab) // 2, 7] = np.inf
         return ab
-    monkeypatch.setattr(sidebands, "channel_band", poisoned)
+    monkeypatch.setattr(sidebands, "conversion_band", poisoned)
 
 
 @pytest.mark.parametrize("bad", ["nan", "zero", "inf", "pump_band"])
