@@ -152,7 +152,8 @@ def wavevector(mode: Mode, omega, cell: CellParams,
             arg = 1.0 + c * l_eff * w2 / (-2.0 + 2.0 * cell.c_j * l_eff * w2)
     except FloatingPointError:
         arg = np.inf
-    if np.any(arg < -1.0) or np.any(arg > 1.0):
+    if np.fmin.reduce(arg, axis=None, initial=1.0) < -1.0 or \
+            np.fmax.reduce(arg, axis=None, initial=-1.0) > 1.0:
         om = np.ravel(omega).astype(float)  # the scalar path raises at the
         for w in om[np.argsort(-np.abs(om))]:   # largest |omega| that fails
             wavevector(mode, float(w), cell, l_eff)

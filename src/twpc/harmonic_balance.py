@@ -30,8 +30,8 @@ import numpy as np
 from .device import FLUX_Q, PHI0_BAR
 from .dispersion import spm_factor
 from .errors import NonConvergence, TruncationWarning
-from .network import (ChainNetwork, ChainOperators, _solve, conversion_band,
-                      parity_sector, port_impedances)
+from .network import (ChainNetwork, ChainOperators, _channel_loads, _load_rows,
+                      _solve, conversion_band, parity_sector, port_impedances)
 
 K_SAMPLES = 128  # FFT oversampling of the orbit outside the Newton loop
 TOL = 1e-10      # Newton converges below this residual norm / drive norm
@@ -125,17 +125,16 @@ def _orbit(d: np.ndarray, a: np.ndarray) -> np.ndarray:
     return 2 * np.concatenate([d.real, d.imag]).T @ a.T
 
 
-def _load_blocks(loads: np.ndarray) -> np.ndarray:
-    """The part of the Newton Jacobian fixed from step to step: node-band
-    blocks (2 w + 1, n, 2 M, 2 M) on channels (Re x_m, then Im x_m) of the
-    harmonics' load bands (2 w + 1, n, M), [[Re, -Im], [Im, Re]] each."""
+def _load_band(loads: np.ndarray, w: int) -> np.ndarray:
+    """The part of the Newton Jacobian fixed from step to step: a channel
+    band on (Re x_m, then Im x_m) of the harmonics' load bands (2 w + 1, n,
+    M), [[Re, -Im], [Im, Re]] in each diagonal block (see _load_rows)."""
     m = loads.shape[-1]
-    re, im = np.arange(m), np.arange(m, 2 * m)
-    out = np.zeros(loads.shape[:-1] + (2 * m, 2 * m))
-    out[..., re, re] = out[..., im, im] = loads.real
-    out[..., re, im] = -loads.imag
-    out[..., im, re] = loads.imag
-    return out
+    band = np.zeros((4 * (w + 1) * m - 1, loads.shape[1] * 2 * m))
+    _load_rows(band, w, 2 * m)[:] = np.concatenate([loads.real] * 2, -1)
+    _load_rows(band, w, 2 * m, -m)[..., m:] = -loads.imag
+    _load_rows(band, w, 2 * m, m)[..., :m] = loads.imag
+    return band
 
 
 def _apply_loads(loads: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -152,16 +151,17 @@ def _apply_loads(loads: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.view(complex)[..., 0]
 
 
-def _newton_step(ops: ChainOperators, loads: np.ndarray, a: np.ndarray,
+def _newton_step(ops: ChainOperators, fixed: np.ndarray, a: np.ndarray,
                  cos_delta: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Newton step dx (M, n) on the unknowns of ops, by one real banded
-    LU of J dx = res: J is loads (see _load_blocks) plus, per branch, the
+    LU of J dx = res: J is fixed (see _load_band) plus, per branch, the
     derivative (2/k) sum_l cos(delta_l) a_l a_l^T of the harmonics of
-    sin(delta) by (Re d, Im d) (see _samples), in a band built anew at
-    each step (cli._keep_freed_heap keeps the freed one's pages)."""
+    sin(delta) by (Re d, Im d) (see _samples), in a junction band built
+    anew at each step (cli._keep_freed_heap keeps the freed one's pages)."""
     k, m2 = a.shape
     coupling = cos_delta @ (a[:, :, None] * a[:, None, :]).reshape(k, -1)
-    band = conversion_band(ops, coupling.reshape(-1, m2, m2) * (2 / k), loads)
+    band = conversion_band(ops, coupling.reshape(-1, m2, m2) * (2 / k))
+    band += fixed
     rhs = np.concatenate([res.real, res.imag]).T.ravel()
     dx = _solve(band, rhs).reshape(len(ops.e), 2, -1)
     return (dx[:, 0] + 1j * dx[:, 1]).T
@@ -170,11 +170,12 @@ def _newton_step(ops: ChainOperators, loads: np.ndarray, a: np.ndarray,
 def _predict(ops: ChainOperators, loads: np.ndarray, i_src) -> np.ndarray:
     """Newton's describing-function start (M, n) for drive i_src: higher
     harmonics 0, the fundamental solved (complex banded LU) on loads[:, :, 0]
-    plus linear junctions, then at the SPM inductance of the drops found."""
+    plus the junction band (at nb = 1 a node band) of linear junctions, then
+    at the SPM inductance of the drops found."""
     phi, gain = np.zeros(loads.shape[:0:-1], complex), np.ones(len(ops.g))
     for _ in range(2):          # junction inductances 1/(g gain)
-        phi[0] = _solve(conversion_band(ops, gain[:, None, None],
-                                        loads[:, :, :1, None]), i_src)
+        phi[0] = _solve(conversion_band(ops, gain[:, None, None])
+                        + loads[:, :, 0], i_src)
         d = phi[0, ops.left + ops.w] - phi[0, ops.left]
         gain = spm_factor(2 * ops.scale * abs(d))
     return phi
@@ -213,8 +214,8 @@ def pump_harmonic_balance(net: ChainNetwork, omega_p: float, eps: float,
     # linear operator per harmonic on reduced flux; its loads keep the
     # pump-frequency reference impedances at every harmonic
     w_m = omega_p * np.array(orders)
-    loads = ops.admittance(w_m, [z] * len(w_m), False) * (1j * PHI0_BAR * w_m)
-    fixed = _load_blocks(loads)
+    loads = _channel_loads(ops, w_m, [z] * len(w_m))
+    fixed = _load_band(loads, ops.w)
 
     def residual(phi, i_src):
         d_br = ops.scale * (phi[:, right] - phi[:, left])

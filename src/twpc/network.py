@@ -141,7 +141,7 @@ def build_chain(spec: LineSpec, port_z="bloch") -> ChainNetwork:
     return ChainNetwork(spec.cell, spec.n_cells, table, port_z, consts)
 
 
-def _stamp_branches(ab, left, val, w=2):
+def _stamp_branches(ab, left, val, w):
     """Add two-terminal elements val between unknowns left and
     right = left + w (adjacent columns) to band storage ab of node
     bandwidth w; val and ab may share trailing axes, one band per trailing
@@ -251,22 +251,18 @@ def admittance_matrix(net: ChainNetwork, omega: float, z) -> np.ndarray:
     return net.ops.admittance([omega], [z])[..., 0]
 
 
-def conversion_band(ops: ChainOperators, coupling: np.ndarray,
-                    fixed=None) -> np.ndarray:
+def conversion_band(ops: ChainOperators, coupling: np.ndarray) -> np.ndarray:
     """LAPACK band storage (kl = ku = (w + 1) nb - 1, index node * nb + c)
-    on the unknowns of ops of the chain linearized about a pump orbit:
+    on the unknowns of ops of the junctions linearized about a pump orbit:
     channel c' drives c through phi0 D^T diag(g coupling[:, c, c']) D, with
     coupling (branches of ops, nb, nb) from the Fourier coefficients of
     cos(delta(t)) per junction (in a sector the two electrodes' halves add
-    up to one whole stamp: current weight times drop scale is 1), plus
-    fixed, channel blocks (2 w + 1, n, nb, nb) in node band storage."""
+    up to one whole stamp: current weight times drop scale is 1).  The
+    solvers add their loads through _load_rows."""
     w, n, nb = ops.w, len(ops.e), coupling.shape[-1]
-    blocks = np.zeros((2 * w + 1, n, nb, nb), coupling.dtype if fixed is None
-                      else np.result_type(coupling, fixed))
+    blocks = np.zeros((2 * w + 1, n, nb, nb), coupling.dtype)
     _stamp_branches(blocks, ops.left,
                     PHI0_BAR * ops.g[:, None, None] * coupling, w)
-    if fixed is not None:
-        blocks += fixed
     # node band row r holds node offset r - w, i.e. offset (r - w) nb + c - c'
     ku = (w + 1) * nb - 1
     r, c, c2 = np.ogrid[:2 * w + 1, :nb, :nb]
@@ -276,23 +272,20 @@ def conversion_band(ops: ChainOperators, coupling: np.ndarray,
     return out
 
 
-def _load_rows(band: np.ndarray, w: int, nb: int) -> np.ndarray:
-    """The rows of a channel band holding its diagonal blocks, as a view
-    (2 w + 1, n, nb): the channels' loads."""
-    ku = (len(band) - 1) // 2
-    return band.reshape(len(band), -1, nb)[ku - w * nb:ku + w * nb + 1:nb]
+def _load_rows(band: np.ndarray, w: int, nb: int, shift=0) -> np.ndarray:
+    """The entries (c + shift, c), |shift| < nb, of a channel band's diagonal
+    blocks as a view (2 w + 1, n, nb); shift 0 holds the channels' loads."""
+    row = (len(band) - 1) // 2 + shift     # the band row of offset shift
+    return band.reshape(len(band), -1, nb)[row - w * nb:row + w * nb + 1:nb]
 
 
-def add_channel_loads(rows: np.ndarray, ops: ChainOperators, omegas, z,
-                      out: np.ndarray) -> np.ndarray:
-    """Write rows, the pump part of the load rows (see _load_rows) on the
-    unknowns of ops, plus i omega_c phi0 Y_c without the junction
-    inductances, at the signed frequency omegas[c] with port impedances
-    z[c], into the load rows of out, a channel band, and return them; its
-    other rows stay as they are."""
+def _channel_loads(ops: ChainOperators, omegas, z) -> np.ndarray:
+    """Node bands (2 w + 1, n, nb) of i omega_c phi0 Y_c without the
+    junction inductances, at the signed frequency omegas[c] with port
+    impedances z[c], on the unknowns of ops."""
     loads = ops.admittance(omegas, z, inductive=False)
     loads *= 1j * PHI0_BAR * np.asarray(omegas)
-    return np.add(rows, loads, out=_load_rows(out, ops.w, len(z)))
+    return loads
 
 
 def _solve(ab, b, check_finite=True):

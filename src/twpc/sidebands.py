@@ -34,7 +34,7 @@ from .device import PHI0_BAR
 from .dispersion import cutoff
 from .errors import SingularNetwork, TruncationWarning
 from .harmonic_balance import PumpSolution
-from .network import (PARITY, PORTS, _load_rows, _solve, add_channel_loads,
+from .network import (PARITY, PORTS, _channel_loads, _load_rows, _solve,
                       conversion_band, parity_sector, port_impedances)
 
 
@@ -139,8 +139,9 @@ class _PumpedLinearizer:
         s = np.zeros((len(freqs), 4, len(i)), complex)
         for band, ops, rows, plan in self.sectors.values():
             cols, chan, entries, drive, out, e_t = plan
-            if not np.isfinite(add_channel_loads(rows, ops, freqs, z,
-                                                 band)).all():
+            loads = np.add(rows, _channel_loads(ops, freqs, z),
+                           out=_load_rows(band, ops.w, len(freqs)))
+            if not np.isfinite(loads).all():
                 raise SingularNetwork("non-finite channel loads")
             # Norton drive of a unit incident wave on each channel
             rhs = np.zeros((band.shape[1], len(cols)))

@@ -80,6 +80,19 @@ def test_wavevector_accepts_arrays():
             assert math.isnan(wavevector(mode, math.nan, cell, l_eff))
             assert np.isnan(wavevector(mode, np.array([math.nan]), cell,
                                        l_eff)).all()
+            # the range check on the edge cases of the array path: an
+            # empty, 0-d, int or all-NaN omega
+            assert wavevector(mode, np.array([]), cell, l_eff).shape == (0,)
+            k = wavevector(mode, 2 * GHZ, cell, l_eff)
+            assert wavevector(mode, np.array(2 * GHZ), cell, l_eff) == k
+            assert wavevector(mode, round(2 * GHZ), cell, l_eff) == \
+                wavevector(mode, float(round(2 * GHZ)), cell, l_eff)
+            assert np.isnan(wavevector(mode, np.full(3, math.nan), cell,
+                                       l_eff)).all()
+            assert np.isnan(wavevector(mode, np.array(math.nan), cell, l_eff))
+            for x in (np.array(co * 1.001), round(co * 1.001), 10 ** 200):
+                with pytest.raises(AboveCutoff):
+                    wavevector(mode, x, cell, l_eff)
     # an array names its failing frequency of largest magnitude, as the
     # scalar path does: neither a NaN nor a frequency below cutoff
     for w, culprit in (([math.nan, 2e11], 2e11), ([-2e11, 1e9], -2e11)):

@@ -82,6 +82,20 @@ def _runs(work: Path):
                             "--probe-min", "4", "--probe-max", "6",
                             "--probe-points", "3", "--pump-flux", "0.05",
                             "--harmonics", "2", "--n-sidebands", "1"]
+    # pumped lines without electrode symmetry, solved on the nodes: an open
+    # junction, and a disordered map whose three probes at f_probe =
+    # 2 n f_pump fail
+    opened = work / "open.json"
+    opened.write_text(json.dumps(device.spec_to_json(device.fitted_line(
+        defects=((165, "open_junction"),)))))
+    yield "nld-sim-defect", ["nld-sim", "--spec", str(opened), "--f-pump",
+                             "3", "--f-probe", "7.1", "--pump-flux", "0.05"]
+    disorder = work / "disorder.json"
+    disorder.write_text(json.dumps(device.spec_to_json(device.fitted_line(
+        disorder_halfwidth=0.02, seed=3))))
+    yield "nld-map-disorder", ["nld-map", "--spec", str(disorder),
+                               "--pump-points", "2", "--probe-points", "9",
+                               "--pump-flux", "0.05"]
     # the seed-0 inputs of the benchmark workloads (perfbench/workloads.py);
     # pumped_map's is the default map above (test_pumped_map_is_the_default)
     line = work / "line.json"

@@ -13,7 +13,7 @@ from twpc.device import PHI0_BAR
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.errors import NonConvergence, TruncationWarning
 from twpc.harmonic_balance import (K_SAMPLES, HarmonicBasis,
-                                   _apply_loads, _load_blocks, _newton_step,
+                                   _apply_loads, _load_band, _newton_step,
                                    _orbit, _sample_count, _samples,
                                    incident_amplitude,
                                    pump_harmonic_balance,
@@ -301,7 +301,7 @@ def _step_and_oracle(sol, seed):
     res = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     w_m = w * np.array(orders)
     loads = ops.admittance(w_m, [z] * len(w_m), False) * (1j * PHI0_BAR * w_m)
-    step = _newton_step(ops, _load_blocks(loads), a,
+    step = _newton_step(ops, _load_band(loads, ops.w), a,
                         np.cos(delta[ops.branches]), res)
     ref = _reference_newton_step(net, w, orders, z, delta, ops.to_nodes(res))
     return ops.to_nodes(step), ref
@@ -331,6 +331,79 @@ def _flux_drives(net, f_ghz, flux, ports=(3,)):
 def disorder_net(fitted_spec):
     return network.build_chain(dataclasses.replace(
         fitted_spec, disorder_halfwidth=0.05, seed=7))
+
+
+def _parent_band(ops, coupling, blocks):
+    """The conversion band as the junction stamp of coupling plus node
+    blocks (2 w + 1, n, nb, nb), added before they are scattered into
+    LAPACK band storage."""
+    w, n, nb = ops.w, len(ops.e), coupling.shape[-1]
+    stamp = np.zeros(blocks.shape[:2] + (nb, nb),
+                     np.result_type(coupling, blocks))
+    network._stamp_branches(stamp, ops.left,
+                            PHI0_BAR * ops.g[:, None, None] * coupling, w)
+    stamp += blocks
+    ku = (w + 1) * nb - 1
+    out = np.zeros((2 * ku + 1, n * nb), stamp.dtype)
+    for r, c, c2 in np.ndindex(2 * w + 1, nb, nb):
+        out[ku + (r - w) * nb + c - c2, c2::nb] = stamp[r, :, c, c2]
+    return out
+
+
+def _node_load_blocks(loads):
+    """Node blocks [[Re, -Im], [Im, Re]] (2 w + 1, n, 2 M, 2 M) of the
+    harmonics' load bands (2 w + 1, n, M) on (Re x_m, then Im x_m)."""
+    m = loads.shape[-1]
+    re, im = np.arange(m), np.arange(m, 2 * m)
+    out = np.zeros(loads.shape[:-1] + (2 * m, 2 * m))
+    out[..., re, re] = out[..., im, im] = loads.real
+    out[..., re, im] = -loads.imag
+    out[..., im, re] = loads.imag
+    return out
+
+
+@pytest.mark.parametrize("line, ports, sector", [
+    ("fitted", (3,), -1), ("fitted", (0,), 1), ("fitted", (0, 3), None),
+    ("defect", (3,), None)])
+def test_newton_bands_keep_the_node_block_bits(request, monkeypatch, line,
+                                               ports, sector):
+    """Every band harmonic balance solves, the describing-function start's
+    and each Newton step's, holds the bytes (-0.0 included) of the junction
+    stamp plus the harmonics' loads as node blocks, added before the
+    scatter, in the Delta and Sigma sectors, on the nodes and on a line
+    with an open junction."""
+    net = request.getfixturevalue(f"{line}_net")
+    coupled, solved = [], []
+    band_fn = harmonic_balance.conversion_band
+    solve_fn = harmonic_balance._solve
+
+    def stamp(ops, coupling):
+        coupled.append((ops, coupling.copy()))
+        return band_fn(ops, coupling)
+
+    def solve(ab, b, *args, **kwargs):
+        solved.append((*coupled[-1], ab.copy()))
+        return solve_fn(ab, b, *args, **kwargs)
+
+    monkeypatch.setattr(harmonic_balance, "conversion_band", stamp)
+    monkeypatch.setattr(harmonic_balance, "_solve", solve)
+    w, eps, ports = _flux_drives(net, 3.0, 0.05, ports)
+    basis = HarmonicBasis(3)
+    pump_harmonic_balance(net, w, eps, ports, basis)
+    w_m = w * np.array(basis.orders)
+    z = port_impedances(net, w)
+    kinds = []
+    for ops, coupling, band in solved:
+        assert ops is net.sectors[sector]
+        loads = ops.admittance(w_m, [z] * len(w_m), False) \
+            * (1j * PHI0_BAR * w_m)
+        blocks = loads[:, :, :1, None] if band.dtype == complex \
+            else _node_load_blocks(loads)
+        ref = _parent_band(ops, coupling, blocks)
+        assert (band.dtype, band.shape) == (ref.dtype, ref.shape)
+        assert band.tobytes() == ref.tobytes()
+        kinds.append(band.dtype)
+    assert kinds[:2] == [complex] * 2 and float in kinds
 
 
 @pytest.mark.parametrize("line, f_ghz, ports, basis", [

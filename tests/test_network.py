@@ -413,3 +413,26 @@ def test_scattering_sweep_zero_frequency_is_singular():
         scattering_sweep(net, [5 * GHZ, 0.0])
     with pytest.raises(SingularNetwork), np.errstate(all="ignore"):
         linear_scattering(net, 0.0)
+
+
+@pytest.mark.parametrize("w, m", [(1, 1), (1, 3), (2, 3)])
+def test_load_rows_address_the_diagonal_blocks(w, m):
+    """_load_rows(band, w, nb, shift) views the entries (c + shift, c) of
+    the blocks on the node diagonals, on a channel band of nb = 2 m filled
+    from a dense matrix of distinct values (a neighbour block's entry
+    where c + shift leaves 0..nb-1, 0 where it leaves the matrix)."""
+    n, nb = 4, 2 * m
+    size, ku = n * nb, (w + 1) * nb - 1
+    dense = np.arange(1.0, size * size + 1).reshape(size, size)
+    band = np.zeros((2 * ku + 1, size))
+    for i, j in np.ndindex(size, size):
+        if abs(i - j) <= ku:
+            band[ku + i - j, j] = dense[i, j]
+    for shift in (0, -m, m):
+        rows = network._load_rows(band, w, nb, shift)
+        assert rows.shape == (2 * w + 1, n, nb)
+        assert np.shares_memory(rows, band)
+        for r, node, c in np.ndindex(rows.shape):
+            i = (node + r - w) * nb + c + shift
+            want = dense[i, node * nb + c] if 0 <= i < size else 0.0
+            assert rows[r, node, c] == want, (shift, r, node, c)
