@@ -125,18 +125,6 @@ def _orbit(d: np.ndarray, a: np.ndarray) -> np.ndarray:
     return 2 * np.concatenate([d.real, d.imag]).T @ a.T
 
 
-def _load_band(loads: np.ndarray, w: int) -> np.ndarray:
-    """The part of the Newton Jacobian fixed from step to step: a channel
-    band on (Re x_m, then Im x_m) of the harmonics' load bands (2 w + 1, n,
-    M), [[Re, -Im], [Im, Re]] in each diagonal block (see _load_rows)."""
-    m = loads.shape[-1]
-    band = np.zeros((4 * (w + 1) * m - 1, loads.shape[1] * 2 * m))
-    _load_rows(band, w, 2 * m)[:] = np.concatenate([loads.real] * 2, -1)
-    _load_rows(band, w, 2 * m, -m)[..., m:] = -loads.imag
-    _load_rows(band, w, 2 * m, m)[..., :m] = loads.imag
-    return band
-
-
 def _apply_loads(loads: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The harmonics' load bands (2 w + 1, n, M) applied to x (M, n), as
     a C-contiguous (M, n) array with the bits of scipy's CSR product: real
@@ -151,17 +139,24 @@ def _apply_loads(loads: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.view(complex)[..., 0]
 
 
-def _newton_step(ops: ChainOperators, fixed: np.ndarray, a: np.ndarray,
+def _newton_step(ops: ChainOperators, loads: np.ndarray, a: np.ndarray,
                  cos_delta: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Newton step dx (M, n) on the unknowns of ops, by one real banded
-    LU of J dx = res: J is fixed (see _load_band) plus, per branch, the
-    derivative (2/k) sum_l cos(delta_l) a_l a_l^T of the harmonics of
-    sin(delta) by (Re d, Im d) (see _samples), in a junction band built
-    anew at each step (cli._keep_freed_heap keeps the freed one's pages)."""
+    LU of J dx = res: per branch, the derivative (2/k) sum_l cos(delta_l)
+    a_l a_l^T of the harmonics of sin(delta) by (Re d, Im d) (see
+    _samples), in a junction band built anew at each step
+    (cli._keep_freed_heap keeps the freed one's pages), plus the
+    harmonics' load bands (2 w + 1, n, M) added into its load rows as
+    [[Re, -Im], [Im, Re]] in each diagonal block (see _load_rows)."""
     k, m2 = a.shape
+    m = m2 // 2
     coupling = cos_delta @ (a[:, :, None] * a[:, None, :]).reshape(k, -1)
     band = conversion_band(ops, coupling.reshape(-1, m2, m2) * (2 / k))
-    band += fixed
+    rows = _load_rows(band, ops.w, m2)
+    rows[..., :m] += loads.real
+    rows[..., m:] += loads.real
+    _load_rows(band, ops.w, m2, -m)[..., m:] -= loads.imag
+    _load_rows(band, ops.w, m2, m)[..., :m] += loads.imag
     rhs = np.concatenate([res.real, res.imag]).T.ravel()
     dx = _solve(band, rhs).reshape(len(ops.e), 2, -1)
     return (dx[:, 0] + 1j * dx[:, 1]).T
@@ -215,7 +210,6 @@ def pump_harmonic_balance(net: ChainNetwork, omega_p: float, eps: float,
     # pump-frequency reference impedances at every harmonic
     w_m = omega_p * np.array(orders)
     loads = _channel_loads(ops, w_m, [z] * len(w_m))
-    fixed = _load_band(loads, ops.w)
 
     def residual(phi, i_src):
         d_br = ops.scale * (phi[:, right] - phi[:, left])
@@ -238,7 +232,7 @@ def pump_harmonic_balance(net: ChainNetwork, omega_p: float, eps: float,
             history.append(rnorm)
             if rnorm < TOL or it == MAX_ITER:
                 break
-            step = _newton_step(ops, fixed, a, np.cos(delta), res)
+            step = _newton_step(ops, loads, a, np.cos(delta), res)
             # backtracking line search on the residual norm
             for lam in 0.5 ** np.arange(12):
                 trial = phi - lam * step

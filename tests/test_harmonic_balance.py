@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from twpc.device import PHI0_BAR
 from twpc.dispersion import amplitude_from_flux, pump_wavevector
 from twpc.errors import NonConvergence, TruncationWarning
 from twpc.harmonic_balance import (K_SAMPLES, HarmonicBasis,
-                                   _apply_loads, _load_band, _newton_step,
+                                   _apply_loads, _newton_step,
                                    _orbit, _sample_count, _samples,
                                    incident_amplitude,
                                    pump_harmonic_balance,
@@ -301,8 +302,7 @@ def _step_and_oracle(sol, seed):
     res = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     w_m = w * np.array(orders)
     loads = ops.admittance(w_m, [z] * len(w_m), False) * (1j * PHI0_BAR * w_m)
-    step = _newton_step(ops, _load_band(loads, ops.w), a,
-                        np.cos(delta[ops.branches]), res)
+    step = _newton_step(ops, loads, a, np.cos(delta[ops.branches]), res)
     ref = _reference_newton_step(net, w, orders, z, delta, ops.to_nodes(res))
     return ops.to_nodes(step), ref
 
@@ -362,16 +362,22 @@ def _node_load_blocks(loads):
     return out
 
 
-@pytest.mark.parametrize("line, ports, sector", [
-    ("fitted", (3,), -1), ("fitted", (0,), 1), ("fitted", (0, 3), None),
-    ("defect", (3,), None)])
+_GUARD_CASES = [("fitted", (3,), -1), ("fitted", (0,), 1),
+                ("fitted", (0, 3), None), ("defect", (3,), None)]
+
+
+@pytest.mark.parametrize("line, ports, sector, m", [
+    pytest.param(*case, m, id=f"{case[0]}-ports{i}-{case[2]}"
+                 + ("" if m == 3 else f"-m{m}"))
+    for m in (3, 1, 5) for i, case in enumerate(_GUARD_CASES)])
 def test_newton_bands_keep_the_node_block_bits(request, monkeypatch, line,
-                                               ports, sector):
+                                               ports, sector, m):
     """Every band harmonic balance solves, the describing-function start's
     and each Newton step's, holds the bytes (-0.0 included) of the junction
     stamp plus the harmonics' loads as node blocks, added before the
     scatter, in the Delta and Sigma sectors, on the nodes and on a line
-    with an open junction."""
+    with an open junction, at M = 1, 3 and 5 harmonics (the loads' +-M
+    shifted rows depend on M)."""
     net = request.getfixturevalue(f"{line}_net")
     coupled, solved = [], []
     band_fn = harmonic_balance.conversion_band
@@ -388,7 +394,7 @@ def test_newton_bands_keep_the_node_block_bits(request, monkeypatch, line,
     monkeypatch.setattr(harmonic_balance, "conversion_band", stamp)
     monkeypatch.setattr(harmonic_balance, "_solve", solve)
     w, eps, ports = _flux_drives(net, 3.0, 0.05, ports)
-    basis = HarmonicBasis(3)
+    basis = HarmonicBasis(m)
     pump_harmonic_balance(net, w, eps, ports, basis)
     w_m = w * np.array(basis.orders)
     z = port_impedances(net, w)
@@ -404,6 +410,33 @@ def test_newton_bands_keep_the_node_block_bits(request, monkeypatch, line,
         assert band.tobytes() == ref.tobytes()
         kinds.append(band.dtype)
     assert kinds[:2] == [complex] * 2 and float in kinds
+
+
+@pytest.mark.parametrize("ports", [(3,), (0,), (0, 3)])
+def test_no_band_outlives_a_newton_step(fitted_net, monkeypatch, ports):
+    """While a Newton step's real band is solved, harmonic balance holds
+    at most 1.5 such bands of other traced memory, counted from its call
+    (Delta and Sigma sectors, the nodes): its loads enter each step's
+    band, and no band is kept from step to step.  A first solve loads
+    scipy.linalg untraced."""
+    pump = (*_flux_drives(fitted_net, 3.0, 0.05, ports), HarmonicBasis(3))
+    pump_harmonic_balance(fitted_net, *pump)
+    solve_fn, held = harmonic_balance._solve, []
+
+    def solve(ab, b, *args, **kwargs):
+        if ab.dtype == float:
+            in_use = tracemalloc.get_traced_memory()[0] - start - ab.nbytes
+            held.append(in_use / ab.nbytes)
+        return solve_fn(ab, b, *args, **kwargs)
+
+    monkeypatch.setattr(harmonic_balance, "_solve", solve)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pump_harmonic_balance(fitted_net, *pump)
+    finally:
+        tracemalloc.stop()
+    assert held and max(held) <= 1.5
 
 
 @pytest.mark.parametrize("line, f_ghz, ports, basis", [
