@@ -1,9 +1,9 @@
 """twpc — design toolkit for two-mode nonlinear Josephson transmission
 lines mixing counterpropagating waves through a slow pump."""
 
-from .device import (CellParams, DerivedConstants, LineSpec, derive_constants,
-                     design_cell, fitted_cell, fitted_line, load_spec,
-                     sample_disorder, spec_from_json, spec_to_json)
+from .device import (CellParams, LineSpec, design_cell, fitted_cell,
+                     fitted_line, load_spec, sample_disorder, spec_from_json,
+                     spec_to_json)
 from .dispersion import (Mode, amplitude_from_flux, cutoff, pump_wavevector,
                          spm_inductance, wavevector, xpm_inductance)
 from .matching import (Direction, MatchPoint, ProcessKind, gap_map,

@@ -505,7 +505,7 @@ def _fig_tdr(args, runner):
     spec = device.fitted_line(defects=((165, "open_junction"),))
     net = network.build_chain(spec)
     freqs = np.linspace(4e9, 8e9, 801)
-    v = device.derive_constants(spec.cell).v_sigma0 / 1e9  # cell/ns
+    v = spec.cell.v_sigma0 / 1e9  # cell/ns
     s = network.scattering_sweep(net, 2 * math.pi * freqs)
     report = {}
     for port, label in ((0, "left"), (2, "right")):

@@ -1,4 +1,4 @@
-"""Device description: unit cell, chain, defects, disorder, derived constants.
+"""Device description: unit cell, chain, defects, disorder.
 
 A device is a ladder of identical cells, each carrying two Josephson
 junctions (inductance L_J shunted by C_J, one per electrode), a capacitance
@@ -74,32 +74,30 @@ class CellParams:
             raise ConfigError([("cell.c_j",
                                 "must be below c_g (physical regime)")])
 
+    @property
+    def c_delta(self) -> float:
+        """Delta-mode shunt capacitance C_g + 2 C_i (F)."""
+        return self.c_g + 2.0 * self.c_i
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Secondary constants of a cell; see :func:`derive_constants`."""
+    @property
+    def v_sigma0(self) -> float:
+        """Low-frequency Sigma velocity a/sqrt(L_J C_g) (cell/s)."""
+        return 1 / math.sqrt(self.l_j * self.c_g)
 
-    v_sigma0: float       # cell/s
-    v_delta0: float       # cell/s
-    z_sigma: float        # Ohm
-    z_delta: float        # Ohm
+    @property
+    def v_delta0(self) -> float:
+        """Low-frequency Delta velocity a/sqrt(L_J c_delta) (cell/s)."""
+        return 1 / math.sqrt(self.l_j * self.c_delta)
 
+    @property
+    def z_sigma(self) -> float:
+        """Low-frequency Sigma impedance sqrt(L_J/C_g) (Ohm)."""
+        return math.sqrt(self.l_j / self.c_g)
 
-def derive_constants(cell: CellParams) -> DerivedConstants:
-    """Low-frequency velocities and impedances of the two modes (the
-    cutoffs are :func:`twpc.dispersion.cutoff`).
-
-    v_Sigma = a/sqrt(L_J C_g),      v_Delta = a/sqrt(L_J (C_g + 2 C_i)),
-    Z_Sigma = sqrt(L_J/C_g),        Z_Delta = sqrt(L_J/(C_g + 2 C_i)).
-    """
-    lj, cg = cell.l_j, cell.c_g
-    cd = cg + 2.0 * cell.c_i
-    return DerivedConstants(
-        v_sigma0=1 / math.sqrt(lj * cg),
-        v_delta0=1 / math.sqrt(lj * cd),
-        z_sigma=math.sqrt(lj / cg),
-        z_delta=math.sqrt(lj / cd),
-    )
+    @property
+    def z_delta(self) -> float:
+        """Low-frequency Delta impedance sqrt(L_J/c_delta) (Ohm)."""
+        return math.sqrt(self.l_j / self.c_delta)
 
 
 @dataclass(frozen=True)

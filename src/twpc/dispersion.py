@@ -40,7 +40,7 @@ class Mode(enum.Enum):
 
 
 def _shunt_cap(mode: Mode, cell: CellParams) -> float:
-    return cell.c_g if mode is Mode.Sigma else cell.c_g + 2.0 * cell.c_i
+    return cell.c_g if mode is Mode.Sigma else cell.c_delta
 
 
 # Validity bounds of the single-harmonic truncation: the renormalization
@@ -164,12 +164,15 @@ def wavevector(mode: Mode, omega, cell: CellParams,
 def amplitude_from_flux(phi_jj: float, k_p: float) -> float:
     """Reduced amplitude eps of a pump whose peak junction flux is phi_jj
     (Wb), by Phi_JJ = 4 phi0 eps sin(k a / 2); a pump whose junctions see
-    no flux drop (sin(k a / 2) = 0) raises AmplitudeOutOfRange."""
+    no flux drop (sin(k a / 2) = 0), or whose eps overflows, raises
+    AmplitudeOutOfRange."""
     s = math.sin(0.5 * k_p)
-    if s == 0.0:
-        raise AmplitudeOutOfRange(f"no pump amplitude gives a junction flux "
-                                  f"at k_p = {k_p:.3g} rad/cell")
-    return phi_jj / (4.0 * PHI0_BAR * s)
+    eps = phi_jj / (4.0 * PHI0_BAR * s) if s else math.inf
+    if not math.isfinite(eps):
+        raise AmplitudeOutOfRange(f"no finite pump amplitude gives a junction "
+                                  f"flux {phi_jj:.3g} Wb at k_p = {k_p:.3g} "
+                                  "rad/cell")
+    return eps
 
 
 def pump_wavevector(cell: CellParams, omega_p: float,

@@ -181,8 +181,9 @@ def pump_harmonic_balance(net: ChainNetwork, omega_p: float, eps: float,
     """Newton harmonic balance of the pump steady state.
 
     A pump wave of reduced amplitude eps (see incident_amplitude) at
-    omega_p is incident on each of ports, distinct ints 0-3 (ValueError
-    otherwise, or if there are none); both Delta ports pumped together
+    omega_p is incident on each of ports, distinct ints 0-3; ValueError
+    is raised unless there is one or more such port, omega_p is finite
+    and > 0 and eps finite and >= 0.  Both Delta ports pumped together
     realize the coupler configuration.  The drive is applied by adaptive
     amplitude continuation whose first step is the full drive: on failure
     the step is halved, and each step starts from the last converged state
@@ -196,6 +197,10 @@ def pump_harmonic_balance(net: ChainNetwork, omega_p: float, eps: float,
                           and not isinstance(p, bool) and 0 <= p <= 3
                           for p in ports) and len(set(ports)) == len(ports)):
         raise ValueError(f"need one or more distinct pump ports 0-3: {ports}")
+    if not 0 < omega_p < math.inf:     # also NaN
+        raise ValueError(f"omega_p must be finite and > 0: {omega_p!r}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0: {eps!r}")
 
     orders = basis.orders
     a = _samples(orders, _sample_count(max(orders)))

@@ -201,18 +201,17 @@ def gap_map(kinds, pump_grid, cell: CellParams, epsilon_p):
     (omega_p, omega_probe) rows}.  Forward curves are at the signal
     frequency; backward curves at the idler frequency (the same process
     probed from the other port), which coincide for the reciprocal coupling
-    process.  Each (kind, omega_p) is solved once, at epsilon_p or, if
-    callable, epsilon_p(omega_p).  Points with no root (NoSolutionInBand)
+    process.  Each (kind, omega_p) is solved once, at the reduced pump
+    amplitude epsilon_p(omega_p).  Points with no root (NoSolutionInBand)
     are absent; a point raising another TwpcError is absent too and listed
     in failures as (kind, omega_p, error).
     """
-    amplitude = epsilon_p if callable(epsilon_p) else lambda wp: epsilon_p
     curves, failures = {}, []
     for kind in kinds:
         fw, bw = [], []
         for omega_p in pump_grid:
             try:
-                pts = solve_corrected(kind, omega_p, amplitude(omega_p), cell)
+                pts = solve_corrected(kind, omega_p, epsilon_p(omega_p), cell)
             except NoSolutionInBand:
                 continue
             except TwpcError as exc:

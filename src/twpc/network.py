@@ -31,9 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .device import PHI0_BAR, CellParams, DerivedConstants, LineSpec, \
-    derive_constants, sample_disorder
-from .dispersion import Mode, wavevector
+from .device import PHI0_BAR, CellParams, LineSpec, sample_disorder
+from .dispersion import Mode, _shunt_cap, wavevector
 from .errors import ConfigError, DecompositionIllConditioned, SingularNetwork
 
 #: port order (mode, side)
@@ -99,7 +98,6 @@ class ChainNetwork:
     n_cells: int
     l_table: np.ndarray       # (n_cells, 2) junction inductances, inf = open
     port_z: object            # "bloch" or sequence of 4 reference impedances
-    consts: DerivedConstants
 
     @property
     def n_nodes(self) -> int:
@@ -137,8 +135,7 @@ def build_chain(spec: LineSpec, port_z="bloch") -> ChainNetwork:
                 [("ports", "need 4 finite positive impedances (ohm)")])
     table = sample_disorder(spec)
     table.setflags(write=False)
-    consts = derive_constants(spec.cell)
-    return ChainNetwork(spec.cell, spec.n_cells, table, port_z, consts)
+    return ChainNetwork(spec.cell, spec.n_cells, table, port_z)
 
 
 def _stamp_branches(ab, left, val, w):
@@ -182,7 +179,7 @@ def _chain_operators(net: ChainNetwork, sign=None) -> ChainOperators:
         w, scale, branches = 1, _S2, np.flatnonzero(elec == 1)
         left = cells[branches]
         c_band = np.zeros((3, n_cells + 1))
-        c_band[1] = wt * (cell.c_g + (1 - sign) * cell.c_i)
+        c_band[1] = wt * (cell.c_g if sign > 0 else cell.c_delta)
         e = (sign * e[0::2] + e[1::2]) * _S2
     g = g[branches]
     _stamp_branches(c_band, left, np.full(len(g), cell.c_j), w)
@@ -209,7 +206,7 @@ def parity_sector(net: ChainNetwork, ports):
 
 def bloch_impedance(mode: Mode, omega: float, cell: CellParams) -> complex:
     """Image impedance of one symmetric pi-section (real below cutoff)."""
-    c = cell.c_g if mode is Mode.Sigma else cell.c_g + 2.0 * cell.c_i
+    c = _shunt_cap(mode, cell)
     if omega == 0:      # the long-wavelength limit sqrt(L_J / c)
         return complex(math.sqrt(cell.l_j / c))
     y_se = 1.0 / (1j * omega * cell.l_j) + 1j * omega * cell.c_j
@@ -231,10 +228,10 @@ def port_impedances(net: ChainNetwork, omega) -> np.ndarray:
     w = np.asarray(omega, float)[..., None]
     z = net.port_z
     if not isinstance(z, tuple):
-        z = np.array([net.consts.z_sigma, net.consts.z_delta] * 2)
+        z = np.array([net.cell.z_sigma, net.cell.z_delta] * 2)
     if net.port_z == "bloch":
         cell = net.cell
-        y_sh = 0.5 * w * np.array([cell.c_g, cell.c_g + 2.0 * cell.c_i] * 2)
+        y_sh = 0.5 * w * np.array([cell.c_g, cell.c_delta] * 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             z_se = -1 / (-1 / (w * cell.l_j) + w * cell.c_j)
             arg = z_se / (y_sh * (2.0 - z_se * y_sh))

@@ -73,14 +73,21 @@ class _PumpedLinearizer:
     check: the pump bands are checked once, and each probe checks its port
     impedances (which set its drives) and the load rows it writes.  The
     truncation check reads the probe's own channel (n_sidebands, 0), so
-    channels must include it."""
+    channels, all of them if None, must include it; n_sidebands is an
+    int >= 0 (ValueError otherwise)."""
 
     def __init__(self, pump: PumpSolution, channels, n_sidebands: int = 2):
+        if not (isinstance(n_sidebands, (int, np.integer)) and
+                not isinstance(n_sidebands, bool) and n_sidebands >= 0):
+            raise ValueError(
+                f"n_sidebands must be an int >= 0: {n_sidebands!r}")
         self.net = net = pump.net
         self.n_sb = n_sidebands
         self.omega_p = pump.omega_p
         self.harmonics = 2 * np.arange(-n_sidebands, n_sidebands + 1)
         nb = len(self.harmonics)
+        if channels is None:
+            channels = list(np.ndindex(nb, 4))
         self.probe = [tuple(c) for c in channels].index((n_sidebands, 0))
         self.chan = i, p = np.array(channels).T
         k = np.arange(len(channels))
@@ -171,13 +178,11 @@ def signal_sidebands(pump: PumpSolution, omega_probe: float,
     channels lists the incident (sideband, port) pairs to solve, all of
     them by default; it must include the probe's Sigma-L channel
     (n_sidebands, 0), and the columns of the others are NaN."""
-    nb = 2 * n_sidebands + 1
-    if channels is None:
-        channels = list(np.ndindex(nb, 4))
     lin = _PumpedLinearizer(pump, channels, n_sidebands)
     freqs, s_in = lin.solve(omega_probe)
+    nb = len(freqs)
     s = np.full((nb, 4, nb, 4), np.nan, complex)
-    i, p = np.array(channels).T
+    i, p = lin.chan
     s[:, :, i, p] = s_in
     prop = np.abs(freqs)[:, None] < [cutoff(m, pump.net.cell)
                                      for m, _ in PORTS]

@@ -57,9 +57,15 @@ def read_touchstone(path, entry=None):
     """Read a 4-port RI Touchstone file written by write_touchstone.
 
     Returns (f_hz, s, z_ref), s (nf, 4, 4) or, for entry=(q, p), only
-    S[:, q, p], the one S column parsed; z_ref comes from the `! Z0[k]=`
-    comments, falling back to the option-line resistance for all ports.
+    S[:, q, p], the one S column parsed, q and p ints 0-3 (ValueError
+    otherwise); z_ref comes from the `! Z0[k]=` comments, falling back to
+    the option-line resistance for all ports.
     """
+    if entry is not None and not (
+            isinstance(entry, (tuple, list)) and len(entry) == 2 and all(
+                isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                and 0 <= x <= 3 for x in entry)):
+        raise ValueError(f"entry must be a pair of ints 0-3: {entry!r}")
     z_ref, opts, rest = [None] * 4, None, []
 
     def is_data(line):

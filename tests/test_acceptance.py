@@ -19,7 +19,7 @@ from twpc import device, tdr
 from twpc.cli import main
 from twpc.coupled_mode import ProcessConfig, attenuation_constant, \
     solve_uniform
-from twpc.device import PHI0_BAR, derive_constants
+from twpc.device import PHI0_BAR
 from twpc.dispersion import Mode, amplitude_from_flux, cutoff, \
     pump_wavevector
 from twpc.errors import NoSolutionInBand, TruncationWarning
@@ -69,7 +69,7 @@ def _dip_offset_ghz(pump, omega_root, span_ghz=0.2, step_ghz=0.01):
 # -------------------------------------------------------------------- 1
 
 def test_design_velocities_and_impedances():
-    c = derive_constants(device.design_cell())
+    c = device.design_cell()
     # agreement to the last quoted digit of the reference design values
     assert c.v_sigma0 / 1e9 == pytest.approx(90.4, abs=0.1)
     assert c.v_delta0 / 1e9 == pytest.approx(28.9, abs=0.1)

@@ -325,6 +325,17 @@ def test_nld_sim_summary(tmp_path):
     assert len(rows) == 4 * 3  # sidebands -1..1 at four ports
 
 
+def test_nld_sim_records_a_truncated_harmonic_basis(tmp_path):
+    # at 0.1 flux quanta and 2.5 GHz, two harmonics leave |d_3| / |d_1| at
+    # 0.176 on the 400-cell line
+    out = _run(["nld-sim", "--f-pump", "2.5", "--f-probe", "7.1",
+                "--pump-flux", "0.1", "--harmonics", "2",
+                "--n-sidebands", "1"], tmp_path / "n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [e["count"] for e in manifest["warnings"] if e["message"]
+            .startswith("highest retained pump harmonic")] == [1]
+
+
 def test_nld_sim_and_nld_map_agree_on_a_shared_cell(tmp_path):
     """nld-sim and a one-cell nld-map solve the same pump orbit and probe
     and write the same dB values, bit for bit."""
@@ -510,6 +521,21 @@ def test_nld_map_blank_cells_at_pump_harmonics(tmp_path):
     assert failure["f_pump_GHz"] == pytest.approx(3.0)
     assert failure["f_probe_GHz"] == pytest.approx(6.0)
     assert "zero frequency" in failure["reason"]
+
+
+def test_seed_flag_reseeds_the_spec(tmp_path):
+    # on a 2 % disorder spec, --seed 5 writes the sweep of the spec that
+    # gives "seed": 5, another seed another sweep; the manifest records 5
+    base = _spec_file(tmp_path, disorder_halfwidth=0.02)
+    five = _spec_file(tmp_path, "five.json", disorder_halfwidth=0.02, seed=5)
+    argv = ["scatter", "--f-min", "4", "--f-max", "8", "--points", "11"]
+    flag, spec, six = (_run(argv + extra, tmp_path / name) for name, extra in (
+        ("flag", ["--spec", str(base), "--seed", "5"]),
+        ("spec", ["--spec", str(five)]),
+        ("six", ["--spec", str(base), "--seed", "6"])))
+    sweeps = [(out / "sweep.s4p").read_bytes() for out in (flag, spec, six)]
+    assert sweeps[0] == sweeps[1] != sweeps[2]
+    assert json.loads((flag / "manifest.json").read_text())["seed"] == 5
 
 
 def test_tdr_pipeline_roundtrip(tmp_path):
@@ -811,6 +837,7 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
     # a NaN frequency, a NaN S and an infinite S, from a CSV and a .s4p
     *((["tdr", "--input", f"{key}_{kind}"], "input")
       for key in ("NAN_F", "NAN_S", "INF_S") for kind in ("CSV", "S4P")),
+    (["tdr", "--input", "NO_OPTION_LINE"], "input"),
 ], ids=["unknown-process", "process-twice", "harmonics-0",
         "sidebands-negative", "port-9", "threads-0", "eps-points-0",
         "isolate-two-defects", "points-abc",
@@ -822,7 +849,7 @@ def test_dispersion_at_plasma_frequency_warns_nothing(tmp_path):
         "envelope-disorder", "envelope-defect",
         "nld-sim-port-twice", "nld-map-port-twice", "tdr-spec", "fig-seed",
         *(f"tdr-{key}-{kind}" for key in ("nan-f", "nan-s", "inf-s")
-          for kind in ("csv", "s4p"))])
+          for kind in ("csv", "s4p")), "tdr-no-option-line"])
 def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
     prose = tmp_path / "notes.md"      # text, not a sweep
     prose.write_text("# twpc\n\nA design toolkit, for two-mode lines.\n")
@@ -848,7 +875,8 @@ def test_bad_arguments_exit_code(tmp_path, capsys, argv, field):
                             for key, z in (("NAN", "nan"), ("NEGATIVE", "-5"),
                                            ("ZERO", "0"), ("INF", "inf"))),
                           ("Z0_R_ZERO", "R 88\n", "R 0\n"),
-                          ("Z0_R_NAN", "R 88\n", "R nan\n")]:
+                          ("Z0_R_NAN", "R 88\n", "R nan\n"),
+                          ("NO_OPTION_LINE", "# Hz S RI R 88\n", "")]:
         files[key] = str(tmp_path / f"{key}.s4p")
         Path(files[key]).write_text(good.replace(old, new))
     f = np.linspace(4e9, 8e9, 64)       # 64-point sweeps, one bad value
@@ -952,6 +980,22 @@ def test_nld_map_blanks_a_pump_row_without_an_amplitude(tmp_path):
     assert len(rows) == 9
     assert all(row.endswith(",,") for row in rows[6:])
     assert not any(row.endswith(",,") for row in rows[:3])
+
+
+def test_overflowing_flux_amplitude_exit_code(tmp_path, capsys):
+    """1e308 flux quanta at 3 GHz has no finite amplitude: nld-sim exits
+    3 naming it, and nld-map blanks the row and lists it as failed."""
+    argv = ["--pump-flux", "1e308", "--harmonics", "2", "--n-sidebands", "1"]
+    rc, err = _error_report(capsys, ["nld-sim", "--f-pump", "3",
+                                     "--f-probe", "7.1", *argv], tmp_path)
+    assert rc == 3 and err["error"] == "AmplitudeOutOfRange"
+    out = _run(["nld-map", "--pump-min", "3", "--pump-max", "3",
+                "--pump-points", "1", "--probe-points", "2", *argv],
+               tmp_path / "n")
+    (failure,) = json.loads((out / "manifest.json").read_text())["failures"]
+    assert "no finite pump amplitude" in failure["reason"]
+    rows = (out / "transmission_map.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",,") for row in rows)
 
 
 def test_nld_map_blanks_a_pump_row_without_an_orbit(tmp_path, monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy import constants
 
 from twpc import device
-from twpc.device import (CellParams, LineSpec, PHI0_BAR, derive_constants,
-                         design_cell, fitted_cell, load_spec, sample_disorder,
+from twpc.device import (CellParams, LineSpec, PHI0_BAR, design_cell,
+                         fitted_cell, load_spec, sample_disorder,
                          spec_from_json, spec_to_json)
 from twpc.dispersion import Mode, cutoff
 from twpc.errors import ConfigError
@@ -47,25 +47,24 @@ def test_cell_rejects_nonpositive_and_large_c_j():
 
 
 def test_velocity_ratio_is_sqrt_mu_exactly():
-    cell = fitted_cell()
-    c = derive_constants(cell)
+    cell = c = fitted_cell()
     mu = 1 + 2 * cell.c_i / cell.c_g        # mode asymmetry
     assert c.v_sigma0 / c.v_delta0 == pytest.approx(math.sqrt(mu), rel=1e-14)
 
 
 def test_impedance_product_identity():
-    cell = design_cell()
-    c = derive_constants(cell)
+    cell = c = design_cell()
     expect = cell.l_j / math.sqrt(cell.c_g * (cell.c_g + 2 * cell.c_i))
     assert c.z_sigma * c.z_delta == pytest.approx(expect, rel=1e-14)
     # geometric mean close to the 50-ohm feed environment
     assert math.sqrt(c.z_sigma * c.z_delta) == pytest.approx(50.0, rel=0.05)
 
 
-def test_derive_constants_is_pure():
-    cell = fitted_cell()
-    a, b = derive_constants(cell), derive_constants(cell)
-    assert a == b
+def test_equal_cells_give_bit_equal_constants():
+    a, b = fitted_cell(), fitted_cell()
+    assert a is not b and a == b
+    for name in ("c_delta", "v_sigma0", "v_delta0", "z_sigma", "z_delta"):
+        assert getattr(a, name).hex() == getattr(b, name).hex()
 
 
 def test_validate_collects_all_violations():
@@ -179,6 +178,18 @@ def test_spec_json_round_trip(tmp_path):
     close(spec, load_spec(p))
 
 
+def test_spec_json_takes_the_junction_capacitance():
+    # c_j_fF in place of plasma_ghz builds the same cell
+    fitted = fitted_cell()
+    doc = spec_to_json(device.fitted_line())
+    del doc["plasma_ghz"]
+    cell = spec_from_json(dict(doc, c_j_fF=fitted.c_j * 1e15)).cell
+    assert cell.c_j == pytest.approx(fitted.c_j, rel=1e-15)
+    assert cell.plasma_omega == pytest.approx(fitted.plasma_omega, rel=1e-15)
+    with pytest.raises(ConfigError, match="exactly one"):
+        spec_from_json(dict(doc, c_j_fF=fitted.c_j * 1e15, plasma_ghz=32.9))
+
+
 @given(l_j=st.floats(0.1e-9, 5e-9), c_g=st.floats(0.02e-12, 1e-12),
        c_i=st.floats(1e-15, 2e-12), ratio=st.floats(0.01, 0.9))
 @settings(max_examples=50, deadline=None)
@@ -195,8 +206,7 @@ def test_spec_json_round_trip_property(l_j, c_g, c_i, ratio):
        c_i=st.floats(1e-15, 2e-12))
 @settings(max_examples=50, deadline=None)
 def test_sigma_faster_and_stiffer_whenever_coupled(l_j, c_g, c_i):
-    cell = CellParams(l_j=l_j, c_g=c_g, c_i=c_i, c_j=0.1 * c_g)
-    c = derive_constants(cell)
+    cell = c = CellParams(l_j=l_j, c_g=c_g, c_i=c_i, c_j=0.1 * c_g)
     assert c.v_sigma0 > c.v_delta0
     assert c.z_sigma > c.z_delta
     assert cutoff(Mode.Sigma, cell) > 0 and cutoff(Mode.Delta, cell) > 0

@@ -38,8 +38,7 @@ def test_wavevector_inverts_lattice_relation(mode):
 
 
 def test_low_frequency_limit_is_linear():
-    cell = device.fitted_cell()
-    c = device.derive_constants(cell)
+    cell = c = device.fitted_cell()
     w = 0.01 * GHZ
     assert wavevector(Mode.Sigma, w, cell) == pytest.approx(w / c.v_sigma0,
                                                             rel=1e-4)
@@ -305,6 +304,15 @@ def test_flux_amplitude_round_trip():
     # quoted convention: Phi_JJ = 4 phi0 eps sin(k a / 2)
     phi = 4 * device.PHI0_BAR * 0.3 * math.sin(kp / 2)
     assert amplitude_from_flux(phi, kp) == pytest.approx(0.3, rel=1e-14)
+
+
+def test_flux_amplitude_is_finite():
+    # 1e308 flux quanta at k_p = 0.2 gave eps = inf, which harmonic balance
+    # refuses as a ValueError; no junction flux drop gives no amplitude
+    with pytest.raises(AmplitudeOutOfRange, match="no finite pump amplitude"):
+        amplitude_from_flux(1e308 * device.FLUX_Q, 0.2)
+    with pytest.raises(AmplitudeOutOfRange, match="no finite pump amplitude"):
+        amplitude_from_flux(0.05 * device.FLUX_Q, 0.0)
 
 
 @given(f=st.floats(0.2, 0.98), l_j=st.floats(0.3e-9, 3e-9),

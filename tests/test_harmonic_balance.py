@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,36 @@ def test_pump_ports_are_distinct_ints_0_to_3(fitted_net, ports):
     with pytest.raises(ValueError, match="distinct pump ports"):
         pump_harmonic_balance(fitted_net, 3 * GHZ, 0.02, ports,
                               HarmonicBasis(2))
+
+
+@pytest.mark.parametrize("omega_p, eps, name", [
+    (3 * GHZ, math.nan, "eps"), (3 * GHZ, math.inf, "eps"),
+    (3 * GHZ, -0.02, "eps"), (0.0, 0.02, "omega_p"),
+    (-3 * GHZ, 0.02, "omega_p"), (math.nan, 0.02, "omega_p"),
+    (math.inf, 0.02, "omega_p")],
+    ids=["eps-nan", "eps-inf", "eps-negative", "omega-0", "omega-negative",
+         "omega-nan", "omega-inf"])
+def test_pump_frequency_and_amplitude_checked_on_entry(fitted_net, omega_p,
+                                                       eps, name):
+    # a NaN or infinite eps and omega_p = 0 raised SingularNetwork from the
+    # first LU, and a negative omega_p converged to the conjugate orbit
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        pump_harmonic_balance(fitted_net, omega_p, eps, [3],
+                              HarmonicBasis(2))
+
+
+def test_top_harmonic_warns_when_the_basis_is_too_small():
+    # 0.1 flux quanta at 2.5 GHz on 40 cells: |d_3| / |d_1| is 0.179 with
+    # two harmonics, 0.0066 with three
+    net = network.build_chain(device.fitted_line(40))
+    w = 2.5 * GHZ
+    eps = amplitude_from_flux(0.1 * FLUX_Q, pump_wavevector(net.cell, w, 0.0))
+    with pytest.warns(TruncationWarning, match="highest retained pump "
+                                               "harmonic carries >10%"):
+        pump_harmonic_balance(net, w, eps, [3], HarmonicBasis(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        pump_harmonic_balance(net, w, eps, [3], HarmonicBasis(3))
 
 
 def test_uniform_line_keeps_harmonics_off_sigma_ports(fitted_net):

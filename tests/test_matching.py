@@ -22,7 +22,7 @@ def cell():
 
 
 def test_circulation_lowfreq_closed_form(cell):
-    c = device.derive_constants(cell)
+    c = cell
     wp = 3.0 * GHZ
     # general velocity form, signal forward and idler backward on Sigma,
     # pump backward on Delta: omega_S = 2 omega_P (1/v_I - 1/v_P)
@@ -35,7 +35,7 @@ def test_circulation_lowfreq_closed_form(cell):
 
 
 def test_coupler_lowfreq_closed_form(cell):
-    c = device.derive_constants(cell)
+    c = cell
     wp = 2.6 * GHZ
     ws = wp * c.v_sigma0 / c.v_delta0
     # published operating point: 2.6 GHz pump -> 8.07 GHz probe
@@ -43,7 +43,7 @@ def test_coupler_lowfreq_closed_form(cell):
 
 
 def test_corrected_matches_lowfreq_at_low_pump(cell):
-    c = device.derive_constants(cell)
+    c = cell
     wp = 0.2 * GHZ
     ws_lf = wp * (c.v_sigma0 / c.v_delta0 - 1)
     pt = solve_corrected(ProcessKind.Circulation, wp, 0.0, cell)[0]
@@ -79,7 +79,7 @@ def test_energy_and_momentum_conservation(cell, kind, eps):
 def test_dispersion_pulls_circulation_point_down(cell):
     """Lattice + plasma curvature lower the matched signal frequency
     relative to the dispersionless estimate at practical pump settings."""
-    c = device.derive_constants(cell)
+    c = cell
     wp = 3.0 * GHZ
     ws_lf = wp * (c.v_sigma0 / c.v_delta0 - 1)
     pt = solve_corrected(ProcessKind.Circulation, wp, 0.0, cell)[0]
@@ -133,7 +133,7 @@ def test_gap_map_structure(cell):
     pumps = np.array([2.0, 3.0, 4.0]) * GHZ
     curves, failures = gap_map(
         [ProcessKind.Circulation, ProcessKind.CirculationAliased], pumps,
-        cell, 0.05)
+        cell, lambda wp: 0.05)
     assert failures == []
     ci_fw = curves[(ProcessKind.Circulation, Direction.forward)]
     ci_bw = curves[(ProcessKind.Circulation, Direction.backward)]
@@ -325,7 +325,7 @@ def test_gap_map_lists_points_above_pump_cutoff(cell):
     # the Delta-mode pump cutoff of the fitted cell is 9.21 GHz
     pumps = np.array([8.0, 9.0, 10.0]) * GHZ
     curves, failures = gap_map([ProcessKind.TunableCoupling], pumps, cell,
-                               0.05)
+                               lambda wp: 0.05)
     co = curves[(ProcessKind.TunableCoupling, Direction.forward)]
     np.testing.assert_array_equal(co[:, 0], pumps[:2])
     (failure,) = failures
@@ -382,7 +382,8 @@ def test_brent_exhausted_iterations_raise_nonconvergence(monkeypatch):
 def test_gap_map_lists_root_search_failures(cell, monkeypatch):
     monkeypatch.setattr(matching, "BRENT_MAXITER", 1)
     pumps = np.array([2.5, 3.5]) * GHZ
-    curves, failures = gap_map([ProcessKind.Circulation], pumps, cell, 0.05)
+    curves, failures = gap_map([ProcessKind.Circulation], pumps, cell,
+                               lambda wp: 0.05)
     assert [(kind, wp) for kind, wp, _ in failures] == [
         (ProcessKind.Circulation, wp) for wp in pumps]
     assert all(isinstance(exc, NonConvergence) for _, _, exc in failures)

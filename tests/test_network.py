@@ -50,8 +50,7 @@ def test_transmission_phase_matches_dispersion(fitted_net):
 
 
 def test_bloch_impedance_low_frequency_limit(fitted_net):
-    cell = device.fitted_cell()
-    c = device.derive_constants(cell)
+    cell = c = device.fitted_cell()
     z = bloch_impedance(Mode.Sigma, 0.05 * GHZ, cell)
     assert z.real == pytest.approx(c.z_sigma, rel=1e-3)
     z = bloch_impedance(Mode.Delta, 0.05 * GHZ, cell)
@@ -65,7 +64,7 @@ def test_bloch_impedance_low_frequency_limit(fitted_net):
 def test_bloch_impedance_at_plasma_frequency(fitted_net):
     # the series branch is open: the image impedance tends to 1 / y_sh,
     # which is not real, so the ports fall back to the low-frequency values
-    cell, c = fitted_net.cell, fitted_net.consts
+    cell = c = fitted_net.cell
     assert 1 / (1j * cell.plasma_omega * cell.l_j) \
         + 1j * cell.plasma_omega * cell.c_j == 0
     z = bloch_impedance(Mode.Sigma, cell.plasma_omega, cell)
@@ -80,7 +79,7 @@ def test_bloch_impedance_at_cutoff(fitted_net, mode):
     # 2 + z_se y_sh rounds to 0 at the cutoff itself: the image impedance
     # takes its limit there, infinite, and that mode's ports keep their
     # low-frequency value
-    cell, c = fitted_net.cell, fitted_net.consts
+    cell = c = fitted_net.cell
     w = cutoff(mode, cell)
     z = bloch_impedance(mode, w, cell)
     assert math.isinf(z.real) and z.imag == 0
@@ -196,7 +195,7 @@ def _port_row(net, omega):
     is infinite) included."""
     if isinstance(net.port_z, tuple):
         return net.port_z
-    z = [net.consts.z_sigma, net.consts.z_delta]
+    z = [net.cell.z_sigma, net.cell.z_delta]
     for i, mode in enumerate((Mode.Sigma, Mode.Delta)):
         if net.port_z == "bloch":
             zb = bloch_impedance(mode, omega, net.cell)
@@ -227,7 +226,7 @@ def test_port_impedances_of_an_array_are_the_scalar_rows(ports):
         assert np.array_equal(row, port_impedances(net, float(w)))
     assert port_impedances(net, np.array([])).shape == (0, 4)
     # at zero frequency the Bloch ports take the low-frequency values
-    low = [net.consts.z_sigma, net.consts.z_delta] * 2
+    low = [net.cell.z_sigma, net.cell.z_delta] * 2
     np.testing.assert_array_equal(port_impedances(net, 0.0), ports
                                   if isinstance(ports, tuple) else low)
 

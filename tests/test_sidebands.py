@@ -125,6 +125,24 @@ def test_outermost_sideband_warning(fitted_net):
         signal_sidebands(pump, pt.omega_s, n_sidebands=1)
 
 
+@pytest.mark.parametrize("n", [-1, True, 1.0, "2"])
+def test_sideband_count_is_an_int_from_zero(pumped, n):
+    # -1 failed inside numpy ("negative dimensions"), True was read as 1
+    pump, _ = pumped
+    with pytest.raises(ValueError, match="n_sidebands must be an int"):
+        signal_sidebands(pump, 5.7 * GHZ, n_sidebands=n)
+    with pytest.raises(ValueError, match="n_sidebands must be an int"):
+        transmission_map(pump, [5.7 * GHZ], n_sidebands=n)
+
+
+def test_zero_sidebands_keep_the_probe_channel_alone(pumped):
+    pump, _ = pumped
+    sc = signal_sidebands(pump, 5.7 * GHZ, n_sidebands=np.int64(0))
+    assert sc.freqs.tolist() == [5.7 * GHZ] and sc.s.shape == (1, 4, 1, 4)
+    s_fw, s_bw, failures = transmission_map(pump, [5.7 * GHZ], 0)
+    assert failures == [] and s_fw[0] == sc.s0()[2, 0]
+
+
 def _db(s):
     """20 log10 |s| of map amplitudes."""
     return 20 * np.log10(np.abs(s))

@@ -175,6 +175,23 @@ def test_one_entry_read_equals_full_read(tmp_path_factory, f, re, im,
         np.testing.assert_array_equal(z_one, z_full)
 
 
+@pytest.mark.parametrize("entry", [(0, 4), (4, 0), (-1, 0), (True, 0),
+                                   (0, 1.0), (0,), (0, 0, 0), 5, "00"])
+def test_entry_outside_the_ports_is_refused(tmp_path, entry):
+    # (0, 4) once read S[:, 1, 0], (4, 0) the next records' frequencies,
+    # (-1, 0) one value, and (True, 0) was read as (1, 0)
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    p = tmp_path / "t.s4p"
+    write_touchstone(p, np.linspace(4e9, 8e9, 5), s, [50.0] * 4)
+    with pytest.raises(ValueError, match="entry"):
+        read_touchstone(p, entry=entry)
+    for last in ((3, 3), (np.int64(3), np.int8(3)), [3, 3]):
+        _, s33, _ = read_touchstone(p, entry=last)
+        np.testing.assert_array_equal(s33.view(np.int64),
+                                      s[:, 3, 3].copy().view(np.int64))
+
+
 @pytest.mark.parametrize("z_ref", [[50.0] * 5, [50.0] * 3, [0, 50, 50, 50],
                                    [-50, 50, 50, 50], [math.nan, 50, 50, 50],
                                    [50, 50, 50, math.inf]],
